@@ -36,7 +36,7 @@ func (s Stopwatch) Elapsed() time.Duration {
 // of specs and cell hashes.
 func AddSanitize(fs *flag.FlagSet) {
 	fs.BoolFunc("sanitize",
-		"attach the shadow-memory sanitizer to every simulated address space (heap-misuse diagnostics fail the run)",
+		"attach the shadow-memory sanitizer to every simulated address space; heap-misuse diagnostics fail the run (bypasses the cache)",
 		func(v string) error {
 			on, err := strconv.ParseBool(v)
 			if err != nil {

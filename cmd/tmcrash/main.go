@@ -31,6 +31,7 @@ import (
 	_ "repro/internal/alloc/tcmalloc"
 
 	"repro/cmd/internal/cliflags"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/heapscope"
 	"repro/internal/intset"
@@ -82,6 +83,7 @@ func main() {
 	}
 
 	rec := outp.NewRecorder()
+	spec := &harness.Spec{Obs: rec}
 	type cellID struct {
 		alloc, phase string
 	}
@@ -97,42 +99,24 @@ func main() {
 				OpsPerThread: *ops,
 				UpdatePct:    *updates,
 				Seed:         *seed,
-				Crash:        fmt.Sprintf("crashphase:%s@%d", ph, *at),
+				Policy:       core.Policy{Crash: fmt.Sprintf("crashphase:%s@%d", ph, *at)},
 			}
 			key := fmt.Sprintf("tmcrash/%s/%s/%s/t%d/i%d/o%d/u%d/at%d",
 				*kind, a, ph, *threads, *initial, *ops, *updates, *at)
-			spec, err := json.Marshal(cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
 			runCfg := cfg
-			cells = append(cells, sweep.Cell{
-				Key:  key,
-				Spec: spec,
-				Seed: *seed,
-				Run: func() (any, *obs.Delta, *prof.Profile, *heapscope.Series, error) {
-					c := runCfg
-					c.Obs = rec
-					res, err := intset.Run(c)
-					if err != nil {
-						return nil, nil, nil, nil, err
-					}
-					var d *obs.Delta
-					if rec != nil {
-						d = rec.Delta()
-					}
-					return res, d, nil, nil, nil
-				},
-			})
+			cells = append(cells, spec.Cell(key, cfg, *seed, func(rec *obs.Recorder, _ *prof.Profiler, _ *heapscope.Collector) (any, error) {
+				c := runCfg
+				c.Obs = rec
+				return intset.Run(c)
+			}))
 			ids = append(ids, cellID{alloc: a, phase: ph})
 		}
 	}
 
 	// Crash cells never cache: the verdict must come from recovery
 	// actually running, not a memoized claim.
-	sched := &sweep.Scheduler{Jobs: sw.Jobs}
-	outs, stats := sched.Run(cells)
+	session := &harness.Session{Spec: spec, Jobs: sw.Jobs}
+	outs, stats := session.RunCells(cells)
 
 	record := obs.NewRunRecord("tmcrash")
 	record.Title = "Crash→recover→verify matrix across allocators (durable Table 5 twin)"
@@ -178,9 +162,7 @@ func main() {
 		if r.Verdict != obs.StatusOK {
 			notOK++
 		}
-		if worst == nil || statusRank(r.Verdict) > statusRank(worst.Verdict) {
-			worst = r
-		}
+		worst = worst.Merge(r)
 		a := perAlloc[id.alloc]
 		if a == nil {
 			a = &agg{}
@@ -270,14 +252,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tmcrash: %d cell(s) failed the recovery gate\n", notOK)
 		os.Exit(1)
 	}
-}
-
-func statusRank(s string) int {
-	switch s {
-	case obs.StatusFailed:
-		return 2
-	case obs.StatusDegraded:
-		return 1
-	}
-	return 0
 }

@@ -27,6 +27,7 @@ import (
 	_ "repro/internal/alloc/tcmalloc"
 
 	"repro/cmd/internal/cliflags"
+	"repro/internal/harness"
 	"repro/internal/heapscope"
 	"repro/internal/intset"
 	"repro/internal/obs"
@@ -77,7 +78,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown design %q\n", *design)
 		os.Exit(2)
 	}
-	rec := outp.NewRecorder()
+	spec := rob.Spec(false, 0, *seed)
+	spec.Obs = outp.NewRecorder()
+	spec.Profile = pr.Enabled()
+	spec.Heap = hp.Enabled()
+	spec.HeapCadence = hp.Cadence
+	spec.Race = *raceSim
+	spec.Conflict = *conf
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	cfg := intset.Config{
 		Kind:         intset.Kind(*kind),
 		Allocator:    *name,
@@ -91,47 +102,14 @@ func main() {
 		CacheTx:      *cacheTx,
 		Pool:         *pool,
 		Seed:         *seed,
-		CM:           rob.CM,
-		RetryCap:     rob.RetryCap,
-		Fault:        rob.Fault,
-		Deadline:     rob.Deadline,
-		Pmem:         rob.Pmem,
-		Crash:        rob.Crash,
+		Policy:       spec.Policy(),
 		SeedUAF:      *seedUAF,
 		SeedRace:     *seedRace,
-		Race:         *raceSim,
 		SeedAlias:    *seedAlias,
 		OrtBits:      *ortBits,
-		Conflict:     *conf,
 	}
 
 	cache, err := sw.Open()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if rec != nil || pr.Enabled() || hp.Enabled() {
-		cache = nil // a cache hit could not replay the trace, profile or heap series
-	}
-	if rob.Crash != "" {
-		cache = nil // a crash cell's verdict must come from recovery actually running
-	}
-	if *raceSim {
-		cache = nil // a race verdict must come from the checker observing the execution
-	}
-	if *conf {
-		cache = nil // forensics describe an actual execution, never a replayed record
-	}
-	var pp *prof.Profiler
-	if pr.Enabled() {
-		pp = prof.New()
-		pp.SetRecorder(rec)
-	}
-	var hc *heapscope.Collector
-	if hp.Enabled() {
-		hc = heapscope.New(hp.Cadence)
-	}
-	spec, err := json.Marshal(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -148,43 +126,20 @@ func main() {
 	if *seedAlias || *ortBits != 0 {
 		key += fmt.Sprintf("/sa%v-ob%d", *seedAlias, *ortBits)
 	}
-	cells := []sweep.Cell{{
-		Key:  key,
-		Spec: spec,
-		Seed: *seed,
-		Run: func() (any, *obs.Delta, *prof.Profile, *heapscope.Series, error) {
-			c := cfg
-			c.Obs = rec
-			c.Prof = pp
-			c.Heap = hc
-			var payload any
-			var err error
-			if *hytm {
-				payload, err = intset.RunHyTM(c)
-			} else {
-				payload, err = intset.Run(c)
-			}
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			var dl *obs.Delta
-			if rec != nil {
-				dl = rec.Delta()
-			}
-			var pf *prof.Profile
-			if pp != nil {
-				pf = pp.Profile()
-				pf.Label = key
-			}
-			var sr *heapscope.Series
-			if hc != nil {
-				sr = hc.Series(key)
-			}
-			return payload, dl, pf, sr, nil
-		},
-	}}
-	sched := &sweep.Scheduler{Jobs: sw.Jobs, Cache: cache}
-	outs, stats := sched.Run(cells)
+	// The run is one cell, so its artifacts come straight from the
+	// cell's own recorder.
+	var rec *obs.Recorder
+	cells := []sweep.Cell{spec.Cell(key, cfg, *seed, func(cellRec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
+		rec = cellRec
+		c := cfg
+		c.Obs, c.Prof, c.Heap = rec, pp, hc
+		if *hytm {
+			return intset.RunHyTM(c)
+		}
+		return intset.Run(c)
+	})}
+	session := &harness.Session{Spec: spec, Jobs: sw.Jobs, Cache: cache}
+	outs, stats := session.RunCells(cells)
 	out := outs[0]
 	if out.Err != nil {
 		fmt.Fprintln(os.Stderr, out.Err)
@@ -277,12 +232,10 @@ func main() {
 				fmt.Fprintf(tw, "durability\t%d flushes, %d fences, %d log appends, %d metadata records\n",
 					r.Flushes, r.Fences, r.LogAppends, r.MetaRecs)
 			}
-			record.Recovery = r
 		}
 		if p := res.Pool; p != nil {
 			fmt.Fprintf(tw, "pooling\t%s: %d hits, %d misses, %d returns (%d held at end)\n",
 				p.Discipline, p.Hits, p.Misses, p.Returns, p.Held)
-			record.Pool = p
 		}
 		if r := res.Race; r != nil {
 			if r.Findings > 0 {
@@ -292,7 +245,6 @@ func main() {
 				fmt.Fprintf(tw, "race\tclean: %d events over %d blocks / %d words\n",
 					r.Events, r.Blocks, r.Words)
 			}
-			record.Race = r
 		}
 		if c := res.Conflict; c != nil {
 			fmt.Fprintf(tw, "conflicts\t%d aborts dissected: %d true, %d false (%d same-line, %d cross-block), %d alias, %d metadata, %d other\n",
@@ -306,7 +258,6 @@ func main() {
 			if c.First != "" {
 				fmt.Fprintf(tw, "first\t%s\n", c.First)
 			}
-			record.Conflict = c
 		}
 		fmt.Fprintf(tw, "throughput\t%.0f tx per modelled second\n", res.Throughput)
 		fmt.Fprintf(tw, "time\t%.4f ms for %d ops\n", res.Seconds*1e3, res.Ops)
@@ -324,6 +275,7 @@ func main() {
 		tw.Flush()
 		record.Status = res.Status
 		record.Failure = res.Failure
+		record.Blocks = res.Blocks
 		record.Tables = []obs.Table{{
 			Title:   "Summary",
 			Columns: []string{"Metric", "Value"},

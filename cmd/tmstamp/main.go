@@ -38,6 +38,7 @@ import (
 	_ "repro/internal/stamp/yada"
 
 	"repro/cmd/internal/cliflags"
+	"repro/internal/harness"
 	"repro/internal/heapscope"
 	"repro/internal/obs"
 	"repro/internal/prof"
@@ -82,7 +83,17 @@ func main() {
 	if *variant == "low" {
 		va = stamp.LowContention
 	}
-	rec := outp.NewRecorder()
+	spec := rob.Spec(false, 0, *seed)
+	spec.Obs = outp.NewRecorder()
+	spec.Profile = pr.Enabled()
+	spec.Heap = hp.Enabled()
+	spec.HeapCadence = hp.Cadence
+	spec.Race = *raceSim
+	spec.Conflict = *conf
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	cfg := stamp.Config{
 		App:       *app,
 		Allocator: *alloc,
@@ -94,43 +105,10 @@ func main() {
 		Pool:      *pool,
 		Profile:   *profile,
 		Seed:      *seed,
-		CM:        rob.CM,
-		RetryCap:  rob.RetryCap,
-		Fault:     rob.Fault,
-		Deadline:  rob.Deadline,
-		Pmem:      rob.Pmem,
-		Crash:     rob.Crash,
-		Race:      *raceSim,
-		Conflict:  *conf,
+		Policy:    spec.Policy(),
 	}
 
 	cache, err := sw.Open()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if rec != nil || pr.Enabled() || hp.Enabled() {
-		cache = nil // a cache hit could not replay the trace, profile or heap series
-	}
-	if rob.Crash != "" {
-		cache = nil // a crash cell's verdict must come from recovery actually running
-	}
-	if *raceSim {
-		cache = nil // a race verdict must come from the checker observing the execution
-	}
-	if *conf {
-		cache = nil // forensics describe an actual execution, never a replayed record
-	}
-	var pp *prof.Profiler
-	if pr.Enabled() {
-		pp = prof.New()
-		pp.SetRecorder(rec)
-	}
-	var hc *heapscope.Collector
-	if hp.Enabled() {
-		hc = heapscope.New(hp.Cadence)
-	}
-	spec, err := json.Marshal(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -140,37 +118,17 @@ func main() {
 	if *pool != stm.PoolNone {
 		key += "/p" + pool.String()
 	}
-	cells := []sweep.Cell{{
-		Key:  key,
-		Spec: spec,
-		Seed: *seed,
-		Run: func() (any, *obs.Delta, *prof.Profile, *heapscope.Series, error) {
-			c := cfg
-			c.Obs = rec
-			c.Prof = pp
-			c.Heap = hc
-			res, err := stamp.Run(c)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			var d *obs.Delta
-			if rec != nil {
-				d = rec.Delta()
-			}
-			var pf *prof.Profile
-			if pp != nil {
-				pf = pp.Profile()
-				pf.Label = key
-			}
-			var sr *heapscope.Series
-			if hc != nil {
-				sr = hc.Series(key)
-			}
-			return res, d, pf, sr, nil
-		},
-	}}
-	sched := &sweep.Scheduler{Jobs: sw.Jobs, Cache: cache}
-	outs, stats := sched.Run(cells)
+	// The run is one cell, so its artifacts come straight from the
+	// cell's own recorder.
+	var rec *obs.Recorder
+	cells := []sweep.Cell{spec.Cell(key, cfg, *seed, func(cellRec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
+		rec = cellRec
+		c := cfg
+		c.Obs, c.Prof, c.Heap = rec, pp, hc
+		return stamp.Run(c)
+	})}
+	session := &harness.Session{Spec: spec, Jobs: sw.Jobs, Cache: cache}
+	outs, stats := session.RunCells(cells)
 	out := outs[0]
 	if out.Err != nil {
 		fmt.Fprintln(os.Stderr, out.Err)
@@ -309,18 +267,7 @@ func main() {
 		if heapSet != nil {
 			record.Heap = heapSet.Info()
 		}
-		if res.Recovery != nil {
-			record.Recovery = res.Recovery
-		}
-		if res.Pool != nil {
-			record.Pool = res.Pool
-		}
-		if res.Race != nil {
-			record.Race = res.Race
-		}
-		if res.Conflict != nil {
-			record.Conflict = res.Conflict
-		}
+		record.Blocks = res.Blocks
 		record.Tables = []obs.Table{{
 			Title:   "Summary",
 			Columns: []string{"Metric", "Value"},

@@ -30,6 +30,7 @@ import (
 	"repro/cmd/internal/cliflags"
 	"repro/internal/alloc"
 	"repro/internal/conflict"
+	"repro/internal/core"
 	"repro/internal/intset"
 	"repro/internal/obs"
 )
@@ -72,7 +73,7 @@ func main() {
 			UpdatePct:    *updates,
 			OpsPerThread: ops,
 			Seed:         *seed,
-			Conflict:     true,
+			Policy:       core.Policy{Conflict: true},
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -101,7 +102,7 @@ func main() {
 	for _, r := range runs {
 		printAllocator(r.name, r.res, r.report, *top)
 		record.Tables = append(record.Tables, classTable(r.name, r.report))
-		foldConflict(record, r.res.Conflict)
+		record.Conflict = record.Conflict.Merge(r.res.Conflict)
 	}
 
 	if len(runs) > 1 {
@@ -124,51 +125,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	}
-}
-
-// foldConflict accumulates one allocator run's flat conflict block
-// into the record, with the harness's fold semantics: counters sum,
-// the deepest chain and the heaviest site/offender win, the first
-// exemplar sticks.
-func foldConflict(record *obs.RunRecord, c *obs.ConflictInfo) {
-	if c == nil {
-		return
-	}
-	if record.Conflict == nil {
-		cp := *c
-		record.Conflict = &cp
-		return
-	}
-	dst := record.Conflict
-	dst.Events += c.Events
-	dst.TrueSharing += c.TrueSharing
-	dst.FalseSharing += c.FalseSharing
-	dst.StripeAlias += c.StripeAlias
-	dst.Metadata += c.Metadata
-	dst.Other += c.Other
-	dst.WastedCycles += c.WastedCycles
-	dst.WastedTrue += c.WastedTrue
-	dst.WastedFalse += c.WastedFalse
-	dst.WastedAlias += c.WastedAlias
-	dst.WastedMeta += c.WastedMeta
-	dst.WastedOther += c.WastedOther
-	dst.SameLine += c.SameLine
-	dst.CrossBlock += c.CrossBlock
-	dst.Edges += c.Edges
-	if c.LongestChain > dst.LongestChain {
-		dst.LongestChain = c.LongestChain
-	}
-	if c.TopSiteWasted > dst.TopSiteWasted {
-		dst.TopSite = c.TopSite
-		dst.TopSiteWasted = c.TopSiteWasted
-	}
-	if c.TopOffenderHits > dst.TopOffenderHits {
-		dst.TopOffender = c.TopOffender
-		dst.TopOffenderHits = c.TopOffenderHits
-	}
-	if dst.First == "" {
-		dst.First = c.First
 	}
 }
 

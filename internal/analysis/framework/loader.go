@@ -130,13 +130,36 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 	var pkgs []*Package
 	for base, u := range units {
-		pkg, err := check(base, u.entry, exports)
+		pkg, err := check(base, u.entry, testExports(exports, entries, u.entry))
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+// testExports returns the export map a unit type-checks against. A
+// test unit ("p [q.test]") sees the packages of its own test build —
+// the test-augmented q that its external _test package imports, with
+// the helpers export_test.go adds, and every dependency recompiled
+// against it — in place of the plain builds.
+func testExports(exports map[string]string, entries []listEntry, u listEntry) map[string]string {
+	i := strings.Index(u.ImportPath, " [")
+	if i < 0 {
+		return exports
+	}
+	suffix := u.ImportPath[i:]
+	out := make(map[string]string, len(exports))
+	for path, file := range exports {
+		out[path] = file
+	}
+	for _, e := range entries {
+		if e.Export != "" && strings.HasSuffix(e.ImportPath, suffix) {
+			out[strings.TrimSuffix(e.ImportPath, suffix)] = e.Export
+		}
+	}
+	return out
 }
 
 // modulePath reads the module path governing dir.

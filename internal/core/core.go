@@ -21,6 +21,13 @@
 //	    }
 //	})
 //	fmt.Println(sys.Space.Load(counter), sys.Report().Tx.Aborts)
+//
+// NewSystem is also the one world builder of the workload drivers
+// (intset.Run, stamp.Run): it alone parses the fault plan, attaches the
+// durable heap, and builds and attaches every observer a Policy selects
+// — profiler, heap telemetry, race checker, conflict observatory — and
+// Finish alone folds their results into the run's status and info
+// blocks.
 package core
 
 import (
@@ -28,10 +35,51 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/cachesim"
+	"repro/internal/conflict"
+	"repro/internal/fault"
+	"repro/internal/heapscope"
 	"repro/internal/mem"
+	"repro/internal/obs"
+	"repro/internal/pmem"
+	"repro/internal/prof"
+	"repro/internal/race"
 	"repro/internal/stm"
 	"repro/internal/vtime"
 )
+
+// Policy is one run's robustness policy and observer selection. The
+// workload configs (intset.Config, stamp.Config) embed it, so the
+// fields below are theirs: the un-tagged ones are part of each config's
+// JSON encoding and hence of its cell hash, while the observers are
+// excluded because they never change what a cell computes.
+type Policy struct {
+	Obs      *obs.Recorder // event/metric sink; nil disables
+	CM       stm.CM        // contention manager (default CMSuicide)
+	RetryCap uint64        // irrevocable-fallback threshold (0 = default)
+	Fault    string        // fault-plan spec (internal/fault grammar); "" disables
+	Deadline uint64        // virtual-cycle watchdog bound per phase; 0 disables
+	Pmem     bool          // durable heap: redo-logged commits, priced flush/fence
+	Crash    string        // crash-injection clauses (fault grammar); implies Pmem
+	// Plan, when non-nil, is a pre-parsed fault plan that replaces
+	// parsing Fault/Crash; each run takes its own clone re-seeded with
+	// the run's seed (harness cells parse the spec once). Excluded from
+	// spec hashing: the strings above already identify the plan.
+	Plan *fault.Plan `json:"-"`
+	// Race attaches the happens-before checker (internal/race): its
+	// verdict lands in the Race info block, and any finding fails the
+	// run.
+	Race bool `json:"-"`
+	// Conflict attaches the abort-forensics observatory
+	// (internal/conflict): every abort is classified against allocator
+	// provenance and the verdict lands in the Conflict info block.
+	Conflict bool `json:"-"`
+	// Prof, when non-nil, attributes every virtual cycle of the run to
+	// (thread, region-stack, allocator) buckets.
+	Prof *prof.Profiler `json:"-"`
+	// Heap, when non-nil, collects allocator-state telemetry on a
+	// virtual-cycle cadence.
+	Heap *heapscope.Collector `json:"-"`
+}
 
 // Options configures a System. The zero value of each field selects the
 // paper's setup.
@@ -50,14 +98,20 @@ type Options struct {
 	// Design selects the STM algorithm variant (default the paper's
 	// encounter-time-locking write-back).
 	Design stm.Design
-	// CacheTxObjects enables the STM-level transactional object cache
-	// studied in the paper's §6.2.
-	CacheTxObjects bool
+	// Pool selects the transaction-object recycling discipline; CacheTx
+	// is the workload configs' deprecated spelling of PoolCache.
+	Pool    stm.Pooling
+	CacheTx bool
+	// Seed seeds the run's fault plan.
+	Seed uint64
+	// TxAllocator, when non-nil, wraps the allocator the STM serves
+	// transactional allocations from (stamp's Table 5 allocation
+	// profile); the System's Allocator stays the unwrapped model.
+	TxAllocator func(alloc.Allocator) alloc.Allocator
 	// DisableCacheModel turns off the cache hierarchy (all accesses
 	// cost an L1 hit); timing fidelity drops, speed rises.
 	DisableCacheModel bool
-	// Quantum overrides the engine's scheduling quantum in cycles.
-	Quantum uint64
+	Policy
 }
 
 // System is one assembled transactional-memory machine.
@@ -68,6 +122,15 @@ type System struct {
 	Allocator alloc.Allocator
 	STM       *stm.STM
 	Threads   int
+	// Plan is the run's fault plan; nil when no fault or crash clause
+	// was given.
+	Plan *fault.Plan
+
+	prof     *prof.Profiler
+	heap     *heapscope.Collector
+	durable  *pmem.Pmem
+	checker  *race.Checker
+	conflict *conflict.Observatory
 }
 
 // Report bundles the statistics of a run.
@@ -79,7 +142,17 @@ type Report struct {
 	Cache   cachesim.CoreStats
 }
 
-// NewSystem builds a System.
+// testWatch, when non-nil, sees every new space after the observers are
+// attached; tests set it (export_test.go) to add watchers of their own.
+var testWatch func(*mem.Space)
+
+// NewSystem builds a System: the space, the allocator, the fault plan
+// and durable heap the policy asks for, the cache model, every selected
+// observer, the engine and the STM. Block watchers reach the space in a
+// fixed order — sanitizer shadow map, heap telemetry, durable heap,
+// race checker, conflict observatory — so an observer that unwinds a
+// thread mid-notification (a crash at the malloc checkpoint) is seen
+// the same way on every run.
 func NewSystem(opts Options) (*System, error) {
 	if opts.Allocator == "" {
 		opts.Allocator = "glibc"
@@ -95,26 +168,91 @@ func NewSystem(opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cache *cachesim.Hierarchy
-	if !opts.DisableCacheModel {
-		cache = cachesim.New(cachesim.DefaultCores)
+	s := &System{
+		Space:     space,
+		Allocator: allocator,
+		Threads:   opts.Threads,
+		Plan:      opts.Plan.CloneSeeded(opts.Seed),
+		prof:      opts.Prof,
+		heap:      opts.Heap,
 	}
-	engine := vtime.NewEngine(space, opts.Threads, vtime.Config{Cache: cache, Quantum: opts.Quantum})
-	st := stm.New(space, stm.Config{
-		Shift:          opts.Shift,
+	if spec := fault.Join(opts.Fault, opts.Crash); s.Plan == nil && spec != "" {
+		if s.Plan, err = fault.Parse(spec, opts.Seed); err != nil {
+			return nil, err
+		}
+	}
+	if s.Plan != nil {
+		s.Plan.SetObserver(opts.Obs)
+		s.Plan.ApplyQuota(space)
+		alloc.Inject(allocator, s.Plan)
+	}
+	if opts.Pmem || opts.Crash != "" || (s.Plan != nil && s.Plan.HasCrash()) {
+		s.durable = pmem.Attach(space, s.Plan)
+		alloc.Journal(allocator, s.durable)
+	}
+	if !opts.DisableCacheModel {
+		s.Cache = cachesim.New(cachesim.DefaultCores)
+	}
+	engineCfg := vtime.Config{Cache: s.Cache, Obs: opts.Obs, Deadline: opts.Deadline}
+	stmCfg := stm.Config{
 		OrtBits:        opts.OrtBits,
+		Shift:          opts.Shift,
 		Design:         opts.Design,
 		Allocator:      allocator,
-		CacheTxObjects: opts.CacheTxObjects,
-	})
-	return &System{
-		Space:     space,
-		Engine:    engine,
-		Cache:     cache,
-		Allocator: allocator,
-		STM:       st,
-		Threads:   opts.Threads,
-	}, nil
+		CacheTxObjects: opts.CacheTx,
+		Pooling:        opts.Pool,
+		Obs:            opts.Obs,
+		CM:             opts.CM,
+		RetryCap:       opts.RetryCap,
+		Prof:           opts.Prof,
+	}
+	// Interface-typed hooks are set only when present: a typed nil
+	// pointer would read as attached.
+	var watchers []mem.HeapWatcher
+	if s.prof != nil {
+		engineCfg.Prof = s.prof
+	}
+	if s.heap != nil {
+		s.heap.Attach(allocator)
+		s.heap.SetRecorder(opts.Obs)
+		engineCfg.Heap = s.heap
+		watchers = append(watchers, s.heap)
+	}
+	if s.durable != nil {
+		stmCfg.Durable = s.durable
+		watchers = append(watchers, s.durable)
+	}
+	if opts.Race {
+		s.checker = race.New(opts.Threads)
+		engineCfg.Race = s.checker
+		stmCfg.Race = s.checker
+		watchers = append(watchers, s.checker)
+	}
+	if opts.Conflict {
+		s.conflict = conflict.New(opts.Threads, opts.Shift)
+		stmCfg.Conflict = s.conflict
+		watchers = append(watchers, s.conflict)
+	}
+	for _, w := range watchers {
+		space.Watch(w)
+	}
+	if testWatch != nil {
+		testWatch(space)
+	}
+	if s.Plan != nil {
+		stmCfg.Fault = s.Plan
+	}
+	s.Engine = vtime.NewEngine(space, opts.Threads, engineCfg)
+	if s.durable != nil {
+		s.durable.SetStopper(s.Engine)
+	}
+	alloc.Observe(allocator, opts.Obs)
+	alloc.Profile(allocator, opts.Prof)
+	if opts.TxAllocator != nil {
+		stmCfg.Allocator = opts.TxAllocator(allocator)
+	}
+	s.STM = stm.New(space, stmCfg)
+	return s, nil
 }
 
 // MustNewSystem is NewSystem panicking on error (examples, tests).
@@ -146,6 +284,18 @@ func (s *System) Atomic(th *vtime.Thread, fn func(tx *stm.Tx)) {
 	s.STM.Atomic(th, fn)
 }
 
+// Region opens a named profiler region on th and returns its closer,
+// for use as `defer sys.Region(th, "phase")()`; a no-op when the run is
+// unprofiled.
+func (s *System) Region(th *vtime.Thread, name string) func() {
+	p := s.prof
+	if p == nil {
+		return func() {}
+	}
+	p.Begin(th, name)
+	return func() { p.End(th) }
+}
+
 // Report collects the current statistics.
 func (s *System) Report() Report {
 	r := Report{
@@ -160,5 +310,97 @@ func (s *System) Report() Report {
 	return r
 }
 
-// ResetClocks zeroes the engine clocks (to time a phase in isolation).
-func (s *System) ResetClocks() { s.Engine.ResetClocks() }
+// ResetClocks starts a timed phase in isolation: the durable heap
+// persists everything built so far (so a crash can only tear the timed
+// phase's state), heap telemetry closes the set-up phase, and the
+// engine clocks are zeroed.
+func (s *System) ResetClocks() {
+	if s.durable != nil && !s.durable.Crashed() {
+		// The checkpoint passes crash checkpoints itself, so a crash@
+		// point can land inside it; the StopSignal is swallowed as the
+		// engine does and Finish recovers.
+		func() {
+			defer swallowStop()
+			s.durable.Checkpoint(vtime.Solo(s.Space, 0, nil))
+		}()
+	}
+	if s.heap != nil {
+		s.heap.Phase("run", s.Engine.MaxClock())
+	}
+	s.Engine.ResetClocks()
+}
+
+// EndPhase closes the timed phase: it returns the phase's virtual time
+// (the largest thread clock) and ends the heap telemetry series there.
+func (s *System) EndPhase() uint64 {
+	cycles := s.Engine.MaxClock()
+	if s.heap != nil {
+		s.heap.Finish(cycles)
+	}
+	return cycles
+}
+
+// Finish folds the run's observer results into its status and failure
+// text and returns the info blocks: pool traffic when pooled, the
+// durable-memory verdict (recovering first when a crash fired), the
+// race checker's verdict (any finding fails an otherwise ok run) and
+// the conflict observatory's summary.
+func (s *System) Finish(status, failure string) (string, string, obs.Blocks) {
+	var b obs.Blocks
+	if d := s.STM.Pooling(); d != stm.PoolNone {
+		ps := s.STM.PoolStats()
+		b.Pool = &obs.PoolInfo{
+			Discipline: d.String(),
+			Hits:       ps.Hits, Misses: ps.Misses, Returns: ps.Returns,
+			Refills: ps.Refills, Slabs: ps.Slabs, SlabBytes: ps.SlabBytes,
+			Held: ps.Held,
+		}
+	}
+	if s.durable != nil {
+		if s.durable.Crashed() {
+			// The machine went down at the injected point: recover on a
+			// fresh solo thread and let the invariant sweep's verdict
+			// become the run's health.
+			info := s.durable.Recover(vtime.Solo(s.Space, 0, nil), s.Allocator)
+			b.Recovery = info
+			status = info.Verdict
+			if info.Verdict != obs.StatusOK {
+				failure = fmt.Sprintf("crash recovery %s at cycle %d phase %s (lost=%d resurrected=%d chain_breaks=%d shadow_bad=%d)",
+					info.Verdict, info.CrashCycle, info.CrashPhase,
+					info.LostWrites, info.Resurrected, info.ChainBreaks, info.ShadowBad)
+			}
+		} else {
+			b.Recovery = s.durable.Info()
+		}
+	}
+	if s.checker != nil {
+		b.Race = s.checker.Info()
+		if b.Race.Findings > 0 && status == obs.StatusOK {
+			status = obs.StatusFailed
+			failure = "race: " + b.Race.First
+		}
+	}
+	if s.conflict != nil {
+		b.Conflict = s.conflict.Info()
+	}
+	return status, failure, b
+}
+
+// ConflictReport returns the conflict observatory's full graph, blame
+// table and exemplar reservoir, or nil when none is attached.
+func (s *System) ConflictReport() *conflict.Report {
+	if s.conflict == nil {
+		return nil
+	}
+	return s.conflict.Report()
+}
+
+// swallowStop absorbs the simulated-crash panic on a solo (engineless)
+// thread, mirroring what the engine does for its workers.
+func swallowStop() {
+	if r := recover(); r != nil {
+		if _, ok := r.(vtime.StopSignal); !ok {
+			panic(r)
+		}
+	}
+}

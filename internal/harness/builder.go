@@ -68,58 +68,9 @@ type CellHealth struct {
 	Failure string `json:"failure,omitempty"`
 }
 
-// addCell registers one cell: key names it, spec (serialized
-// canonically) plus the derived seed identify it for caching, and run
-// executes it against a private per-cell recorder, profiler and heap
-// collector (each nil when the session is unobserved/unprofiled/
-// unwatched).
-func addCell[T any](b *Builder, key string, spec any, seed uint64, run func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error)) Handle[T] {
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		panic(fmt.Errorf("harness: encode spec of cell %s: %w", key, err))
-	}
-	parent := b.spec.Obs
-	profiled := b.spec.Profile
-	watched := b.spec.Heap
-	cadence := b.spec.HeapCadence
-	b.cells = append(b.cells, sweep.Cell{
-		Key:  key,
-		Spec: raw,
-		Seed: seed,
-		Run: func() (any, *obs.Delta, *prof.Profile, *heapscope.Series, error) {
-			var rec *obs.Recorder
-			if parent != nil {
-				rec = parent.Sibling()
-			}
-			var pp *prof.Profiler
-			if profiled {
-				pp = prof.New()
-				pp.SetRecorder(rec)
-			}
-			var hc *heapscope.Collector
-			if watched {
-				hc = heapscope.New(cadence)
-			}
-			payload, err := run(rec, pp, hc)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			var delta *obs.Delta
-			if rec != nil {
-				delta = rec.Delta()
-			}
-			var pf *prof.Profile
-			if pp != nil {
-				pf = pp.Profile()
-				pf.Label = key
-			}
-			var hp *heapscope.Series
-			if hc != nil {
-				hp = hc.Series(key)
-			}
-			return payload, delta, pf, hp, nil
-		},
-	})
+// addCell registers one cell through the spec's per-cell helper.
+func addCell[T any](b *Builder, key string, spec any, seed uint64, run CellFunc) Handle[T] {
+	b.cells = append(b.cells, b.spec.Cell(key, spec, seed, run))
 	return Handle[T]{b: b, idx: len(b.cells) - 1}
 }
 
@@ -127,14 +78,11 @@ func addCell[T any](b *Builder, key string, spec any, seed uint64, run func(rec 
 
 // IntsetCell is the payload of one synthetic-benchmark run.
 type IntsetCell struct {
-	Throughput  float64           `json:"thr"`
-	AbortRate   float64           `json:"abort_rate"`
-	L1Miss      float64           `json:"l1_miss"`
-	FalseAborts uint64            `json:"false_aborts"`
-	Recovery    *obs.RecoveryInfo `json:"recovery,omitempty"` // durable-memory verdict; nil when pmem is off
-	Pool        *obs.PoolInfo     `json:"pool,omitempty"`     // tx-pool traffic; nil when the run was unpooled
-	Race        *obs.RaceInfo     `json:"race,omitempty"`     // race-checker verdict; nil when unchecked
-	Conflict    *obs.ConflictInfo `json:"conflict,omitempty"` // abort forensics; nil when unobserved
+	Throughput  float64 `json:"thr"`
+	AbortRate   float64 `json:"abort_rate"`
+	L1Miss      float64 `json:"l1_miss"`
+	FalseAborts uint64  `json:"false_aborts"`
+	obs.Blocks
 	CellHealth
 }
 
@@ -165,19 +113,11 @@ func intsetKey(prefix string, cfg intset.Config, rep int) string {
 		poolTag(cfg.Pool), aliasTag(cfg), rep)
 }
 
-// applyRobustness threads the spec's policy knobs into a workload
-// config. The workload parameters stay the experiment's business; the
-// policy is the spec's.
+// applyIntset threads the spec's policy into a workload config. The
+// workload parameters stay the experiment's business; the policy is the
+// spec's.
 func (b *Builder) applyIntset(cfg intset.Config) intset.Config {
-	cfg.Obs = nil
-	cfg.CM = b.spec.CM
-	cfg.RetryCap = b.spec.retryCap()
-	cfg.Fault = b.spec.Fault
-	cfg.Deadline = b.spec.deadline()
-	cfg.Pmem = b.spec.Pmem
-	cfg.Crash = b.spec.Crash
-	cfg.Race = b.spec.Race
-	cfg.Conflict = b.spec.Conflict
+	cfg.Policy = b.spec.Policy()
 	if b.spec.Pool != stm.PoolNone {
 		cfg.Pool = b.spec.Pool
 	}
@@ -189,13 +129,9 @@ func (b *Builder) Intset(cfg intset.Config, rep int) Handle[IntsetCell] {
 	cfg = b.applyIntset(cfg)
 	key := intsetKey("intset", cfg, rep)
 	cfg.Seed = sweep.DeriveSeed(b.spec.seed(), key)
-	sp := b.spec
 	return addCell[IntsetCell](b, key, cfg, cfg.Seed, func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
 		c := cfg
-		c.Obs = rec
-		c.Prof = pp
-		c.Heap = hc
-		c.Plan = sp.cellPlan(c.Seed)
+		c.Obs, c.Prof, c.Heap = rec, pp, hc
 		res, err := intset.Run(c)
 		if err != nil {
 			return nil, err
@@ -205,10 +141,7 @@ func (b *Builder) Intset(cfg intset.Config, rep int) Handle[IntsetCell] {
 			AbortRate:   res.Tx.AbortRate(),
 			L1Miss:      res.L1Miss,
 			FalseAborts: res.Tx.FalseAborts,
-			Recovery:    res.Recovery,
-			Pool:        res.Pool,
-			Race:        res.Race,
-			Conflict:    res.Conflict,
+			Blocks:      res.Blocks,
 			CellHealth:  CellHealth{Status: res.Status, Failure: res.Failure},
 		}, nil
 	})
@@ -266,22 +199,20 @@ func (s IntsetSweep) L1() sim.Summary {
 
 // StampCell is the payload of one timed STAMP run.
 type StampCell struct {
-	Ms       float64           `json:"ms"`                 // parallel-phase time in modelled milliseconds
-	Recovery *obs.RecoveryInfo `json:"recovery,omitempty"` // durable-memory verdict; nil when pmem is off
-	Pool     *obs.PoolInfo     `json:"pool,omitempty"`     // tx-pool traffic; nil when the run was unpooled
-	Race     *obs.RaceInfo     `json:"race,omitempty"`     // race-checker verdict; nil when unchecked
-	Conflict *obs.ConflictInfo `json:"conflict,omitempty"` // abort forensics; nil when unobserved
+	Ms float64 `json:"ms"` // parallel-phase time in modelled milliseconds
+	obs.Blocks
 	CellHealth
 }
 
 // StampProbe is the payload of one instrumented STAMP run (application
-// characterization and allocation profile).
+// characterization and allocation profile). Its blocks carry the race
+// and conflict verdicts only: durability and pooling traffic are
+// reported by timed cells.
 type StampProbe struct {
-	Tx       stm.TxStats       `json:"tx"`
-	L1Miss   float64           `json:"l1_miss"`
-	Profile  *stamp.Profile    `json:"profile,omitempty"`
-	Race     *obs.RaceInfo     `json:"race,omitempty"`     // race-checker verdict; nil when unchecked
-	Conflict *obs.ConflictInfo `json:"conflict,omitempty"` // abort forensics; nil when unobserved
+	Tx      stm.TxStats    `json:"tx"`
+	L1Miss  float64        `json:"l1_miss"`
+	Profile *stamp.Profile `json:"profile,omitempty"`
+	obs.Blocks
 	CellHealth
 }
 
@@ -292,15 +223,7 @@ func stampKey(cfg stamp.Config, rep int) string {
 }
 
 func (b *Builder) applyStamp(cfg stamp.Config) stamp.Config {
-	cfg.Obs = nil
-	cfg.CM = b.spec.CM
-	cfg.RetryCap = b.spec.retryCap()
-	cfg.Fault = b.spec.Fault
-	cfg.Deadline = b.spec.deadline()
-	cfg.Pmem = b.spec.Pmem
-	cfg.Crash = b.spec.Crash
-	cfg.Race = b.spec.Race
-	cfg.Conflict = b.spec.Conflict
+	cfg.Policy = b.spec.Policy()
 	if b.spec.Pool != stm.PoolNone {
 		cfg.Pool = b.spec.Pool
 	}
@@ -317,23 +240,16 @@ func (b *Builder) stampCell(cfg stamp.Config, rep int) (stamp.Config, string) {
 // Stamp declares one timed STAMP cell.
 func (b *Builder) Stamp(cfg stamp.Config, rep int) Handle[StampCell] {
 	cfg, key := b.stampCell(cfg, rep)
-	sp := b.spec
 	return addCell[StampCell](b, key, cfg, cfg.Seed, func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
 		c := cfg
-		c.Obs = rec
-		c.Prof = pp
-		c.Heap = hc
-		c.Plan = sp.cellPlan(c.Seed)
+		c.Obs, c.Prof, c.Heap = rec, pp, hc
 		res, err := stamp.Run(c)
 		if err != nil {
 			return nil, err
 		}
 		return StampCell{
 			Ms:         res.Seconds * 1e3,
-			Recovery:   res.Recovery,
-			Pool:       res.Pool,
-			Race:       res.Race,
-			Conflict:   res.Conflict,
+			Blocks:     res.Blocks,
 			CellHealth: CellHealth{Status: res.Status, Failure: res.Failure},
 		}, nil
 	})
@@ -357,13 +273,9 @@ func (b *Builder) StampProbeCell(cfg stamp.Config) Handle[StampProbe] {
 	cfg = b.applyStamp(cfg)
 	key := "probe/" + stampKey(cfg, 0)
 	cfg.Seed = sweep.DeriveSeed(b.spec.seed(), key)
-	sp := b.spec
 	return addCell[StampProbe](b, key, cfg, cfg.Seed, func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
 		c := cfg
-		c.Obs = rec
-		c.Prof = pp
-		c.Heap = hc
-		c.Plan = sp.cellPlan(c.Seed)
+		c.Obs, c.Prof, c.Heap = rec, pp, hc
 		res, err := stamp.Run(c)
 		if err != nil {
 			return nil, err
@@ -372,8 +284,7 @@ func (b *Builder) StampProbeCell(cfg stamp.Config) Handle[StampProbe] {
 			Tx:         res.Tx,
 			L1Miss:     res.L1Miss,
 			Profile:    res.Profile,
-			Race:       res.Race,
-			Conflict:   res.Conflict,
+			Blocks:     obs.Blocks{Race: res.Race, Conflict: res.Conflict},
 			CellHealth: CellHealth{Status: res.Status, Failure: res.Failure},
 		}, nil
 	})

@@ -26,22 +26,12 @@ type Health struct {
 	failures []string
 }
 
-func statusRank(s string) int {
-	switch s {
-	case obs.StatusFailed:
-		return 2
-	case obs.StatusDegraded:
-		return 1
-	}
-	return 0
-}
-
 // Note folds one workload outcome into the aggregate.
 func (h *Health) Note(status, failure string) {
 	if h == nil {
 		return
 	}
-	if statusRank(status) > statusRank(h.status) {
+	if obs.StatusRank(status) > obs.StatusRank(h.status) {
 		h.status = status
 	}
 	if failure != "" {

@@ -23,8 +23,10 @@ type Session struct {
 	Jobs int // host goroutine pool width; <= 1 runs serially
 
 	// Cache memoizes finished cells on disk. Ignored (treated as nil)
-	// when Spec.Obs is set: a cache hit cannot replay an event trace, so
-	// observability implies execution.
+	// when the spec attaches any observer — a trace, profile, heap
+	// telemetry, the race checker, the conflict observatory or the
+	// sanitizer — or carries a crash clause: those describe an actual
+	// execution, which a cache hit cannot replay.
 	Cache *sweep.Cache
 }
 
@@ -35,13 +37,13 @@ type ExperimentRun struct {
 	Result     *Result     // nil when Err is set
 	Err        error
 	Health     *Health
-	Sweep      *obs.SweepInfo    // cell accounting for the run record
-	Profile    *prof.Profile     // merged cycle attribution; nil when unprofiled
-	Heap       *heapscope.Set    // per-cell telemetry series; nil when unwatched
-	Recovery   *obs.RecoveryInfo // worst durable-memory verdict across cells; nil when pmem is off
-	Pool       *obs.PoolInfo     // summed tx-pool traffic across cells; nil when every cell ran unpooled
-	Race       *obs.RaceInfo     // summed race-checker verdict across cells; nil when unchecked
-	Conflict   *obs.ConflictInfo // summed abort forensics across cells; nil when unobserved
+	Sweep      *obs.SweepInfo // cell accounting for the run record
+	Profile    *prof.Profile  // merged cycle attribution; nil when unprofiled
+	Heap       *heapscope.Set // per-cell telemetry series; nil when unwatched
+	// Blocks fold the cells' observer blocks (obs.Blocks.Merge): the
+	// worst recovery verdict, summed pool traffic, race verdicts and
+	// abort forensics, each nil when no cell carried it.
+	obs.Blocks
 }
 
 // jobs returns the normalized pool width.
@@ -94,35 +96,8 @@ func (s *Session) Run(ids []string) ([]*ExperimentRun, sweep.Stats) {
 		plans = append(plans, p)
 	}
 
-	cache := s.Cache
-	if s.Spec.Obs != nil || s.Spec.Profile || s.Spec.Heap {
-		cache = nil // observability, profiling and heap telemetry imply execution
-	}
-	if s.Spec.Crash != "" {
-		// Crash cells bypass the cache: the acceptance gate is that
-		// recovery actually runs and re-verifies its invariants, so a
-		// cached verdict would be an unverified claim.
-		cache = nil
-	}
-	if s.Spec.Race {
-		// Race cells bypass the cache for the same reason: a clean
-		// verdict must come from the checker observing the execution,
-		// not from a record of some earlier run.
-		cache = nil
-	}
-	if s.Spec.Conflict {
-		// Conflict cells bypass the cache too: forensics describe the
-		// aborts of an actual execution, never a replayed record.
-		cache = nil
-	}
-	sched := sweep.Scheduler{Jobs: s.jobs(), Cache: cache}
-	outs, stats := sched.Run(cells)
+	outs, stats := s.RunCells(cells)
 
-	// Deduplicated cells share one Outcome (and Delta pointer): merge
-	// each distinct delta exactly once, at its first reference, so the
-	// merged trace is identical to what a serial no-dedup run would
-	// produce up to that sharing.
-	merged := make(map[*obs.Delta]bool)
 	profiled := make(map[*prof.Profile]bool)
 	watched := make(map[*heapscope.Series]bool)
 	for _, p := range plans {
@@ -143,10 +118,6 @@ func (s *Session) Run(ids []string) ([]*ExperimentRun, sweep.Stats) {
 			default:
 				sw.Executed++
 			}
-			if o.Delta != nil && !merged[o.Delta] {
-				merged[o.Delta] = true
-				s.Spec.Obs.Apply(o.Delta)
-			}
 			if o.Profile != nil && !profiled[o.Profile] {
 				profiled[o.Profile] = true
 				profiles = append(profiles, o.Profile)
@@ -161,113 +132,13 @@ func (s *Session) Run(ids []string) ([]*ExperimentRun, sweep.Stats) {
 				}
 				heapSet.Add(o.Heap)
 			}
-			var ch CellHealth
-			if json.Unmarshal(o.Payload, &ch) == nil {
-				p.run.Health.Note(ch.Status, ch.Failure)
+			var v struct {
+				CellHealth
+				obs.Blocks
 			}
-			var rc struct {
-				Recovery *obs.RecoveryInfo `json:"recovery"`
-			}
-			if json.Unmarshal(o.Payload, &rc) == nil && rc.Recovery != nil {
-				// Keep the worst verdict (first cell wins ties), so the run
-				// record surfaces the most damaged recovery of the sweep.
-				cur := p.run.Recovery
-				if cur == nil || statusRank(rc.Recovery.Verdict) > statusRank(cur.Verdict) {
-					p.run.Recovery = rc.Recovery
-				}
-			}
-			var pc struct {
-				Pool *obs.PoolInfo `json:"pool"`
-			}
-			if json.Unmarshal(o.Payload, &pc) == nil && pc.Pool != nil {
-				// Sum traffic across pooled cells; a sweep mixing
-				// disciplines reports "mixed" rather than pretending one
-				// policy produced the totals.
-				cur := p.run.Pool
-				if cur == nil {
-					cp := *pc.Pool
-					p.run.Pool = &cp
-				} else {
-					if cur.Discipline != pc.Pool.Discipline {
-						cur.Discipline = "mixed"
-					}
-					cur.Hits += pc.Pool.Hits
-					cur.Misses += pc.Pool.Misses
-					cur.Returns += pc.Pool.Returns
-					cur.Refills += pc.Pool.Refills
-					cur.Slabs += pc.Pool.Slabs
-					cur.SlabBytes += pc.Pool.SlabBytes
-					cur.Held += pc.Pool.Held
-				}
-			}
-			var rcc struct {
-				Race *obs.RaceInfo `json:"race"`
-			}
-			if json.Unmarshal(o.Payload, &rcc) == nil && rcc.Race != nil {
-				// Sum verdicts and coverage across checked cells; the
-				// first cell with findings supplies the headline First.
-				cur := p.run.Race
-				if cur == nil {
-					cp := *rcc.Race
-					p.run.Race = &cp
-				} else {
-					cur.Findings += rcc.Race.Findings
-					cur.Publication += rcc.Race.Publication
-					cur.Privatization += rcc.Race.Privatization
-					cur.Mixed += rcc.Race.Mixed
-					cur.Metadata += rcc.Race.Metadata
-					cur.QuarantineBypass += rcc.Race.QuarantineBypass
-					cur.DurableOrdering += rcc.Race.DurableOrdering
-					cur.Words += rcc.Race.Words
-					cur.Blocks += rcc.Race.Blocks
-					cur.Events += rcc.Race.Events
-					if cur.First == "" {
-						cur.First = rcc.Race.First
-					}
-				}
-			}
-			var cc struct {
-				Conflict *obs.ConflictInfo `json:"conflict"`
-			}
-			if json.Unmarshal(o.Payload, &cc) == nil && cc.Conflict != nil {
-				// Sum counters across observed cells; the first cell with
-				// an exemplar supplies the headline First, and the chain
-				// aggregate keeps the longest cascade of any cell.
-				cur := p.run.Conflict
-				if cur == nil {
-					cp := *cc.Conflict
-					p.run.Conflict = &cp
-				} else {
-					cur.Events += cc.Conflict.Events
-					cur.TrueSharing += cc.Conflict.TrueSharing
-					cur.FalseSharing += cc.Conflict.FalseSharing
-					cur.StripeAlias += cc.Conflict.StripeAlias
-					cur.Metadata += cc.Conflict.Metadata
-					cur.Other += cc.Conflict.Other
-					cur.WastedCycles += cc.Conflict.WastedCycles
-					cur.WastedTrue += cc.Conflict.WastedTrue
-					cur.WastedFalse += cc.Conflict.WastedFalse
-					cur.WastedAlias += cc.Conflict.WastedAlias
-					cur.WastedMeta += cc.Conflict.WastedMeta
-					cur.WastedOther += cc.Conflict.WastedOther
-					cur.SameLine += cc.Conflict.SameLine
-					cur.CrossBlock += cc.Conflict.CrossBlock
-					cur.Edges += cc.Conflict.Edges
-					if cc.Conflict.LongestChain > cur.LongestChain {
-						cur.LongestChain = cc.Conflict.LongestChain
-					}
-					if cc.Conflict.TopSiteWasted > cur.TopSiteWasted {
-						cur.TopSite = cc.Conflict.TopSite
-						cur.TopSiteWasted = cc.Conflict.TopSiteWasted
-					}
-					if cc.Conflict.TopOffenderHits > cur.TopOffenderHits {
-						cur.TopOffender = cc.Conflict.TopOffender
-						cur.TopOffenderHits = cc.Conflict.TopOffenderHits
-					}
-					if cur.First == "" {
-						cur.First = cc.Conflict.First
-					}
-				}
+			if json.Unmarshal(o.Payload, &v) == nil {
+				p.run.Health.Note(v.Status, v.Failure)
+				p.run.Blocks.Merge(v.Blocks)
 			}
 		}
 		if len(profiles) > 0 {
@@ -286,6 +157,28 @@ func (s *Session) Run(ids []string) ([]*ExperimentRun, sweep.Stats) {
 		p.run.Result, p.run.Err = reduceRecovered(p.b)
 	}
 	return runs, stats
+}
+
+// RunCells schedules cells on the sweep scheduler, replaying them from
+// the cache unless the spec must execute, and folds each distinct
+// recorder delta into Spec.Obs at its first reference in cell order
+// (deduplicated cells share one Outcome and Delta pointer), so the
+// merged trace is what a serial no-dedup run would produce up to that
+// sharing.
+func (s *Session) RunCells(cells []sweep.Cell) ([]sweep.Outcome, sweep.Stats) {
+	cache := s.Cache
+	if s.Spec.mustExecute() {
+		cache = nil
+	}
+	outs, stats := (&sweep.Scheduler{Jobs: s.jobs(), Cache: cache}).Run(cells)
+	merged := make(map[*obs.Delta]bool)
+	for _, o := range outs {
+		if o.Err == nil && o.Delta != nil && !merged[o.Delta] {
+			merged[o.Delta] = true
+			s.Spec.Obs.Apply(o.Delta)
+		}
+	}
+	return outs, stats
 }
 
 // planRecovered runs the experiment's Plan with panic capture.
@@ -374,22 +267,7 @@ func (s *Session) Record(run *ExperimentRun) *obs.RunRecord {
 	if run.Heap != nil {
 		rec.Heap = run.Heap.Info()
 	}
-	if run.Recovery != nil {
-		r := *run.Recovery
-		rec.Recovery = &r
-	}
-	if run.Pool != nil {
-		p := *run.Pool
-		rec.Pool = &p
-	}
-	if run.Race != nil {
-		r := *run.Race
-		rec.Race = &r
-	}
-	if run.Conflict != nil {
-		c := *run.Conflict
-		rec.Conflict = &c
-	}
+	rec.Blocks = run.Blocks
 	rec.Attach(s.Spec.Obs)
 	return rec
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
@@ -113,9 +114,11 @@ func TestSessionCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSessionObservedRunsBypassCache pins the invariant that a session
-// with a recorder never touches the cache: a cache hit could not
-// replay the event trace into the recorder.
+// TestSessionObservedRunsBypassCache pins the must-execute rule: after
+// a plain run warms the cache, a session with any observer attached —
+// recorder, profiler, heap telemetry, race checker, conflict
+// observatory, sanitizer — or a crash clause executes every cell, since
+// a cache hit could replay none of what they observe.
 func TestSessionObservedRunsBypassCache(t *testing.T) {
 	cache, err := sweep.OpenCache(t.TempDir())
 	if err != nil {
@@ -123,17 +126,38 @@ func TestSessionObservedRunsBypassCache(t *testing.T) {
 	}
 	one := 1
 	warmup := &Session{Spec: &Spec{Reps: &one}, Cache: cache}
-	if runs, _ := warmup.Run([]string{"tab4"}); runs[0].Err != nil {
+	if runs, _ := warmup.Run([]string{"fig1"}); runs[0].Err != nil {
 		t.Fatal(runs[0].Err)
 	}
 	rec := obs.New(obs.Config{})
-	s := &Session{Spec: &Spec{Reps: &one, Obs: rec}, Cache: cache}
-	runs, stats := s.Run([]string{"tab4"})
-	if runs[0].Err != nil {
-		t.Fatal(runs[0].Err)
-	}
-	if stats.Cached != 0 {
-		t.Errorf("observed run stats = %+v, want the cache bypassed", stats)
+	for _, tc := range []struct {
+		name string
+		set  func(t *testing.T, s *Spec)
+	}{
+		{"recorder", func(_ *testing.T, s *Spec) { s.Obs = rec }},
+		{"profiler", func(_ *testing.T, s *Spec) { s.Profile = true }},
+		{"heap", func(_ *testing.T, s *Spec) { s.Heap = true }},
+		{"race", func(_ *testing.T, s *Spec) { s.Race = true }},
+		{"conflict", func(_ *testing.T, s *Spec) { s.Conflict = true }},
+		{"crash", func(_ *testing.T, s *Spec) { s.Crash = "crash@5000" }},
+		{"sanitizer", func(t *testing.T, _ *Spec) {
+			prev := mem.SanitizeDefault()
+			mem.SetSanitizeDefault(true)
+			t.Cleanup(func() { mem.SetSanitizeDefault(prev) })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := &Spec{Reps: &one}
+			tc.set(t, spec)
+			s := &Session{Spec: spec, Cache: cache}
+			runs, stats := s.Run([]string{"fig1"})
+			if runs[0].Err != nil {
+				t.Fatal(runs[0].Err)
+			}
+			if stats.Cached != 0 || stats.Executed == 0 {
+				t.Errorf("stats = %+v, want every cell executed", stats)
+			}
+		})
 	}
 	if len(rec.Events()) == 0 {
 		t.Error("observed run produced no events")

@@ -1,11 +1,17 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/heapscope"
+	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/prof"
 	"repro/internal/stm"
+	"repro/internal/sweep"
 )
 
 // Spec is the typed experiment specification: what to run, at which
@@ -37,8 +43,8 @@ type Spec struct {
 	// byte-identical to a spec that predates the field.
 	Pool stm.Pooling
 
-	// plan is the Fault+Crash spec parsed once by Validate; cells take
-	// per-seed clones (fault.Plan.CloneSeeded) instead of re-parsing.
+	// plan is the Fault+Crash spec parsed once by Validate; each cell's
+	// world builder takes a per-seed clone instead of re-parsing.
 	plan *fault.Plan
 
 	Obs     *obs.Recorder // observability sink; nil disables
@@ -50,15 +56,12 @@ type Spec struct {
 
 	// Race attaches the happens-before race checker (internal/race) to
 	// every workload cell. A pure observer — checked cells compute
-	// byte-identical results — but race cells bypass the result cache so
-	// the verdict always comes from a fresh execution.
+	// byte-identical results.
 	Race bool
 
 	// Conflict attaches the abort-forensics observatory
 	// (internal/conflict) to every workload cell. A pure observer —
-	// observed cells compute byte-identical results — but conflict cells
-	// bypass the result cache so the forensics always come from a fresh
-	// execution.
+	// observed cells compute byte-identical results.
 	Conflict bool
 }
 
@@ -90,15 +93,81 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// cellPlan hands one cell its own deterministic instance of the parsed
-// fault plan: a clone re-seeded with the cell's derived seed, so plans
-// never share mutable trigger state across cells and cells never
-// re-parse the spec.
-func (s *Spec) cellPlan(seed uint64) *fault.Plan {
-	if s.plan == nil {
-		return nil
+// Policy is the workload policy every cell runs under: the robustness
+// knobs and the simulated-side observers, which core.NewSystem builds.
+// The host-side observers (recorder, profiler, heap collector) are per
+// cell; see Cell.
+func (s *Spec) Policy() core.Policy {
+	p := core.Policy{CM: s.CM, Fault: s.Fault, Pmem: s.Pmem, Crash: s.Crash,
+		Plan: s.plan, Race: s.Race, Conflict: s.Conflict}
+	if s.RetryCap != nil {
+		p.RetryCap = *s.RetryCap
 	}
-	return s.plan.CloneSeeded(seed)
+	if s.Deadline != nil {
+		p.Deadline = *s.Deadline
+	}
+	return p
+}
+
+// mustExecute reports whether cells must run instead of replaying from
+// the cell cache. A cache hit cannot replay what an observer sees —
+// events, a profile, heap telemetry, a race or conflict verdict,
+// sanitizer diagnostics — and a crash verdict must come from recovery
+// actually running, not from a record of an earlier run.
+func (s *Spec) mustExecute() bool {
+	return s.Obs != nil || s.Profile || s.Heap || s.Race || s.Conflict ||
+		s.Crash != "" || s.plan.HasCrash() || mem.SanitizeDefault()
+}
+
+// CellFunc runs one cell against its private recorder, profiler and
+// heap collector (each nil when the spec does not ask for it) and
+// returns the cell's payload.
+type CellFunc func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error)
+
+// Cell builds one sweep cell: key names it, spec (serialized
+// canonically) plus seed identify it for caching, and run executes it.
+// Cell is where every cell's host-side observers are created and
+// harvested: a sibling of Spec.Obs whose delta Session.RunCells folds
+// back, a profiler labelled with the key when Profile is set, and a
+// heap collector whose series is labelled with the key when Heap is
+// set.
+func (s *Spec) Cell(key string, spec any, seed uint64, run CellFunc) sweep.Cell {
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		panic(fmt.Errorf("harness: encode spec of cell %s: %w", key, err))
+	}
+	parent, profiled, watched, cadence := s.Obs, s.Profile, s.Heap, s.HeapCadence
+	return sweep.Cell{
+		Key:  key,
+		Spec: raw,
+		Seed: seed,
+		Run: func() (any, *obs.Delta, *prof.Profile, *heapscope.Series, error) {
+			rec := parent.Sibling()
+			var pp *prof.Profiler
+			if profiled {
+				pp = prof.New()
+				pp.SetRecorder(rec)
+			}
+			var hc *heapscope.Collector
+			if watched {
+				hc = heapscope.New(cadence)
+			}
+			payload, err := run(rec, pp, hc)
+			if err != nil {
+				return nil, nil, nil, nil, err
+			}
+			var pf *prof.Profile
+			if pp != nil {
+				pf = pp.Profile()
+				pf.Label = key
+			}
+			var hp *heapscope.Series
+			if hc != nil {
+				hp = hc.Series(key)
+			}
+			return payload, rec.Delta(), pf, hp, nil
+		},
+	}
 }
 
 // reps resolves the effective repetition count.
@@ -118,22 +187,6 @@ func (s *Spec) seed() uint64 {
 		return *s.Seed
 	}
 	return DefaultSeed
-}
-
-// retryCap resolves the effective retry cap (0 = STM default).
-func (s *Spec) retryCap() uint64 {
-	if s.RetryCap == nil {
-		return 0
-	}
-	return *s.RetryCap
-}
-
-// deadline resolves the effective watchdog deadline (0 = none).
-func (s *Spec) deadline() uint64 {
-	if s.Deadline == nil {
-		return 0
-	}
-	return *s.Deadline
 }
 
 // child clones the spec for one experiment, giving it a private Health

@@ -89,10 +89,11 @@ func New(cadence uint64) *Collector {
 	}
 }
 
-// Attach wires the collector to one allocator and its space: the class
-// table and static geometry are read once, and the space's heap-watcher
-// slot is taken. Call before any simulated thread allocates.
-func (c *Collector) Attach(a alloc.Allocator, space *mem.Space) {
+// Attach wires the collector to one allocator: the class table and
+// static geometry are read once. The collector also needs the space's
+// block lifecycle: watch it on the space (mem.Space.Watch) before any
+// simulated thread allocates.
+func (c *Collector) Attach(a alloc.Allocator) {
 	c.heap = a
 	c.name = a.Name()
 	if st, ok := alloc.InspectHeap(a); ok {
@@ -105,7 +106,6 @@ func (c *Collector) Attach(a alloc.Allocator, space *mem.Space) {
 			MaxBlock:        st.MaxBlock,
 		}
 	}
-	space.SetHeapWatcher(c)
 }
 
 // SetRecorder attaches the obs recorder that receives Prometheus gauges

@@ -29,7 +29,7 @@ func (f *fakeHeap) InspectHeap() alloc.HeapState             { return f.st }
 func attach(t *testing.T, st alloc.HeapState, cadence uint64) *Collector {
 	t.Helper()
 	c := New(cadence)
-	c.Attach(&fakeHeap{st: st}, mem.NewSpace())
+	c.Attach(&fakeHeap{st: st})
 	return c
 }
 

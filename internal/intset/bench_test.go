@@ -3,6 +3,7 @@ package intset_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/intset"
 )
 
@@ -16,8 +17,7 @@ func benchConfig(race, conflict bool) intset.Config {
 		Threads:      4,
 		InitialSize:  128,
 		OpsPerThread: 200,
-		Race:         race,
-		Conflict:     conflict,
+		Policy:       core.Policy{Race: race, Conflict: conflict},
 	}
 }
 
@@ -36,12 +36,10 @@ func benchRun(b *testing.B, race, conflict bool) {
 
 // BenchmarkIntsetPlain / BenchmarkIntsetRaceSim are the race-checker
 // overhead pair: identical runs except for the attached happens-before
-// checker. scripts/bench.sh pairs their ns/op into the race_overhead
-// block of BENCH_PR9.json.
+// checker.
 //
 // BenchmarkIntsetConflict completes the forensics pair: the same run
-// with the abort-forensics observatory attached. scripts/bench.sh pairs
-// it with Plain into the conflict_overhead block of BENCH_PR10.json.
+// with the abort-forensics observatory attached.
 func BenchmarkIntsetPlain(b *testing.B)    { benchRun(b, false, false) }
 func BenchmarkIntsetRaceSim(b *testing.B)  { benchRun(b, true, false) }
 func BenchmarkIntsetConflict(b *testing.B) { benchRun(b, false, true) }

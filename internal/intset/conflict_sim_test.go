@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/core"
 	"repro/internal/intset"
 	"repro/internal/obs"
 )
@@ -18,8 +19,8 @@ func conflictConfig(allocator string, seedAlias bool) intset.Config {
 		InitialSize:  48,
 		OpsPerThread: 40,
 		UpdatePct:    60,
-		Conflict:     true,
 		SeedAlias:    seedAlias,
+		Policy:       core.Policy{Conflict: true},
 	}
 }
 

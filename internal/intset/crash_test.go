@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -18,7 +19,7 @@ func TestCrashRecoverVerdicts(t *testing.T) {
 				res, err := Run(Config{
 					Kind: LinkedList, Allocator: a, Threads: 4,
 					InitialSize: 64, OpsPerThread: 50, UpdatePct: 60,
-					Crash: "crashphase:" + phase + "@3",
+					Policy: core.Policy{Crash: "crashphase:" + phase + "@3"},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -44,7 +45,7 @@ func TestCrashRunDeterministic(t *testing.T) {
 	cfg := Config{
 		Kind: HashSet, Allocator: "hoard", Threads: 4,
 		InitialSize: 64, OpsPerThread: 50, UpdatePct: 60,
-		Crash: "crash@9000",
+		Policy: core.Policy{Crash: "crash@9000"},
 	}
 	r1, err := Run(cfg)
 	if err != nil {

@@ -17,13 +17,9 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/cachesim"
 	"repro/internal/conflict"
-	"repro/internal/fault"
-	"repro/internal/heapscope"
+	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/pmem"
-	"repro/internal/prof"
-	"repro/internal/race"
 	"repro/internal/sim"
 	"repro/internal/stm"
 	"repro/internal/txstruct"
@@ -76,19 +72,11 @@ type Config struct {
 	CacheTx     bool
 	Pool        stm.Pooling // tx-object recycling discipline (none/cache/pool/batch)
 	Seed        uint64
-	HashBuckets uint64        // hash set only; paper: 128K
-	Obs         *obs.Recorder // event/metric sink; nil disables
-	CM          stm.CM        // contention manager (default CMSuicide)
-	RetryCap    uint64        // irrevocable-fallback threshold (0 = default)
-	Fault       string        // fault-plan spec (internal/fault grammar); "" disables
-	Deadline    uint64        // virtual-cycle watchdog bound per phase; 0 disables
-	Pmem        bool          // durable heap: redo-logged commits, priced flush/fence
-	Crash       string        // crash-injection clauses (fault grammar); implies Pmem
-	// Plan, when non-nil, is a pre-parsed (and freshly cloned) fault
-	// plan that replaces parsing Fault/Crash — harness cells parse the
-	// spec once and hand each run its own clone. Excluded from spec
-	// hashing: the strings above already identify the plan.
-	Plan *fault.Plan `json:"-"`
+	HashBuckets uint64 // hash set only; paper: 128K
+	// Policy carries the robustness policy (CM, retry cap, faults,
+	// deadline, durability) and the observers; core.NewSystem builds and
+	// attaches them.
+	core.Policy
 	// SeedUAF plants a use-after-free at the start of the measurement
 	// phase: thread 0 allocates and stores, frees, then reads the stale
 	// pointer in a fresh transaction. Under the sanitizer the run fails
@@ -126,27 +114,6 @@ type Config struct {
 	// therefore stripe aliasing — reachable for small heaps. Part of
 	// the spec.
 	OrtBits uint
-	// Race attaches the happens-before checker (internal/race) to the
-	// run: scheduler, STM and allocator events feed a vector-clock
-	// analysis whose verdict lands in Result.Race, and any finding
-	// fails the run. Excluded from spec hashing — the checker is a pure
-	// observer and never changes what a cell computes.
-	Race bool `json:"-"`
-	// Conflict attaches the abort-forensics observatory
-	// (internal/conflict) to the run: every abort is classified against
-	// allocator provenance and the verdict lands in Result.Conflict
-	// (headline) and Result.ConflictReport (full graph/blame tables).
-	// Excluded from spec hashing — the observatory is a pure observer
-	// and never changes what a cell computes.
-	Conflict bool `json:"-"`
-	// Prof, when non-nil, attributes every virtual cycle of the run to
-	// (thread, region-stack, allocator) buckets. Excluded from spec
-	// hashing — profiling never changes what a cell computes.
-	Prof *prof.Profiler `json:"-"`
-	// Heap, when non-nil, collects allocator-state telemetry on a
-	// virtual-cycle cadence. Excluded from spec hashing — snapshots are
-	// pure observers and never change what a cell computes.
-	Heap *heapscope.Collector `json:"-"`
 }
 
 func (c *Config) fill() {
@@ -189,20 +156,12 @@ type Result struct {
 	AllocStats alloc.Stats
 	Status     string // obs.StatusOK / StatusDegraded / StatusFailed
 	Failure    string // watchdog / panic detail when Status is not ok
-	// Recovery carries the durable-memory verdict: flush/fence/log
-	// traffic for every Pmem run, plus the crash point and invariant
-	// sweep when a crash clause fired. Nil when Pmem is off.
-	Recovery *obs.RecoveryInfo
-	// Pool carries the tx-pooling discipline and its traffic counters.
-	// Nil when the run used the PoolNone baseline.
-	Pool *obs.PoolInfo
-	// Race carries the happens-before checker's verdict. Nil when the
-	// checker was not attached.
-	Race *obs.RaceInfo
-	// Conflict carries the abort-forensics headline; ConflictReport the
-	// full conflict graph, blame table and exemplar reservoir. Both nil
-	// when the observatory was not attached.
-	Conflict       *obs.ConflictInfo
+	// Blocks carry the observer verdicts: durable-memory recovery and
+	// tx-pool traffic, the race checker's verdict and the conflict
+	// observatory's headline, each nil when not in use.
+	obs.Blocks
+	// ConflictReport is the conflict observatory's full graph, blame
+	// table and exemplar reservoir; nil when it was not attached.
 	ConflictReport *conflict.Report `json:"conflict_report,omitempty"`
 }
 
@@ -213,30 +172,6 @@ type Result struct {
 // machine-readable outcome to record.
 func Run(cfg Config) (res Result, err error) {
 	cfg.fill()
-	space := mem.NewSpace()
-	allocator, err := alloc.New(cfg.Allocator, space, cfg.Threads)
-	if err != nil {
-		return Result{}, err
-	}
-	plan := cfg.Plan
-	if plan == nil {
-		if spec := fault.Join(cfg.Fault, cfg.Crash); spec != "" {
-			plan, err = fault.Parse(spec, cfg.Seed)
-			if err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	if plan != nil {
-		plan.SetObserver(cfg.Obs)
-		plan.ApplyQuota(space)
-		alloc.Inject(allocator, plan)
-	}
-	var durable *pmem.Pmem
-	if cfg.Pmem || cfg.Crash != "" || (plan != nil && plan.HasCrash()) {
-		durable = pmem.Attach(space, plan)
-		alloc.Journal(allocator, durable)
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			res.Config = cfg
@@ -245,64 +180,21 @@ func Run(cfg Config) (res Result, err error) {
 			err = nil
 		}
 	}()
-	cache := cachesim.New(cachesim.DefaultCores)
-	engineCfg := vtime.Config{
-		Cache: cache, Obs: cfg.Obs, Deadline: cfg.Deadline,
-	}
-	if cfg.Prof != nil {
-		engineCfg.Prof = cfg.Prof
-	}
-	if cfg.Heap != nil {
-		cfg.Heap.Attach(allocator, space)
-		cfg.Heap.SetRecorder(cfg.Obs)
-		engineCfg.Heap = cfg.Heap
-	}
-	var checker *race.Checker
-	if cfg.Race {
-		checker = race.New(cfg.Threads)
-		engineCfg.Race = checker
-		space.SetRaceWatcher(checker)
-	}
 	// The SeedAlias demo needs the modulo to wrap within a small heap:
 	// shrink the table unless the caller pinned a size.
 	ortBits := cfg.OrtBits
 	if cfg.SeedAlias && ortBits == 0 {
 		ortBits = 12
 	}
-	var observatory *conflict.Observatory
-	if cfg.Conflict {
-		observatory = conflict.New(cfg.Threads, cfg.Shift)
-		space.SetConflictWatcher(observatory)
+	sys, err := core.NewSystem(core.Options{
+		Allocator: cfg.Allocator, Threads: cfg.Threads, Shift: cfg.Shift,
+		OrtBits: ortBits, Design: cfg.Design, Pool: cfg.Pool, CacheTx: cfg.CacheTx,
+		Seed: cfg.Seed, Policy: cfg.Policy,
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	engine := vtime.NewEngine(space, cfg.Threads, engineCfg)
-	stmCfg := stm.Config{
-		OrtBits:        ortBits,
-		Shift:          cfg.Shift,
-		Design:         cfg.Design,
-		Allocator:      allocator,
-		CacheTxObjects: cfg.CacheTx,
-		Pooling:        cfg.Pool,
-		Obs:            cfg.Obs,
-		CM:             cfg.CM,
-		RetryCap:       cfg.RetryCap,
-		Prof:           cfg.Prof,
-	}
-	if plan != nil {
-		stmCfg.Fault = plan
-	}
-	if checker != nil {
-		stmCfg.Race = checker
-	}
-	if observatory != nil {
-		stmCfg.Conflict = observatory
-	}
-	if durable != nil {
-		durable.SetStopper(engine)
-		stmCfg.Durable = durable
-	}
-	st := stm.New(space, stmCfg)
-	alloc.Observe(allocator, cfg.Obs)
-	alloc.Profile(allocator, cfg.Prof)
+	engine, st, allocator := sys.Engine, sys.STM, sys.Allocator
 	cfg.Obs.BeginPhase(fmt.Sprintf("intset/%s/%s/t%d/u%d",
 		cfg.Kind, cfg.Allocator, cfg.Threads, cfg.UpdatePct))
 
@@ -312,10 +204,7 @@ func Run(cfg Config) (res Result, err error) {
 	// Initialization: the main thread (thread 0) allocates and inserts
 	// every initial node.
 	engine.Run(func(th *vtime.Thread) {
-		if p := cfg.Prof; p != nil {
-			p.Begin(th, "intset/init")
-			defer p.End(th)
-		}
+		defer sys.Region(th, "intset/init")()
 		if th.ID() != 0 {
 			return
 		}
@@ -350,25 +239,9 @@ func Run(cfg Config) (res Result, err error) {
 		}, nil
 	}
 
-	// Durable baseline: everything the init phase built — the initial
-	// set, the allocator's arenas and free lists — persists before the
-	// measurement begins, so a crash can only tear measurement-phase
-	// state. The checkpoint itself passes crash checkpoints, so a
-	// crash@ point can land inside it; the StopSignal is swallowed like
-	// the engine does and recovery below handles it.
-	if durable != nil && !durable.Crashed() {
-		func() {
-			defer swallowStop()
-			durable.Checkpoint(vtime.Solo(space, 0, nil))
-		}()
-	}
-
 	// The measurement covers only the parallel phase.
-	if cfg.Heap != nil {
-		cfg.Heap.Phase("run", engine.MaxClock())
-	}
-	engine.ResetClocks()
-	missBase := cache.TotalStats()
+	sys.ResetClocks()
+	missBase := sys.Cache.TotalStats()
 	txBase := st.Stats()
 
 	// racePlant is the SeedRace demo's published-then-raw-freed block,
@@ -378,10 +251,7 @@ func Run(cfg Config) (res Result, err error) {
 	// memory stripes, one ORT entry (same sharing discipline).
 	var aliasA, aliasB mem.Addr
 	measure := func(th *vtime.Thread) {
-		if p := cfg.Prof; p != nil {
-			p.Begin(th, "intset/run")
-			defer p.End(th)
-		}
+		defer sys.Region(th, "intset/run")()
 		if cfg.SeedUAF && th.ID() == 0 {
 			var p mem.Addr
 			st.Atomic(th, func(tx *stm.Tx) { p = tx.Malloc(64); tx.Store(p, 0xdead) })
@@ -491,11 +361,8 @@ func Run(cfg Config) (res Result, err error) {
 		engine.Run(measure)
 	}
 
-	cycles := engine.MaxClock()
-	if cfg.Heap != nil {
-		cfg.Heap.Finish(cycles)
-	}
-	total := cache.TotalStats()
+	cycles := sys.EndPhase()
+	total := sys.Cache.TotalStats()
 	phase := cachesim.CoreStats{
 		Accesses: total.Accesses - missBase.Accesses,
 		L1Misses: total.L1Misses - missBase.L1Misses,
@@ -525,62 +392,17 @@ func Run(cfg Config) (res Result, err error) {
 		AllocStats: allocator.Stats(),
 		Status:     obs.StatusOK,
 	}
-	if d := st.Pooling(); d != stm.PoolNone {
-		ps := st.PoolStats()
-		res.Pool = &obs.PoolInfo{
-			Discipline: d.String(),
-			Hits:       ps.Hits, Misses: ps.Misses, Returns: ps.Returns,
-			Refills: ps.Refills, Slabs: ps.Slabs, SlabBytes: ps.SlabBytes,
-			Held: ps.Held,
-		}
-	}
 	if engine.DeadlineExceeded() {
 		res.Status = obs.StatusDegraded
 		res.Failure = fmt.Sprintf("virtual-time deadline %d exceeded in the parallel phase", cfg.Deadline)
 	}
-	if durable != nil {
-		if durable.Crashed() {
-			// The machine went down at the injected point: recover on a
-			// fresh solo thread and let the invariant sweep's verdict
-			// become the run's health.
-			info := durable.Recover(vtime.Solo(space, 0, nil), allocator)
-			res.Recovery = info
-			res.Status = info.Verdict
-			if info.Verdict != obs.StatusOK {
-				res.Failure = fmt.Sprintf("crash recovery %s at cycle %d phase %s (lost=%d resurrected=%d chain_breaks=%d shadow_bad=%d)",
-					info.Verdict, info.CrashCycle, info.CrashPhase,
-					info.LostWrites, info.Resurrected, info.ChainBreaks, info.ShadowBad)
-			}
-		} else {
-			res.Recovery = durable.Info()
-		}
-	}
-	if checker != nil {
-		res.Race = checker.Info()
-		if res.Race.Findings > 0 && res.Status == obs.StatusOK {
-			res.Status = obs.StatusFailed
-			res.Failure = "race: " + res.Race.First
-		}
-	}
-	if observatory != nil {
-		res.Conflict = observatory.Info()
-		res.ConflictReport = observatory.Report()
-		if cfg.SeedAlias && res.Conflict.StripeAlias > 0 && res.Status == obs.StatusOK {
-			// The seeded demo is choreographed to alias; classifying it is
-			// the detection the CI gate asserts on.
-			res.Status = obs.StatusFailed
-			res.Failure = fmt.Sprintf("conflict: seeded stripe aliasing detected: %d stripe-alias aborts", res.Conflict.StripeAlias)
-		}
+	res.Status, res.Failure, res.Blocks = sys.Finish(res.Status, res.Failure)
+	res.ConflictReport = sys.ConflictReport()
+	if cfg.SeedAlias && res.Conflict != nil && res.Conflict.StripeAlias > 0 && res.Status == obs.StatusOK {
+		// The seeded demo is choreographed to alias; classifying it is
+		// the detection the CI gate asserts on.
+		res.Status = obs.StatusFailed
+		res.Failure = fmt.Sprintf("conflict: seeded stripe aliasing detected: %d stripe-alias aborts", res.Conflict.StripeAlias)
 	}
 	return res, nil
-}
-
-// swallowStop absorbs the simulated-crash panic on a solo (engineless)
-// thread, mirroring what the engine does for its workers.
-func swallowStop() {
-	if r := recover(); r != nil {
-		if _, ok := r.(vtime.StopSignal); !ok {
-			panic(r)
-		}
-	}
 }

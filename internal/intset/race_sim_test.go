@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/core"
 	"repro/internal/intset"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -18,8 +19,8 @@ func raceConfig(allocator string, seed bool) intset.Config {
 		Threads:      2,
 		InitialSize:  32,
 		OpsPerThread: 25,
-		Race:         true,
 		SeedRace:     seed,
+		Policy:       core.Policy{Race: true},
 	}
 }
 

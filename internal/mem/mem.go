@@ -123,29 +123,15 @@ type Space struct {
 	// EnableSanitizer, before the space is shared across sim threads.
 	shadow *Shadow
 
-	// watcher is the heap-telemetry observer, nil unless a collector is
-	// attached (see watch.go). Set via SetHeapWatcher before the space is
-	// shared across sim threads.
-	watcher HeapWatcher
-
 	// ptrack is the durable-memory tracker, nil unless a pmem instance
 	// is attached (see persist.go). Set via SetPersistTracker before the
 	// space is shared across sim threads.
 	ptrack PersistTracker
 
-	// race is the happens-before checker's view of the block
-	// lifecycle, nil unless a checker is attached (see watch.go). Set
-	// via SetRaceWatcher before the space is shared across sim
-	// threads. Held separately from watcher so a run can carry both
-	// heap telemetry and the race checker.
-	race HeapWatcher
-
-	// conflict is the abort-forensics observatory's view of the block
-	// lifecycle, nil unless an observatory is attached (see watch.go).
-	// Set via SetConflictWatcher before the space is shared across sim
-	// threads. A separate slot for the same reason as race: telemetry,
-	// race checking and conflict forensics compose in one run.
-	conflict HeapWatcher
+	// watchers are the block-lifecycle observers in attach order: the
+	// shadow map and persist tracker when present, plus everything
+	// attached with Watch (see watch.go).
+	watchers []HeapWatcher
 }
 
 // NewSpace returns an empty address space. When the process-wide
@@ -156,7 +142,7 @@ func NewSpace() *Space {
 	empty := make([]Region, 0)
 	s.regions.Store(&empty)
 	if sanitizeDefault.Load() {
-		s.shadow = newShadow(s)
+		s.EnableSanitizer()
 	}
 	return s
 }

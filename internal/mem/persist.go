@@ -7,8 +7,7 @@ package mem
 // streams the other observers do not: every raw word store (to track
 // dirty cache lines) and every region unmap (to drop durable state for
 // memory returned to the OS). It also needs the allocator-block
-// lifecycle, which it receives through the same NoteAlloc/NoteFree/
-// NoteReuse fan-out as the sanitizer shadow map and the heap watcher.
+// lifecycle, which it receives as an ordinary block watcher (Watch).
 //
 // Like those observers, a tracker is pure metadata: it must never touch
 // simulated memory through a thread handle and never advance virtual
@@ -16,12 +15,10 @@ package mem
 // Flush/Fence/journal call sites), so a run with a tracker attached but
 // no flushes issued is cycle-identical to an untracked one.
 
-// PersistTracker observes raw stores, unmaps and the allocator-block
-// lifecycle for the durable-memory layer. Implementations are driven
-// only from simulated threads, which the virtual-time engine
-// serializes, so they need no internal locking.
+// PersistTracker observes raw stores and unmaps for the durable-memory
+// layer. Implementations are driven only from simulated threads, which
+// the virtual-time engine serializes, so they need no internal locking.
 type PersistTracker interface {
-	HeapWatcher
 	// OnStore reports a word store (or successful compare-and-swap) at
 	// address a, after the value hit volatile memory.
 	OnStore(a Addr)
@@ -30,9 +27,6 @@ type PersistTracker interface {
 	OnUnmap(base Addr, size uint64)
 }
 
-// SetPersistTracker attaches t (nil detaches). Set before the space is
-// shared across simulated threads.
+// SetPersistTracker attaches t. Set before the space is shared across
+// simulated threads.
 func (s *Space) SetPersistTracker(t PersistTracker) { s.ptrack = t }
-
-// PersistTrackerAttached returns the attached tracker, or nil.
-func (s *Space) PersistTrackerAttached() PersistTracker { return s.ptrack }

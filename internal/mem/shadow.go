@@ -15,7 +15,7 @@ import (
 // The shadow map is pure metadata: it never writes data words, never
 // advances virtual time, and never alters allocator placement, so a
 // sanitized run is byte-identical to an unsanitized one unless a
-// diagnostic fires (the byte-identity gate in scripts/ci.sh holds this).
+// diagnostic fires (TestObserverPurity in internal/harness holds this).
 
 // ShadowState classifies one simulated word.
 type ShadowState uint8
@@ -102,11 +102,11 @@ func (sh *Shadow) setRange(base Addr, n uint64, st ShadowState, id uint32) {
 	}
 }
 
-// OnAlloc registers a block returned by an allocator's malloc: the
+// OnHeapAlloc registers a block returned by an allocator's malloc: the
 // requested words become allocated, and the slack up to usable becomes a
 // redzone. A later block at the same base overwrites the earlier record,
 // keeping the block table bounded under heavy recycling.
-func (sh *Shadow) OnAlloc(allocator string, base Addr, req, usable uint64, tid int, clock uint64) {
+func (sh *Shadow) OnHeapAlloc(allocator string, base Addr, req, usable uint64, tid int, clock uint64) {
 	if base == 0 {
 		return
 	}
@@ -130,12 +130,12 @@ func (sh *Shadow) OnAlloc(allocator string, base Addr, req, usable uint64, tid i
 	sh.setRange(base+Addr(reqW), usable-reqW, ShadowRedzone, id)
 }
 
-// OnFree poisons a block: every word (request and redzone alike) turns
+// OnHeapFree poisons a block: every word (request and redzone alike) turns
 // freed, and the free's virtual-time provenance is recorded. Unknown
 // bases and blocks already freed are ignored, so the allocator-level
 // free issued when quarantine releases a transactionally freed block
 // does not clobber the original free site.
-func (sh *Shadow) OnFree(base Addr, tid int, clock uint64) {
+func (sh *Shadow) OnHeapFree(base Addr, tid int, clock uint64) {
 	id := sh.byBase[base]
 	if id == 0 {
 		return
@@ -150,10 +150,10 @@ func (sh *Shadow) OnFree(base Addr, tid int, clock uint64) {
 	sh.setRange(base, blk.Usable, ShadowFreed, id)
 }
 
-// OnReuse re-arms a block handed back from a transaction-local free
+// OnHeapReuse re-arms a block handed back from a transaction-local free
 // cache: the allocator never saw the free/malloc pair, so the shadow
 // state is rebuilt from the stored geometry.
-func (sh *Shadow) OnReuse(base Addr, tid int, clock uint64) {
+func (sh *Shadow) OnHeapReuse(base Addr, tid int, clock uint64) {
 	id := sh.byBase[base]
 	if id == 0 {
 		return
@@ -296,6 +296,7 @@ func SanitizeDefault() bool { return sanitizeDefault.Load() }
 func (s *Space) EnableSanitizer() *Shadow {
 	if s.shadow == nil {
 		s.shadow = newShadow(s)
+		s.watchers = append(s.watchers, s.shadow)
 	}
 	return s.shadow
 }

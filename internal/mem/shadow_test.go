@@ -15,7 +15,7 @@ func TestShadowStateMachine(t *testing.T) {
 
 	// Allocate 66 bytes into an 80-byte class block: words 0..8 are the
 	// request (66 rounds up to 72), the last word is redzone.
-	sh.OnAlloc("glibc", base, 66, 80, 1, 100)
+	sh.OnHeapAlloc("glibc", base, 66, 80, 1, 100)
 	if st := sh.StateAt(base); st != ShadowAllocated {
 		t.Errorf("base state = %v, want allocated", st)
 	}
@@ -33,7 +33,7 @@ func TestShadowStateMachine(t *testing.T) {
 	}
 
 	// Free poisons request and redzone alike, keeping provenance.
-	sh.OnFree(base, 3, 300)
+	sh.OnHeapFree(base, 3, 300)
 	if d := sh.Check(base+8, false, 4, 400); d == nil || d.Kind != DiagUseAfterFree {
 		t.Errorf("freed load = %v, want use-after-free", d)
 	} else {
@@ -49,13 +49,13 @@ func TestShadowStateMachine(t *testing.T) {
 	}
 	// A later free of the same base (quarantine release reaching the
 	// allocator) must not clobber the recorded free site.
-	sh.OnFree(base, 9, 900)
+	sh.OnHeapFree(base, 9, 900)
 	if blk, ok := sh.BlockAt(base); !ok || blk.FreeTid != 3 || blk.FreeClock != 300 {
 		t.Errorf("free provenance clobbered: %+v", blk)
 	}
 
 	// Reuse from the tx cache re-arms the same geometry.
-	sh.OnReuse(base, 5, 500)
+	sh.OnHeapReuse(base, 5, 500)
 	if d := sh.Check(base, true, 5, 500); d != nil {
 		t.Errorf("reused block store diagnosed: %v", d)
 	}

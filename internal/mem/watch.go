@@ -1,20 +1,22 @@
 package mem
 
-// Heap watcher: a pure observer of the allocator-block lifecycle.
+// Block watchers: pure observers of the allocator-block lifecycle.
 //
-// The sanitizer's shadow map (shadow.go) and the heapscope telemetry
-// collector both need the same three notifications — a block was handed
-// out, a block was freed, a block was revived from a transaction-local
-// cache — raised from the same allocator call sites with the same
-// semantics (the first free wins; a reuse revives the original block).
+// The sanitizer's shadow map (shadow.go), the persist tracker
+// (persist.go), heap telemetry, the race checker and the conflict
+// observatory all need the same three notifications — a block was
+// handed out, a block was freed, a block was revived from a
+// transaction-local cache — raised from the same allocator call sites
+// with the same semantics (the first free wins; a reuse revives the
+// original block). Space keeps one ordered watcher list, and
 // Space.NoteAlloc/NoteFree/NoteReuse are the single fan-out point, so an
 // allocator model carries one notification call per event rather than
-// one per observer.
+// one per observer, and a new observer needs no new slot.
 //
-// Like the shadow map, a watcher is pure metadata: it must never touch
-// simulated memory through a thread handle, never advance virtual time,
-// and never alter allocator behaviour, so an observed run is
-// byte-identical to an unobserved one.
+// A watcher is pure metadata: it must never touch simulated memory
+// through a thread handle, never advance virtual time, and never alter
+// allocator behaviour, so an observed run is byte-identical to an
+// unobserved one.
 
 // HeapWatcher observes allocator block lifecycle events. Implementations
 // are driven only from simulated threads, which the virtual-time engine
@@ -33,88 +35,34 @@ type HeapWatcher interface {
 	OnHeapReuse(base Addr, tid int, clock uint64)
 }
 
-// SetHeapWatcher attaches w (nil detaches). Set before the space is
-// shared across simulated threads.
-func (s *Space) SetHeapWatcher(w HeapWatcher) { s.watcher = w }
+// Watch appends w to the space's block watchers; every later
+// notification reaches the watchers in attach order. Attach before the
+// space is shared across simulated threads.
+func (s *Space) Watch(w HeapWatcher) { s.watchers = append(s.watchers, w) }
 
-// HeapWatcherAttached returns the attached watcher, or nil.
-func (s *Space) HeapWatcherAttached() HeapWatcher { return s.watcher }
+// Observed reports whether any block watcher is attached. Allocators
+// consult it before computing notification arguments (e.g. a raw
+// boundary-tag read) so the unobserved path stays one branch.
+func (s *Space) Observed() bool { return len(s.watchers) != 0 }
 
-// SetRaceWatcher attaches the race checker's block-lifecycle view (nil
-// detaches). A separate slot from SetHeapWatcher so the checker can
-// ride alongside heap telemetry. Set before the space is shared across
-// simulated threads.
-func (s *Space) SetRaceWatcher(w HeapWatcher) { s.race = w }
-
-// SetConflictWatcher attaches the conflict observatory's
-// block-lifecycle view (nil detaches). A separate slot for the same
-// reason as SetRaceWatcher. Set before the space is shared across
-// simulated threads.
-func (s *Space) SetConflictWatcher(w HeapWatcher) { s.conflict = w }
-
-// Observed reports whether any block-lifecycle observer (sanitizer
-// shadow map, heap watcher, persist tracker, race checker or conflict
-// observatory) is attached. Allocators consult it before computing
-// notification arguments (e.g. a raw boundary-tag read) so the
-// unobserved path stays one branch.
-func (s *Space) Observed() bool {
-	return s.shadow != nil || s.watcher != nil || s.ptrack != nil || s.race != nil || s.conflict != nil
-}
-
-// NoteAlloc fans a successful malloc out to the attached observers.
+// NoteAlloc fans a successful malloc out to the block watchers.
 func (s *Space) NoteAlloc(allocator string, base Addr, req, usable uint64, tid int, clock uint64) {
-	if s.shadow != nil {
-		s.shadow.OnAlloc(allocator, base, req, usable, tid, clock)
-	}
-	if s.watcher != nil {
-		s.watcher.OnHeapAlloc(allocator, base, req, usable, tid, clock)
-	}
-	if s.ptrack != nil {
-		s.ptrack.OnHeapAlloc(allocator, base, req, usable, tid, clock)
-	}
-	if s.race != nil {
-		s.race.OnHeapAlloc(allocator, base, req, usable, tid, clock)
-	}
-	if s.conflict != nil {
-		s.conflict.OnHeapAlloc(allocator, base, req, usable, tid, clock)
+	for _, w := range s.watchers {
+		w.OnHeapAlloc(allocator, base, req, usable, tid, clock)
 	}
 }
 
-// NoteFree fans a free out to the attached observers.
+// NoteFree fans a free out to the block watchers.
 func (s *Space) NoteFree(base Addr, tid int, clock uint64) {
-	if s.shadow != nil {
-		s.shadow.OnFree(base, tid, clock)
-	}
-	if s.watcher != nil {
-		s.watcher.OnHeapFree(base, tid, clock)
-	}
-	if s.ptrack != nil {
-		s.ptrack.OnHeapFree(base, tid, clock)
-	}
-	if s.race != nil {
-		s.race.OnHeapFree(base, tid, clock)
-	}
-	if s.conflict != nil {
-		s.conflict.OnHeapFree(base, tid, clock)
+	for _, w := range s.watchers {
+		w.OnHeapFree(base, tid, clock)
 	}
 }
 
-// NoteReuse fans a transaction-cache block revival out to the attached
-// observers.
+// NoteReuse fans a transaction-cache block revival out to the block
+// watchers.
 func (s *Space) NoteReuse(base Addr, tid int, clock uint64) {
-	if s.shadow != nil {
-		s.shadow.OnReuse(base, tid, clock)
-	}
-	if s.watcher != nil {
-		s.watcher.OnHeapReuse(base, tid, clock)
-	}
-	if s.ptrack != nil {
-		s.ptrack.OnHeapReuse(base, tid, clock)
-	}
-	if s.race != nil {
-		s.race.OnHeapReuse(base, tid, clock)
-	}
-	if s.conflict != nil {
-		s.conflict.OnHeapReuse(base, tid, clock)
+	for _, w := range s.watchers {
+		w.OnHeapReuse(base, tid, clock)
 	}
 }

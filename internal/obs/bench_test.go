@@ -5,6 +5,7 @@ import (
 
 	_ "repro/internal/alloc/tbb"
 
+	"repro/internal/core"
 	"repro/internal/intset"
 	"repro/internal/obs"
 )
@@ -21,7 +22,7 @@ func benchCfg(rec *obs.Recorder) intset.Config {
 		KeyRange:     192,
 		UpdatePct:    60,
 		OpsPerThread: 40,
-		Obs:          rec,
+		Policy:       core.Policy{Obs: rec},
 	}
 }
 

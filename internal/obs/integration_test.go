@@ -7,6 +7,7 @@ import (
 	_ "repro/internal/alloc/glibc"
 	_ "repro/internal/alloc/tbb"
 
+	"repro/internal/core"
 	"repro/internal/intset"
 	"repro/internal/obs"
 )
@@ -24,7 +25,7 @@ func run(t *testing.T, allocator string) (*obs.Recorder, []byte, []byte, []byte)
 		KeyRange:     256,
 		UpdatePct:    60,
 		OpsPerThread: 60,
-		Obs:          rec,
+		Policy:       core.Policy{Obs: rec},
 	})
 	if err != nil {
 		t.Fatal(err)

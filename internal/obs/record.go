@@ -222,31 +222,160 @@ type ConflictInfo struct {
 	First           string `json:"first,omitempty"` // first exemplar event, rendered
 }
 
+// Blocks are the per-run observer info blocks. Workload results and
+// harness cell payloads carry them, experiment runs fold them with
+// Merge, and run records end with them.
+type Blocks struct {
+	Recovery *RecoveryInfo `json:"recovery,omitempty"` // durable-memory verdict (v2)
+	Pool     *PoolInfo     `json:"pool,omitempty"`     // tx-pooling discipline and traffic (v2)
+	Race     *RaceInfo     `json:"race,omitempty"`     // happens-before checker verdict (v2)
+	Conflict *ConflictInfo `json:"conflict,omitempty"` // abort-forensics summary (v2)
+}
+
+// Merge folds one cell's blocks into b, block by block.
+func (b *Blocks) Merge(o Blocks) {
+	b.Recovery = b.Recovery.Merge(o.Recovery)
+	b.Pool = b.Pool.Merge(o.Pool)
+	b.Race = b.Race.Merge(o.Race)
+	b.Conflict = b.Conflict.Merge(o.Conflict)
+}
+
+// StatusRank orders run statuses by severity: ok (or "") < degraded <
+// failed.
+func StatusRank(s string) int {
+	switch s {
+	case StatusFailed:
+		return 2
+	case StatusDegraded:
+		return 1
+	}
+	return 0
+}
+
+// Merge returns the worse of r and o (r wins ties), so a fold over
+// cells surfaces the most damaged recovery.
+func (r *RecoveryInfo) Merge(o *RecoveryInfo) *RecoveryInfo {
+	if o == nil || (r != nil && StatusRank(o.Verdict) <= StatusRank(r.Verdict)) {
+		return r
+	}
+	return o
+}
+
+// Merge returns r with o's traffic added (a copy of o when r is nil). A
+// fold mixing disciplines reports "mixed" rather than pretending one
+// policy produced the totals.
+func (r *PoolInfo) Merge(o *PoolInfo) *PoolInfo {
+	if o == nil {
+		return r
+	}
+	if r == nil {
+		cp := *o
+		return &cp
+	}
+	if r.Discipline != o.Discipline {
+		r.Discipline = "mixed"
+	}
+	r.Hits += o.Hits
+	r.Misses += o.Misses
+	r.Returns += o.Returns
+	r.Refills += o.Refills
+	r.Slabs += o.Slabs
+	r.SlabBytes += o.SlabBytes
+	r.Held += o.Held
+	return r
+}
+
+// Merge returns r with o's verdicts and coverage added (a copy of o
+// when r is nil); the first finding keeps the headline First.
+func (r *RaceInfo) Merge(o *RaceInfo) *RaceInfo {
+	if o == nil {
+		return r
+	}
+	if r == nil {
+		cp := *o
+		return &cp
+	}
+	r.Findings += o.Findings
+	r.Publication += o.Publication
+	r.Privatization += o.Privatization
+	r.Mixed += o.Mixed
+	r.Metadata += o.Metadata
+	r.QuarantineBypass += o.QuarantineBypass
+	r.DurableOrdering += o.DurableOrdering
+	r.Words += o.Words
+	r.Blocks += o.Blocks
+	r.Events += o.Events
+	if r.First == "" {
+		r.First = o.First
+	}
+	return r
+}
+
+// Merge returns r with o's counters added (a copy of o when r is nil):
+// the longest chain and the heaviest site and offender win, and the
+// first exemplar keeps the headline First.
+func (r *ConflictInfo) Merge(o *ConflictInfo) *ConflictInfo {
+	if o == nil {
+		return r
+	}
+	if r == nil {
+		cp := *o
+		return &cp
+	}
+	r.Events += o.Events
+	r.TrueSharing += o.TrueSharing
+	r.FalseSharing += o.FalseSharing
+	r.StripeAlias += o.StripeAlias
+	r.Metadata += o.Metadata
+	r.Other += o.Other
+	r.WastedCycles += o.WastedCycles
+	r.WastedTrue += o.WastedTrue
+	r.WastedFalse += o.WastedFalse
+	r.WastedAlias += o.WastedAlias
+	r.WastedMeta += o.WastedMeta
+	r.WastedOther += o.WastedOther
+	r.SameLine += o.SameLine
+	r.CrossBlock += o.CrossBlock
+	r.Edges += o.Edges
+	if o.LongestChain > r.LongestChain {
+		r.LongestChain = o.LongestChain
+	}
+	if o.TopSiteWasted > r.TopSiteWasted {
+		r.TopSite = o.TopSite
+		r.TopSiteWasted = o.TopSiteWasted
+	}
+	if o.TopOffenderHits > r.TopOffenderHits {
+		r.TopOffender = o.TopOffender
+		r.TopOffenderHits = o.TopOffenderHits
+	}
+	if r.First == "" {
+		r.First = o.First
+	}
+	return r
+}
+
 // RunRecord is the machine-readable artifact of one experiment run —
 // what BENCH_<exp>.json files hold. Everything in it derives from
 // virtual time and fixed seeds, so records are reproducible
 // byte-for-byte.
 type RunRecord struct {
-	Schema        string        `json:"schema"`
-	SchemaVersion int           `json:"schema_version,omitempty"` // 0/absent means 1 (v1 files predate it)
-	Experiment    string        `json:"experiment"`
-	Title         string        `json:"title,omitempty"`
-	Status        string        `json:"status,omitempty"`  // "" is StatusOK (pre-robustness records)
-	Failure       string        `json:"failure,omitempty"` // watchdog / panic detail for non-ok statuses
-	Config        RunConfig     `json:"config"`
-	Sweep         *SweepInfo    `json:"sweep,omitempty"` // scheduler provenance (v2)
-	Tables        []Table       `json:"tables,omitempty"`
-	Series        []Series      `json:"series,omitempty"`
-	Notes         []string      `json:"notes,omitempty"`
-	Metrics       *Snapshot     `json:"metrics,omitempty"`
-	Stripes       []StripeJSON  `json:"stripe_heatmap,omitempty"`
-	Trace         *TraceInfo    `json:"trace,omitempty"`
-	Profile       *ProfileInfo  `json:"profile,omitempty"`  // cycle-attribution summary (v2, PR 5)
-	Heap          *HeapInfo     `json:"heap,omitempty"`     // allocator-state telemetry summary (v2, PR 6)
-	Recovery      *RecoveryInfo `json:"recovery,omitempty"` // durable-memory verdict (v2, PR 7)
-	Pool          *PoolInfo     `json:"pool,omitempty"`     // tx-pooling discipline and traffic (v2, PR 8)
-	Race          *RaceInfo     `json:"race,omitempty"`     // happens-before checker verdict (v2, PR 9)
-	Conflict      *ConflictInfo `json:"conflict,omitempty"` // abort-forensics summary (v2, PR 10)
+	Schema        string       `json:"schema"`
+	SchemaVersion int          `json:"schema_version,omitempty"` // 0/absent means 1 (v1 files predate it)
+	Experiment    string       `json:"experiment"`
+	Title         string       `json:"title,omitempty"`
+	Status        string       `json:"status,omitempty"`  // "" is StatusOK (pre-robustness records)
+	Failure       string       `json:"failure,omitempty"` // watchdog / panic detail for non-ok statuses
+	Config        RunConfig    `json:"config"`
+	Sweep         *SweepInfo   `json:"sweep,omitempty"` // scheduler provenance (v2)
+	Tables        []Table      `json:"tables,omitempty"`
+	Series        []Series     `json:"series,omitempty"`
+	Notes         []string     `json:"notes,omitempty"`
+	Metrics       *Snapshot    `json:"metrics,omitempty"`
+	Stripes       []StripeJSON `json:"stripe_heatmap,omitempty"`
+	Trace         *TraceInfo   `json:"trace,omitempty"`
+	Profile       *ProfileInfo `json:"profile,omitempty"` // cycle-attribution summary (v2)
+	Heap          *HeapInfo    `json:"heap,omitempty"`    // allocator-state telemetry summary (v2)
+	Blocks
 }
 
 // NewRunRecord returns a record stamped with the current schema.

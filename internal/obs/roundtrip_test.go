@@ -84,73 +84,75 @@ func fullRecord() *RunRecord {
 			Cadence:    1 << 20,
 			Allocators: []string{"glibc", "hoard"},
 		},
-		Recovery: &RecoveryInfo{
-			Verdict:     StatusDegraded,
-			Crashed:     true,
-			CrashCycle:  84213,
-			CrashPhase:  "apply",
-			Flushes:     512,
-			Fences:      256,
-			LogAppends:  1024,
-			MetaRecs:    96,
-			TornLogs:    2,
-			Replayed:    5,
-			LiveBlocks:  40,
-			FreeBlocks:  12,
-			TornMeta:    18,
-			MetaWords:   150,
-			LostWrites:  1,
-			Resurrected: 1,
-			ChainBreaks: 1,
-			ShadowBad:   1,
-		},
-		Pool: &PoolInfo{
-			Discipline: "batch",
-			Hits:       320,
-			Misses:     64,
-			Returns:    300,
-			Refills:    8,
-			Slabs:      6,
-			SlabBytes:  12288,
-			Held:       84,
-		},
-		Race: &RaceInfo{
-			Checked:          true,
-			Findings:         6,
-			Publication:      1,
-			Privatization:    1,
-			Mixed:            1,
-			Metadata:         1,
-			QuarantineBypass: 1,
-			DurableOrdering:  1,
-			Words:            4096,
-			Blocks:           512,
-			Events:           1 << 16,
-			First:            "metadata: 0x10000040: raw free of block still visible to t1",
-		},
-		Conflict: &ConflictInfo{
-			Observed:        true,
-			Events:          24,
-			TrueSharing:     6,
-			FalseSharing:    9,
-			StripeAlias:     3,
-			Metadata:        4,
-			Other:           2,
-			WastedCycles:    90000,
-			WastedTrue:      20000,
-			WastedFalse:     40000,
-			WastedAlias:     10000,
-			WastedMeta:      15000,
-			WastedOther:     5000,
-			SameLine:        7,
-			CrossBlock:      5,
-			Edges:           4,
-			LongestChain:    3,
-			TopSite:         "insert@glibc",
-			TopSiteWasted:   40000,
-			TopOffender:     "0x10000140",
-			TopOffenderHits: 5,
-			First:           "false-sharing: t1 insert #2 killed by t0 remove at stripe 0x80000a, 0x10000140 vs 0x10000148, wasted 1200",
+		Blocks: Blocks{
+			Recovery: &RecoveryInfo{
+				Verdict:     StatusDegraded,
+				Crashed:     true,
+				CrashCycle:  84213,
+				CrashPhase:  "apply",
+				Flushes:     512,
+				Fences:      256,
+				LogAppends:  1024,
+				MetaRecs:    96,
+				TornLogs:    2,
+				Replayed:    5,
+				LiveBlocks:  40,
+				FreeBlocks:  12,
+				TornMeta:    18,
+				MetaWords:   150,
+				LostWrites:  1,
+				Resurrected: 1,
+				ChainBreaks: 1,
+				ShadowBad:   1,
+			},
+			Pool: &PoolInfo{
+				Discipline: "batch",
+				Hits:       320,
+				Misses:     64,
+				Returns:    300,
+				Refills:    8,
+				Slabs:      6,
+				SlabBytes:  12288,
+				Held:       84,
+			},
+			Race: &RaceInfo{
+				Checked:          true,
+				Findings:         6,
+				Publication:      1,
+				Privatization:    1,
+				Mixed:            1,
+				Metadata:         1,
+				QuarantineBypass: 1,
+				DurableOrdering:  1,
+				Words:            4096,
+				Blocks:           512,
+				Events:           1 << 16,
+				First:            "metadata: 0x10000040: raw free of block still visible to t1",
+			},
+			Conflict: &ConflictInfo{
+				Observed:        true,
+				Events:          24,
+				TrueSharing:     6,
+				FalseSharing:    9,
+				StripeAlias:     3,
+				Metadata:        4,
+				Other:           2,
+				WastedCycles:    90000,
+				WastedTrue:      20000,
+				WastedFalse:     40000,
+				WastedAlias:     10000,
+				WastedMeta:      15000,
+				WastedOther:     5000,
+				SameLine:        7,
+				CrossBlock:      5,
+				Edges:           4,
+				LongestChain:    3,
+				TopSite:         "insert@glibc",
+				TopSiteWasted:   40000,
+				TopOffender:     "0x10000140",
+				TopOffenderHits: 5,
+				First:           "false-sharing: t1 insert #2 killed by t0 remove at stripe 0x80000a, 0x10000140 vs 0x10000148, wasted 1200",
+			},
 		},
 	}
 }

@@ -22,6 +22,7 @@ func benchWorkload(durable bool, crashSpec string) (*mem.Space, *Pmem, alloc.All
 			plan, _ = fault.Parse(crashSpec, 42)
 		}
 		p = Attach(space, plan)
+		space.Watch(p)
 	}
 	a, _ := alloc.New("tcmalloc", space, 4)
 	cfg := stm.Config{Allocator: a}

@@ -142,7 +142,10 @@ type Pmem struct {
 }
 
 // Attach builds a Pmem over space and registers it as the space's
-// persist tracker. plan supplies crash clauses and may be nil.
+// persist tracker (stores and unmaps). Its block journal also needs the
+// allocator-block lifecycle: watch p on the space (mem.Space.Watch)
+// before any simulated thread allocates. plan supplies crash clauses
+// and may be nil.
 func Attach(space *mem.Space, plan *fault.Plan) *Pmem {
 	p := &Pmem{
 		space:    space,

@@ -96,6 +96,7 @@ func crashRun(t *testing.T, allocName, spec string) (*Pmem, *obs.RecoveryInfo) {
 		t.Fatalf("parse %q: %v", spec, err)
 	}
 	p := Attach(space, plan)
+	space.Watch(p)
 	a, err := alloc.New(allocName, space, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +186,7 @@ func TestVerifierCatchesTamperedOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Attach(space, plan)
+	space.Watch(p)
 	a, err := alloc.New("glibc", space, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -236,6 +238,7 @@ func TestFreedBlockNotResurrected(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := Attach(space, plan)
+			space.Watch(p)
 			a, err := alloc.New(name, space, 1)
 			if err != nil {
 				t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cachesim"
+	"repro/internal/core"
 	"repro/internal/intset"
 	"repro/internal/mem"
 	"repro/internal/prof"
@@ -24,7 +25,7 @@ func benchWorkload(p *prof.Profiler) intset.Config {
 		KeyRange:     192,
 		UpdatePct:    60,
 		OpsPerThread: 40,
-		Prof:         p,
+		Policy:       core.Policy{Prof: p},
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	_ "repro/internal/alloc/glibc"
 
+	"repro/internal/core"
 	"repro/internal/intset"
 	"repro/internal/prof"
 )
@@ -33,7 +34,7 @@ func TestGoldenFolded(t *testing.T) {
 		UpdatePct:    60,
 		OpsPerThread: 32,
 		Seed:         42,
-		Prof:         p,
+		Policy:       core.Policy{Prof: p},
 	}
 	if _, err := intset.Run(cfg); err != nil {
 		t.Fatal(err)

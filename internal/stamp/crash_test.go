@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stamp"
 
@@ -18,7 +19,7 @@ func TestStampCrashRecovery(t *testing.T) {
 		t.Run(a, func(t *testing.T) {
 			res, err := stamp.Run(stamp.Config{
 				App: "genome", Allocator: a, Threads: 2,
-				Crash: "crashphase:commit@10",
+				Policy: core.Policy{Crash: "crashphase:commit@10"},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -36,7 +37,7 @@ func TestStampCrashRecovery(t *testing.T) {
 // TestStampCrashDeterministic requires byte-identical recovery info
 // across identical crashed runs.
 func TestStampCrashDeterministic(t *testing.T) {
-	cfg := stamp.Config{App: "vacation", Allocator: "tbb", Threads: 2, Crash: "crash@20000"}
+	cfg := stamp.Config{App: "vacation", Allocator: "tbb", Threads: 2, Policy: core.Policy{Crash: "crash@20000"}}
 	r1, err := stamp.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

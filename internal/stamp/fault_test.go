@@ -8,6 +8,7 @@ import (
 	_ "repro/internal/alloc/tbb"
 	_ "repro/internal/alloc/tcmalloc"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stamp"
 	"repro/internal/stm"
@@ -27,11 +28,8 @@ func TestAppsSurviveOOMPlan(t *testing.T) {
 				Allocator: "tbb",
 				Threads:   2,
 				Scale:     stamp.Quick,
-				CM:        stm.CMBackoff,
-				RetryCap:  64,
-				Fault:     "oom@10x2,oom%1,lat%2:200",
-				Deadline:  2_000_000_000,
 				Seed:      7,
+				Policy:    core.Policy{CM: stm.CMBackoff, RetryCap: 64, Fault: "oom@10x2,oom%1,lat%2:200", Deadline: 2_000_000_000},
 			})
 			if err != nil {
 				t.Fatalf("Run returned an error under faults: %v", err)
@@ -61,10 +59,8 @@ func TestSameSeedSameOutcome(t *testing.T) {
 		Allocator: "glibc",
 		Threads:   4,
 		Scale:     stamp.Quick,
-		Fault:     "oom%2,lat%5:300,storm@20000:24000",
-		RetryCap:  64,
-		Deadline:  2_000_000_000,
 		Seed:      42,
+		Policy:    core.Policy{Fault: "oom%2,lat%5:300,storm@20000:24000", RetryCap: 64, Deadline: 2_000_000_000},
 	}
 	a, err := stamp.Run(cfg)
 	if err != nil {

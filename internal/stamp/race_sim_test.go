@@ -9,6 +9,7 @@ import (
 	_ "repro/internal/stamp/labyrinth"
 	_ "repro/internal/stamp/vacation"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stamp"
 )
@@ -25,7 +26,8 @@ func TestStampRaceSimClean(t *testing.T) {
 		t.Run(app, func(t *testing.T) {
 			cfg := stamp.Config{
 				App: app, Allocator: "glibc", Threads: 2,
-				Scale: stamp.Quick, Race: true,
+				Scale:  stamp.Quick,
+				Policy: core.Policy{Race: true},
 			}
 			checked, err := stamp.Run(cfg)
 			if err != nil {

@@ -16,14 +16,10 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/cachesim"
-	"repro/internal/conflict"
-	"repro/internal/fault"
-	"repro/internal/heapscope"
+	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/pmem"
 	"repro/internal/prof"
-	"repro/internal/race"
 	"repro/internal/stm"
 	"repro/internal/vtime"
 )
@@ -60,39 +56,14 @@ type Config struct {
 	Shift     uint
 	// CacheTx is the deprecated boolean spelling of Pool == PoolCache;
 	// it is kept for old callers and conflicts with a non-none Pool.
-	CacheTx  bool
-	Pool     stm.Pooling // tx-object recycling discipline (none/cache/pool/batch)
-	Seed     uint64
-	Profile  bool          // collect the Table 5 allocation profile
-	Obs      *obs.Recorder // event/metric sink; nil disables
-	CM       stm.CM        // contention manager (default CMSuicide)
-	RetryCap uint64        // irrevocable-fallback threshold (0 = default)
-	Fault    string        // fault-plan spec (internal/fault grammar); "" disables
-	Deadline uint64        // virtual-cycle watchdog bound per phase; 0 disables
-	Pmem     bool          // durable heap: redo-logged commits, priced flush/fence
-	Crash    string        // crash-injection clauses (fault grammar); implies Pmem
-	// Plan, when non-nil, is a pre-parsed (and freshly cloned) fault
-	// plan that replaces parsing Fault/Crash — harness cells parse the
-	// spec once and hand each run its own clone. Excluded from spec
-	// hashing: the strings above already identify the plan.
-	Plan *fault.Plan `json:"-"`
-	// Prof, when non-nil, attributes every virtual cycle of the run to
-	// (thread, region-stack, allocator) buckets. Excluded from spec
-	// hashing — profiling never changes what a cell computes.
-	Prof *prof.Profiler `json:"-"`
-	// Heap, when non-nil, collects allocator-state telemetry on a
-	// virtual-cycle cadence. Excluded from spec hashing — snapshots are
-	// pure observers and never change what a cell computes.
-	Heap *heapscope.Collector `json:"-"`
-	// Race attaches the happens-before race checker (internal/race) to
-	// the run. Excluded from spec hashing — the checker is a pure
-	// observer; a checked run is byte-identical to an unchecked one.
-	Race bool `json:"-"`
-	// Conflict attaches the abort-forensics observatory
-	// (internal/conflict) to the run. Excluded from spec hashing — the
-	// observatory is a pure observer; an observed run is byte-identical
-	// to a plain one.
-	Conflict bool `json:"-"`
+	CacheTx bool
+	Pool    stm.Pooling // tx-object recycling discipline (none/cache/pool/batch)
+	Seed    uint64
+	Profile bool // collect the Table 5 allocation profile
+	// Policy carries the robustness policy (CM, retry cap, faults,
+	// deadline, durability) and the observers; core.NewSystem builds and
+	// attaches them.
+	core.Policy
 }
 
 // Result reports one run.
@@ -108,19 +79,10 @@ type Result struct {
 	Profile    *Profile
 	Status     string // obs.StatusOK / StatusDegraded / StatusFailed
 	Failure    string // watchdog / validation / panic detail when not ok
-	// Recovery carries the durable-memory verdict: flush/fence/log
-	// traffic for every Pmem run, plus the crash point and invariant
-	// sweep when a crash clause fired. Nil when Pmem is off.
-	Recovery *obs.RecoveryInfo
-	// Pool carries the tx-pooling discipline and its traffic counters.
-	// Nil when the run used the PoolNone baseline.
-	Pool *obs.PoolInfo
-	// Race carries the happens-before checker's verdict and coverage
-	// counters. Nil when the checker was not attached.
-	Race *obs.RaceInfo
-	// Conflict carries the abort-forensics summary. Nil when the
-	// observatory was not attached.
-	Conflict *obs.ConflictInfo
+	// Blocks carry the observer verdicts: durable-memory recovery and
+	// tx-pool traffic, the race checker's verdict and the conflict
+	// observatory's summary, each nil when not in use.
+	obs.Blocks
 }
 
 // World is the environment an application runs in.
@@ -283,30 +245,6 @@ func Run(cfg Config) (res Result, err error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x57a3b
 	}
-	space := mem.NewSpace()
-	base, err := alloc.New(cfg.Allocator, space, cfg.Threads)
-	if err != nil {
-		return Result{}, err
-	}
-	plan := cfg.Plan
-	if plan == nil {
-		if spec := fault.Join(cfg.Fault, cfg.Crash); spec != "" {
-			plan, err = fault.Parse(spec, cfg.Seed)
-			if err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	if plan != nil {
-		plan.SetObserver(cfg.Obs)
-		plan.ApplyQuota(space)
-		alloc.Inject(base, plan)
-	}
-	var durable *pmem.Pmem
-	if cfg.Pmem || cfg.Crash != "" || (plan != nil && plan.HasCrash()) {
-		durable = pmem.Attach(space, plan)
-		alloc.Journal(base, durable)
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			res.Config = cfg
@@ -315,74 +253,39 @@ func Run(cfg Config) (res Result, err error) {
 			err = nil
 		}
 	}()
-	cache := cachesim.New(cachesim.DefaultCores)
-	engineCfg := vtime.Config{
-		Cache: cache, Obs: cfg.Obs, Deadline: cfg.Deadline,
+	var pa *profAlloc
+	opts := core.Options{
+		Allocator: cfg.Allocator, Threads: cfg.Threads, Shift: cfg.Shift,
+		Pool: cfg.Pool, CacheTx: cfg.CacheTx, Seed: cfg.Seed, Policy: cfg.Policy,
 	}
-	if cfg.Prof != nil {
-		engineCfg.Prof = cfg.Prof
+	if cfg.Profile {
+		opts.TxAllocator = func(base alloc.Allocator) alloc.Allocator {
+			pa = newProfAlloc(base)
+			return pa
+		}
 	}
-	if cfg.Heap != nil {
-		cfg.Heap.Attach(base, space)
-		cfg.Heap.SetRecorder(cfg.Obs)
-		engineCfg.Heap = cfg.Heap
+	sys, err := core.NewSystem(opts)
+	if err != nil {
+		return Result{}, err
 	}
-	var checker *race.Checker
-	if cfg.Race {
-		checker = race.New(cfg.Threads)
-		engineCfg.Race = checker
-		space.SetRaceWatcher(checker)
-	}
-	var observatory *conflict.Observatory
-	if cfg.Conflict {
-		observatory = conflict.New(cfg.Threads, cfg.Shift)
-		space.SetConflictWatcher(observatory)
-	}
-	engine := vtime.NewEngine(space, cfg.Threads, engineCfg)
-	alloc.Observe(base, cfg.Obs)
-	alloc.Profile(base, cfg.Prof)
+	engine := sys.Engine
 	cfg.Obs.BeginPhase(fmt.Sprintf("stamp/%s/%s/t%d", cfg.App, cfg.Allocator, cfg.Threads))
 
 	w := &World{
-		Space:     space,
+		Space:     sys.Space,
 		Engine:    engine,
+		STM:       sys.STM,
+		Allocator: sys.Allocator,
 		Threads:   cfg.Threads,
 		Scale:     cfg.Scale,
 		Variant:   cfg.Variant,
 		Seed:      cfg.Seed,
 		Prof:      cfg.Prof,
-		Allocator: base,
 	}
-	if cfg.Profile {
-		w.prof = newProfAlloc(base)
-		w.Allocator = w.prof
-	}
-	stmCfg := stm.Config{
-		Shift:          cfg.Shift,
-		Allocator:      w.Allocator,
-		CacheTxObjects: cfg.CacheTx,
-		Pooling:        cfg.Pool,
-		Obs:            cfg.Obs,
-		CM:             cfg.CM,
-		RetryCap:       cfg.RetryCap,
-		Prof:           cfg.Prof,
-	}
-	if plan != nil {
-		stmCfg.Fault = plan
-	}
-	if durable != nil {
-		durable.SetStopper(engine)
-		stmCfg.Durable = durable
-	}
-	if checker != nil {
-		stmCfg.Race = checker
-	}
-	if observatory != nil {
-		stmCfg.Conflict = observatory
-	}
-	w.STM = stm.New(space, stmCfg)
-	if w.prof != nil {
-		w.prof.stm = w.STM
+	if pa != nil {
+		pa.stm = sys.STM
+		w.prof = pa
+		w.Allocator = pa
 	}
 
 	app.Setup(w)
@@ -395,22 +298,10 @@ func Run(cfg Config) (res Result, err error) {
 		}, nil
 	}
 
-	// Durable baseline: everything setup built persists before the
-	// timed phase, so a crash can only tear parallel-phase state.
-	if durable != nil && !durable.Crashed() {
-		func() {
-			defer swallowStop()
-			durable.Checkpoint(vtime.Solo(space, 0, nil))
-		}()
-	}
-
 	// Timed parallel phase.
-	if cfg.Heap != nil {
-		cfg.Heap.Phase("run", initCycles)
-	}
-	engine.ResetClocks()
+	sys.ResetClocks()
 	txBase := w.STM.Stats()
-	cacheBase := cache.TotalStats()
+	cacheBase := sys.Cache.TotalStats()
 	if w.prof != nil {
 		w.prof.parallel = true
 	}
@@ -420,10 +311,7 @@ func Run(cfg Config) (res Result, err error) {
 	if w.prof != nil {
 		w.prof.parallel = false
 	}
-	cycles := engine.MaxClock()
-	if cfg.Heap != nil {
-		cfg.Heap.Finish(cycles)
-	}
+	cycles := sys.EndPhase()
 	txAfter := w.STM.Stats()
 
 	status, failure := obs.StatusOK, ""
@@ -434,7 +322,7 @@ func Run(cfg Config) (res Result, err error) {
 		// A crash clause halted the run: the application's final state is
 		// torn by design, so validation is recovery's job, not the app's.
 	} else if err := app.Validate(w); err != nil {
-		if plan == nil {
+		if sys.Plan == nil {
 			return Result{}, fmt.Errorf("stamp: %s validation failed: %w", cfg.App, err)
 		}
 		// Under an active fault plan a validation failure is an expected
@@ -444,7 +332,7 @@ func Run(cfg Config) (res Result, err error) {
 		failure = fmt.Sprintf("validation failed under fault plan %q: %v", cfg.Fault, err)
 	}
 
-	total := cache.TotalStats()
+	total := sys.Cache.TotalStats()
 	phase := cachesim.CoreStats{
 		Accesses:   total.Accesses - cacheBase.Accesses,
 		L1Misses:   total.L1Misses - cacheBase.L1Misses,
@@ -459,7 +347,7 @@ func Run(cfg Config) (res Result, err error) {
 		Cycles:     cycles,
 		Seconds:    vtime.Seconds(cycles),
 		Tx:         txAfter.Sub(txBase),
-		Alloc:      base.Stats(),
+		Alloc:      sys.Allocator.Stats(),
 		Cache:      phase,
 		L1Miss:     phase.L1MissRatio(),
 		Status:     status,
@@ -468,48 +356,6 @@ func Run(cfg Config) (res Result, err error) {
 	if w.prof != nil {
 		res.Profile = w.prof.profile()
 	}
-	if d := w.STM.Pooling(); d != stm.PoolNone {
-		ps := w.STM.PoolStats()
-		res.Pool = &obs.PoolInfo{
-			Discipline: d.String(),
-			Hits:       ps.Hits, Misses: ps.Misses, Returns: ps.Returns,
-			Refills: ps.Refills, Slabs: ps.Slabs, SlabBytes: ps.SlabBytes,
-			Held: ps.Held,
-		}
-	}
-	if durable != nil {
-		if durable.Crashed() {
-			info := durable.Recover(vtime.Solo(space, 0, nil), base)
-			res.Recovery = info
-			res.Status = info.Verdict
-			if info.Verdict != obs.StatusOK {
-				res.Failure = fmt.Sprintf("crash recovery %s at cycle %d phase %s (lost=%d resurrected=%d chain_breaks=%d shadow_bad=%d)",
-					info.Verdict, info.CrashCycle, info.CrashPhase,
-					info.LostWrites, info.Resurrected, info.ChainBreaks, info.ShadowBad)
-			}
-		} else {
-			res.Recovery = durable.Info()
-		}
-	}
-	if checker != nil {
-		res.Race = checker.Info()
-		if res.Race.Findings > 0 && res.Status == obs.StatusOK {
-			res.Status = obs.StatusFailed
-			res.Failure = "race: " + res.Race.First
-		}
-	}
-	if observatory != nil {
-		res.Conflict = observatory.Info()
-	}
+	res.Status, res.Failure, res.Blocks = sys.Finish(res.Status, res.Failure)
 	return res, nil
-}
-
-// swallowStop absorbs the simulated-crash panic on a solo (engineless)
-// thread, mirroring what the engine does for its workers.
-func swallowStop() {
-	if r := recover(); r != nil {
-		if _, ok := r.(vtime.StopSignal); !ok {
-			panic(r)
-		}
-	}
 }

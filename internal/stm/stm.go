@@ -94,21 +94,6 @@ type Config struct {
 	// served by each thread's TxPool (default PoolNone: per-tx system
 	// malloc/free, the paper's baseline). See the Pooling constants.
 	Pooling Pooling
-	// ClockShards splits the global version clock over this many
-	// cache-line-separated words in simulated memory. A committer
-	// CASes only its own shard (thread id modulo the shard count) with
-	// 1 + the maximum over all shards, and snapshots read the maximum,
-	// so the commit-time ping-pong on one clock line spreads across
-	// shards. 0 or 1 keeps the paper's single clock word — and the
-	// exact access sequence of the unsharded implementation, so
-	// default-configured runs stay byte-identical.
-	ClockShards uint
-	// BatchRelease sorts commit-time ORT lock releases by table index,
-	// so the release stores walk the ORT in address order (eight
-	// entries share a cache line) instead of acquisition order. Opt-in
-	// because it changes the priced access order, and so the
-	// virtual-time artifacts, relative to the paper's configuration.
-	BatchRelease bool
 	// Obs, when non-nil, receives per-transaction events (commit/abort
 	// with cause and aliasing ORT stripe) and metrics. The disabled
 	// path costs one nil-check per transaction boundary.
@@ -265,22 +250,20 @@ type STM struct {
 	ortBase mem.Addr
 	ortSize uint64
 	shift   uint
-	clockA  mem.Addr // global version clock (shard 0), in simulated memory
-	shards  int      // clock shard count (1 = the paper's single word)
+	clockA  mem.Addr // global version clock, in simulated memory
 
-	allocator    alloc.Allocator
-	pooling      Pooling
-	batchRelease bool
-	design       Design
-	rec          *obs.Recorder
-	prof         *prof.Profiler
-	cm           CM
-	retryCap     uint64
-	fault        FaultHook
-	durable      DurableLog
-	race         RaceHook     // happens-before event sink; nil disables
-	conflict     ConflictHook // abort-forensics sink; nil disables
-	fallback     vtime.Lock   // serializes irrevocable fallback transactions
+	allocator alloc.Allocator
+	pooling   Pooling
+	design    Design
+	rec       *obs.Recorder
+	prof      *prof.Profiler
+	cm        CM
+	retryCap  uint64
+	fault     FaultHook
+	durable   DurableLog
+	race      RaceHook     // happens-before event sink; nil disables
+	conflict  ConflictHook // abort-forensics sink; nil disables
+	fallback  vtime.Lock   // serializes irrevocable fallback transactions
 
 	// lockAddrs[i] records which address acquired ORT entry i, for
 	// false-conflict classification (diagnostic only).
@@ -346,38 +329,28 @@ func New(space *mem.Space, cfg Config) *STM {
 	if shift == 0 {
 		shift = DefaultShift
 	}
-	shards := int(cfg.ClockShards)
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards*64 > mem.PageSize {
-		panic(fmt.Sprintf("stm: ClockShards %d exceeds the clock page (max %d)", shards, mem.PageSize/64))
-	}
 	size := uint64(1) << bits
-	// One region holds the clock page (one shard per cache line) and
-	// the ORT.
+	// One region holds the clock page and the ORT.
 	base := space.MustMap(mem.PageSize+size*8, mem.PageSize)
 	s := &STM{
-		space:        space,
-		ortBase:      base + mem.PageSize,
-		ortSize:      size,
-		shift:        shift,
-		clockA:       base,
-		shards:       shards,
-		allocator:    cfg.Allocator,
-		pooling:      pooling,
-		batchRelease: cfg.BatchRelease,
-		design:       cfg.Design,
-		rec:          cfg.Obs,
-		prof:         cfg.Prof,
-		cm:           cfg.CM,
-		retryCap:     cfg.RetryCap,
-		fault:        cfg.Fault,
-		durable:      cfg.Durable,
-		race:         cfg.Race,
-		conflict:     cfg.Conflict,
-		lockAddrs:    make([]mem.Addr, size),
-		txs:          make(map[int]*Tx),
+		space:     space,
+		ortBase:   base + mem.PageSize,
+		ortSize:   size,
+		shift:     shift,
+		clockA:    base,
+		allocator: cfg.Allocator,
+		pooling:   pooling,
+		design:    cfg.Design,
+		rec:       cfg.Obs,
+		prof:      cfg.Prof,
+		cm:        cfg.CM,
+		retryCap:  cfg.RetryCap,
+		fault:     cfg.Fault,
+		durable:   cfg.Durable,
+		race:      cfg.Race,
+		conflict:  cfg.Conflict,
+		lockAddrs: make([]mem.Addr, size),
+		txs:       make(map[int]*Tx),
 	}
 	if cfg.Conflict != nil {
 		s.lockTids = make([]int32, size)
@@ -419,9 +392,6 @@ func (s *STM) Design() Design { return s.design }
 // Pooling returns the transaction-object recycling discipline.
 func (s *STM) Pooling() Pooling { return s.pooling }
 
-// ClockShards returns the version-clock shard count (1 = unsharded).
-func (s *STM) ClockShards() int { return s.shards }
-
 // PoolStats sums pool traffic across all threads' TxPools.
 func (s *STM) PoolStats() PoolStats {
 	var out PoolStats
@@ -433,44 +403,18 @@ func (s *STM) PoolStats() PoolStats {
 	return out
 }
 
-// clockShardAddr returns the simulated address of clock shard i (each
-// shard sits on its own cache line).
-func (s *STM) clockShardAddr(i int) mem.Addr { return s.clockA + mem.Addr(i*64) }
-
-// clockRead returns the current global version: the maximum across
-// shards. With one shard this is a single load — the exact access the
-// unsharded clock performed.
+// clockRead returns the current global version.
 func (s *STM) clockRead(th *vtime.Thread) int64 {
-	v := versionOf(th.Load(s.clockA))
-	for i := 1; i < s.shards; i++ {
-		if w := versionOf(th.Load(s.clockShardAddr(i))); w > v {
-			v = w
-		}
-	}
-	return v
+	return versionOf(th.Load(s.clockA))
 }
 
-// clockBump allocates a commit version: 1 + the maximum over all
-// shards, CASed into the committer's own shard (so shards only grow,
-// and any stripe released after a snapshot read carries a version the
-// snapshot already covers or exceeds). With one shard this degenerates
-// to the unsharded load/CAS loop, same access sequence.
+// clockBump allocates a commit version: the global clock plus one,
+// installed by compare-and-swap.
 func (s *STM) clockBump(th *vtime.Thread) int64 {
-	mineA := s.clockShardAddr(th.ID() % s.shards)
 	for {
-		cur := versionOf(th.Load(mineA))
-		max := cur
-		for i := 0; i < s.shards; i++ {
-			a := s.clockShardAddr(i)
-			if a == mineA {
-				continue
-			}
-			if w := versionOf(th.Load(a)); w > max {
-				max = w
-			}
-		}
-		next := max + 1
-		if th.CAS(mineA, versionWord(cur), versionWord(next)) {
+		cur := versionOf(th.Load(s.clockA))
+		next := cur + 1
+		if th.CAS(s.clockA, versionWord(cur), versionWord(next)) {
 			return next
 		}
 	}
@@ -1079,20 +1023,6 @@ func (tx *Tx) commit() bool {
 		tx.th.Store(w.addr, w.value)
 	}
 	release := versionWord(next)
-	if s.batchRelease && len(tx.locked) > 1 {
-		// Release in ORT-index order: eight entries share a cache line,
-		// so sorted stores batch line transitions instead of revisiting
-		// lines in acquisition order.
-		slices.SortFunc(tx.locked, func(a, b lockRec) int {
-			switch {
-			case a.idx < b.idx:
-				return -1
-			case a.idx > b.idx:
-				return 1
-			}
-			return 0
-		})
-	}
 	for _, l := range tx.locked {
 		tx.th.Store(s.ortAddr(l.idx), release)
 	}

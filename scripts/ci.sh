@@ -129,48 +129,13 @@ grep -q ' 0 executed' "$tmpdir/c2.err" || {
     exit 1
 }
 
-echo "== sanitizer byte-identity gate =="
-# The shadow-memory sanitizer is pure metadata: arming it must change
-# neither stdout nor the run-record bytes of a clean run. (The j1
-# artifacts from the parallel-determinism gate are the unsanitized
-# baseline; jobs provenance is normalized as above.)
-go run ./cmd/tmrepro -run fig1 -jobs 8 -sanitize -out "$tmpdir/san" >"$tmpdir/san.txt"
-cmp "$tmpdir/j1.txt" "$tmpdir/san.txt" || {
-    echo "tmrepro stdout differs with -sanitize" >&2
-    exit 1
-}
-sed 's/"jobs": *[0-9]*/"jobs": 0/' "$tmpdir/san/BENCH_fig1.json" >"$tmpdir/san.norm"
-cmp "$tmpdir/j1.norm" "$tmpdir/san.norm" || {
-    echo "run records differ with -sanitize" >&2
-    exit 1
-}
-
-echo "== profiler byte-identity gate =="
-# The cycle profiler is pure attribution: -profile must change neither
-# stdout nor cell results (hooks read the virtual clocks, they never
-# tick them), and the same-seed profile artifact must be byte-identical
-# across pool widths. The j1 stdout from the parallel-determinism gate
-# is the profiler-off baseline.
-go run ./cmd/tmrepro -run fig1 -jobs 1 -profile "$tmpdir/p1.json" >"$tmpdir/pj1.txt"
-go run ./cmd/tmrepro -run fig1 -jobs 8 -profile "$tmpdir/p8.json" >"$tmpdir/pj8.txt"
-cmp "$tmpdir/j1.txt" "$tmpdir/pj1.txt" || {
-    echo "tmrepro stdout differs with -profile" >&2
-    exit 1
-}
-cmp "$tmpdir/pj1.txt" "$tmpdir/pj8.txt" || {
-    echo "profiled stdout differs between -jobs 1 and -jobs 8" >&2
-    exit 1
-}
-cmp "$tmpdir/p1.json" "$tmpdir/p8.json" || {
-    echo "profile artifacts differ between -jobs 1 and -jobs 8" >&2
-    exit 1
-}
-
 echo "== profiler toolchain gate =="
-# tmprof must read the artifact back, and a profile diffed against the
-# other pool width's artifact must partition both totals exactly.
+# tmprof must read a profile artifact back, and a profile diffed against
+# the other pool width's artifact must partition both totals exactly.
 # tmvet runs again scoped to the profiler packages so a future
 # suppression elsewhere can't mask a determinism finding here.
+go run ./cmd/tmrepro -run fig1 -jobs 1 -profile "$tmpdir/p1.json" >/dev/null
+go run ./cmd/tmrepro -run fig1 -jobs 8 -profile "$tmpdir/p8.json" >/dev/null
 go run ./cmd/tmprof top "$tmpdir/p1.json" >"$tmpdir/top.txt"
 grep -q 'virtual cycles' "$tmpdir/top.txt" || {
     echo "tmprof top produced no cycle summary" >&2
@@ -183,54 +148,11 @@ grep -q 'totals reconcile' "$tmpdir/pdiff.txt" || {
 }
 go run ./cmd/tmvet ./internal/prof ./cmd/tmprof
 
-echo "== heapscope byte-identity gate =="
-# Heap telemetry is a pure observer: -heap must leave stdout and every
-# run-record field except the flat "heap" summary block untouched, and
-# the tmheap/series/v1 artifact must be byte-identical across pool
-# widths. strip_heap removes that block (it is the record's last field,
-# so the preceding line's trailing comma is normalized away on both
-# sides) and zeroes jobs provenance, the same normalization the
-# parallel-determinism gate applies.
-strip_heap() {
-    sed -e 's/"jobs": *[0-9]*/"jobs": 0/' \
-        -e '/^  "heap": {/,/^  }[,]\{0,1\}$/d' \
-        -e 's/,$//' "$1"
-}
-go run ./cmd/tmrepro -run fig1 -jobs 1 -heap "$tmpdir/h1.json" -out "$tmpdir/hout1" >"$tmpdir/hj1.txt"
-go run ./cmd/tmrepro -run fig1 -jobs 8 -heap "$tmpdir/h8.json" -out "$tmpdir/hout8" >"$tmpdir/hj8.txt"
-cmp "$tmpdir/j1.txt" "$tmpdir/hj1.txt" || {
-    echo "tmrepro stdout differs with -heap" >&2
-    exit 1
-}
-cmp "$tmpdir/h1.json" "$tmpdir/h8.json" || {
-    echo "heap series artifacts differ between -jobs 1 and -jobs 8" >&2
-    exit 1
-}
-strip_heap "$tmpdir/j1/BENCH_fig1.json" >"$tmpdir/hbase.norm"
-strip_heap "$tmpdir/hout1/BENCH_fig1.json" >"$tmpdir/hj1.norm"
-cmp "$tmpdir/hbase.norm" "$tmpdir/hj1.norm" || {
-    echo "run records differ with -heap beyond the heap summary block" >&2
-    exit 1
-}
-grep -q '"heap": {' "$tmpdir/hout1/BENCH_fig1.json" || {
-    echo "-heap run record carries no heap summary" >&2
-    exit 1
-}
-
 echo "== heapscope toolchain gate =="
-# The sanitizer's shadow map and the heap watcher share the Space
-# fan-out, so they must compose; tmheap must read the artifact back,
-# diff two allocators' series, and tmlayout -heap-geometry must emit
-# static geometry in the same schema.
-go run ./cmd/tmrepro -run fig1 -jobs 8 -sanitize -heap "$tmpdir/hsan.json" >"$tmpdir/hsan.txt"
-cmp "$tmpdir/j1.txt" "$tmpdir/hsan.txt" || {
-    echo "tmrepro stdout differs with -sanitize -heap" >&2
-    exit 1
-}
-cmp "$tmpdir/h1.json" "$tmpdir/hsan.json" || {
-    echo "heap series artifact differs under -sanitize" >&2
-    exit 1
-}
+# tmheap must read the artifact back and diff two allocators' series,
+# and tmlayout -heap-geometry must emit static geometry in the same
+# schema.
+go run ./cmd/tmrepro -run fig1 -heap "$tmpdir/h1.json" >/dev/null
 go run ./cmd/tmheap "$tmpdir/h1.json" >"$tmpdir/hsum.txt"
 grep -q 'heap telemetry' "$tmpdir/hsum.txt" || {
     echo "tmheap summary carries no telemetry header" >&2
@@ -251,12 +173,26 @@ go run ./cmd/tmheap "$tmpdir/geo.json" >/dev/null || {
     exit 1
 }
 
-echo "== benchmarks (advisory) =="
-# Proves the bench suite still runs end to end; the numbers are
-# advisory and never gate. The committed BENCH_PR9.json trajectory is
-# regenerated manually with scripts/bench.sh.
-BENCHTIME=1x scripts/bench.sh "$tmpdir/bench.json" >/dev/null 2>&1 ||
-    echo "WARNING: scripts/bench.sh failed (advisory, not gating)" >&2
+echo "== observer composition gate =="
+# Each observer's purity is proven alone by TestObserverPurity in
+# internal/harness (stdout, record minus its own block, artifacts at
+# -jobs 1 and 8). Here all of them ride one run through the CLI: it must
+# still print exactly what the plain run printed (j1.txt above), and the
+# heap and profile artifacts must match the single-observer runs.
+go run ./cmd/tmrepro -run fig1 -race-sim -conflict -sanitize \
+    -heap "$tmpdir/hall.json" -profile "$tmpdir/pall.json" >"$tmpdir/all.txt"
+cmp "$tmpdir/j1.txt" "$tmpdir/all.txt" || {
+    echo "tmrepro stdout differs with every observer attached" >&2
+    exit 1
+}
+cmp "$tmpdir/h1.json" "$tmpdir/hall.json" || {
+    echo "heap series artifact differs with every observer attached" >&2
+    exit 1
+}
+cmp "$tmpdir/p1.json" "$tmpdir/pall.json" || {
+    echo "profile artifact differs with every observer attached" >&2
+    exit 1
+}
 
 echo "== sanitizer detection gate =="
 # A seeded use-after-free must fail loudly under -sanitize and pass
@@ -277,44 +213,6 @@ go run ./cmd/tmintset -kind linkedlist -alloc tcmalloc -threads 2 \
     exit 1
 }
 
-echo "== race-checker byte-identity gate =="
-# The happens-before checker is a pure observer: -race-sim must leave
-# stdout and every run-record field except the flat "race" summary
-# block untouched, at every pool width. strip_race mirrors strip_heap:
-# the race block is the record's last field, so the preceding line's
-# trailing comma normalizes away on both sides.
-strip_race() {
-    sed -e 's/"jobs": *[0-9]*/"jobs": 0/' \
-        -e '/^  "race": {/,/^  }[,]\{0,1\}$/d' \
-        -e 's/,$//' "$1"
-}
-go run ./cmd/tmrepro -run fig1 -jobs 1 -race-sim -out "$tmpdir/race1" >"$tmpdir/racej1.txt"
-go run ./cmd/tmrepro -run fig1 -jobs 8 -race-sim -out "$tmpdir/race8" >"$tmpdir/racej8.txt"
-cmp "$tmpdir/j1.txt" "$tmpdir/racej1.txt" || {
-    echo "tmrepro stdout differs with -race-sim" >&2
-    exit 1
-}
-sed 's/"jobs": *[0-9]*/"jobs": 0/' "$tmpdir/race1/BENCH_fig1.json" >"$tmpdir/race1.norm"
-sed 's/"jobs": *[0-9]*/"jobs": 0/' "$tmpdir/race8/BENCH_fig1.json" >"$tmpdir/race8.norm"
-cmp "$tmpdir/race1.norm" "$tmpdir/race8.norm" || {
-    echo "-race-sim run records differ between -jobs 1 and -jobs 8 (race verdict nondeterministic)" >&2
-    exit 1
-}
-strip_race "$tmpdir/j1/BENCH_fig1.json" >"$tmpdir/racebase.norm"
-strip_race "$tmpdir/race1/BENCH_fig1.json" >"$tmpdir/race1.stripped"
-cmp "$tmpdir/racebase.norm" "$tmpdir/race1.stripped" || {
-    echo "run records differ with -race-sim beyond the race summary block" >&2
-    exit 1
-}
-grep -q '"race": {' "$tmpdir/race1/BENCH_fig1.json" || {
-    echo "-race-sim run record carries no race summary" >&2
-    exit 1
-}
-grep -q '"findings": 0' "$tmpdir/race1/BENCH_fig1.json" || {
-    echo "clean -race-sim run reported findings" >&2
-    exit 1
-}
-
 echo "== race-checker detection gate =="
 # A seeded allocator-metadata race must fail loudly under -race-sim and
 # pass silently without it — the contrast that proves the checker is
@@ -331,44 +229,6 @@ grep -q 'metadata' "$tmpdir/race.txt" || {
 go run ./cmd/tmintset -kind linkedlist -alloc glibc -threads 2 \
     -initial 64 -ops 50 -seed-race >/dev/null || {
     echo "seeded metadata race failed without -race-sim (should pass silently)" >&2
-    exit 1
-}
-
-echo "== conflict-observatory byte-identity gate =="
-# The abort-forensics observatory is a pure observer: -conflict must
-# leave stdout and every run-record field except the flat "conflict"
-# summary block untouched, at every pool width. The conflict block is
-# the record's last field, so the preceding line's trailing comma
-# normalizes away on both sides.
-strip_conflict() {
-    sed -e 's/"jobs": *[0-9]*/"jobs": 0/' \
-        -e '/^  "conflict": {/,/^  }[,]\{0,1\}$/d' \
-        -e 's/,$//' "$1"
-}
-go run ./cmd/tmrepro -run fig1 -jobs 1 -conflict -out "$tmpdir/conf1" >"$tmpdir/confj1.txt"
-go run ./cmd/tmrepro -run fig1 -jobs 8 -conflict -out "$tmpdir/conf8" >"$tmpdir/confj8.txt"
-cmp "$tmpdir/j1.txt" "$tmpdir/confj1.txt" || {
-    echo "tmrepro stdout differs with -conflict" >&2
-    exit 1
-}
-sed 's/"jobs": *[0-9]*/"jobs": 0/' "$tmpdir/conf1/BENCH_fig1.json" >"$tmpdir/conf1.norm"
-sed 's/"jobs": *[0-9]*/"jobs": 0/' "$tmpdir/conf8/BENCH_fig1.json" >"$tmpdir/conf8.norm"
-cmp "$tmpdir/conf1.norm" "$tmpdir/conf8.norm" || {
-    echo "-conflict run records differ between -jobs 1 and -jobs 8 (forensics nondeterministic)" >&2
-    exit 1
-}
-strip_conflict "$tmpdir/j1/BENCH_fig1.json" >"$tmpdir/confbase.norm"
-strip_conflict "$tmpdir/conf1/BENCH_fig1.json" >"$tmpdir/conf1.stripped"
-cmp "$tmpdir/confbase.norm" "$tmpdir/conf1.stripped" || {
-    echo "run records differ with -conflict beyond the conflict summary block" >&2
-    exit 1
-}
-grep -q '"conflict": {' "$tmpdir/conf1/BENCH_fig1.json" || {
-    echo "-conflict run record carries no conflict summary" >&2
-    exit 1
-}
-grep -q '"observed": true' "$tmpdir/conf1/BENCH_fig1.json" || {
-    echo "-conflict run record not marked observed" >&2
     exit 1
 }
 
