@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"text/tabwriter"
 
 	_ "repro/internal/alloc/glibc"
@@ -48,7 +49,7 @@ func main() {
 		shift     = flag.Uint("shift", 0, "ORT shift amount (0 = default 5)")
 		design    = flag.String("design", "etl-wb", "STM design: etl-wb, etl-wt, ctl")
 		cacheTx   = flag.Bool("cachetx", false, "deprecated alias for -pool cache (paper §6.2 tx-object caching)")
-		hytm      = flag.Bool("hytm", false, "run under the hybrid HTM (hashset only)")
+		hytm      = flag.Bool("hytm", false, "run under the hybrid HTM (hashset only; refuses the STM, robustness and observer flags)")
 		seed      = flag.Uint64("seed", 0, "workload seed")
 		seedUAF   = flag.Bool("seed-uaf", false, "plant a use-after-free in the measurement phase (sanitizer demo)")
 		raceSim   = flag.Bool("race-sim", false, "attach the happens-before race checker to the run")
@@ -65,6 +66,26 @@ func main() {
 	pr := cliflags.AddProfile(flag.CommandLine)
 	hp := cliflags.AddHeap(flag.CommandLine)
 	flag.Parse()
+	if *hytm {
+		// The hybrid-TM run reads only the workload shape, the seed and
+		// the output, cache and sanitizer flags; refuse the rest rather
+		// than drop them silently.
+		honored := map[string]bool{
+			"kind": true, "alloc": true, "threads": true, "updates": true, "initial": true,
+			"range": true, "ops": true, "seed": true, "hytm": true, "json": true, "metrics": true,
+			"trace": true, "cache": true, "no-cache": true, "jobs": true, "sanitize": true,
+		}
+		var refused []string
+		flag.Visit(func(f *flag.Flag) {
+			if !honored[f.Name] {
+				refused = append(refused, "-"+f.Name)
+			}
+		})
+		if len(refused) > 0 {
+			fmt.Fprintf(os.Stderr, "tmintset: -hytm does not support %s\n", strings.Join(refused, ", "))
+			os.Exit(2)
+		}
+	}
 
 	var d stm.Design
 	switch *design {

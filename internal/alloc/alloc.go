@@ -1,11 +1,15 @@
 // Package alloc defines the dynamic memory allocator interface over the
-// simulated address space and shared building blocks (size classes,
-// intrusive free lists, contention-counting locks, per-thread stats).
+// simulated address space, the front end every allocator model runs
+// behind (front.go), and shared building blocks (size classes,
+// intrusive free lists, contention-counting locks).
 //
 // Four allocator models live in subpackages — glibc (ptmalloc), hoard,
 // tbb (TBBMalloc) and tcmalloc — each reproducing the placement and
 // synchronization behaviour its original is known for, which is what the
-// paper's study couples to the STM's lock-mapping function.
+// paper's study couples to the STM's lock-mapping function. A model
+// supplies only that algorithm (the Model interface); the front end owns
+// the per-thread statistics, the attached observers and fault injector,
+// and the public Malloc/Free around the model's placement and release.
 //
 // All allocator entry points take a *vtime.Thread: the calling logical
 // thread. Every word the allocator touches (boundary tags, free-list
@@ -19,8 +23,6 @@ import (
 	"sort"
 
 	"repro/internal/mem"
-	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/vtime"
 )
 
@@ -52,9 +54,9 @@ type Allocator interface {
 	Describe() Description
 }
 
-// Factory constructs an allocator over a space for a maximum number of
-// logical threads.
-type Factory func(space *mem.Space, threads int) Allocator
+// Factory constructs an allocator model over a space for a maximum
+// number of logical threads.
+type Factory func(space *mem.Space, threads int) Model
 
 // Description mirrors one row of the paper's Table 1.
 type Description struct {
@@ -118,123 +120,6 @@ func (f FreeFault) String() string {
 		return "double_free"
 	}
 	return "bad_free"
-}
-
-// Injector decides, per allocation, whether to inject a fault.
-// internal/fault implements it; the interface lives here (and is
-// satisfied structurally) so allocator models never import the fault
-// package.
-type Injector interface {
-	// MallocFault is consulted once at the top of every Malloc. fail
-	// forces the call to return 0; delay is extra latency in virtual
-	// cycles charged to the thread either way (a malloc latency spike).
-	MallocFault(tid int, size uint64) (fail bool, delay uint64)
-}
-
-// Injectable is implemented by allocators that accept a fault
-// injector. All four models implement it.
-type Injectable interface {
-	SetInjector(inj Injector)
-}
-
-// Inject attaches inj to a if the allocator supports injection.
-func Inject(a Allocator, inj Injector) {
-	if inj == nil {
-		return
-	}
-	if i, ok := a.(Injectable); ok {
-		i.SetInjector(inj)
-	}
-}
-
-// ThreadStats is the per-thread counter block implementations keep in
-// their per-thread state. Rec, when non-nil, is the observability sink
-// for this thread's allocator events (set via SetObserver on the
-// allocator); Inj, when non-nil, is the fault injector (set via
-// SetInjector). Keeping both here lets shared helpers like
-// CountingMutex and PreMalloc work without changing model signatures.
-type ThreadStats struct {
-	Stats
-	Rec *obs.Recorder
-	Inj Injector
-}
-
-// PreMalloc runs the fault-injection gate at the top of a model's
-// Malloc: it charges any injected latency and reports whether the call
-// must fail (return 0). On failure it also does the full failure
-// accounting, so the model just returns.
-func (st *ThreadStats) PreMalloc(th *vtime.Thread, size uint64) (fail bool) {
-	if st.Inj == nil {
-		return false
-	}
-	f, delay := st.Inj.MallocFault(th.ID(), size)
-	if delay > 0 {
-		if st.Rec != nil {
-			st.Rec.Fault("malloc_latency", th.ID(), th.Clock(), delay)
-		}
-		th.Tick(delay)
-	}
-	if f {
-		st.MallocFailed(th, size)
-	}
-	return f
-}
-
-// MallocFailed does the accounting for a Malloc returning 0 — injected
-// or a genuine simulated OOM (mem quota / address-space exhaustion).
-func (st *ThreadStats) MallocFailed(th *vtime.Thread, size uint64) {
-	st.FailedMallocs++
-	if st.Rec != nil {
-		st.Rec.Fault("oom", th.ID(), th.Clock(), size)
-	}
-}
-
-// FreeFaulted does the accounting for an invalid Free the model's
-// metadata checks caught. The model returns without touching any
-// free-list state.
-func (st *ThreadStats) FreeFaulted(th *vtime.Thread, f FreeFault, addr mem.Addr) {
-	if f == DoubleFree {
-		st.DoubleFrees++
-	} else {
-		st.BadFrees++
-	}
-	if st.Rec != nil {
-		st.Rec.Fault(f.String(), th.ID(), th.Clock(), uint64(addr))
-	}
-}
-
-// Observable is implemented by allocators that can stream events
-// (alloc/free latency, lock waits, superblock/central transfers) into
-// an obs.Recorder. All four models implement it.
-type Observable interface {
-	SetObserver(r *obs.Recorder)
-}
-
-// Observe attaches r to a if the allocator supports observation.
-func Observe(a Allocator, r *obs.Recorder) {
-	if r == nil {
-		return
-	}
-	if o, ok := a.(Observable); ok {
-		o.SetObserver(r)
-	}
-}
-
-// Profiled is implemented by allocators that attribute their internal
-// phases (entry points, arena/superblock/central-store metadata work)
-// to profiler regions. All four models implement it.
-type Profiled interface {
-	SetProfiler(p *prof.Profiler)
-}
-
-// Profile attaches p to a if the allocator supports cycle attribution.
-func Profile(a Allocator, p *prof.Profiler) {
-	if p == nil {
-		return
-	}
-	if pr, ok := a.(Profiled); ok {
-		pr.SetProfiler(p)
-	}
 }
 
 // HeapClass is one size-class row of a HeapState snapshot.
@@ -447,13 +332,13 @@ func Register(name string, f Factory) {
 	registry[name] = f
 }
 
-// New constructs the named allocator.
+// New constructs the named allocator: its model behind a front end.
 func New(name string, space *mem.Space, threads int) (Allocator, error) {
 	f, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("alloc: unknown allocator %q (known: %v)", name, Names())
 	}
-	return f(space, threads), nil
+	return NewFront(f(space, threads), space, threads), nil
 }
 
 // MustNew is New but panics on an unknown name.

@@ -1,8 +1,10 @@
 // Package alloctest provides a conformance suite run against every
 // allocator model: correctness of block disjointness, data integrity,
-// reuse, remote frees, and concurrent (virtual-time) stress. Allocator-
-// specific layout properties are asserted in each allocator's own test
-// package.
+// reuse, remote frees, concurrent (virtual-time) stress, and the
+// contract of the front end every model runs behind. Each suite takes a
+// registered allocator name and builds it through alloc.MustNew, so the
+// model is always tested behind its front end. Allocator-specific
+// layout properties are asserted in each allocator's own test package.
 package alloctest
 
 import (
@@ -13,6 +15,8 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/mem"
+	"repro/internal/obs"
+	"repro/internal/prof"
 	"repro/internal/sweep"
 	"repro/internal/vtime"
 )
@@ -20,8 +24,15 @@ import (
 // Factory builds the allocator under test over a fresh space.
 type Factory func(space *mem.Space, threads int) alloc.Allocator
 
-// Run executes the conformance suite.
-func Run(t *testing.T, f Factory) {
+// registered returns the factory of the registered allocator name.
+func registered(name string) Factory {
+	return func(space *mem.Space, threads int) alloc.Allocator { return alloc.MustNew(name, space, threads) }
+}
+
+// Run executes the conformance suite against the registered allocator
+// name.
+func Run(t *testing.T, name string) {
+	f := registered(name)
 	t.Run("DataIntegrity", func(t *testing.T) { testDataIntegrity(t, f) })
 	t.Run("Disjoint", func(t *testing.T) { testDisjoint(t, f) })
 	t.Run("BlockSize", func(t *testing.T) { testBlockSize(t, f) })
@@ -33,6 +44,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("Stats", func(t *testing.T) { testStats(t, f) })
 	t.Run("VirtualTimeCharged", func(t *testing.T) { testVirtualTimeCharged(t, f) })
 	t.Run("ConcurrentStress", func(t *testing.T) { testConcurrentStress(t, f) })
+	t.Run("FrontEnd", func(t *testing.T) { testFrontEnd(t, name, f) })
 }
 
 func solo(space *mem.Space) *vtime.Thread { return vtime.Solo(space, 0, nil) }
@@ -277,7 +289,8 @@ func testConcurrentStress(t *testing.T, f Factory) {
 // RunProperty adds testing/quick-style randomized trace checks: for
 // arbitrary seeds, a random malloc/free trace must preserve block
 // disjointness among live blocks and the contents of every live block.
-func RunProperty(t *testing.T, f Factory) {
+func RunProperty(t *testing.T, name string) {
+	f := registered(name)
 	check := func(seed uint64) bool {
 		space := newSpace()
 		const threads = 4
@@ -353,7 +366,8 @@ func RunProperty(t *testing.T, f Factory) {
 
 // RunFootprint checks the LiveBytes gauge: zero after balanced
 // traffic, positive while blocks are live.
-func RunFootprint(t *testing.T, f Factory) {
+func RunFootprint(t *testing.T, name string) {
+	f := registered(name)
 	space := newSpace()
 	a := f(space, 1)
 	th := vtime.Solo(space, 0, nil)
@@ -379,3 +393,121 @@ func RunFootprint(t *testing.T, f Factory) {
 		t.Errorf("LiveBytes = %d after freeing the large block, want 0", live)
 	}
 }
+
+// testFrontEnd pins what the allocator front end owns, so that no model
+// can bypass it. With a block watcher, an event recorder, a profiler, a
+// fault injector and a metadata journal attached through alloc.Attach,
+// a mixed-size trace on two threads must reach the watcher once per
+// successful malloc (with usable == BlockSize) and once per non-nil
+// free, put one alloc event per malloc and one free event per non-nil
+// free in the recorder, open the <name>/malloc and <name>/free profiler
+// regions, count every injected failure (none of which reaches the
+// watcher), and journal the model's structure.
+func testFrontEnd(t *testing.T, name string, f Factory) {
+	space := mem.NewSpace()
+	a := f(space, 2)
+	w := &countingWatcher{usable: make(map[mem.Addr]uint64)}
+	space.Watch(w)
+	rec := obs.New(obs.Config{})
+	p := prof.New()
+	inj := &everyKth{k: 5}
+	j := &countingJournal{}
+	if !alloc.Attach(a, alloc.Hooks{Rec: rec, Inj: inj, Prof: p, Journal: j}) {
+		t.Fatal("alloc.Attach: allocator has no front end")
+	}
+	ths := []*vtime.Thread{vtime.Solo(space, 0, nil), vtime.Solo(space, 1, nil)}
+	sizes := []uint64{8, 16, 48, 100, 1024, 300 << 10}
+	var live []mem.Addr
+	const mallocs = 60
+	for i := 0; i < mallocs; i++ {
+		th, size := ths[i%2], sizes[i%len(sizes)]
+		addr := a.Malloc(th, size)
+		if addr == 0 {
+			continue
+		}
+		if got, want := w.usable[addr], a.BlockSize(th, addr); got != want {
+			t.Errorf("Malloc(%d) = %#x: watcher saw usable %d, BlockSize %d", size, uint64(addr), got, want)
+		}
+		live = append(live, addr)
+	}
+	for i, addr := range live {
+		a.Free(ths[i%2], addr)
+	}
+	a.Free(ths[0], 0) // free(NULL) reaches nothing
+
+	if inj.failed == 0 || w.allocs != mallocs-inj.failed || w.allocs != len(live) {
+		t.Errorf("watcher saw %d allocs for %d mallocs, %d injected failures", w.allocs, mallocs, inj.failed)
+	}
+	if w.zero != 0 {
+		t.Errorf("watcher saw %d notifications for address 0", w.zero)
+	}
+	if w.frees != len(live) {
+		t.Errorf("watcher saw %d frees, want %d", w.frees, len(live))
+	}
+	if st := a.Stats(); st.FailedMallocs != uint64(inj.failed) || st.Mallocs != mallocs || st.Frees != uint64(len(live)) {
+		t.Errorf("stats %+v: want %d mallocs, %d failed, %d frees", st, mallocs, inj.failed, len(live))
+	}
+	events := map[obs.Kind]int{}
+	for _, e := range rec.Events() {
+		if e.Label == name {
+			events[e.Kind]++
+		}
+	}
+	if events[obs.KindAlloc] != mallocs || events[obs.KindFree] != len(live) {
+		t.Errorf("recorder saw %d alloc / %d free events, want %d / %d",
+			events[obs.KindAlloc], events[obs.KindFree], mallocs, len(live))
+	}
+	frames := map[string]bool{}
+	for _, fs := range p.Profile().FrameStats() {
+		frames[fs.Frame] = true
+	}
+	for _, region := range []string{name + "/malloc", name + "/free"} {
+		if !frames[region] {
+			t.Errorf("profile has no %s frame", region)
+		}
+	}
+	if j.records == 0 {
+		t.Error("no structural metadata journaled")
+	}
+}
+
+// countingWatcher counts block notifications and remembers each
+// block's usable size.
+type countingWatcher struct {
+	allocs, frees, zero int
+	usable              map[mem.Addr]uint64
+}
+
+func (w *countingWatcher) OnHeapAlloc(_ string, base mem.Addr, _, usable uint64, _ int, _ uint64) {
+	w.allocs++
+	if base == 0 {
+		w.zero++
+	}
+	w.usable[base] = usable
+}
+
+func (w *countingWatcher) OnHeapFree(base mem.Addr, _ int, _ uint64) {
+	w.frees++
+	if base == 0 {
+		w.zero++
+	}
+}
+
+func (w *countingWatcher) OnHeapReuse(mem.Addr, int, uint64) {}
+
+// everyKth fails every k-th malloc.
+type everyKth struct{ k, calls, failed int }
+
+func (e *everyKth) MallocFault(int, uint64) (bool, uint64) {
+	e.calls++
+	if e.calls%e.k != 0 {
+		return false, 0
+	}
+	e.failed++
+	return true, 0
+}
+
+// countingJournal counts structural metadata records.
+type countingJournal struct{ records int }
+
+func (j *countingJournal) JournalMeta(*vtime.Thread, string, mem.Addr, uint64, uint64) { j.records++ }

@@ -28,8 +28,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/mem"
-	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/vtime"
 )
 
@@ -67,16 +65,13 @@ type arena struct {
 	index int
 }
 
-// Glibc is the ptmalloc-style allocator.
+// Glibc is the ptmalloc-style allocator model.
 type Glibc struct {
 	space   *mem.Space
 	threads int
 
 	arenas   []*arena
 	attached []*arena // per-thread last-used arena
-	stats    []alloc.ThreadStats
-	prof     *prof.Profiler
-	journal  alloc.MetaJournal
 
 	mmaps map[mem.Addr]uint64 // user addr -> region size (direct maps)
 }
@@ -88,7 +83,6 @@ func New(space *mem.Space, threads int) *Glibc {
 		space:    space,
 		threads:  threads,
 		attached: make([]*arena, threads),
-		stats:    make([]alloc.ThreadStats, threads),
 		mmaps:    make(map[mem.Addr]uint64),
 	}
 	main := g.newArena(nil, nil)
@@ -102,35 +96,17 @@ func New(space *mem.Space, threads int) *Glibc {
 }
 
 func init() {
-	alloc.Register("glibc", func(space *mem.Space, threads int) alloc.Allocator {
+	alloc.Register("glibc", func(space *mem.Space, threads int) alloc.Model {
 		return New(space, threads)
 	})
 }
 
-// Name implements alloc.Allocator.
+// Name implements alloc.Model.
 func (g *Glibc) Name() string { return "glibc" }
 
-// SetObserver implements alloc.Observable.
-func (g *Glibc) SetObserver(r *obs.Recorder) {
-	for i := range g.stats {
-		g.stats[i].Rec = r
-	}
-}
-
-// SetInjector implements alloc.Injectable.
-func (g *Glibc) SetInjector(inj alloc.Injector) {
-	for i := range g.stats {
-		g.stats[i].Inj = inj
-	}
-}
-
-// SetProfiler implements alloc.Profiled.
-func (g *Glibc) SetProfiler(p *prof.Profiler) { g.prof = p }
-
-// SetJournal implements alloc.Journaled. The main arena already exists
-// when a durable layer attaches, so journal it retroactively.
-func (g *Glibc) SetJournal(j alloc.MetaJournal) {
-	g.journal = j
+// BackfillMeta implements alloc.MetaBackfiller. The main arena already
+// exists when a durable layer attaches, so journal it retroactively.
+func (g *Glibc) BackfillMeta(j alloc.MetaJournal) {
 	for _, a := range g.arenas {
 		j.JournalMeta(nil, "arena", a.base, ArenaSize, uint64(a.index))
 	}
@@ -143,9 +119,6 @@ func (g *Glibc) newArena(th *vtime.Thread, st *alloc.ThreadStats) *arena {
 	if err != nil {
 		return nil
 	}
-	if st != nil {
-		st.OSMaps++
-	}
 	a := &arena{
 		base:  base,
 		top:   base + arenaFirst,
@@ -154,8 +127,9 @@ func (g *Glibc) newArena(th *vtime.Thread, st *alloc.ThreadStats) *arena {
 		index: len(g.arenas),
 	}
 	g.arenas = append(g.arenas, a)
-	if g.journal != nil {
-		g.journal.JournalMeta(th, "arena", a.base, ArenaSize, uint64(a.index))
+	if st != nil {
+		st.OSMaps++
+		st.JournalMeta(th, "arena", a.base, ArenaSize, uint64(a.index))
 	}
 	return a
 }
@@ -175,7 +149,7 @@ func chunkSize(req uint64) uint64 {
 // (8 x threads, as on 64-bit Linux) the thread blocks on the next arena
 // instead of creating more.
 func (g *Glibc) lockArena(th *vtime.Thread, st *alloc.ThreadStats) *arena {
-	if p := g.prof; p != nil {
+	if p := st.Prof; p != nil {
 		p.Begin(th, "glibc/arena")
 		defer p.End(th)
 	}
@@ -212,46 +186,8 @@ func (g *Glibc) lockArena(th *vtime.Thread, st *alloc.ThreadStats) *arena {
 	return fresh
 }
 
-// Malloc implements alloc.Allocator.
-func (g *Glibc) Malloc(th *vtime.Thread, size uint64) mem.Addr {
-	if p := g.prof; p != nil {
-		p.Begin(th, "glibc/malloc")
-		defer p.End(th)
-	}
-	st := &g.stats[th.ID()]
-	var a mem.Addr
-	if st.Rec == nil {
-		a = g.malloc(th, st, size)
-	} else {
-		start := th.Clock()
-		a = g.malloc(th, st, size)
-		st.Rec.Alloc("glibc", th.ID(), start, th.Clock(), size, uint64(a))
-	}
-	g.noteAlloc(th, a, size)
-	return a
-}
-
-// noteAlloc registers a successful malloc with the space's observers
-// (sanitizer shadow map, heap watcher). The usable size comes from a raw
-// boundary-tag read: BlockSize would tick virtual time, and observer
-// bookkeeping must not.
-func (g *Glibc) noteAlloc(th *vtime.Thread, a mem.Addr, size uint64) {
-	if !g.space.Observed() || a == 0 {
-		return
-	}
-	word := g.space.Load(a - HeaderSize + sizeWordOff)
-	usable := (word &^ uint64(inUseBit|mmappedBit)) - HeaderSize
-	g.space.NoteAlloc("glibc", a, size, usable, th.ID(), th.Clock())
-}
-
-func (g *Glibc) malloc(th *vtime.Thread, st *alloc.ThreadStats, size uint64) mem.Addr {
-	st.Mallocs++
-	st.BytesRequested += size
-	th.Tick(th.Cost().AllocOp)
-	if st.PreMalloc(th, size) {
-		return 0
-	}
-
+// Malloc implements alloc.Model.
+func (g *Glibc) Malloc(th *vtime.Thread, st *alloc.ThreadStats, size uint64) (mem.Addr, uint64) {
 	if size+HeaderSize > MmapThreshold {
 		return g.mmapChunk(th, st, size)
 	}
@@ -268,8 +204,7 @@ func (g *Glibc) malloc(th *vtime.Thread, st *alloc.ThreadStats, size uint64) mem
 			a.lock.Unlock(th)
 			a = g.newArena(th, st)
 			if a == nil {
-				st.MallocFailed(th, size)
-				return 0
+				return 0, 0
 			}
 			th.Tick(th.Cost().OSMap)
 			st.Rec.Transfer("glibc:new-arena", th.ID(), th.Clock(), uint64(a.index))
@@ -281,79 +216,49 @@ func (g *Glibc) malloc(th *vtime.Thread, st *alloc.ThreadStats, size uint64) mem
 	}
 	th.Store(c+sizeWordOff, csz|inUseBit)
 	a.lock.Unlock(th)
-	st.BytesAllocated += csz - HeaderSize
-	st.LiveBytes += int64(csz - HeaderSize)
-	return c + HeaderSize
+	return c + HeaderSize, csz - HeaderSize
 }
 
-func (g *Glibc) mmapChunk(th *vtime.Thread, st *alloc.ThreadStats, size uint64) mem.Addr {
+func (g *Glibc) mmapChunk(th *vtime.Thread, st *alloc.ThreadStats, size uint64) (mem.Addr, uint64) {
 	region := mem.AlignUp(size+HeaderSize, mem.PageSize)
 	base, err := g.space.Map(region, mem.PageSize)
 	if err != nil {
-		st.MallocFailed(th, size)
-		return 0
+		return 0, 0
 	}
 	st.OSMaps++
 	th.Tick(th.Cost().OSMap)
-	st.BytesAllocated += region - HeaderSize
-	st.LiveBytes += int64(region - HeaderSize)
 	th.Store(base+sizeWordOff, region|inUseBit|mmappedBit)
 	user := base + HeaderSize
 	g.mmaps[user] = region
-	return user
+	return user, region - HeaderSize
 }
 
-// Free implements alloc.Allocator. The chunk returns to the arena it was
+// Free implements alloc.Model. The chunk returns to the arena it was
 // carved from (identified by the 64 MiB alignment of arena bases).
-func (g *Glibc) Free(th *vtime.Thread, addr mem.Addr) {
-	if addr == 0 {
-		return
-	}
-	if p := g.prof; p != nil {
-		p.Begin(th, "glibc/free")
-		defer p.End(th)
-	}
-	if g.space.Observed() {
-		g.space.NoteFree(addr, th.ID(), th.Clock())
-	}
-	st := &g.stats[th.ID()]
-	if st.Rec == nil {
-		g.free(th, st, addr)
-		return
-	}
-	start := th.Clock()
-	g.free(th, st, addr)
-	st.Rec.Free("glibc", th.ID(), start, th.Clock(), uint64(addr))
-}
-
-func (g *Glibc) free(th *vtime.Thread, st *alloc.ThreadStats, addr mem.Addr) {
-	th.Tick(th.Cost().AllocOp)
+func (g *Glibc) Free(th *vtime.Thread, st *alloc.ThreadStats, addr mem.Addr) uint64 {
 	// Validate the pointer before loading its boundary tag or touching
 	// any accounting: a wild pointer may not even be mapped.
 	a := g.arenaOf(addr)
 	_, mmapped := g.mmaps[addr]
 	if a == nil && !mmapped {
 		st.FreeFaulted(th, alloc.BadPointer, addr)
-		return
+		return 0
 	}
 	c := addr - HeaderSize
 	word := th.Load(c + sizeWordOff)
 	if word&inUseBit == 0 {
 		st.FreeFaulted(th, alloc.DoubleFree, addr)
-		return
+		return 0
 	}
-	st.Frees++
+	csz := word &^ uint64(inUseBit|mmappedBit)
 	if word&mmappedBit != 0 {
-		st.LiveBytes -= int64((word &^ uint64(inUseBit|mmappedBit)) - HeaderSize)
 		delete(g.mmaps, addr)
 		th.Tick(th.Cost().OSMap)
 		if err := g.space.Unmap(c); err != nil {
 			panic(err)
 		}
-		return
+		return csz - HeaderSize
 	}
-	csz := word &^ uint64(inUseBit|mmappedBit)
-	st.LiveBytes -= int64(csz - HeaderSize)
 	if g.attached[th.ID()] != a {
 		st.RemoteFrees++
 		st.Rec.Transfer("glibc:remote-free", th.ID(), th.Clock(), uint64(a.index))
@@ -369,6 +274,7 @@ func (g *Glibc) free(th *vtime.Thread, st *alloc.ThreadStats, addr mem.Addr) {
 		fl.Push(th, c)
 	}
 	a.lock.Unlock(th)
+	return csz - HeaderSize
 }
 
 func (g *Glibc) arenaOf(addr mem.Addr) *arena {
@@ -381,7 +287,7 @@ func (g *Glibc) arenaOf(addr mem.Addr) *arena {
 	return nil
 }
 
-// BlockSize implements alloc.Allocator.
+// BlockSize implements alloc.Model.
 func (g *Glibc) BlockSize(th *vtime.Thread, addr mem.Addr) uint64 {
 	word := th.Load(addr - HeaderSize + sizeWordOff)
 	return (word &^ uint64(inUseBit|mmappedBit)) - HeaderSize
@@ -425,16 +331,7 @@ func (g *Glibc) InspectHeap() alloc.HeapState {
 	return st
 }
 
-// Stats implements alloc.Allocator.
-func (g *Glibc) Stats() alloc.Stats {
-	var out alloc.Stats
-	for i := range g.stats {
-		out.Add(g.stats[i].Stats)
-	}
-	return out
-}
-
-// Describe implements alloc.Allocator.
+// Describe implements alloc.Model.
 func (g *Glibc) Describe() alloc.Description {
 	return alloc.Description{
 		Name:        "Glibc",

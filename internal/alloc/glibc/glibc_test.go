@@ -10,7 +10,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	alloctest.Run(t, func(s *mem.Space, n int) alloc.Allocator { return New(s, n) })
+	alloctest.Run(t, "glibc")
 }
 
 func solo(s *mem.Space) *vtime.Thread { return vtime.Solo(s, 0, nil) }
@@ -19,7 +19,7 @@ func solo(s *mem.Space) *vtime.Thread { return vtime.Solo(s, 0, nil) }
 // boundary tag plus the 32-byte minimum chunk (paper §5.1, Fig. 5a).
 func TestSixteenByteBlocksAre32Apart(t *testing.T) {
 	s := mem.NewSpace()
-	g := New(s, 1)
+	g := alloc.MustNew("glibc", s, 1)
 	th := solo(s)
 	prev := g.Malloc(th, 16)
 	for i := 0; i < 100; i++ {
@@ -35,7 +35,7 @@ func TestSixteenByteBlocksAre32Apart(t *testing.T) {
 // malloc(0) returns a pointer to a 32-byte block".
 func TestMallocZeroUses32ByteChunk(t *testing.T) {
 	s := mem.NewSpace()
-	g := New(s, 1)
+	g := alloc.MustNew("glibc", s, 1)
 	th := solo(s)
 	a := g.Malloc(th, 0)
 	b := g.Malloc(th, 0)
@@ -47,7 +47,7 @@ func TestMallocZeroUses32ByteChunk(t *testing.T) {
 // A 48-byte request has no exact class: it consumes a 64-byte chunk.
 func TestFortyEightByteUses64ByteChunk(t *testing.T) {
 	s := mem.NewSpace()
-	g := New(s, 1)
+	g := alloc.MustNew("glibc", s, 1)
 	th := solo(s)
 	a := g.Malloc(th, 48)
 	b := g.Malloc(th, 48)
@@ -64,7 +64,7 @@ func TestFortyEightByteUses64ByteChunk(t *testing.T) {
 // arenas map to the same versioned lock.
 func TestArenaAlignment(t *testing.T) {
 	s := mem.NewSpace()
-	g := New(s, 4)
+	g := alloc.MustNew("glibc", s, 4)
 	addr := g.Malloc(solo(s), 16)
 	base := addr &^ mem.Addr(ArenaAlign-1)
 	if _, ok := s.RegionOf(base); !ok {
@@ -78,14 +78,15 @@ func TestArenaAlignment(t *testing.T) {
 func TestContentionCreatesArenas(t *testing.T) {
 	s := mem.NewSpace()
 	const threads = 8
-	g := New(s, threads)
+	m := New(s, threads)
+	g := alloc.NewFront(m, s, threads)
 	e := vtime.NewEngine(s, threads, vtime.Config{})
 	e.Run(func(th *vtime.Thread) {
 		for i := 0; i < 3000; i++ {
 			g.Free(th, g.Malloc(th, 16))
 		}
 	})
-	if n := g.ArenaCount(); n < 2 {
+	if n := m.ArenaCount(); n < 2 {
 		t.Errorf("after 8-thread contention: %d arena(s), want >= 2", n)
 	}
 	st := g.Stats()
@@ -100,7 +101,7 @@ func TestContentionCreatesArenas(t *testing.T) {
 // Freed chunks are recycled for the same chunk size.
 func TestFreeListRecycling(t *testing.T) {
 	s := mem.NewSpace()
-	g := New(s, 1)
+	g := alloc.MustNew("glibc", s, 1)
 	th := solo(s)
 	a := g.Malloc(th, 16)
 	g.Free(th, a)
@@ -112,7 +113,7 @@ func TestFreeListRecycling(t *testing.T) {
 
 func TestDoubleFreeDetected(t *testing.T) {
 	s := mem.NewSpace()
-	g := New(s, 1)
+	g := alloc.MustNew("glibc", s, 1)
 	th := solo(s)
 	a := g.Malloc(th, 16)
 	g.Free(th, a)
@@ -142,7 +143,7 @@ func TestDoubleFreeDetected(t *testing.T) {
 
 func TestLargeGoesToMmap(t *testing.T) {
 	s := mem.NewSpace()
-	g := New(s, 1)
+	g := alloc.MustNew("glibc", s, 1)
 	th := solo(s)
 	before := s.Stats().MapCalls
 	a := g.Malloc(th, 256<<10)
@@ -156,9 +157,9 @@ func TestLargeGoesToMmap(t *testing.T) {
 }
 
 func TestPropertyRandomTraces(t *testing.T) {
-	alloctest.RunProperty(t, func(s *mem.Space, n int) alloc.Allocator { return New(s, n) })
+	alloctest.RunProperty(t, "glibc")
 }
 
 func TestFootprintGauge(t *testing.T) {
-	alloctest.RunFootprint(t, func(s *mem.Space, n int) alloc.Allocator { return New(s, n) })
+	alloctest.RunFootprint(t, "glibc")
 }

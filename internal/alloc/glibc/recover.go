@@ -1,8 +1,6 @@
 package glibc
 
 import (
-	"sort"
-
 	"repro/internal/alloc"
 	"repro/internal/mem"
 	"repro/internal/vtime"
@@ -22,7 +20,6 @@ import (
 // arenas (a live block outside every arena is a direct mapping), the
 // block journal supplies base/usable for every chunk.
 func (g *Glibc) RecoverHeap(th *vtime.Thread, st *alloc.RecoverState) alloc.RecoverReport {
-	rep := alloc.RecoverReport{NodeOffset: HeaderSize}
 	arenas := make([]mem.Addr, 0, 8)
 	for _, m := range st.Meta {
 		if m.Kind == "arena" {
@@ -42,6 +39,7 @@ func (g *Glibc) RecoverHeap(th *vtime.Thread, st *alloc.RecoverState) alloc.Reco
 	// Repair every boundary tag: size word = chunk size with the in-use
 	// bit for live blocks (plus mmapped for direct maps), cleared for
 	// freed ones.
+	var words, torn uint64
 	repair := func(b alloc.RecordedBlock, live bool) {
 		c := b.Base - HeaderSize
 		want := b.Usable + HeaderSize
@@ -51,9 +49,9 @@ func (g *Glibc) RecoverHeap(th *vtime.Thread, st *alloc.RecoverState) alloc.Reco
 				want |= mmappedBit
 			}
 		}
-		rep.MetaWords++
+		words++
 		if old := th.Load(c + sizeWordOff); old != want {
-			rep.TornMeta++
+			torn++
 			th.Store(c+sizeWordOff, want)
 		}
 	}
@@ -65,38 +63,14 @@ func (g *Glibc) RecoverHeap(th *vtime.Thread, st *alloc.RecoverState) alloc.Reco
 	}
 
 	// Rebuild the exact-fit bins: freed chunks grouped by (arena, chunk
-	// size), each group relinked into one canonical chain. The link
-	// words double as the chunks' first words, so scan them as metadata
-	// too (RebuildChain counts the torn ones).
-	type binKey struct {
-		arena mem.Addr
-		csz   uint64
-	}
-	bins := map[binKey][]mem.Addr{}
-	for _, b := range st.Freed {
-		k := binKey{arena: b.Base &^ arenaMask, csz: b.Usable + HeaderSize}
-		bins[k] = append(bins[k], b.Base-HeaderSize)
-	}
-	keys := make([]binKey, 0, len(bins))
-	for k := range bins {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].arena != keys[j].arena {
-			return keys[i].arena < keys[j].arena
-		}
-		return keys[i].csz < keys[j].csz
+	// size) — an arena base has its low 26 bits clear, so base|size
+	// keys the pair in (arena, size) order — each group relinked into
+	// one canonical chain of chunk headers. The link words double as
+	// the chunks' first words, so they are scanned as metadata too.
+	rep := alloc.RebuildFreeLists(th, st, HeaderSize, func(b alloc.RecordedBlock) (uint64, bool) {
+		return uint64(b.Base&^arenaMask) | (b.Usable + HeaderSize), true
 	})
-	freed := st.FreedSet()
-	inSet := func(node mem.Addr) bool { return freed(node + HeaderSize) }
-	for _, k := range keys {
-		chunks := bins[k]
-		head, torn := alloc.RebuildChain(th, chunks, inSet)
-		rep.Chains++
-		rep.FreeBlocks += len(chunks)
-		rep.MetaWords += uint64(len(chunks))
-		rep.TornMeta += torn
-		rep.Heads = append(rep.Heads, head)
-	}
+	rep.MetaWords += words
+	rep.TornMeta += torn
 	return rep
 }

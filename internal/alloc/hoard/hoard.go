@@ -26,8 +26,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/mem"
-	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/vtime"
 )
 
@@ -98,20 +96,17 @@ type localCache struct {
 	lists []alloc.FreeList
 }
 
-// Hoard is the Hoard allocator model.
+// Hoard is the Hoard allocator model. The embedded alloc.Superblocks
+// serves requests above MaxBlock and recovers the heap after a crash.
 type Hoard struct {
+	alloc.Superblocks
 	space   *mem.Space
 	classes *alloc.SizeClasses
 	heaps   []*heap
 	global  *heap
 	caches  []localCache
-	stats   []alloc.ThreadStats
-	prof    *prof.Profiler
 
 	sbMap map[mem.Addr]*superblock // superblock base -> superblock
-	big   map[mem.Addr]uint64      // direct maps: user addr -> region size
-
-	journal alloc.MetaJournal
 
 	migrations uint64 // emptiness-threshold superblock returns to the global heap
 }
@@ -120,13 +115,12 @@ type Hoard struct {
 func New(space *mem.Space, threads int) *Hoard {
 	sc := alloc.NewSizeClasses(classes())
 	h := &Hoard{
-		space:   space,
-		classes: sc,
-		heaps:   make([]*heap, threads),
-		caches:  make([]localCache, threads),
-		stats:   make([]alloc.ThreadStats, threads),
-		sbMap:   make(map[mem.Addr]*superblock),
-		big:     make(map[mem.Addr]uint64),
+		Superblocks: alloc.NewSuperblocks(space, SuperblockAlign),
+		space:       space,
+		classes:     sc,
+		heaps:       make([]*heap, threads),
+		caches:      make([]localCache, threads),
+		sbMap:       make(map[mem.Addr]*superblock),
 	}
 	h.global = &heap{global: true, bins: make([][]*superblock, sc.Count())}
 	for i := range h.heaps {
@@ -139,70 +133,24 @@ func New(space *mem.Space, threads int) *Hoard {
 }
 
 func init() {
-	alloc.Register("hoard", func(space *mem.Space, threads int) alloc.Allocator {
+	alloc.Register("hoard", func(space *mem.Space, threads int) alloc.Model {
 		return New(space, threads)
 	})
 }
 
-// Name implements alloc.Allocator.
+// Name implements alloc.Model.
 func (h *Hoard) Name() string { return "hoard" }
-
-// SetObserver implements alloc.Observable.
-func (h *Hoard) SetObserver(r *obs.Recorder) {
-	for i := range h.stats {
-		h.stats[i].Rec = r
-	}
-}
-
-// SetProfiler implements alloc.Profiled.
-func (h *Hoard) SetProfiler(p *prof.Profiler) { h.prof = p }
-
-// SetJournal implements alloc.Journaled.
-func (h *Hoard) SetJournal(j alloc.MetaJournal) { h.journal = j }
-
-// SetInjector implements alloc.Injectable.
-func (h *Hoard) SetInjector(inj alloc.Injector) {
-	for i := range h.stats {
-		h.stats[i].Inj = inj
-	}
-}
 
 // heapFor hashes the thread id to its heap (identity hash over a dense
 // tid space, as effective as Hoard's modulo hash).
 func (h *Hoard) heapFor(tid int) *heap { return h.heaps[tid%len(h.heaps)] }
 
-// Malloc implements alloc.Allocator.
-func (h *Hoard) Malloc(th *vtime.Thread, size uint64) mem.Addr {
-	st := &h.stats[th.ID()]
-	var a mem.Addr
-	if st.Rec == nil {
-		a = h.malloc(th, st, size)
-	} else {
-		start := th.Clock()
-		a = h.malloc(th, st, size)
-		st.Rec.Alloc("hoard", th.ID(), start, th.Clock(), size, uint64(a))
-	}
-	if h.space.Observed() && a != 0 {
-		h.space.NoteAlloc("hoard", a, size, h.BlockSize(th, a), th.ID(), th.Clock())
-	}
-	return a
-}
-
-func (h *Hoard) malloc(th *vtime.Thread, st *alloc.ThreadStats, size uint64) mem.Addr {
-	if p := h.prof; p != nil {
-		p.Begin(th, "hoard/malloc")
-		defer p.End(th)
-	}
-	st.Mallocs++
-	st.BytesRequested += size
-	th.Tick(th.Cost().AllocOp)
-	if st.PreMalloc(th, size) {
-		return 0
-	}
+// Malloc implements alloc.Model.
+func (h *Hoard) Malloc(th *vtime.Thread, st *alloc.ThreadStats, size uint64) (mem.Addr, uint64) {
 	if size > MaxBlock {
-		return h.mapBig(th, st, size)
+		return h.MapBig(th, st, size)
 	}
-	ci := h.classes.Index(max64(size, MinBlock))
+	ci := h.classes.Index(max(size, MinBlock))
 	blockSz := h.classes.Size(ci)
 
 	var a mem.Addr
@@ -218,18 +166,15 @@ func (h *Hoard) malloc(th *vtime.Thread, st *alloc.ThreadStats, size uint64) mem
 		a = h.slowMalloc(th, st, ci)
 	}
 	if a == 0 {
-		st.MallocFailed(th, size)
-		return 0
+		return 0, 0
 	}
-	st.BytesAllocated += blockSz
-	st.LiveBytes += int64(blockSz)
-	return a
+	return a, blockSz
 }
 
 // refillCache moves up to cacheRefill blocks of class ci from the
 // thread's heap into its local cache under one heap-lock acquisition.
 func (h *Hoard) refillCache(th *vtime.Thread, st *alloc.ThreadStats, ci int) {
-	if p := h.prof; p != nil {
+	if p := st.Prof; p != nil {
 		p.Begin(th, "hoard/superblock")
 		defer p.End(th)
 	}
@@ -257,7 +202,7 @@ func (h *Hoard) refillCache(th *vtime.Thread, st *alloc.ThreadStats, ci int) {
 }
 
 func (h *Hoard) slowMalloc(th *vtime.Thread, st *alloc.ThreadStats, ci int) mem.Addr {
-	if p := h.prof; p != nil {
+	if p := st.Prof; p != nil {
 		p.Begin(th, "hoard/superblock")
 		defer p.End(th)
 	}
@@ -324,9 +269,7 @@ func (h *Hoard) fetchFromGlobal(th *vtime.Thread, hp *heap, st *alloc.ThreadStat
 		sb := g.spare[len(g.spare)-1]
 		g.spare = g.spare[:len(g.spare)-1]
 		h.assignClass(sb, ci)
-		if h.journal != nil {
-			h.journal.JournalMeta(th, "sb-class", sb.base, sb.blockSz, uint64(ci))
-		}
+		st.JournalMeta(th, "sb-class", sb.base, sb.blockSz, uint64(ci))
 		sb.owner = hp
 		st.Rec.Transfer("hoard:sb-from-global", th.ID(), th.Clock(), sb.blockSz)
 		return sb
@@ -346,9 +289,7 @@ func (h *Hoard) newSuperblock(th *vtime.Thread, hp *heap, st *alloc.ThreadStats,
 	sb := &superblock{base: base, owner: hp}
 	h.assignClass(sb, ci)
 	h.sbMap[base] = sb
-	if h.journal != nil {
-		h.journal.JournalMeta(th, "superblock", base, sb.blockSz, uint64(ci))
-	}
+	st.JournalMeta(th, "superblock", base, sb.blockSz, uint64(ci))
 	return sb
 }
 
@@ -376,36 +317,10 @@ func (h *Hoard) takeBlock(th *vtime.Thread, sb *superblock) mem.Addr {
 	return 0
 }
 
-// Free implements alloc.Allocator.
-func (h *Hoard) Free(th *vtime.Thread, addr mem.Addr) {
-	if addr == 0 {
-		return
-	}
-	if h.space.Observed() {
-		h.space.NoteFree(addr, th.ID(), th.Clock())
-	}
-	st := &h.stats[th.ID()]
-	if st.Rec == nil {
-		h.free(th, st, addr)
-		return
-	}
-	start := th.Clock()
-	h.free(th, st, addr)
-	st.Rec.Free("hoard", th.ID(), start, th.Clock(), uint64(addr))
-}
-
-func (h *Hoard) free(th *vtime.Thread, st *alloc.ThreadStats, addr mem.Addr) {
-	if p := h.prof; p != nil {
-		p.Begin(th, "hoard/free")
-		defer p.End(th)
-	}
-	th.Tick(th.Cost().AllocOp)
-
-	if sz, ok := h.big[addr]; ok {
-		st.Frees++
-		st.LiveBytes -= int64(sz)
-		h.freeBig(th, addr, sz)
-		return
+// Free implements alloc.Model.
+func (h *Hoard) Free(th *vtime.Thread, st *alloc.ThreadStats, addr mem.Addr) uint64 {
+	if sz := h.FreeBig(th, addr); sz != 0 {
+		return sz
 	}
 	// Size-class lookup doubles as pointer validation: the address must
 	// resolve to a superblock we mapped, sit on a block boundary inside
@@ -414,34 +329,34 @@ func (h *Hoard) free(th *vtime.Thread, st *alloc.ThreadStats, addr mem.Addr) {
 	sb := h.superblockOf(addr)
 	if sb == nil {
 		st.FreeFaulted(th, alloc.BadPointer, addr)
-		return
+		return 0
 	}
 	if sb.class < 0 {
 		st.FreeFaulted(th, alloc.DoubleFree, addr)
-		return
+		return 0
 	}
 	if addr < sb.base+headerReserve || addr >= sb.bump ||
 		uint64(addr-(sb.base+headerReserve))%sb.blockSz != 0 {
 		st.FreeFaulted(th, alloc.BadPointer, addr)
-		return
+		return 0
 	}
-	st.Frees++
-	st.LiveBytes -= int64(sb.blockSz)
-	if sb.blockSz <= LocalCacheMax {
+	blockSz := sb.blockSz // read first: an emptied superblock may take a new class
+	if blockSz <= LocalCacheMax {
 		cache := &h.caches[th.ID()].lists[sb.class]
 		cache.Push(th, addr)
 		if cache.Len() > cacheCap {
 			h.flushCache(th, st, sb.class)
 		}
-		return
+		return blockSz
 	}
 	h.freeToSuperblock(th, st, sb, addr)
+	return blockSz
 }
 
 // flushCache returns half of an over-full local cache list to the
 // superblocks the blocks were carved from.
 func (h *Hoard) flushCache(th *vtime.Thread, st *alloc.ThreadStats, ci int) {
-	if p := h.prof; p != nil {
+	if p := st.Prof; p != nil {
 		p.Begin(th, "hoard/superblock")
 		defer p.End(th)
 	}
@@ -538,32 +453,9 @@ func (h *Hoard) superblockOf(addr mem.Addr) *superblock {
 	return h.sbMap[addr&^sbMask]
 }
 
-func (h *Hoard) mapBig(th *vtime.Thread, st *alloc.ThreadStats, size uint64) mem.Addr {
-	region := mem.AlignUp(size, mem.PageSize)
-	base, err := h.space.Map(region, mem.PageSize)
-	if err != nil {
-		st.MallocFailed(th, size)
-		return 0
-	}
-	st.OSMaps++
-	th.Tick(th.Cost().OSMap)
-	st.BytesAllocated += region
-	st.LiveBytes += int64(region)
-	h.big[base] = region
-	return base
-}
-
-func (h *Hoard) freeBig(th *vtime.Thread, addr mem.Addr, _ uint64) {
-	delete(h.big, addr)
-	th.Tick(th.Cost().OSMap)
-	if err := h.space.Unmap(addr); err != nil {
-		panic(err)
-	}
-}
-
-// BlockSize implements alloc.Allocator.
+// BlockSize implements alloc.Model.
 func (h *Hoard) BlockSize(_ *vtime.Thread, addr mem.Addr) uint64 {
-	if sz, ok := h.big[addr]; ok {
+	if sz := h.BigSize(addr); sz != 0 {
 		return sz
 	}
 	if sb := h.superblockOf(addr); sb != nil {
@@ -588,9 +480,7 @@ func (h *Hoard) InspectHeap() alloc.HeapState {
 		MinBlock:        MinBlock,
 		MaxBlock:        MaxBlock,
 	}
-	for _, region := range h.big {
-		st.Reserved += region
-	}
+	st.Reserved += h.BigReserved()
 	free := make([]uint64, h.classes.Count())
 	for _, sb := range h.sbMap {
 		if sb.class < 0 || sb.used == 0 {
@@ -616,16 +506,7 @@ func (h *Hoard) InspectHeap() alloc.HeapState {
 	return st
 }
 
-// Stats implements alloc.Allocator.
-func (h *Hoard) Stats() alloc.Stats {
-	var out alloc.Stats
-	for i := range h.stats {
-		out.Add(h.stats[i].Stats)
-	}
-	return out
-}
-
-// Describe implements alloc.Allocator.
+// Describe implements alloc.Model.
 func (h *Hoard) Describe() alloc.Description {
 	return alloc.Description{
 		Name:        "Hoard",
@@ -635,11 +516,4 @@ func (h *Hoard) Describe() alloc.Description {
 		Granularity: "64KB per superblock",
 		Sync:        "Each heap is protected by a lock as is the global heap. A cache is maintained for small block sizes and is accessed without synchronization.",
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

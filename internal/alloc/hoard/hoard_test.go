@@ -10,7 +10,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	alloctest.Run(t, func(s *mem.Space, n int) alloc.Allocator { return New(s, n) })
+	alloctest.Run(t, "hoard")
 }
 
 func solo(s *mem.Space) *vtime.Thread { return vtime.Solo(s, 0, nil) }
@@ -21,7 +21,7 @@ func solo(s *mem.Space) *vtime.Thread { return vtime.Solo(s, 0, nil) }
 // the address set rather than a monotone sequence.
 func TestSixteenByteBlocksAreDense(t *testing.T) {
 	s := mem.NewSpace()
-	h := New(s, 1)
+	h := alloc.MustNew("hoard", s, 1)
 	th := solo(s)
 	const n = 64
 	addrs := make(map[mem.Addr]bool, n)
@@ -50,7 +50,7 @@ func TestSixteenByteBlocksAreDense(t *testing.T) {
 // exact 48 — paper §5.3).
 func TestFortyEightByteUses64ByteClass(t *testing.T) {
 	s := mem.NewSpace()
-	h := New(s, 1)
+	h := alloc.MustNew("hoard", s, 1)
 	th := solo(s)
 	a := h.Malloc(th, 48)
 	if got := h.BlockSize(th, a); got != 64 {
@@ -61,9 +61,10 @@ func TestFortyEightByteUses64ByteClass(t *testing.T) {
 // Superblocks are 64 KiB-aligned.
 func TestSuperblockAlignment(t *testing.T) {
 	s := mem.NewSpace()
-	h := New(s, 1)
+	m := New(s, 1)
+	h := alloc.NewFront(m, s, 1)
 	a := h.Malloc(solo(s), 16)
-	if sb := h.superblockOf(a); sb == nil || uint64(sb.base)%SuperblockAlign != 0 {
+	if sb := m.superblockOf(a); sb == nil || uint64(sb.base)%SuperblockAlign != 0 {
 		t.Errorf("block %#x not in a 64KB-aligned superblock", uint64(a))
 	}
 }
@@ -71,7 +72,7 @@ func TestSuperblockAlignment(t *testing.T) {
 // Blocks above the local-cache bound take heap locks.
 func TestLargeClassTakesLocks(t *testing.T) {
 	s := mem.NewSpace()
-	h := New(s, 1)
+	h := alloc.MustNew("hoard", s, 1)
 	th := solo(s)
 	before := h.Stats().LockAcquires
 	a := h.Malloc(th, 1024)
@@ -85,7 +86,7 @@ func TestLargeClassTakesLocks(t *testing.T) {
 // cache (the paper's <=256-byte fast path).
 func TestSmallFastPathIsLockFree(t *testing.T) {
 	s := mem.NewSpace()
-	h := New(s, 1)
+	h := alloc.MustNew("hoard", s, 1)
 	th := solo(s)
 	a := h.Malloc(th, 64) // warm the cache
 	h.Free(th, a)
@@ -102,7 +103,7 @@ func TestSmallFastPathIsLockFree(t *testing.T) {
 // and is recycled for a different size class.
 func TestEmptySuperblockRecycledAcrossClasses(t *testing.T) {
 	s := mem.NewSpace()
-	h := New(s, 1)
+	h := alloc.MustNew("hoard", s, 1)
 	th := solo(s)
 	n := (SuperblockSize - headerReserve) / 1024
 	addrs := make([]mem.Addr, n)
@@ -125,7 +126,7 @@ func TestEmptySuperblockRecycledAcrossClasses(t *testing.T) {
 // counted as remote.
 func TestStatsCountRemoteFrees(t *testing.T) {
 	s := mem.NewSpace()
-	h := New(s, 2)
+	h := alloc.MustNew("hoard", s, 2)
 	e := vtime.NewEngine(s, 2, vtime.Config{})
 	var addr mem.Addr
 	e.Run(func(th *vtime.Thread) {
@@ -144,9 +145,9 @@ func TestStatsCountRemoteFrees(t *testing.T) {
 }
 
 func TestPropertyRandomTraces(t *testing.T) {
-	alloctest.RunProperty(t, func(s *mem.Space, n int) alloc.Allocator { return New(s, n) })
+	alloctest.RunProperty(t, "hoard")
 }
 
 func TestFootprintGauge(t *testing.T) {
-	alloctest.RunFootprint(t, func(s *mem.Space, n int) alloc.Allocator { return New(s, n) })
+	alloctest.RunFootprint(t, "hoard")
 }

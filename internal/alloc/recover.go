@@ -21,38 +21,21 @@ import (
 //
 // The block-lifecycle half of the journal needs no allocator changes:
 // pmem receives every malloc/free through the Space observer fan-out
-// (mem.PersistTracker). Only the structural records below and the
+// (mem.HeapWatcher). Only the structural records below and the
 // per-model RecoverHeap repair pass are new seams.
 
 // MetaJournal receives allocator structural-metadata records. The
 // append is priced on the calling thread (one LogAppend per record —
 // a write-combining store into the journal region); internal/pmem
-// implements it structurally so models never import pmem.
+// implements it structurally so models never import pmem. It attaches
+// through Attach (Hooks.Journal), and models append through
+// ThreadStats.JournalMeta.
 type MetaJournal interface {
 	// JournalMeta appends one structural record. kind names the event
 	// ("arena", "superblock", "span", ...), base its region; a and b are
 	// kind-specific operands (sizes, class indices). th may be nil for
 	// construction-time events raised before any simulated thread exists.
 	JournalMeta(th *vtime.Thread, kind string, base mem.Addr, a, b uint64)
-}
-
-// Journaled is implemented by allocators that journal their structural
-// metadata. All four models implement it.
-type Journaled interface {
-	SetJournal(j MetaJournal)
-}
-
-// Journal attaches j to a if the allocator supports metadata
-// journaling, reporting whether it does.
-func Journal(a Allocator, j MetaJournal) bool {
-	if j == nil {
-		return false
-	}
-	if m, ok := a.(Journaled); ok {
-		m.SetJournal(j)
-		return true
-	}
-	return false
 }
 
 // RecordedBlock is one journaled heap block handed to recovery: its
@@ -158,6 +141,39 @@ func RebuildChain(th *vtime.Thread, blocks []mem.Addr, inSet func(mem.Addr) bool
 		}
 	}
 	return blocks[0], torn
+}
+
+// RebuildFreeLists is the free-list half of a model's RecoverHeap: it
+// groups the freed blocks by free list (list maps a block to its list's
+// key; ok false leaves the block unchained), relinks each group into
+// one canonical chain with RebuildChain in ascending key order, and
+// reports the chains. Chain nodes sit offset bytes below the user base
+// (glibc links chunk headers; the header-less models link user bases).
+func RebuildFreeLists(th *vtime.Thread, st *RecoverState, offset uint64, list func(RecordedBlock) (key uint64, ok bool)) RecoverReport {
+	rep := RecoverReport{NodeOffset: offset}
+	groups := map[uint64][]mem.Addr{}
+	for _, b := range st.Freed {
+		if k, ok := list(b); ok {
+			groups[k] = append(groups[k], b.Base-mem.Addr(offset))
+		}
+	}
+	keys := make([]uint64, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	freed := st.FreedSet()
+	inSet := func(node mem.Addr) bool { return freed(node + mem.Addr(offset)) }
+	for _, k := range keys {
+		nodes := groups[k]
+		head, torn := RebuildChain(th, nodes, inSet)
+		rep.Chains++
+		rep.FreeBlocks += len(nodes)
+		rep.MetaWords += uint64(len(nodes))
+		rep.TornMeta += torn
+		rep.Heads = append(rep.Heads, head)
+	}
+	return rep
 }
 
 // WalkChain follows free-list links from head, reporting how many

@@ -23,8 +23,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/mem"
-	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/vtime"
 )
 
@@ -93,13 +91,13 @@ type heap struct {
 	bins [][]*superblock
 }
 
-// TBB is the TBBMalloc model.
+// TBB is the TBBMalloc model. The embedded alloc.Superblocks serves
+// requests above LargeMax and recovers the heap after a crash.
 type TBB struct {
+	alloc.Superblocks
 	space   *mem.Space
 	classes *alloc.SizeClasses
 	heaps   []*heap
-	stats   []alloc.ThreadStats
-	prof    *prof.Profiler
 
 	sbMap map[mem.Addr]*superblock
 
@@ -110,10 +108,6 @@ type TBB struct {
 	chunkCur  mem.Addr
 	chunkEnd  mem.Addr
 
-	big map[mem.Addr]uint64
-
-	journal alloc.MetaJournal
-
 	migrations uint64 // retired superblocks returned to the global heap
 }
 
@@ -121,12 +115,11 @@ type TBB struct {
 func New(space *mem.Space, threads int) *TBB {
 	sc := alloc.NewSizeClasses(classes())
 	t := &TBB{
-		space:   space,
-		classes: sc,
-		heaps:   make([]*heap, threads),
-		stats:   make([]alloc.ThreadStats, threads),
-		sbMap:   make(map[mem.Addr]*superblock),
-		big:     make(map[mem.Addr]uint64),
+		Superblocks: alloc.NewSuperblocks(space, SuperblockAlign),
+		space:       space,
+		classes:     sc,
+		heaps:       make([]*heap, threads),
+		sbMap:       make(map[mem.Addr]*superblock),
 	}
 	for i := range t.heaps {
 		t.heaps[i] = &heap{bins: make([][]*superblock, sc.Count())}
@@ -135,70 +128,23 @@ func New(space *mem.Space, threads int) *TBB {
 }
 
 func init() {
-	alloc.Register("tbb", func(space *mem.Space, threads int) alloc.Allocator {
+	alloc.Register("tbb", func(space *mem.Space, threads int) alloc.Model {
 		return New(space, threads)
 	})
 }
 
-// Name implements alloc.Allocator.
+// Name implements alloc.Model.
 func (t *TBB) Name() string { return "tbb" }
 
-// SetObserver implements alloc.Observable.
-func (t *TBB) SetObserver(r *obs.Recorder) {
-	for i := range t.stats {
-		t.stats[i].Rec = r
-	}
-}
-
-// SetProfiler implements alloc.Profiled.
-func (t *TBB) SetProfiler(p *prof.Profiler) { t.prof = p }
-
-// SetJournal implements alloc.Journaled.
-func (t *TBB) SetJournal(j alloc.MetaJournal) { t.journal = j }
-
-// SetInjector implements alloc.Injectable.
-func (t *TBB) SetInjector(inj alloc.Injector) {
-	for i := range t.stats {
-		t.stats[i].Inj = inj
-	}
-}
-
-// Malloc implements alloc.Allocator.
-func (t *TBB) Malloc(th *vtime.Thread, size uint64) mem.Addr {
-	st := &t.stats[th.ID()]
-	var a mem.Addr
-	if st.Rec == nil {
-		a = t.malloc(th, st, size)
-	} else {
-		start := th.Clock()
-		a = t.malloc(th, st, size)
-		st.Rec.Alloc("tbb", th.ID(), start, th.Clock(), size, uint64(a))
-	}
-	if t.space.Observed() && a != 0 {
-		t.space.NoteAlloc("tbb", a, size, t.BlockSize(th, a), th.ID(), th.Clock())
-	}
-	return a
-}
-
-func (t *TBB) malloc(th *vtime.Thread, st *alloc.ThreadStats, size uint64) mem.Addr {
-	if p := t.prof; p != nil {
-		p.Begin(th, "tbb/malloc")
-		defer p.End(th)
-	}
-	tid := th.ID()
-	st.Mallocs++
-	st.BytesRequested += size
-	th.Tick(th.Cost().AllocOp)
-	if st.PreMalloc(th, size) {
-		return 0
-	}
+// Malloc implements alloc.Model.
+func (t *TBB) Malloc(th *vtime.Thread, st *alloc.ThreadStats, size uint64) (mem.Addr, uint64) {
 	if size > LargeMax {
-		return t.mapBig(th, st, size)
+		return t.MapBig(th, st, size)
 	}
-	ci := t.classes.Index(max64(size, MinBlock))
+	ci := t.classes.Index(max(size, MinBlock))
 	blockSz := t.classes.Size(ci)
 
-	hp := t.heaps[tid]
+	hp := t.heaps[th.ID()]
 	a := mem.Addr(0)
 	// Fast path over this thread's superblocks: private list, then
 	// fresh carve, newest superblock first.
@@ -221,15 +167,12 @@ func (t *TBB) malloc(th *vtime.Thread, st *alloc.ThreadStats, size uint64) mem.A
 		st.Rec.Transfer("tbb:sb-refill", th.ID(), th.Clock(), blockSz)
 		sb := t.newSuperblock(th, st, ci)
 		if sb == nil {
-			st.MallocFailed(th, size)
-			return 0
+			return 0, 0
 		}
 		hp.bins[ci] = append(hp.bins[ci], sb)
 		a = t.takePrivate(th, sb)
 	}
-	st.BytesAllocated += blockSz
-	st.LiveBytes += int64(blockSz)
-	return a
+	return a, blockSz
 }
 
 // takePrivate pops from the private list or carves a fresh block.
@@ -270,7 +213,7 @@ func (t *TBB) drainPublic(th *vtime.Thread, st *alloc.ThreadStats, sb *superbloc
 // carves one from the current 1 MiB chunk; nil when the simulated OS
 // is out of memory.
 func (t *TBB) newSuperblock(th *vtime.Thread, st *alloc.ThreadStats, ci int) *superblock {
-	if p := t.prof; p != nil {
+	if p := st.Prof; p != nil {
 		p.Begin(th, "tbb/superblock")
 		defer p.End(th)
 	}
@@ -280,9 +223,7 @@ func (t *TBB) newSuperblock(th *vtime.Thread, st *alloc.ThreadStats, ci int) *su
 		t.spare = t.spare[:n-1]
 		t.globalLock.Unlock(th)
 		t.assign(sb, th.ID(), ci)
-		if t.journal != nil {
-			t.journal.JournalMeta(th, "sb-class", sb.base, sb.blockSz, uint64(ci))
-		}
+		st.JournalMeta(th, "sb-class", sb.base, sb.blockSz, uint64(ci))
 		return sb
 	}
 	t.globalLock.Unlock(th)
@@ -305,9 +246,7 @@ func (t *TBB) newSuperblock(th *vtime.Thread, st *alloc.ThreadStats, ci int) *su
 	sb := &superblock{base: base}
 	t.assign(sb, th.ID(), ci)
 	t.sbMap[base] = sb
-	if t.journal != nil {
-		t.journal.JournalMeta(th, "superblock", base, sb.blockSz, uint64(ci))
-	}
+	st.JournalMeta(th, "superblock", base, sb.blockSz, uint64(ci))
 	return sb
 }
 
@@ -321,40 +260,13 @@ func (t *TBB) assign(sb *superblock, tid, ci int) {
 	sb.owner = tid
 }
 
-// Free implements alloc.Allocator. A block freed by its owning thread
-// goes to the private list without synchronization; a block freed by
-// another thread goes to the owning superblock's public list under its
+// Free implements alloc.Model. A block freed by its owning thread goes
+// to the private list without synchronization; a block freed by another
+// thread goes to the owning superblock's public list under its
 // spinlock.
-func (t *TBB) Free(th *vtime.Thread, addr mem.Addr) {
-	if addr == 0 {
-		return
-	}
-	if t.space.Observed() {
-		t.space.NoteFree(addr, th.ID(), th.Clock())
-	}
-	st := &t.stats[th.ID()]
-	if st.Rec == nil {
-		t.free(th, st, addr)
-		return
-	}
-	start := th.Clock()
-	t.free(th, st, addr)
-	st.Rec.Free("tbb", th.ID(), start, th.Clock(), uint64(addr))
-}
-
-func (t *TBB) free(th *vtime.Thread, st *alloc.ThreadStats, addr mem.Addr) {
-	if p := t.prof; p != nil {
-		p.Begin(th, "tbb/free")
-		defer p.End(th)
-	}
-	tid := th.ID()
-	th.Tick(th.Cost().AllocOp)
-
-	if sz, ok := t.big[addr]; ok {
-		st.Frees++
-		st.LiveBytes -= int64(sz)
-		t.freeBig(th, addr, sz)
-		return
+func (t *TBB) Free(th *vtime.Thread, st *alloc.ThreadStats, addr mem.Addr) uint64 {
+	if sz := t.FreeBig(th, addr); sz != 0 {
+		return sz
 	}
 	// Size-class lookup doubles as pointer validation: the address must
 	// resolve to a superblock we carved, sit on a block boundary inside
@@ -362,29 +274,28 @@ func (t *TBB) free(th *vtime.Thread, st *alloc.ThreadStats, addr mem.Addr) {
 	sb := t.superblockOf(addr)
 	if sb == nil {
 		st.FreeFaulted(th, alloc.BadPointer, addr)
-		return
+		return 0
 	}
 	if addr < sb.base+headerReserve || addr >= sb.bump ||
 		uint64(addr-(sb.base+headerReserve))%sb.blockSz != 0 {
 		st.FreeFaulted(th, alloc.BadPointer, addr)
-		return
+		return 0
 	}
 	if sb.used == 0 {
 		st.FreeFaulted(th, alloc.DoubleFree, addr)
-		return
+		return 0
 	}
-	st.Frees++
-	st.LiveBytes -= int64(sb.blockSz)
-	if sb.owner == tid {
+	blockSz := sb.blockSz // read first: a retired superblock may take a new class
+	if sb.owner == th.ID() {
 		sb.private.Push(th, addr)
 		sb.used--
 		if sb.used == 0 {
 			t.retire(th, st, sb)
 		}
-		return
+		return blockSz
 	}
 	st.RemoteFrees++
-	st.Rec.Transfer("tbb:remote-free", th.ID(), th.Clock(), sb.blockSz)
+	st.Rec.Transfer("tbb:remote-free", th.ID(), th.Clock(), blockSz)
 	sb.publicLock.Lock(th, st)
 	if sb.public.Empty() {
 		sb.publicTail = addr
@@ -392,6 +303,7 @@ func (t *TBB) free(th *vtime.Thread, st *alloc.ThreadStats, addr mem.Addr) {
 	sb.public.Push(th, addr)
 	sb.publicLock.Unlock(th)
 	sb.used--
+	return blockSz
 }
 
 // retire returns a fully empty superblock from the owner's heap to the
@@ -427,32 +339,9 @@ func (t *TBB) superblockOf(addr mem.Addr) *superblock {
 	return t.sbMap[addr&^sbMask]
 }
 
-func (t *TBB) mapBig(th *vtime.Thread, st *alloc.ThreadStats, size uint64) mem.Addr {
-	region := mem.AlignUp(size, mem.PageSize)
-	base, err := t.space.Map(region, mem.PageSize)
-	if err != nil {
-		st.MallocFailed(th, size)
-		return 0
-	}
-	st.OSMaps++
-	th.Tick(th.Cost().OSMap)
-	st.BytesAllocated += region
-	st.LiveBytes += int64(region)
-	t.big[base] = region
-	return base
-}
-
-func (t *TBB) freeBig(th *vtime.Thread, addr mem.Addr, _ uint64) {
-	delete(t.big, addr)
-	th.Tick(th.Cost().OSMap)
-	if err := t.space.Unmap(addr); err != nil {
-		panic(err)
-	}
-}
-
-// BlockSize implements alloc.Allocator.
+// BlockSize implements alloc.Model.
 func (t *TBB) BlockSize(_ *vtime.Thread, addr mem.Addr) uint64 {
-	if sz, ok := t.big[addr]; ok {
+	if sz := t.BigSize(addr); sz != 0 {
 		return sz
 	}
 	if sb := t.superblockOf(addr); sb != nil {
@@ -477,9 +366,7 @@ func (t *TBB) InspectHeap() alloc.HeapState {
 		MaxBlock:        LargeMax,
 	}
 	st.Reserved += uint64(len(t.sbMap)) * SuperblockSize
-	for _, region := range t.big {
-		st.Reserved += region
-	}
+	st.Reserved += t.BigReserved()
 	private := make([]uint64, t.classes.Count())
 	public := make([]uint64, t.classes.Count())
 	for _, sb := range t.sbMap {
@@ -504,16 +391,7 @@ func (t *TBB) InspectHeap() alloc.HeapState {
 	return st
 }
 
-// Stats implements alloc.Allocator.
-func (t *TBB) Stats() alloc.Stats {
-	var out alloc.Stats
-	for i := range t.stats {
-		out.Add(t.stats[i].Stats)
-	}
-	return out
-}
-
-// Describe implements alloc.Allocator.
+// Describe implements alloc.Model.
 func (t *TBB) Describe() alloc.Description {
 	return alloc.Description{
 		Name:        "TBBMalloc",
@@ -523,11 +401,4 @@ func (t *TBB) Describe() alloc.Description {
 		Granularity: "16KB per size class",
 		Sync:        "The public free lists of a private heap are each protected by a distinct spinlock. Each free list in the global heap is also protected by a separate spinlock. Accessing the private free lists is synchronization-free.",
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

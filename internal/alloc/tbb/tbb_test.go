@@ -12,13 +12,13 @@ import (
 func solo(s *mem.Space) *vtime.Thread { return vtime.Solo(s, 0, nil) }
 
 func TestConformance(t *testing.T) {
-	alloctest.Run(t, func(s *mem.Space, n int) alloc.Allocator { return New(s, n) })
+	alloctest.Run(t, "tbb")
 }
 
 // 16-byte blocks are 16 apart (Fig. 5b stripe sharing).
 func TestSixteenByteBlocksAre16Apart(t *testing.T) {
 	s := mem.NewSpace()
-	a := New(s, 1)
+	a := alloc.MustNew("tbb", s, 1)
 	th := solo(s)
 	prev := a.Malloc(th, 16)
 	for i := 0; i < 100; i++ {
@@ -34,7 +34,7 @@ func TestSixteenByteBlocksAre16Apart(t *testing.T) {
 // one).
 func TestExact48ByteClass(t *testing.T) {
 	s := mem.NewSpace()
-	a := New(s, 1)
+	a := alloc.MustNew("tbb", s, 1)
 	th := solo(s)
 	if got := a.BlockSize(th, a.Malloc(th, 48)); got != 48 {
 		t.Errorf("BlockSize(Malloc(48)) = %d, want 48", got)
@@ -44,7 +44,7 @@ func TestExact48ByteClass(t *testing.T) {
 // The minimum class is 8 bytes.
 func TestMinClassIs8(t *testing.T) {
 	s := mem.NewSpace()
-	a := New(s, 1)
+	a := alloc.MustNew("tbb", s, 1)
 	th := solo(s)
 	if got := a.BlockSize(th, a.Malloc(th, 1)); got != 8 {
 		t.Errorf("BlockSize(Malloc(1)) = %d, want 8", got)
@@ -55,12 +55,13 @@ func TestMinClassIs8(t *testing.T) {
 // different size classes fit in one OS map.
 func TestSuperblocksShareOneChunk(t *testing.T) {
 	s := mem.NewSpace()
-	a := New(s, 1)
+	m := New(s, 1)
+	a := alloc.NewFront(m, s, 1)
 	th := solo(s)
 	before := s.Stats().MapCalls
 	for _, sz := range []uint64{8, 16, 48, 128, 256, 1024} {
 		addr := a.Malloc(th, sz)
-		if sb := a.superblockOf(addr); sb == nil || uint64(sb.base)%SuperblockAlign != 0 {
+		if sb := m.superblockOf(addr); sb == nil || uint64(sb.base)%SuperblockAlign != 0 {
 			t.Errorf("block %#x not in a 16KB-aligned superblock", uint64(addr))
 		}
 	}
@@ -72,7 +73,7 @@ func TestSuperblocksShareOneChunk(t *testing.T) {
 // Owner-thread malloc/free never synchronizes (private free list).
 func TestPrivateFastPathIsLockFree(t *testing.T) {
 	s := mem.NewSpace()
-	a := New(s, 1)
+	a := alloc.MustNew("tbb", s, 1)
 	th := solo(s)
 	x := a.Malloc(th, 64)
 	a.Free(th, x)
@@ -89,7 +90,7 @@ func TestPrivateFastPathIsLockFree(t *testing.T) {
 // block by draining it.
 func TestPublicFreeListDrain(t *testing.T) {
 	s := mem.NewSpace()
-	a := New(s, 2)
+	a := alloc.MustNew("tbb", s, 2)
 	e := vtime.NewEngine(s, 2, vtime.Config{})
 	// Thread 0 exhausts one superblock's worth of 1KB blocks so its next
 	// malloc cannot come from the bump pointer.
@@ -135,7 +136,7 @@ func TestPublicFreeListDrain(t *testing.T) {
 // 8KB" threshold, the Fig. 3 cliff).
 func TestLargeThreshold(t *testing.T) {
 	s := mem.NewSpace()
-	a := New(s, 1)
+	a := alloc.MustNew("tbb", s, 1)
 	th := solo(s)
 	a.Malloc(th, 8000) // below: superblock
 	before := s.Stats().MapCalls
@@ -150,9 +151,9 @@ func TestLargeThreshold(t *testing.T) {
 }
 
 func TestPropertyRandomTraces(t *testing.T) {
-	alloctest.RunProperty(t, func(s *mem.Space, n int) alloc.Allocator { return New(s, n) })
+	alloctest.RunProperty(t, "tbb")
 }
 
 func TestFootprintGauge(t *testing.T) {
-	alloctest.RunFootprint(t, func(s *mem.Space, n int) alloc.Allocator { return New(s, n) })
+	alloctest.RunFootprint(t, "tbb")
 }

@@ -19,7 +19,6 @@ import (
 // size class through the journaled span covering it; freed large blocks
 // never appear (their free unmaps the span).
 func (t *TCMalloc) RecoverHeap(th *vtime.Thread, st *alloc.RecoverState) alloc.RecoverReport {
-	var rep alloc.RecoverReport
 	type spanRec struct {
 		base  mem.Addr
 		bytes uint64
@@ -44,29 +43,11 @@ func (t *TCMalloc) RecoverHeap(th *vtime.Thread, st *alloc.RecoverState) alloc.R
 		return sp.class, true
 	}
 
-	groups := map[int][]mem.Addr{}
-	for _, b := range st.Freed {
-		if ci, ok := classOf(b.Base); ok {
-			groups[ci] = append(groups[ci], b.Base)
-		}
-		// A freed block outside every journaled span stays unchained and
-		// surfaces as resurrection risk in the verifier — recovery must
-		// not guess a class for it.
-	}
-	cis := make([]int, 0, len(groups))
-	for ci := range groups {
-		cis = append(cis, ci)
-	}
-	sort.Ints(cis)
-	inSet := st.FreedSet()
-	for _, ci := range cis {
-		blocks := groups[ci]
-		head, torn := alloc.RebuildChain(th, blocks, inSet)
-		rep.Chains++
-		rep.FreeBlocks += len(blocks)
-		rep.MetaWords += uint64(len(blocks))
-		rep.TornMeta += torn
-		rep.Heads = append(rep.Heads, head)
-	}
-	return rep
+	// A freed block outside every journaled span stays unchained and
+	// surfaces as resurrection risk in the verifier — recovery must not
+	// guess a class for it.
+	return alloc.RebuildFreeLists(th, st, 0, func(b alloc.RecordedBlock) (uint64, bool) {
+		ci, ok := classOf(b.Base)
+		return uint64(ci), ok
+	})
 }

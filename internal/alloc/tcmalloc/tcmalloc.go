@@ -23,8 +23,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/mem"
-	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/vtime"
 )
 
@@ -97,12 +95,8 @@ type TCMalloc struct {
 	classes *alloc.SizeClasses
 	caches  []threadCache
 	central []centralList
-	stats   []alloc.ThreadStats
-	prof    *prof.Profiler
 
 	pageMap map[uint64]*span // page id -> span
-
-	journal alloc.MetaJournal
 
 	heapLock alloc.CountingMutex
 	chunkCur mem.Addr
@@ -117,7 +111,6 @@ func New(space *mem.Space, threads int) *TCMalloc {
 		classes: sc,
 		caches:  make([]threadCache, threads),
 		central: make([]centralList, sc.Count()),
-		stats:   make([]alloc.ThreadStats, threads),
 		pageMap: make(map[uint64]*span),
 	}
 	for i := range t.caches {
@@ -128,87 +121,37 @@ func New(space *mem.Space, threads int) *TCMalloc {
 }
 
 func init() {
-	alloc.Register("tcmalloc", func(space *mem.Space, threads int) alloc.Allocator {
+	alloc.Register("tcmalloc", func(space *mem.Space, threads int) alloc.Model {
 		return New(space, threads)
 	})
 }
 
-// Name implements alloc.Allocator.
+// Name implements alloc.Model.
 func (t *TCMalloc) Name() string { return "tcmalloc" }
 
-// SetObserver implements alloc.Observable.
-func (t *TCMalloc) SetObserver(r *obs.Recorder) {
-	for i := range t.stats {
-		t.stats[i].Rec = r
-	}
-}
-
-// SetInjector implements alloc.Injectable.
-func (t *TCMalloc) SetInjector(inj alloc.Injector) {
-	for i := range t.stats {
-		t.stats[i].Inj = inj
-	}
-}
-
-// SetProfiler implements alloc.Profiled.
-func (t *TCMalloc) SetProfiler(p *prof.Profiler) { t.prof = p }
-
-// SetJournal implements alloc.Journaled.
-func (t *TCMalloc) SetJournal(j alloc.MetaJournal) { t.journal = j }
-
-// Malloc implements alloc.Allocator.
-func (t *TCMalloc) Malloc(th *vtime.Thread, size uint64) mem.Addr {
-	if p := t.prof; p != nil {
-		p.Begin(th, "tcmalloc/malloc")
-		defer p.End(th)
-	}
-	st := &t.stats[th.ID()]
-	var a mem.Addr
-	if st.Rec == nil {
-		a = t.malloc(th, st, size)
-	} else {
-		start := th.Clock()
-		a = t.malloc(th, st, size)
-		st.Rec.Alloc("tcmalloc", th.ID(), start, th.Clock(), size, uint64(a))
-	}
-	if t.space.Observed() && a != 0 {
-		t.space.NoteAlloc("tcmalloc", a, size, t.BlockSize(th, a), th.ID(), th.Clock())
-	}
-	return a
-}
-
-func (t *TCMalloc) malloc(th *vtime.Thread, st *alloc.ThreadStats, size uint64) mem.Addr {
-	st.Mallocs++
-	st.BytesRequested += size
-	th.Tick(th.Cost().AllocOp)
-	if st.PreMalloc(th, size) {
-		return 0
-	}
+// Malloc implements alloc.Model.
+func (t *TCMalloc) Malloc(th *vtime.Thread, st *alloc.ThreadStats, size uint64) (mem.Addr, uint64) {
 	if size > SmallMax {
 		return t.mapLarge(th, st, size)
 	}
-	ci := t.classes.Index(max64(size, MinBlock))
+	ci := t.classes.Index(max(size, MinBlock))
 
 	tc := &t.caches[th.ID()]
 	a := tc.lists[ci].Pop(th)
 	if a == 0 {
 		st.SlowRefills++
-		a = t.refill(th, st, ci)
-		if a == 0 {
-			st.MallocFailed(th, size)
-			return 0
+		if a = t.refill(th, st, ci); a == 0 {
+			return 0, 0
 		}
 	}
-	st.BytesAllocated += t.classes.Size(ci)
-	st.LiveBytes += int64(t.classes.Size(ci))
-	return a
+	return a, t.classes.Size(ci)
 }
 
 // refill performs the incremental batch transfer from the central cache:
 // the n-th refill of a class moves n blocks (capped). The first block is
 // returned; the rest land in the thread cache.
 func (t *TCMalloc) refill(th *vtime.Thread, st *alloc.ThreadStats, ci int) mem.Addr {
-	if p := t.prof; p != nil {
+	if p := st.Prof; p != nil {
 		p.Begin(th, "tcmalloc/central")
 		defer p.End(th)
 	}
@@ -272,7 +215,7 @@ func (t *TCMalloc) growCentral(th *vtime.Thread, st *alloc.ThreadStats, ci int) 
 // registers its pages in the page map; nil when the simulated OS is
 // out of memory.
 func (t *TCMalloc) newSpan(th *vtime.Thread, st *alloc.ThreadStats, bytes uint64, class int) *span {
-	if p := t.prof; p != nil {
+	if p := st.Prof; p != nil {
 		p.Begin(th, "tcmalloc/pageheap")
 		defer p.End(th)
 	}
@@ -299,40 +242,16 @@ func (t *TCMalloc) newSpan(th *vtime.Thread, st *alloc.ThreadStats, bytes uint64
 	for p := base; p < base+mem.Addr(bytes); p += PageSize {
 		t.pageMap[uint64(p)>>PageShift] = sp
 	}
-	if t.journal != nil {
-		// class is -1 for a large span; journal it off-by-one so the
-		// record stays unsigned (0 = large).
-		t.journal.JournalMeta(th, "span", base, bytes, uint64(class+1))
-	}
+	// class is -1 for a large span; journal it off-by-one so the
+	// record stays unsigned (0 = large).
+	st.JournalMeta(th, "span", base, bytes, uint64(class+1))
 	return sp
 }
 
-// Free implements alloc.Allocator: small blocks go to the *current*
+// Free implements alloc.Model: small blocks go to the *current*
 // thread's cache; an over-long cache list is trimmed back to the central
 // cache (the garbage collector).
-func (t *TCMalloc) Free(th *vtime.Thread, addr mem.Addr) {
-	if addr == 0 {
-		return
-	}
-	if p := t.prof; p != nil {
-		p.Begin(th, "tcmalloc/free")
-		defer p.End(th)
-	}
-	if t.space.Observed() {
-		t.space.NoteFree(addr, th.ID(), th.Clock())
-	}
-	st := &t.stats[th.ID()]
-	if st.Rec == nil {
-		t.free(th, st, addr)
-		return
-	}
-	start := th.Clock()
-	t.free(th, st, addr)
-	st.Rec.Free("tcmalloc", th.ID(), start, th.Clock(), uint64(addr))
-}
-
-func (t *TCMalloc) free(th *vtime.Thread, st *alloc.ThreadStats, addr mem.Addr) {
-	th.Tick(th.Cost().AllocOp)
+func (t *TCMalloc) Free(th *vtime.Thread, st *alloc.ThreadStats, addr mem.Addr) uint64 {
 	// Page-map lookup doubles as pointer validation: the page must
 	// belong to a live span and the address must sit on a block boundary
 	// within it. (A large span freed twice fails the page lookup, since
@@ -340,35 +259,33 @@ func (t *TCMalloc) free(th *vtime.Thread, st *alloc.ThreadStats, addr mem.Addr) 
 	sp := t.pageMap[uint64(addr)>>PageShift]
 	if sp == nil {
 		st.FreeFaulted(th, alloc.BadPointer, addr)
-		return
+		return 0
 	}
 	if sp.class < 0 {
 		if addr != sp.base {
 			st.FreeFaulted(th, alloc.BadPointer, addr)
-			return
+			return 0
 		}
-		st.Frees++
-		st.LiveBytes -= int64(sp.bytes)
 		t.freeLarge(th, sp)
-		return
+		return sp.bytes
 	}
-	if uint64(addr-sp.base)%t.classes.Size(sp.class) != 0 {
+	blockSz := t.classes.Size(sp.class)
+	if uint64(addr-sp.base)%blockSz != 0 {
 		st.FreeFaulted(th, alloc.BadPointer, addr)
-		return
+		return 0
 	}
-	st.Frees++
-	st.LiveBytes -= int64(t.classes.Size(sp.class))
 	tc := &t.caches[th.ID()]
 	tc.lists[sp.class].Push(th, addr)
 	if tc.lists[sp.class].Len() > cacheTrim {
 		t.trim(th, st, sp.class)
 	}
+	return blockSz
 }
 
 // trim returns half of an over-long thread-cache list to the central
 // cache.
 func (t *TCMalloc) trim(th *vtime.Thread, st *alloc.ThreadStats, ci int) {
-	if p := t.prof; p != nil {
+	if p := st.Prof; p != nil {
 		p.Begin(th, "tcmalloc/central")
 		defer p.End(th)
 	}
@@ -387,25 +304,22 @@ func (t *TCMalloc) trim(th *vtime.Thread, st *alloc.ThreadStats, ci int) {
 	}
 }
 
-func (t *TCMalloc) mapLarge(th *vtime.Thread, st *alloc.ThreadStats, size uint64) mem.Addr {
+func (t *TCMalloc) mapLarge(th *vtime.Thread, st *alloc.ThreadStats, size uint64) (mem.Addr, uint64) {
 	bytes := mem.AlignUp(size, PageSize)
 	t.heapLock.Lock(th, st)
 	base, err := t.space.Map(bytes, PageSize)
 	if err != nil {
 		t.heapLock.Unlock(th)
-		st.MallocFailed(th, size)
-		return 0
+		return 0, 0
 	}
 	st.OSMaps++
 	th.Tick(th.Cost().OSMap)
 	t.heapLock.Unlock(th)
-	st.BytesAllocated += bytes
-	st.LiveBytes += int64(bytes)
 	sp := &span{base: base, bytes: bytes, class: -1}
 	for p := base; p < base+mem.Addr(bytes); p += PageSize {
 		t.pageMap[uint64(p)>>PageShift] = sp
 	}
-	return base
+	return base, bytes
 }
 
 func (t *TCMalloc) freeLarge(th *vtime.Thread, sp *span) {
@@ -418,7 +332,7 @@ func (t *TCMalloc) freeLarge(th *vtime.Thread, sp *span) {
 	}
 }
 
-// BlockSize implements alloc.Allocator.
+// BlockSize implements alloc.Model.
 func (t *TCMalloc) BlockSize(_ *vtime.Thread, addr mem.Addr) uint64 {
 	sp := t.pageMap[uint64(addr)>>PageShift]
 	if sp == nil {
@@ -466,16 +380,7 @@ func (t *TCMalloc) InspectHeap() alloc.HeapState {
 	return st
 }
 
-// Stats implements alloc.Allocator.
-func (t *TCMalloc) Stats() alloc.Stats {
-	var out alloc.Stats
-	for i := range t.stats {
-		out.Add(t.stats[i].Stats)
-	}
-	return out
-}
-
-// Describe implements alloc.Allocator.
+// Describe implements alloc.Model.
 func (t *TCMalloc) Describe() alloc.Description {
 	return alloc.Description{
 		Name:        "TCMalloc",
@@ -485,11 +390,4 @@ func (t *TCMalloc) Describe() alloc.Description {
 		Granularity: "incremental",
 		Sync:        "Each free list in the central cache is protected by a spinlock. A spinlock is also used to protect the central page heap.",
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -15,12 +15,12 @@ func duo(s *mem.Space) (*vtime.Thread, *vtime.Thread) {
 }
 
 func TestConformance(t *testing.T) {
-	alloctest.Run(t, func(s *mem.Space, n int) alloc.Allocator { return New(s, n) })
+	alloctest.Run(t, "tcmalloc")
 }
 
 func TestExact48ByteClass(t *testing.T) {
 	s := mem.NewSpace()
-	a := New(s, 1)
+	a := alloc.MustNew("tcmalloc", s, 1)
 	th := solo(s)
 	if got := a.BlockSize(th, a.Malloc(th, 48)); got != 48 {
 		t.Errorf("BlockSize(Malloc(48)) = %d, want 48", got)
@@ -33,7 +33,7 @@ func TestExact48ByteClass(t *testing.T) {
 // same 32-byte ORT stripe), and the transfer batch grows 1,2,3,...
 func TestFig2AdjacentHandoutAcrossThreads(t *testing.T) {
 	s := mem.NewSpace()
-	a := New(s, 2)
+	a := alloc.MustNew("tcmalloc", s, 2)
 	th0, th1 := duo(s)
 	x := a.Malloc(th0, 16) // thread 1 in the paper's figure
 	v := a.Malloc(th1, 16) // thread 2
@@ -66,7 +66,7 @@ func TestFig2AdjacentHandoutAcrossThreads(t *testing.T) {
 // malloc returns that block.
 func TestFreeGoesToCurrentThreadCache(t *testing.T) {
 	s := mem.NewSpace()
-	a := New(s, 2)
+	a := alloc.MustNew("tcmalloc", s, 2)
 	th0, th1 := duo(s)
 	x := a.Malloc(th0, 16)
 	a.Free(th1, x)
@@ -78,7 +78,7 @@ func TestFreeGoesToCurrentThreadCache(t *testing.T) {
 // Warm thread-cache operations perform no locking.
 func TestFastPathIsLockFree(t *testing.T) {
 	s := mem.NewSpace()
-	a := New(s, 1)
+	a := alloc.MustNew("tcmalloc", s, 1)
 	th := solo(s)
 	x := a.Malloc(th, 64)
 	a.Free(th, x)
@@ -95,7 +95,7 @@ func TestFastPathIsLockFree(t *testing.T) {
 // bounding the cache (the GC the paper mentions).
 func TestCacheTrim(t *testing.T) {
 	s := mem.NewSpace()
-	a := New(s, 2)
+	a := alloc.MustNew("tcmalloc", s, 2)
 	th0, th1 := duo(s)
 	// Thread 1 frees far more blocks than cacheTrim; the trim must kick
 	// in and later allow thread 0 to reuse them via the central cache.
@@ -117,7 +117,7 @@ func TestCacheTrim(t *testing.T) {
 
 func TestLargeAllocation(t *testing.T) {
 	s := mem.NewSpace()
-	a := New(s, 1)
+	a := alloc.MustNew("tcmalloc", s, 1)
 	th := solo(s)
 	x := a.Malloc(th, 512<<10)
 	if got := a.BlockSize(th, x); got < 512<<10 {
@@ -130,9 +130,9 @@ func TestLargeAllocation(t *testing.T) {
 }
 
 func TestPropertyRandomTraces(t *testing.T) {
-	alloctest.RunProperty(t, func(s *mem.Space, n int) alloc.Allocator { return New(s, n) })
+	alloctest.RunProperty(t, "tcmalloc")
 }
 
 func TestFootprintGauge(t *testing.T) {
-	alloctest.RunFootprint(t, func(s *mem.Space, n int) alloc.Allocator { return New(s, n) })
+	alloctest.RunFootprint(t, "tcmalloc")
 }

@@ -181,22 +181,32 @@ func NewSystem(opts Options) (*System, error) {
 			return nil, err
 		}
 	}
+	// Interface-typed hooks, here and below, are set only when present:
+	// a typed nil pointer would read as attached.
+	hooks := alloc.Hooks{Rec: opts.Obs, Prof: opts.Prof}
 	if s.Plan != nil {
 		s.Plan.SetObserver(opts.Obs)
 		s.Plan.ApplyQuota(space)
-		alloc.Inject(allocator, s.Plan)
+		hooks.Inj = s.Plan
 	}
 	if opts.Pmem || opts.Crash != "" || (s.Plan != nil && s.Plan.HasCrash()) {
 		s.durable = pmem.Attach(space, s.Plan)
-		alloc.Journal(allocator, s.durable)
+		hooks.Journal = s.durable
 	}
+	alloc.Attach(allocator, hooks)
 	if !opts.DisableCacheModel {
 		s.Cache = cachesim.New(cachesim.DefaultCores)
 	}
 	engineCfg := vtime.Config{Cache: s.Cache, Obs: opts.Obs, Deadline: opts.Deadline}
+	// The STM and the conflict observatory must agree on the lock map:
+	// a zero Shift means the STM's default.
+	shift := opts.Shift
+	if shift == 0 {
+		shift = stm.DefaultShift
+	}
 	stmCfg := stm.Config{
 		OrtBits:        opts.OrtBits,
-		Shift:          opts.Shift,
+		Shift:          shift,
 		Design:         opts.Design,
 		Allocator:      allocator,
 		CacheTxObjects: opts.CacheTx,
@@ -206,8 +216,6 @@ func NewSystem(opts Options) (*System, error) {
 		RetryCap:       opts.RetryCap,
 		Prof:           opts.Prof,
 	}
-	// Interface-typed hooks are set only when present: a typed nil
-	// pointer would read as attached.
 	var watchers []mem.HeapWatcher
 	if s.prof != nil {
 		engineCfg.Prof = s.prof
@@ -229,7 +237,7 @@ func NewSystem(opts Options) (*System, error) {
 		watchers = append(watchers, s.checker)
 	}
 	if opts.Conflict {
-		s.conflict = conflict.New(opts.Threads, opts.Shift)
+		s.conflict = conflict.New(opts.Threads, shift)
 		stmCfg.Conflict = s.conflict
 		watchers = append(watchers, s.conflict)
 	}
@@ -246,8 +254,6 @@ func NewSystem(opts Options) (*System, error) {
 	if s.durable != nil {
 		s.durable.SetStopper(s.Engine)
 	}
-	alloc.Observe(allocator, opts.Obs)
-	alloc.Profile(allocator, opts.Prof)
 	if opts.TxAllocator != nil {
 		stmCfg.Allocator = opts.TxAllocator(allocator)
 	}

@@ -9,7 +9,6 @@ import (
 	_ "repro/internal/alloc/tcmalloc"
 
 	"repro/internal/alloc"
-	"repro/internal/alloc/tcmalloc"
 	"repro/internal/mem"
 	"repro/internal/stm"
 	"repro/internal/vtime"
@@ -93,7 +92,7 @@ func init() {
 		Plan: func(b *Builder) error {
 			return planStatic(b, func() (*Result, error) {
 				space := mem.NewSpace()
-				a := tcmalloc.New(space, 2)
+				a := alloc.MustNew("tcmalloc", space, 2)
 				th0 := vtime.Solo(space, 0, nil)
 				th1 := vtime.Solo(space, 1, nil)
 

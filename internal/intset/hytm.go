@@ -44,7 +44,7 @@ func RunHyTM(cfg Config) (HyTMResult, error) {
 	}
 	cache := cachesim.New(cachesim.DefaultCores)
 	engine := vtime.NewEngine(space, cfg.Threads, vtime.Config{Cache: cache, Obs: cfg.Obs})
-	alloc.Observe(allocator, cfg.Obs)
+	alloc.Attach(allocator, alloc.Hooks{Rec: cfg.Obs})
 	cfg.Obs.BeginPhase(fmt.Sprintf("hytm/%s/%s/t%d", cfg.Kind, cfg.Allocator, cfg.Threads))
 	h := htm.New(space)
 

@@ -27,7 +27,7 @@ func benchWorkload(durable bool, crashSpec string) (*mem.Space, *Pmem, alloc.All
 	a, _ := alloc.New("tcmalloc", space, 4)
 	cfg := stm.Config{Allocator: a}
 	if p != nil {
-		alloc.Journal(a, p)
+		alloc.Attach(a, alloc.Hooks{Journal: p})
 		cfg.Durable = p
 	}
 	s := stm.New(space, cfg)

@@ -101,8 +101,8 @@ func crashRun(t *testing.T, allocName, spec string) (*Pmem, *obs.RecoveryInfo) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !alloc.Journal(a, p) {
-		t.Fatalf("%s does not journal metadata", allocName)
+	if !alloc.Attach(a, alloc.Hooks{Journal: p}) {
+		t.Fatalf("%s has no front end to journal through", allocName)
 	}
 	s := stm.New(space, stm.Config{Allocator: a, Durable: p})
 	slots := space.MustMap(mem.PageSize, 0)
@@ -191,7 +191,7 @@ func TestVerifierCatchesTamperedOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc.Journal(a, p)
+	alloc.Attach(a, alloc.Hooks{Journal: p})
 	s := stm.New(space, stm.Config{Allocator: a, Durable: p})
 	e := vtime.NewEngine(space, 4, vtime.Config{})
 	p.SetStopper(e)
@@ -243,7 +243,7 @@ func TestFreedBlockNotResurrected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			alloc.Journal(a, p)
+			alloc.Attach(a, alloc.Hooks{Journal: p})
 			s := stm.New(space, stm.Config{Allocator: a, Durable: p})
 			e := vtime.NewEngine(space, 1, vtime.Config{})
 			p.SetStopper(e)

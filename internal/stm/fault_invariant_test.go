@@ -27,7 +27,7 @@ func TestFaultInvariants(t *testing.T) {
 				a := alloc.MustNew(name, space, threads)
 				plan := fault.MustParse(
 					"oom@20x3,oom%2,lat%5:300,stall@t1:5000:2000,storm@40000:48000", 42)
-				alloc.Inject(a, plan)
+				alloc.Attach(a, alloc.Hooks{Inj: plan})
 				s := New(space, Config{
 					Allocator: a,
 					Design:    d,
@@ -99,7 +99,7 @@ func TestPersistentOOMPanicsWithErrNoMemory(t *testing.T) {
 	space, _ := newWorld(1)
 	a := alloc.MustNew("tbb", space, 1)
 	plan := fault.MustParse("oom%100", 1) // every malloc fails
-	alloc.Inject(a, plan)
+	alloc.Attach(a, alloc.Hooks{Inj: plan})
 	s := New(space, Config{Allocator: a, RetryCap: 2})
 	th := vtime.Solo(space, 0, nil)
 	defer func() {

@@ -3,11 +3,12 @@
 #
 #   scripts/ci.sh
 #
-# Steps: formatting, vet, build, the full test suite, and a -race pass
-# over the packages whose tests don't depend on the virtual-time
-# engine's one-goroutine-at-a-time determinism (the engine serializes
-# execution by construction, so -race on those packages only slows the
-# suite down without adding coverage).
+# Steps: formatting, vet, build, the full test suite (and the hostbench
+# module's, which has its own go.mod), and a -race pass over the
+# packages whose tests don't depend on the virtual-time engine's
+# one-goroutine-at-a-time determinism (the engine serializes execution
+# by construction, so -race on those packages only slows the suite down
+# without adding coverage).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,6 +29,11 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== hostbench module =="
+# hostbench has its own go.mod, so the root vet/test never compiles it;
+# this catches a break in the simulator APIs the benchmark uses.
+(cd hostbench && go vet ./... && go test ./...)
 
 echo "== tmvet =="
 # The repository's own static analyzers (determinism, STM isolation,
@@ -251,6 +257,13 @@ go run ./cmd/tmintset -kind linkedlist -alloc glibc -threads 2 \
     echo "seeded stripe aliasing failed without -conflict (should pass silently)" >&2
     exit 1
 }
+
+echo "== hybrid-TM flag gate =="
+# tmintset -hytm runs outside the STM world, so it must refuse (exit 2)
+# the STM, robustness and observer flags instead of dropping them.
+go build -o "$tmpdir/tmintset" ./cmd/tmintset
+rc=0; "$tmpdir/tmintset" -kind hashset -hytm -race-sim >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "tmintset -hytm -race-sim exited $rc, want 2" >&2; exit 1; }
 
 echo "== durability crash-matrix gate =="
 # The full crash→recover→verify matrix (4 allocators × 3 commit-phase
