@@ -71,7 +71,8 @@ type way struct {
 
 // cache stores all sets in one flat way array (set s occupies
 // ways[s*nways : (s+1)*nways]) so building a hierarchy costs a handful
-// of allocations instead of one slice per set.
+// of allocations instead of one slice per set. Ways are named by their
+// index in that array.
 type cache struct {
 	ways    []way
 	nways   int
@@ -87,29 +88,34 @@ func newCache(nsets, nways int) *cache {
 	}
 }
 
-func (c *cache) set(line uint64) []way {
+// find returns the way holding line, or -1.
+func (c *cache) find(line uint64) int {
 	base := int(line&c.setMask) * c.nways
-	return c.ways[base : base+c.nways]
-}
-
-// lookup probes for line; on hit it refreshes LRU.
-func (c *cache) lookup(line uint64) bool {
-	c.tick++
-	s := c.set(line)
-	for i := range s {
-		if s[i].tag == line {
-			s[i].lru = c.tick
-			return true
+	for i, w := range c.ways[base : base+c.nways] {
+		if w.tag == line {
+			return base + i
 		}
 	}
-	return false
+	return -1
 }
 
-// insert places line, evicting the LRU way. Returns the evicted line (0
-// if the way was empty).
-func (c *cache) insert(line uint64) uint64 {
+// lookup probes for line; on hit it refreshes LRU and returns the way,
+// else -1.
+func (c *cache) lookup(line uint64) int {
 	c.tick++
-	s := c.set(line)
+	i := c.find(line)
+	if i >= 0 {
+		c.ways[i].lru = c.tick
+	}
+	return i
+}
+
+// insert places line, evicting the LRU way. Returns the way it now
+// occupies and the evicted line (0 if the way was empty).
+func (c *cache) insert(line uint64) (int, uint64) {
+	c.tick++
+	base := int(line&c.setMask) * c.nways
+	s := c.ways[base : base+c.nways]
 	victim := 0
 	for i := range s {
 		if s[i].tag == 0 {
@@ -122,19 +128,14 @@ func (c *cache) insert(line uint64) uint64 {
 	}
 	old := s[victim].tag
 	s[victim] = way{tag: line, lru: c.tick}
-	return old
+	return base + victim, old
 }
 
-// invalidate removes line if present, reporting whether it was.
-func (c *cache) invalidate(line uint64) bool {
-	s := c.set(line)
-	for i := range s {
-		if s[i].tag == line {
-			s[i].tag = 0
-			return true
-		}
+// invalidate removes line if present.
+func (c *cache) invalidate(line uint64) {
+	if i := c.find(line); i >= 0 {
+		c.ways[i].tag = 0
 	}
-	return false
 }
 
 // lineState tracks coherence metadata per line: which cores hold it and
@@ -147,16 +148,23 @@ type lineState struct {
 }
 
 // Hierarchy is the full multicore cache model. Coherence metadata lives
-// in a growable lineState arena indexed through lineIdx, so steady-state
-// accesses never allocate per line.
+// in a growable lineState arena, so steady-state accesses never allocate
+// per line. Each L1 way records the arena index of the line it holds
+// (l1Line), so an L1 hit reaches its record by array index; the lineIdx
+// map from line to arena index is consulted only after an L1 miss and
+// for the inclusive drop on an L2 eviction.
 type Hierarchy struct {
 	cores     int
 	l1        []cache
+	l1Line    []int32 // per L1 way, core c's at [c*l1Size, (c+1)*l1Size)
 	l2        []cache // one per socket
 	lineIdx   map[uint64]int32
 	lineArena []lineState
 	stats     []CoreStats
 }
+
+// l1Size is the number of ways in one L1.
+const l1Size = l1Sets * l1Ways
 
 // New builds a hierarchy for the given core count (sockets of
 // CoresPerL2 cores each; the last socket may be partial).
@@ -168,6 +176,7 @@ func New(cores int) *Hierarchy {
 	h := &Hierarchy{
 		cores:     cores,
 		l1:        make([]cache, cores),
+		l1Line:    make([]int32, cores*l1Size),
 		l2:        make([]cache, sockets),
 		lineIdx:   make(map[uint64]int32, 1<<16),
 		lineArena: make([]lineState, 0, 1<<16),
@@ -182,27 +191,16 @@ func New(cores int) *Hierarchy {
 	return h
 }
 
-// lineOf returns the coherence record for line, creating it on first
-// touch. The returned pointer is valid until the next lineOf call (the
-// arena may grow), which the single-threaded access discipline makes
-// safe: each simulated access resolves its line exactly once.
-func (h *Hierarchy) lineOf(line uint64) *lineState {
+// lineOf returns the arena index of line's coherence record, creating
+// the record on first touch.
+func (h *Hierarchy) lineOf(line uint64) int32 {
 	if i, ok := h.lineIdx[line]; ok {
-		return &h.lineArena[i]
+		return i
 	}
+	i := int32(len(h.lineArena))
 	h.lineArena = append(h.lineArena, lineState{lastWriter: -1})
-	i := int32(len(h.lineArena) - 1)
 	h.lineIdx[line] = i
-	return &h.lineArena[i]
-}
-
-// peekLine returns the coherence record for line, or nil if the line
-// was never touched.
-func (h *Hierarchy) peekLine(line uint64) *lineState {
-	if i, ok := h.lineIdx[line]; ok {
-		return &h.lineArena[i]
-	}
-	return nil
+	return i
 }
 
 func socketOf(core int) int { return core / CoresPerL2 }
@@ -220,19 +218,21 @@ func (h *Hierarchy) Access(core int, addr mem.Addr, write bool) Result {
 	st := &h.stats[core]
 	st.Accesses++
 
-	ls := h.lineOf(line)
-
 	var res Result
-	bit := uint32(1) << uint(core)
-	if h.l1[core].lookup(line) {
+	l1Line := h.l1Line[core*l1Size:]
+	if w := h.l1[core].lookup(line); w >= 0 {
 		if write {
-			res.Invalidated = h.invalidateOthers(core, ls, line, addr)
+			res.Invalidated = h.invalidateOthers(core, &h.lineArena[l1Line[w]], line, addr)
 		}
 		return res
 	}
 
-	// L1 miss.
+	// L1 miss: only now is the line map consulted (first touch creates
+	// the record).
 	st.L1Misses++
+	li := h.lineOf(line)
+	ls := &h.lineArena[li] // the arena does not grow again in this access
+	bit := uint32(1) << uint(core)
 	if ls.invalidated&bit != 0 {
 		res.Coherence = true
 		st.CohMisses++
@@ -245,7 +245,7 @@ func (h *Hierarchy) Access(core int, addr mem.Addr, write bool) Result {
 	}
 
 	sock := socketOf(core)
-	if h.l2[sock].lookup(line) {
+	if h.l2[sock].lookup(line) >= 0 {
 		res.Level = L2Hit
 	} else {
 		st.L2Misses++
@@ -256,18 +256,19 @@ func (h *Hierarchy) Access(core int, addr mem.Addr, write bool) Result {
 		} else {
 			res.Level = MemoryHit
 		}
-		if evicted := h.l2[sock].insert(line); evicted != 0 {
+		if _, evicted := h.l2[sock].insert(line); evicted != 0 {
 			// Inclusive model: L2 eviction drops the line from this
 			// socket's L1s.
 			h.dropFromSocketL1s(sock, evicted)
 		}
 	}
 
-	if evicted := h.l1[core].insert(line); evicted != 0 {
-		if els := h.peekLine(evicted); els != nil {
-			els.holders &^= bit
-		}
+	w, evicted := h.l1[core].insert(line)
+	if evicted != 0 {
+		// The way still names the evicted line's record.
+		h.lineArena[l1Line[w]].holders &^= bit
 	}
+	l1Line[w] = li
 	ls.holders |= bit
 	if write {
 		res.Invalidated = h.invalidateOthers(core, ls, line, addr)
@@ -305,10 +306,11 @@ func (h *Hierarchy) invalidateOthers(core int, ls *lineState, line uint64, addr 
 }
 
 func (h *Hierarchy) dropFromSocketL1s(sock int, line uint64) {
-	ls := h.peekLine(line)
-	if ls == nil {
+	i, ok := h.lineIdx[line]
+	if !ok {
 		return
 	}
+	ls := &h.lineArena[i]
 	m := h.socketMask(sock)
 	if ls.holders&m == 0 {
 		return

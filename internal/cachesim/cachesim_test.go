@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/mem"
@@ -143,5 +144,70 @@ func TestTotalStats(t *testing.T) {
 	tot := h.TotalStats()
 	if tot.Accesses != 2 || tot.L1Misses != 2 {
 		t.Errorf("TotalStats = %+v", tot)
+	}
+}
+
+// TestMatchesReference drives Hierarchy and the map-based oracle
+// (reference_test.go) with one fixed-seed 8-core stream and requires
+// the same Result for every access and the same counters at the end.
+// The stream mixes a hot shared region (coherence and false-sharing
+// misses), lines strided onto one L1 set (L1 evictions) and lines
+// strided onto one L2 set, shared across sockets (L2 evictions, the
+// inclusive drop, remote-L2 hits).
+func TestMatchesReference(t *testing.T) {
+	const (
+		cores    = 8
+		accesses = 400_000
+		l1Stride = l1Sets * LineSize
+		l2Stride = l2Sets * LineSize
+	)
+	h, ref := New(cores), newRef(cores)
+	rng := rand.New(rand.NewSource(14))
+	var levels [MemoryHit + 1]uint64
+	core, burst := 0, 0
+	for i := 0; i < accesses; i++ {
+		if burst == 0 {
+			core, burst = rng.Intn(cores), 1+rng.Intn(16)
+		}
+		burst--
+		var addr mem.Addr
+		switch r := rng.Intn(10); {
+		case r < 4: // hot shared region: 32 lines
+			addr = base + mem.Addr(rng.Intn(32)*LineSize)
+		case r < 7: // 24 lines on one L1 set, spread over L2 sets
+			addr = base + 16<<20 + mem.Addr(rng.Intn(24)*l1Stride)
+		default: // 40 lines on one L2 set (and one L1 set)
+			addr = base + 64<<20 + mem.Addr(rng.Intn(40)*l2Stride)
+		}
+		addr += mem.Addr(rng.Intn(8) * 8)
+		write := rng.Intn(10) < 3
+		got, want := h.Access(core, addr, write), ref.Access(core, addr, write)
+		if got != want {
+			t.Fatalf("access %d (core %d, %#x, write %v) = %+v, reference %+v", i, core, addr, write, got, want)
+		}
+		levels[got.Level]++
+	}
+	for c := 0; c < cores; c++ {
+		if got, want := h.Stats(c), ref.stats[c]; got != want {
+			t.Errorf("core %d stats = %+v, reference %+v", c, got, want)
+		}
+	}
+	tot := h.TotalStats()
+	t.Logf("levels L1/L2/remote/memory = %v; L1 evictions %d, L2 evictions %d, inclusive drops %d; %+v",
+		levels, ref.l1Evictions, ref.l2Evictions, ref.inclusiveDrops, tot)
+	for _, ev := range []struct {
+		name string
+		n    uint64
+	}{
+		{"L1 eviction", ref.l1Evictions},
+		{"L2 eviction", ref.l2Evictions},
+		{"inclusive drop", ref.inclusiveDrops},
+		{"remote-L2 hit", levels[RemoteL2Hit]},
+		{"coherence miss", tot.CohMisses},
+		{"false-sharing miss", tot.FalseShare},
+	} {
+		if ev.n == 0 {
+			t.Errorf("stream reached no %s", ev.name)
+		}
 	}
 }

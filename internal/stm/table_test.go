@@ -117,28 +117,76 @@ func TestU64TableResetReuse(t *testing.T) {
 	}
 }
 
+// TestU64TableGenerationWrap runs a reset across the generation
+// counter's wrap: entries written at generation 0 and at the last
+// generation before the wrap must both stay invisible, although the
+// new generation is 0 again.
+func TestU64TableGenerationWrap(t *testing.T) {
+	var tb u64Table
+	for i := uint64(0); i < 40; i++ {
+		tb.put(i, int32(i)) // generation 0
+	}
+	tb.reset()
+	tb.gen = ^uint32(0) // as if 2^32-2 more transactions had reset it
+	for i := uint64(20); i < 60; i++ {
+		tb.put(i, int32(i+1000))
+	}
+	capBefore := len(tb.keys)
+	tb.reset()
+	if tb.gen != 0 || tb.n != 0 {
+		t.Fatalf("after the wrapping reset gen = %d, n = %d; want 0, 0", tb.gen, tb.n)
+	}
+	if len(tb.keys) != capBefore {
+		t.Fatalf("wrapping reset reallocated: capacity %d -> %d", capBefore, len(tb.keys))
+	}
+	tb.put(100, 7) // n > 0, so get probes the slots
+	for i := uint64(0); i < 60; i++ {
+		if v, ok := tb.get(i); ok {
+			t.Fatalf("stale key %d visible after the generation wrap (value %d)", i, v)
+		}
+	}
+	if v, ok := tb.get(100); !ok || v != 7 {
+		t.Fatalf("get(100) = %d, %v; want 7, true", v, ok)
+	}
+}
+
 // TestU64TableFuzz drives the table and a reference map with the same
 // deterministic operation stream — puts, overwrites, gets of present
-// and absent keys, periodic resets — and requires identical answers.
+// and absent keys, periodic resets, and occasional bursts of a few
+// thousand puts that grow the table, so later resets land on grown,
+// sparse tables — and requires identical answers.
 func TestU64TableFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var tb u64Table
 	ref := map[uint64]int32{}
-	// Small key range keeps the overwrite rate high.
+	// Small key range keeps the overwrite rate high; bursts draw from a
+	// wide one.
 	key := func() uint64 { return uint64(rng.Intn(2000)) * 0x10001 }
+	wideKey := func() uint64 { return uint64(rng.Intn(1 << 20)) }
+	grown := 0
 	for op := 0; op < 200000; op++ {
-		switch r := rng.Intn(100); {
-		case r < 55:
+		switch r := rng.Intn(1000); {
+		case r < 550:
 			k, v := key(), int32(rng.Intn(1<<20))
 			tb.put(k, v)
 			ref[k] = v
-		case r < 99:
+		case r < 989:
 			k := key()
+			if r%4 == 0 {
+				k = wideKey()
+			}
 			v, ok := tb.get(k)
 			rv, rok := ref[k]
 			if ok != rok || v != rv {
 				t.Fatalf("op %d: get(%d) = (%d, %v), reference (%d, %v)", op, k, v, ok, rv, rok)
 			}
+		case r < 990:
+			for n := 2000 + rng.Intn(3000); n > 0; n-- {
+				k, v := wideKey(), int32(rng.Intn(1<<20))
+				tb.put(k, v)
+				ref[k] = v
+			}
+			grown++
 		default:
 			tb.reset()
 			clear(ref)
@@ -146,5 +194,8 @@ func TestU64TableFuzz(t *testing.T) {
 	}
 	if tb.n != len(ref) {
 		t.Fatalf("final n = %d, reference holds %d", tb.n, len(ref))
+	}
+	if grown == 0 || len(tb.keys) < 4096 {
+		t.Fatalf("%d bursts grew the table to %d slots; the stream never reached a grown table", grown, len(tb.keys))
 	}
 }

@@ -115,11 +115,12 @@ done
 
 echo "== alloc-budget gate =="
 # The PR 8 zero-alloc contract, re-run explicitly and uncached: the STM
-# begin/load/store/commit path, the obs emitters and prof.Begin/End pin
-# at zero steady-state host allocs, and the flagship workload stays
-# within its 1,000 allocs/run budget (down from 9,271 before pooling).
+# begin/load/store/commit path, cachesim's Access over a touched
+# footprint, the obs emitters and prof.Begin/End pin at zero
+# steady-state host allocs, and the flagship workload stays within its
+# 1,000 allocs/run budget (down from 9,271 before pooling).
 go test -count=1 -run 'AllocBudget|SteadyStateAlloc' \
-    ./internal/stm ./internal/obs ./internal/prof
+    ./internal/stm ./internal/cachesim ./internal/obs ./internal/prof
 
 echo "== cache round-trip gate =="
 # A second invocation against a warm cache must execute nothing and
