@@ -9,7 +9,7 @@
 // blocks parked under the old discipline's invariants with the new
 // one's, which is how the cache/reuse/batch comparisons stop measuring
 // what they claim to. The stm package itself is exempt: it owns the
-// pool implementations and the default Put/quarantine routing.
+// pool and the default Put/quarantine routing.
 package poolhygiene
 
 import (

@@ -10,7 +10,7 @@ import (
 	"repro/internal/vtime"
 )
 
-func rawFreeOfPooledBlock(th *vtime.Thread, tx *stm.Tx, pool stm.TxPool, a alloc.Allocator) {
+func rawFreeOfPooledBlock(th *vtime.Thread, tx *stm.Tx, pool *stm.TxPool, a alloc.Allocator) {
 	var p mem.Addr
 	p = pool.Get(tx, 64)
 	if p == 0 {
@@ -19,7 +19,7 @@ func rawFreeOfPooledBlock(th *vtime.Thread, tx *stm.Tx, pool stm.TxPool, a alloc
 	a.Free(th, p) // want "came from TxPool.Get but is freed raw"
 }
 
-func putIsTheRightPath(tx *stm.Tx, pool stm.TxPool) {
+func putIsTheRightPath(tx *stm.Tx, pool *stm.TxPool) {
 	p := pool.Get(tx, 64)
 	if p == 0 {
 		return
@@ -27,20 +27,19 @@ func putIsTheRightPath(tx *stm.Tx, pool stm.TxPool) {
 	pool.Put(tx, p, 64)
 }
 
-func disciplineSwitch() stm.TxPool {
+func disciplineSwitch() *stm.TxPool {
 	pool := stm.NewTxPool(stm.PoolCache)
 	pool = stm.NewTxPool(stm.PoolReuse) // want "reused across disciplines"
 	return pool
 }
 
-func samePoolRebuiltIsFine() stm.TxPool {
+func samePoolRebuiltIsFine() *stm.TxPool {
 	pool := stm.NewTxPool(stm.PoolBatch)
-	pool.Flush(nil)
 	pool = stm.NewTxPool(stm.PoolBatch)
 	return pool
 }
 
-func distinctPoolsAreFine() (stm.TxPool, stm.TxPool) {
+func distinctPoolsAreFine() (*stm.TxPool, *stm.TxPool) {
 	cache := stm.NewTxPool(stm.PoolCache)
 	reuse := stm.NewTxPool(stm.PoolReuse)
 	return cache, reuse
@@ -51,7 +50,7 @@ func freeOfUnpooledBlockIsFine(th *vtime.Thread, a alloc.Allocator) {
 	a.Free(th, p)
 }
 
-func annotated(th *vtime.Thread, tx *stm.Tx, pool stm.TxPool, a alloc.Allocator) {
+func annotated(th *vtime.Thread, tx *stm.Tx, pool *stm.TxPool, a alloc.Allocator) {
 	p := pool.Get(tx, 64)
 	if p == 0 {
 		return

@@ -339,6 +339,3 @@ func (h *Hierarchy) TotalStats() CoreStats {
 	}
 	return out
 }
-
-// Cores returns the modelled core count.
-func (h *Hierarchy) Cores() int { return h.cores }

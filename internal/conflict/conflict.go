@@ -139,7 +139,7 @@ type Observatory struct {
 }
 
 // New returns an observatory for an STM whose lock map discards shift
-// low address bits (stm.Shift()). threads sizes the per-thread tables;
+// low address bits (stm.Config.Shift). threads sizes the per-thread tables;
 // they grow on demand if a larger tid appears.
 func New(threads int, shift uint) *Observatory {
 	if threads < 1 {

@@ -193,19 +193,6 @@ func (o *Observatory) Report() *Report {
 	return r
 }
 
-// PlacementAborts returns the aborts attributed to allocator placement
-// (false-sharing + stripe-alias + metadata).
-func (r *Report) PlacementAborts() int {
-	var n int
-	for _, c := range r.Classes {
-		switch c.Class {
-		case "false-sharing", "stripe-alias", "metadata":
-			n += c.Aborts
-		}
-	}
-	return n
-}
-
 // PlacementWasted returns the wasted cycles attributed to allocator
 // placement classes (false-sharing + stripe-alias + metadata).
 func (r *Report) PlacementWasted() uint64 {

@@ -99,7 +99,8 @@ type Options struct {
 	// encounter-time-locking write-back).
 	Design stm.Design
 	// Pool selects the transaction-object recycling discipline; CacheTx
-	// is the workload configs' deprecated spelling of PoolCache.
+	// is the workload configs' deprecated spelling of PoolCache, and
+	// NewSystem rejects it beside any other non-none Pool.
 	Pool    stm.Pooling
 	CacheTx bool
 	// Seed seeds the run's fault plan.
@@ -163,6 +164,12 @@ func NewSystem(opts Options) (*System, error) {
 	if opts.Threads < 0 || opts.Threads > cachesim.DefaultCores {
 		return nil, fmt.Errorf("core: threads must be 1..%d, got %d", cachesim.DefaultCores, opts.Threads)
 	}
+	if opts.CacheTx {
+		if opts.Pool != stm.PoolNone && opts.Pool != stm.PoolCache {
+			return nil, fmt.Errorf("core: CacheTx (the %v alias) conflicts with Pool %v", stm.PoolCache, opts.Pool)
+		}
+		opts.Pool = stm.PoolCache
+	}
 	space := mem.NewSpace()
 	allocator, err := alloc.New(opts.Allocator, space, opts.Threads)
 	if err != nil {
@@ -205,16 +212,15 @@ func NewSystem(opts Options) (*System, error) {
 		shift = stm.DefaultShift
 	}
 	stmCfg := stm.Config{
-		OrtBits:        opts.OrtBits,
-		Shift:          shift,
-		Design:         opts.Design,
-		Allocator:      allocator,
-		CacheTxObjects: opts.CacheTx,
-		Pooling:        opts.Pool,
-		Obs:            opts.Obs,
-		CM:             opts.CM,
-		RetryCap:       opts.RetryCap,
-		Prof:           opts.Prof,
+		OrtBits:   opts.OrtBits,
+		Shift:     shift,
+		Design:    opts.Design,
+		Allocator: allocator,
+		Pooling:   opts.Pool,
+		Obs:       opts.Obs,
+		CM:        opts.CM,
+		RetryCap:  opts.RetryCap,
+		Prof:      opts.Prof,
 	}
 	var watchers []mem.HeapWatcher
 	if s.prof != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	_ "repro/internal/alloc/glibc"
@@ -43,6 +44,19 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if sys, err := NewSystem(Options{}); err != nil || sys.Allocator.Name() != "glibc" {
 		t.Errorf("defaults broken: %v", err)
+	}
+	// CacheTx is the deprecated spelling of PoolCache: it agrees with
+	// PoolCache and contradicts every other pooled discipline.
+	for _, pool := range []stm.Pooling{stm.PoolNone, stm.PoolCache} {
+		if sys, err := NewSystem(Options{CacheTx: true, Pool: pool}); err != nil || sys.STM.Pooling() != stm.PoolCache {
+			t.Errorf("CacheTx with Pool %v: %v", pool, err)
+		}
+	}
+	for _, pool := range []stm.Pooling{stm.PoolReuse, stm.PoolBatch} {
+		_, err := NewSystem(Options{CacheTx: true, Pool: pool})
+		if err == nil || !strings.Contains(err.Error(), "CacheTx") || !strings.Contains(err.Error(), pool.String()) {
+			t.Errorf("CacheTx with Pool %v: err = %v, want a conflict naming both", pool, err)
+		}
 	}
 }
 

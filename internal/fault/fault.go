@@ -36,8 +36,8 @@
 // -pmem/-crash CLI flags); they are consulted at pmem checkpoints via
 // Plan.Crash and at most one fires per plan.
 //
-// A Plan is stateful (it counts Mallocs and checkpoints); use Clone (or
-// CloneSeeded) to run the same parsed spec again — or call Reset — so
+// A Plan is stateful (it counts Mallocs and checkpoints); use
+// CloneSeeded to run the same parsed spec again — or call Reset — so
 // repetitions stay identical.
 package fault
 
@@ -387,21 +387,13 @@ func (p *Plan) Reset() {
 	}
 }
 
-// Clone returns an independent plan with the same parsed clauses, spec
-// and seed, rewound to its post-Parse state. It replaces re-parsing the
-// spec string when the same plan drives several runs (harness cells):
-// the clone carries no shared state, so concurrent cells cannot perturb
-// each other's fault schedules.
-func (p *Plan) Clone() *Plan {
-	if p == nil {
-		return nil
-	}
-	return p.CloneSeeded(p.seed)
-}
-
-// CloneSeeded is Clone with a different PRNG seed — the harness derives
-// one per cell so probabilistic clauses decorrelate across cells while
-// each cell stays reproducible.
+// CloneSeeded returns an independent plan with the same parsed clauses
+// and spec, rewound to its post-Parse state and seeded with seed. It
+// replaces re-parsing the spec string when the same plan drives several
+// runs (harness cells): the clone carries no shared state, so
+// concurrent cells cannot perturb each other's fault schedules, and the
+// harness derives one seed per cell so probabilistic clauses
+// decorrelate across cells while each cell stays reproducible.
 func (p *Plan) CloneSeeded(seed uint64) *Plan {
 	if p == nil {
 		return nil

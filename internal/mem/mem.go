@@ -281,14 +281,6 @@ func (s *Space) RegionOf(a Addr) (Region, bool) {
 	return Region{}, false
 }
 
-// Regions returns a snapshot of all mapped regions sorted by base.
-func (s *Space) Regions() []Region {
-	regions := *s.regions.Load()
-	out := make([]Region, len(regions))
-	copy(out, regions)
-	return out
-}
-
 func (s *Space) pageFor(a Addr) *page {
 	pn := uint64(a) >> PageShift
 	t := s.l1[(pn>>l2Bits)&(l1Size-1)].Load()

@@ -170,12 +170,6 @@ func (p *Pmem) SetStopper(s interface{ Stop() }) { p.stopper = s }
 // Crashed reports whether a crash clause fired.
 func (p *Pmem) Crashed() bool { return p.crashed }
 
-// CrashPoint returns where the crash fired (virtual cycle and phase
-// name), or zeros if none did.
-func (p *Pmem) CrashPoint() (cycle uint64, phase string) {
-	return p.crashCycle, p.crashPhase
-}
-
 // Stats returns the durable-traffic counters.
 func (p *Pmem) Stats() Stats { return p.stats }
 
@@ -236,16 +230,6 @@ func (p *Pmem) Flush(th *vtime.Thread, a mem.Addr) {
 	if _, ok := p.dirty[l]; ok {
 		delete(p.dirty, l)
 		p.pending[l] = struct{}{}
-	}
-}
-
-// FlushRange flushes every line overlapping [base, base+size).
-func (p *Pmem) FlushRange(th *vtime.Thread, base mem.Addr, size uint64) {
-	if size == 0 {
-		return
-	}
-	for l := lineOf(base); l < base+mem.Addr(size); l += LineSize {
-		p.Flush(th, l)
 	}
 }
 

@@ -193,9 +193,8 @@ func (a *Intruder) Parallel(w *stamp.World, th *vtime.Thread) {
 			a.found++ // engine serializes: safe
 		}
 		th.Work(uint64(len(payload)))
-		w.Allocator.Free(th, slots)
-		//tmvet:allow txescape: the committed Remove privatized the flow, so the raw free cannot race a reader
-		w.Allocator.Free(th, completed)
+		w.STM.FreePrivatized(th, slots, n*8)
+		w.STM.FreePrivatized(th, completed, flSize)
 		a.finished++
 	}
 }

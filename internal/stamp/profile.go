@@ -55,21 +55,6 @@ func Bucket(size uint64) int {
 	return len(SizeClassBuckets)
 }
 
-// TotalMallocs sums mallocs over regions.
-func (p *Profile) TotalMallocs() uint64 {
-	return p.Mallocs[RegionSeq] + p.Mallocs[RegionPar] + p.Mallocs[RegionTx]
-}
-
-// TotalFrees sums frees over regions.
-func (p *Profile) TotalFrees() uint64 {
-	return p.Frees[RegionSeq] + p.Frees[RegionPar] + p.Frees[RegionTx]
-}
-
-// TotalBytes sums requested bytes over regions.
-func (p *Profile) TotalBytes() uint64 {
-	return p.Bytes[RegionSeq] + p.Bytes[RegionPar] + p.Bytes[RegionTx]
-}
-
 // profAlloc wraps the system allocator and attributes each operation to
 // a region. The engine serializes execution, so plain counters suffice.
 type profAlloc struct {

@@ -158,11 +158,6 @@ func (w *World) Seq(fn func(th *vtime.Thread)) {
 	})
 }
 
-// Par runs fn on every thread (the parallel phase).
-func (w *World) Par(fn func(th *vtime.Thread)) {
-	w.Engine.Run(fn)
-}
-
 // Atomic is shorthand for the world's STM.
 func (w *World) Atomic(th *vtime.Thread, fn func(tx *stm.Tx)) {
 	w.STM.Atomic(th, fn)

@@ -4,6 +4,7 @@
 package stamptest
 
 import (
+	"fmt"
 	"testing"
 
 	_ "repro/internal/alloc/glibc"
@@ -11,27 +12,52 @@ import (
 	_ "repro/internal/alloc/tbb"
 	_ "repro/internal/alloc/tcmalloc"
 
+	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/stamp"
+	"repro/internal/stm"
 )
 
-// Check runs app with every allocator at 1 and 4 threads (Quick scale)
-// and asserts validation passes and results are sane. wantTx requires
-// at least one committed transaction.
+// Check runs app with every allocator at 1 and 4 threads (Quick scale),
+// then at 4 threads under every pooling discipline with the sanitizer
+// armed, and asserts every run validates with an ok status and sane
+// results. wantTx requires at least one committed transaction.
 func Check(t *testing.T, app string, wantTx bool) {
 	t.Helper()
-	for _, name := range []string{"glibc", "hoard", "tbb", "tcmalloc"} {
+	for _, name := range allocators {
 		for _, threads := range []int{1, 4} {
-			res, err := stamp.Run(stamp.Config{App: app, Allocator: name, Threads: threads})
-			if err != nil {
-				t.Fatalf("%s/%s/%d: %v", app, name, threads, err)
-			}
-			if res.Cycles == 0 {
-				t.Errorf("%s/%s/%d: zero parallel time", app, name, threads)
-			}
-			if wantTx && res.Tx.Commits == 0 {
-				t.Errorf("%s/%s/%d: no transactions committed", app, name, threads)
-			}
+			check(t, stamp.Config{App: app, Allocator: name, Threads: threads}, wantTx)
 		}
+	}
+	old := mem.SanitizeDefault()
+	mem.SetSanitizeDefault(true)
+	defer mem.SetSanitizeDefault(old)
+	for _, pool := range []stm.Pooling{stm.PoolNone, stm.PoolCache, stm.PoolReuse, stm.PoolBatch} {
+		for _, name := range allocators {
+			check(t, stamp.Config{App: app, Allocator: name, Threads: 4, Pool: pool}, wantTx)
+		}
+	}
+}
+
+var allocators = []string{"glibc", "hoard", "tbb", "tcmalloc"}
+
+// check runs one configuration. A sanitizer diagnostic or a race
+// finding comes back as a failed status, not an error.
+func check(t *testing.T, cfg stamp.Config, wantTx bool) {
+	t.Helper()
+	id := fmt.Sprintf("%s/%s/%d/%v", cfg.App, cfg.Allocator, cfg.Threads, cfg.Pool)
+	res, err := stamp.Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	if res.Status != obs.StatusOK {
+		t.Errorf("%s: status %s: %s", id, res.Status, res.Failure)
+	}
+	if res.Cycles == 0 {
+		t.Errorf("%s: zero parallel time", id)
+	}
+	if wantTx && res.Tx.Commits == 0 {
+		t.Errorf("%s: no transactions committed", id)
 	}
 }
 

@@ -11,8 +11,10 @@ package stm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
+	"repro/internal/vtime"
 )
 
 // Pooling selects the transactional-allocation recycling discipline.
@@ -39,8 +41,8 @@ const (
 	// PoolBatch ("batch"): BatchActionAllocator-style bulk allocation.
 	// A miss carves the block out of a slab obtained with a single
 	// large system allocation; individual frees never reach the system
-	// allocator (freed blocks recycle through the pool, slabs are only
-	// released by Flush).
+	// allocator (freed blocks recycle through the pool, and slabs are
+	// never released).
 	PoolBatch
 )
 
@@ -79,8 +81,11 @@ func ParsePooling(s string) (Pooling, error) {
 
 // PoolStats counts one pool's traffic.
 type PoolStats struct {
-	Hits      uint64 // allocations served from the pool
-	Misses    uint64 // requests that found the pool empty for the size
+	Hits uint64 // allocations served from the pool
+	// Misses counts empty recycle lists under PoolCache, empty refill
+	// runs under PoolReuse (even when the refill then succeeds), and
+	// failed slab mallocs under PoolBatch.
+	Misses    uint64
 	Returns   uint64 // blocks parked in the pool by commit/abort paths
 	Refills   uint64 // blocks obtained from the system allocator to restock
 	Slabs     uint64 // slabs carved (PoolBatch)
@@ -99,180 +104,53 @@ func (s *PoolStats) Add(o PoolStats) {
 	s.Held += o.Held
 }
 
-// TxPool is the per-thread recycling seam consulted by the
-// transactional allocation paths. Get serves Tx.Malloc before the
-// system allocator is asked; Put is offered every block leaving a
-// transaction — allocated by an aborted one, or freed by a committed
-// one — and a Put that returns false routes the block down the default
-// path instead (system free on abort, epoch quarantine on commit).
-// Implementations run on the owning simulated thread only (the engine
-// serializes execution) and must price the work they model through the
-// thread's cost model, as the in-tree disciplines do.
-type TxPool interface {
-	// Discipline reports which policy the pool implements.
-	Discipline() Pooling
-	// Get serves a transactional allocation of the given request size,
-	// returning 0 on a miss.
-	Get(tx *Tx, size uint64) mem.Addr
-	// Put offers the pool a block leaving the transaction, reporting
-	// whether the pool kept it.
-	Put(tx *Tx, addr mem.Addr, size uint64) bool
-	// Flush hands every parked block (and slab) back to the system
-	// allocator. Workloads do not call it mid-run — a flush changes
-	// heap state; it exists for end-of-phase teardown and tests.
-	Flush(tx *Tx)
-	// Stats returns the pool's cumulative traffic counters.
-	Stats() PoolStats
+// TxPool is one thread's transaction-object recycler, consulted by
+// Tx.Malloc before the system allocator and handed every block leaving
+// a transaction — allocated by an aborted one, or freed by a committed
+// one. Every discipline parks returned blocks on a per-size LIFO
+// recycle list and serves Get from it first; they differ only in what
+// an empty list does:
+//
+//   - PoolCache counts a miss, and the caller asks the system
+//     allocator;
+//   - PoolReuse hands out the next block of a refill run, allocating a
+//     run of poolRefillRun blocks when none is left;
+//   - PoolBatch carves the block out of a batchSlabObjs-object slab.
+//
+// A pool runs on its owning simulated thread only (the engine
+// serializes execution) and prices its work through that thread's cost
+// model.
+type TxPool struct {
+	discipline Pooling
+	recycled   map[uint64][]mem.Addr // request size -> returned blocks (LIFO)
+	fresh      map[uint64][]mem.Addr // PoolReuse: refill blocks not yet handed out
+	cursors    map[uint64]slabCursor // PoolBatch: request size -> current slab
+	stats      PoolStats
 }
 
-// NewTxPool builds the in-tree pool for a discipline (nil for
-// PoolNone: the baseline discipline is the absence of a pool).
-func NewTxPool(d Pooling) TxPool {
+// NewTxPool builds a pool for a discipline (nil for PoolNone: the
+// baseline discipline is the absence of a pool).
+func NewTxPool(d Pooling) *TxPool {
+	if d == PoolNone {
+		return nil
+	}
+	p := &TxPool{discipline: d, recycled: map[uint64][]mem.Addr{}}
 	switch d {
-	case PoolCache:
-		return &cachePool{blocks: map[uint64][]mem.Addr{}}
 	case PoolReuse:
-		return &reusePool{recycled: map[uint64][]mem.Addr{}, fresh: map[uint64][]mem.Addr{}}
+		p.fresh = map[uint64][]mem.Addr{}
 	case PoolBatch:
-		return &batchPool{recycled: map[uint64][]mem.Addr{}, cursors: map[uint64]*slabCursor{}}
+		p.cursors = map[uint64]slabCursor{}
 	}
-	return nil
+	return p
 }
 
-// ---- cache: the paper's §6.2 thread-local transaction-object cache ----
-
-type cachePool struct {
-	blocks map[uint64][]mem.Addr // request size -> parked blocks (LIFO)
-	stats  PoolStats
-}
-
-func (p *cachePool) Discipline() Pooling { return PoolCache }
-
-func (p *cachePool) Get(tx *Tx, size uint64) mem.Addr {
-	lst := p.blocks[size]
-	if len(lst) == 0 {
-		p.stats.Misses++
-		return 0
-	}
-	a := lst[len(lst)-1]
-	p.blocks[size] = lst[:len(lst)-1]
-	p.stats.Hits++
-	p.stats.Held--
-	tx.stats.CacheHits++
-	tx.th.Tick(tx.th.Cost().AllocOp)
-	tx.sanMarkReused(a)
-	return a
-}
-
-func (p *cachePool) Put(tx *Tx, addr mem.Addr, size uint64) bool {
-	tx.sanMarkFreed(addr)
-	p.blocks[size] = append(p.blocks[size], addr)
-	p.stats.Returns++
-	p.stats.Held++
-	tx.stats.CacheReturns++
-	tx.th.Tick(tx.th.Cost().AllocOp)
-	return true
-}
-
-func (p *cachePool) Flush(tx *Tx) {
-	for size, lst := range p.blocks {
-		for _, a := range lst {
-			tx.stm.allocator.Free(tx.th, a)
-		}
-		delete(p.blocks, size)
-	}
-	p.stats.Held = 0
-}
-
-func (p *cachePool) Stats() PoolStats { return p.stats }
-
-// ---- pool: ActionMemoryPool-style eager pool-and-reuse ----
-
-// poolRefillRun is how many blocks a reuse-pool miss allocates at once.
-// A run of back-to-back allocations lands the blocks contiguously, so
-// later pool hits walk adjacent lines instead of whatever placement the
-// demand-paced cache accreted.
+// poolRefillRun is how many blocks a PoolReuse refill allocates at
+// once. A run of back-to-back allocations lands the blocks
+// contiguously, so later pool hits walk adjacent lines instead of
+// whatever placement the demand-paced cache accreted.
 const poolRefillRun = 8
 
-type reusePool struct {
-	recycled map[uint64][]mem.Addr // blocks returned by commit/abort (need reuse re-arm)
-	fresh    map[uint64][]mem.Addr // refill blocks never handed out yet
-	stats    PoolStats
-}
-
-func (p *reusePool) Discipline() Pooling { return PoolReuse }
-
-func (p *reusePool) Get(tx *Tx, size uint64) mem.Addr {
-	if lst := p.recycled[size]; len(lst) > 0 {
-		a := lst[len(lst)-1]
-		p.recycled[size] = lst[:len(lst)-1]
-		p.stats.Hits++
-		p.stats.Held--
-		tx.stats.CacheHits++
-		tx.th.Tick(tx.th.Cost().AllocOp)
-		tx.sanMarkReused(a)
-		return a
-	}
-	lst := p.fresh[size]
-	if len(lst) == 0 {
-		p.stats.Misses++
-		for i := 0; i < poolRefillRun; i++ {
-			a := tx.stm.allocator.Malloc(tx.th, size)
-			if a == 0 {
-				break // OOM: serve what the run got; an empty run falls through
-			}
-			lst = append(lst, a)
-			p.stats.Refills++
-			p.stats.Held++
-		}
-		if len(lst) == 0 {
-			return 0
-		}
-		// Reverse so pops hand the run out in allocation order.
-		for i, j := 0, len(lst)-1; i < j; i, j = i+1, j-1 {
-			lst[i], lst[j] = lst[j], lst[i]
-		}
-	}
-	a := lst[len(lst)-1]
-	p.fresh[size] = lst[:len(lst)-1]
-	p.stats.Hits++
-	p.stats.Held--
-	tx.stats.CacheHits++
-	tx.th.Tick(tx.th.Cost().AllocOp)
-	return a
-}
-
-func (p *reusePool) Put(tx *Tx, addr mem.Addr, size uint64) bool {
-	tx.sanMarkFreed(addr)
-	p.recycled[size] = append(p.recycled[size], addr)
-	p.stats.Returns++
-	p.stats.Held++
-	tx.stats.CacheReturns++
-	tx.th.Tick(tx.th.Cost().AllocOp)
-	return true
-}
-
-func (p *reusePool) Flush(tx *Tx) {
-	for size, lst := range p.recycled {
-		for _, a := range lst {
-			tx.stm.allocator.Free(tx.th, a)
-		}
-		delete(p.recycled, size)
-	}
-	for size, lst := range p.fresh {
-		for _, a := range lst {
-			tx.stm.allocator.Free(tx.th, a)
-		}
-		delete(p.fresh, size)
-	}
-	p.stats.Held = 0
-}
-
-func (p *reusePool) Stats() PoolStats { return p.stats }
-
-// ---- batch: BatchActionAllocator-style slab carving ----
-
-// batchSlabObjs is how many objects one slab allocation reserves.
+// batchSlabObjs is how many objects one PoolBatch slab reserves.
 const batchSlabObjs = 64
 
 // slabCursor tracks the carve position inside the current slab for one
@@ -282,79 +160,121 @@ type slabCursor struct {
 	end  mem.Addr // one past the slab's last sub-block
 }
 
-type batchPool struct {
-	recycled map[uint64][]mem.Addr  // freed sub-blocks recycled for reuse
-	cursors  map[uint64]*slabCursor // request size -> current slab
-	slabs    []mem.Addr             // slab bases, released only by Flush
-	stats    PoolStats
-}
-
-func (p *batchPool) Discipline() Pooling { return PoolBatch }
-
-// stride is the carve step: the request size rounded to whole words so
-// sub-blocks never share a word.
+// batchStride is the carve step: the request size rounded to whole
+// words so sub-blocks never share a word.
 func batchStride(size uint64) uint64 { return (size + 7) &^ 7 }
 
-func (p *batchPool) Get(tx *Tx, size uint64) mem.Addr {
+// Get serves a transactional allocation of the given request size,
+// returning 0 when the caller must ask the system allocator.
+func (p *TxPool) Get(tx *Tx, size uint64) mem.Addr {
 	if lst := p.recycled[size]; len(lst) > 0 {
 		a := lst[len(lst)-1]
 		p.recycled[size] = lst[:len(lst)-1]
-		p.stats.Hits++
 		p.stats.Held--
-		tx.stats.CacheHits++
-		tx.th.Tick(tx.th.Cost().AllocOp)
+		p.serve(tx)
+		if p.discipline != PoolBatch {
+			tx.sanMarkReused(a)
+		}
 		return a
 	}
+	switch p.discipline {
+	case PoolReuse:
+		return p.nextFresh(tx, size)
+	case PoolBatch:
+		return p.carve(tx, size)
+	}
+	p.stats.Misses++
+	return 0
+}
+
+// serve counts a block handed out and prices the pool operation.
+func (p *TxPool) serve(tx *Tx) {
+	p.stats.Hits++
+	tx.stats.CacheHits++
+	tx.th.Tick(tx.th.Cost().AllocOp)
+}
+
+// nextFresh pops the size's refill run, allocating a new run when it is
+// empty. An OOM cuts the run short; an empty run falls through to the
+// system allocator. Refill blocks come straight from the allocator, so
+// the observers already saw them allocated.
+func (p *TxPool) nextFresh(tx *Tx, size uint64) mem.Addr {
+	lst := p.fresh[size]
+	if len(lst) == 0 {
+		p.stats.Misses++
+		for i := 0; i < poolRefillRun; i++ {
+			a := tx.stm.allocator.Malloc(tx.th, size)
+			if a == 0 {
+				break
+			}
+			lst = append(lst, a)
+			p.stats.Refills++
+			p.stats.Held++
+		}
+		if len(lst) == 0 {
+			return 0
+		}
+		// Reverse so pops hand the run out in allocation order.
+		slices.Reverse(lst)
+	}
+	a := lst[len(lst)-1]
+	p.fresh[size] = lst[:len(lst)-1]
+	p.stats.Held--
+	p.serve(tx)
+	return a
+}
+
+// carve hands out the next sub-block of the size's slab, allocating a
+// new slab with one system malloc when the current one is used up.
+// Slabs are never released.
+func (p *TxPool) carve(tx *Tx, size uint64) mem.Addr {
+	stride := batchStride(size)
 	cur := p.cursors[size]
-	if cur == nil || cur.next >= cur.end {
-		stride := batchStride(size)
+	if cur.next >= cur.end {
 		base := tx.stm.allocator.Malloc(tx.th, stride*batchSlabObjs)
 		if base == 0 {
 			p.stats.Misses++
 			return 0
 		}
-		if cur == nil {
-			cur = &slabCursor{}
-			p.cursors[size] = cur
-		}
-		cur.next = base
-		cur.end = base + mem.Addr(stride*batchSlabObjs)
-		p.slabs = append(p.slabs, base)
+		cur = slabCursor{next: base, end: base + mem.Addr(stride*batchSlabObjs)}
 		p.stats.Slabs++
 		p.stats.SlabBytes += stride * batchSlabObjs
 	}
 	a := cur.next
-	cur.next += mem.Addr(batchStride(size))
-	p.stats.Hits++
-	tx.stats.CacheHits++
-	tx.th.Tick(tx.th.Cost().AllocOp)
+	cur.next += mem.Addr(stride)
+	p.cursors[size] = cur
+	p.serve(tx)
 	return a
 }
 
-func (p *batchPool) Put(tx *Tx, addr mem.Addr, size uint64) bool {
-	// Sub-blocks must never reach the system allocator (it never handed
-	// them out), so the pool keeps every return. They are also invisible
-	// to the block-granularity observers (shadow map, heap watcher):
-	// marking one sub-block freed would poison the whole owning slab —
-	// the first carved sub-block even shares its base address — and
-	// every live neighbor would misread as use-after-free. The slab
-	// stays "allocated" from the sanitizer's view until Flush.
+// Put parks a block leaving a transaction on the recycle list for its
+// request size. A PoolBatch sub-block stays invisible to the
+// block-granularity observers (shadow map, heap watcher): the allocator
+// only ever handed out its slab, so marking one sub-block freed would
+// poison the whole slab — the first sub-block even shares its base
+// address — and every live neighbor would misread as use-after-free.
+func (p *TxPool) Put(tx *Tx, addr mem.Addr, size uint64) {
+	if p.discipline != PoolBatch {
+		tx.sanMarkFreed(addr)
+	}
 	p.recycled[size] = append(p.recycled[size], addr)
 	p.stats.Returns++
 	p.stats.Held++
 	tx.stats.CacheReturns++
 	tx.th.Tick(tx.th.Cost().AllocOp)
-	return true
 }
 
-func (p *batchPool) Flush(tx *Tx) {
-	for _, base := range p.slabs {
-		tx.stm.allocator.Free(tx.th, base)
+// FreePrivatized frees, outside any transaction, a block of the given
+// request size that a transaction allocated and a committed one has
+// since privatized (intruder's completed flows). Under PoolBatch the
+// block is a slab sub-block the allocator never handed out, so it goes
+// back into th's pool, as it would from a transactional free; every
+// other discipline frees it to the system allocator.
+func (s *STM) FreePrivatized(th *vtime.Thread, a mem.Addr, size uint64) {
+	if s.pooling == PoolBatch {
+		tx := s.TxFor(th)
+		tx.pool.Put(tx, a, size)
+		return
 	}
-	p.slabs = p.slabs[:0]
-	clear(p.recycled)
-	clear(p.cursors)
-	p.stats.Held = 0
+	s.allocator.Free(th, a)
 }
-
-func (p *batchPool) Stats() PoolStats { return p.stats }

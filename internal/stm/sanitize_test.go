@@ -11,7 +11,7 @@ import (
 
 // runSanitized executes fn on one simulated thread over a sanitized
 // space and returns the sanitizer diagnostic it raised, if any.
-func runSanitized(t *testing.T, allocator string, sanitize, cacheTx bool, fn func(s *STM, th *vtime.Thread)) *mem.Diag {
+func runSanitized(t *testing.T, allocator string, sanitize bool, pool Pooling, fn func(s *STM, th *vtime.Thread)) *mem.Diag {
 	t.Helper()
 	// TestMain arms the sanitizer package-wide; the sanitize=false cases
 	// drop the default for the duration of this run (tests within a
@@ -25,7 +25,7 @@ func runSanitized(t *testing.T, allocator string, sanitize, cacheTx bool, fn fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(space, Config{Allocator: a, CacheTxObjects: cacheTx})
+	s := New(space, Config{Allocator: a, Pooling: pool})
 	var diag *mem.Diag
 	func() {
 		defer func() {
@@ -93,7 +93,7 @@ func TestSanitizerDiagnostics(t *testing.T) {
 	for _, name := range alloc.Names() {
 		for _, tc := range cases {
 			t.Run(name+"/"+tc.name, func(t *testing.T) {
-				d := runSanitized(t, name, true, false, tc.run)
+				d := runSanitized(t, name, true, PoolNone, tc.run)
 				if d == nil {
 					t.Fatalf("%s under %s raised no diagnostic", tc.name, name)
 				}
@@ -122,7 +122,7 @@ func TestSanitizerDiagnostics(t *testing.T) {
 func TestLoadGuard(t *testing.T) {
 	for _, name := range alloc.Names() {
 		t.Run(name+"/freed-silent", func(t *testing.T) {
-			d := runSanitized(t, name, true, false, func(s *STM, th *vtime.Thread) {
+			d := runSanitized(t, name, true, PoolNone, func(s *STM, th *vtime.Thread) {
 				var p mem.Addr
 				s.Atomic(th, func(tx *Tx) { p = tx.Malloc(66); tx.Store(p, 1) })
 				s.Atomic(th, func(tx *Tx) { tx.Free(p, 66) })
@@ -133,7 +133,7 @@ func TestLoadGuard(t *testing.T) {
 			}
 		})
 		t.Run(name+"/wild-reports", func(t *testing.T) {
-			d := runSanitized(t, name, true, false, func(s *STM, th *vtime.Thread) {
+			d := runSanitized(t, name, true, PoolNone, func(s *STM, th *vtime.Thread) {
 				s.Atomic(th, func(tx *Tx) { tx.LoadGuard(mem.Addr(0x1000)) })
 			})
 			if d == nil {
@@ -152,7 +152,7 @@ func TestLoadGuard(t *testing.T) {
 func TestSanitizerOffSilent(t *testing.T) {
 	for _, name := range alloc.Names() {
 		t.Run(name, func(t *testing.T) {
-			d := runSanitized(t, name, false, false, func(s *STM, th *vtime.Thread) {
+			d := runSanitized(t, name, false, PoolNone, func(s *STM, th *vtime.Thread) {
 				var p mem.Addr
 				s.Atomic(th, func(tx *Tx) { p = tx.Malloc(66); tx.Store(p, 7) })
 				s.Atomic(th, func(tx *Tx) { tx.Free(p, 66) })
@@ -174,7 +174,7 @@ func TestSanitizerOffSilent(t *testing.T) {
 // the sanitizer, and stale pointers to it must still be caught while it
 // sits in the cache.
 func TestSanitizerCacheTxReuse(t *testing.T) {
-	d := runSanitized(t, "glibc", true, true, func(s *STM, th *vtime.Thread) {
+	d := runSanitized(t, "glibc", true, PoolCache, func(s *STM, th *vtime.Thread) {
 		var p mem.Addr
 		s.Atomic(th, func(tx *Tx) { p = tx.Malloc(66); tx.Store(p, 7) })
 		s.Atomic(th, func(tx *Tx) { tx.Free(p, 66) })
@@ -197,41 +197,56 @@ func TestSanitizerCacheTxReuse(t *testing.T) {
 // sanitizer-clean. The batch discipline once marked a parked sub-block
 // freed, which poisoned the whole owning slab (the first carved
 // sub-block shares the slab's base address) and made every live
-// neighbor misread as use-after-free.
+// neighbor misread as use-after-free. The privatized rows free outside
+// any transaction through FreePrivatized, which once reached the
+// system allocator with a batch sub-block and released its whole slab.
 func TestSanitizerPooledDisciplines(t *testing.T) {
 	for _, d := range []Pooling{PoolCache, PoolReuse, PoolBatch} {
-		t.Run(d.String(), func(t *testing.T) {
-			old := mem.SanitizeDefault()
-			mem.SetSanitizeDefault(true)
-			defer mem.SetSanitizeDefault(old)
-			space := mem.NewSpace()
-			e := vtime.NewEngine(space, 1, vtime.Config{})
-			a, err := alloc.New("glibc", space, 1)
-			if err != nil {
-				t.Fatal(err)
+		for _, privatized := range []bool{false, true} {
+			name := d.String()
+			if privatized {
+				name += "-privatized"
 			}
-			s := New(space, Config{Allocator: a, Pooling: d})
-			e.Run(func(th *vtime.Thread) {
-				var live []mem.Addr
-				for i := 0; i < 40; i++ {
-					s.Atomic(th, func(tx *Tx) {
-						p := tx.Malloc(16)
-						tx.Store(p, uint64(i))
-						live = append(live, p)
-					})
-					if len(live) > 8 {
+			t.Run(name, func(t *testing.T) {
+				old := mem.SanitizeDefault()
+				mem.SetSanitizeDefault(true)
+				defer mem.SetSanitizeDefault(old)
+				space := mem.NewSpace()
+				e := vtime.NewEngine(space, 1, vtime.Config{})
+				a, err := alloc.New("glibc", space, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := New(space, Config{Allocator: a, Pooling: d})
+				e.Run(func(th *vtime.Thread) {
+					var live []mem.Addr
+					for i := 0; i < 40; i++ {
+						s.Atomic(th, func(tx *Tx) {
+							p := tx.Malloc(16)
+							tx.Store(p, uint64(i))
+							live = append(live, p)
+						})
+						if len(live) <= 8 {
+							continue
+						}
+						if privatized {
+							s.FreePrivatized(th, live[0], 16)
+							live = live[1:]
+						}
 						// Free the oldest, then read every survivor — a
 						// poisoned slab would trip on the neighbors.
 						s.Atomic(th, func(tx *Tx) {
-							tx.Free(live[0], 16)
-							live = live[1:]
+							if !privatized {
+								tx.Free(live[0], 16)
+								live = live[1:]
+							}
 							for _, q := range live {
 								tx.Load(q)
 							}
 						})
 					}
-				}
+				})
 			})
-		})
+		}
 	}
 }

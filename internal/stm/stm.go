@@ -81,15 +81,6 @@ type Config struct {
 	// Allocator serves transactional Malloc/Free; may be nil if the
 	// workload never allocates inside transactions.
 	Allocator alloc.Allocator
-	// CacheTxObjects enables the §6.2 optimization: objects allocated
-	// by an aborted transaction and objects freed by a committed one
-	// are kept in a thread-local cache and reused by later
-	// transactional allocations, instead of going back to the system
-	// allocator.
-	//
-	// Deprecated alias: CacheTxObjects is Pooling = PoolCache. Setting
-	// both to conflicting disciplines panics in New.
-	CacheTxObjects bool
 	// Pooling selects the transaction-object recycling discipline
 	// served by each thread's TxPool (default PoolNone: per-tx system
 	// malloc/free, the paper's baseline). See the Pooling constants.
@@ -204,8 +195,8 @@ type TxStats struct {
 	StoresTotal  uint64
 	AllocsInTx   uint64
 	FreesInTx    uint64
-	CacheHits    uint64 // tx-object cache hits (CacheTxObjects)
-	CacheReturns uint64 // objects parked in the cache
+	CacheHits    uint64 // transactional allocations served by the TxPool
+	CacheReturns uint64 // blocks parked in the TxPool
 
 	// Robustness / contention-management counters.
 	MaxConsecAborts uint64 // longest consecutive-abort streak of one transaction
@@ -306,18 +297,11 @@ type TxFreeNoter interface {
 
 // New builds an STM over space.
 func New(space *mem.Space, cfg Config) *STM {
-	pooling := cfg.Pooling
-	if cfg.CacheTxObjects {
-		if pooling != PoolNone && pooling != PoolCache {
-			panic(fmt.Sprintf("stm: CacheTxObjects (the %v alias) conflicts with Pooling %v", PoolCache, pooling))
-		}
-		pooling = PoolCache
-	}
 	if cfg.Durable != nil {
 		if cfg.Design == ETLWriteThrough {
 			panic("stm: durable mode requires a write-back design (etl-wt stores uncommitted values the redo log cannot undo)")
 		}
-		if pooling != PoolNone {
+		if cfg.Pooling != PoolNone {
 			panic("stm: durable mode is incompatible with transaction-object pooling (recycled blocks bypass the block journal)")
 		}
 	}
@@ -339,7 +323,7 @@ func New(space *mem.Space, cfg Config) *STM {
 		shift:     shift,
 		clockA:    base,
 		allocator: cfg.Allocator,
-		pooling:   pooling,
+		pooling:   cfg.Pooling,
 		design:    cfg.Design,
 		rec:       cfg.Obs,
 		prof:      cfg.Prof,
@@ -364,12 +348,6 @@ func New(space *mem.Space, cfg Config) *STM {
 	return s
 }
 
-// CM returns the configured contention manager.
-func (s *STM) CM() CM { return s.cm }
-
-// RetryCap returns the effective consecutive-abort fallback threshold.
-func (s *STM) RetryCap() uint64 { return s.retryCap }
-
 // OrtIndex returns the ORT entry index for an address — the paper's
 // mapping function: shift right, then modulo the table size.
 func (s *STM) OrtIndex(a mem.Addr) uint64 {
@@ -379,16 +357,6 @@ func (s *STM) OrtIndex(a mem.Addr) uint64 {
 // ortAddr returns the simulated address of ORT entry i.
 func (s *STM) ortAddr(i uint64) mem.Addr { return s.ortBase + mem.Addr(i*8) }
 
-// Shift returns the configured shift amount.
-func (s *STM) Shift() uint { return s.shift }
-
-// Allocator returns the system allocator serving transactional
-// allocations (may be nil).
-func (s *STM) Allocator() alloc.Allocator { return s.allocator }
-
-// Design returns the configured STM variant.
-func (s *STM) Design() Design { return s.design }
-
 // Pooling returns the transaction-object recycling discipline.
 func (s *STM) Pooling() Pooling { return s.pooling }
 
@@ -397,7 +365,7 @@ func (s *STM) PoolStats() PoolStats {
 	var out PoolStats
 	for _, tx := range s.txs {
 		if tx.pool != nil {
-			out.Add(tx.pool.Stats())
+			out.Add(tx.pool.stats)
 		}
 	}
 	return out
@@ -463,14 +431,6 @@ func (s *STM) InTx(tid int) bool {
 	return ok && tx.active
 }
 
-// ThreadStats returns the statistics of one thread's transactions.
-func (s *STM) ThreadStats(tid int) TxStats {
-	if tx, ok := s.txs[tid]; ok {
-		return tx.stats
-	}
-	return TxStats{}
-}
-
 func addStats(dst, src *TxStats) {
 	dst.Starts += src.Starts
 	dst.Commits += src.Commits
@@ -531,12 +491,7 @@ func (s *STM) Atomic(th *vtime.Thread, fn func(tx *Tx)) {
 			if storm {
 				// Abort-storm kill: roll back (nothing is locked yet)
 				// and fall through to the retry bookkeeping.
-				tx.rollback(AbortKilled)
-				if s.rec != nil {
-					s.rec.TxAbort(th.ID(), tx.beginClock, th.Clock(),
-						AbortKilled.String(), obs.NoStripe, false, 0, 0)
-				}
-				tx.conflictNoStripe(AbortKilled)
+				tx.abandon(AbortKilled)
 			}
 		}
 		if tx.active && tx.tryRun(fn) {
@@ -588,12 +543,7 @@ func (tx *Tx) tryRun(fn func(tx *Tx)) (committed bool) {
 			// propagates.
 			if _, isFault := r.(mem.Fault); isFault && tx.active &&
 				!tx.irrevocable && !tx.validate() {
-				tx.rollback(AbortValidation)
-				if s := tx.stm; s.rec != nil {
-					s.rec.TxAbort(tx.th.ID(), tx.beginClock, tx.th.Clock(),
-						AbortValidation.String(), obs.NoStripe, false, 0, 0)
-				}
-				tx.conflictNoStripe(AbortValidation)
+				tx.abandon(AbortValidation)
 				committed = false
 				return
 			}
@@ -654,7 +604,7 @@ type Tx struct {
 	allocs []allocRec // blocks malloc'd by this tx (undone on abort)
 	frees  []allocRec // frees deferred to commit
 
-	pool TxPool // transaction-object recycler (nil for PoolNone)
+	pool *TxPool // transaction-object recycler (nil for PoolNone)
 
 	// CTL commit scratch, reused across commits.
 	ctlReqs []ctlReq
@@ -725,15 +675,21 @@ func (tx *Tx) abort(reason AbortReason, idx uint64, a mem.Addr) {
 }
 
 // abortNoStripe aborts without a single attributable ORT entry
-// (explicit restarts).
+// (explicit restarts, OOM, kills) and unwinds fn via panic.
 func (tx *Tx) abortNoStripe(reason AbortReason) {
+	tx.abandon(reason)
+	panic(abortSignal{reason})
+}
+
+// abandon rolls the transaction back and reports an abort with no
+// attributable ORT entry to the recorder and the conflict observatory.
+func (tx *Tx) abandon(reason AbortReason) {
 	tx.rollback(reason)
 	if s := tx.stm; s.rec != nil {
 		s.rec.TxAbort(tx.th.ID(), tx.beginClock, tx.th.Clock(), reason.String(),
 			obs.NoStripe, false, 0, 0)
 	}
 	tx.conflictNoStripe(reason)
-	panic(abortSignal{reason})
 }
 
 // rollback releases locks, undoes transactional allocations and drops
@@ -756,7 +712,9 @@ func (tx *Tx) rollback(reason AbortReason) {
 	// Undo transactional allocations: a pooling discipline parks them
 	// in the thread-local pool instead of calling the system free.
 	for _, rec := range tx.allocs {
-		if tx.pool == nil || !tx.pool.Put(tx, rec.addr, rec.size) {
+		if tx.pool != nil {
+			tx.pool.Put(tx, rec.addr, rec.size)
+		} else {
 			tx.stm.allocator.Free(tx.th, rec.addr)
 		}
 	}
@@ -999,12 +957,7 @@ func (tx *Tx) commit() bool {
 	next := s.clockBump(tx.th)
 	if next > tx.snapshot+1 {
 		if !tx.validate() {
-			tx.rollback(AbortValidation)
-			if s.rec != nil {
-				s.rec.TxAbort(tx.th.ID(), tx.beginClock, tx.th.Clock(),
-					AbortValidation.String(), obs.NoStripe, false, 0, 0)
-			}
-			tx.conflictNoStripe(AbortValidation)
+			tx.abandon(AbortValidation)
 			return false
 		}
 	}
@@ -1109,7 +1062,8 @@ func (tx *Tx) finishCommit() {
 	if len(tx.frees) > 0 {
 		ver := tx.stm.clockRead(tx.th)
 		for _, rec := range tx.frees {
-			if tx.pool != nil && tx.pool.Put(tx, rec.addr, rec.size) {
+			if tx.pool != nil {
+				tx.pool.Put(tx, rec.addr, rec.size)
 				continue
 			}
 			tx.raceTxFreeCommitted(rec.addr)

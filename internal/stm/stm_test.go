@@ -335,7 +335,7 @@ func TestTxFreeConflictsWithReaders(t *testing.T) {
 func TestCacheTxObjectsReuse(t *testing.T) {
 	space, _ := newWorld(1)
 	a := alloc.MustNew("glibc", space, 1)
-	s := New(space, Config{Allocator: a, CacheTxObjects: true})
+	s := New(space, Config{Allocator: a, Pooling: PoolCache})
 	th := vtime.Solo(space, 0, nil)
 
 	// A committed free parks the block in the cache...

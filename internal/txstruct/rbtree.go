@@ -98,17 +98,6 @@ func (t *RBTree) lookup(tx *stm.Tx, k int64) mem.Addr {
 // Len returns the element count.
 func (t *RBTree) Len(tx *stm.Tx) int { return int(tx.Load(t.sizeCell)) }
 
-// Update sets the value of an existing key, reporting whether it was
-// present.
-func (t *RBTree) Update(tx *stm.Tx, k int64, v uint64) bool {
-	n := t.lookup(tx, k)
-	if n == 0 {
-		return false
-	}
-	tx.Store(n+rbVal, v)
-	return true
-}
-
 // Insert adds k -> v, reporting false (and leaving the tree unchanged)
 // if k was already present.
 func (t *RBTree) Insert(tx *stm.Tx, k int64, v uint64) bool {

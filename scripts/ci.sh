@@ -92,6 +92,35 @@ cmp "$tmpdir/j1.norm" "$tmpdir/j8.norm" || {
     exit 1
 }
 
+echo "== committed results gate =="
+# results/ is the byte-identity golden: a fresh quick-scale -run all
+# must write exactly the committed file set, every table byte for byte,
+# and every run record byte for byte once the recorded pool width
+# ("jobs") is zeroed as above. A change that moves a simulated number
+# must regenerate results/ on purpose.
+go run ./cmd/tmrepro -run all -out "$tmpdir/results" >/dev/null 2>&1
+want=$(cd results && ls | grep -v '^README.txt$')
+got=$(cd "$tmpdir/results" && ls)
+[ "$want" = "$got" ] || {
+    echo "results/ file set differs from a fresh -run all:" >&2
+    echo "committed: $want" >&2
+    echo "fresh:     $got" >&2
+    exit 1
+}
+for f in $got; do
+    case "$f" in
+    *.json)
+        sed 's/"jobs": *[0-9]*/"jobs": 0/' "results/$f" >"$tmpdir/res-want.norm"
+        sed 's/"jobs": *[0-9]*/"jobs": 0/' "$tmpdir/results/$f" >"$tmpdir/res-got.norm"
+        cmp "$tmpdir/res-want.norm" "$tmpdir/res-got.norm" ;;
+    *)
+        cmp "results/$f" "$tmpdir/results/$f" ;;
+    esac || {
+        echo "results/$f differs from a fresh -run all; regenerate results/ if the change is intended" >&2
+        exit 1
+    }
+done
+
 echo "== tx-pooling byte-identity gate =="
 # Turning the pooling axis off explicitly (-pool none) must be
 # byte-for-byte the same as never mentioning it, at every pool width:
