@@ -1,9 +1,10 @@
 // Package conflict implements the abort-forensics observatory: a
-// deterministic pure observer that consumes one structured event per
-// transaction abort from the STM (stm.ConflictHook) and the allocator
-// block lifecycle from the address space (mem.HeapWatcher), and
-// answers the question the aggregate counters cannot — *why did this
-// transaction die, and which allocation decision is to blame?*
+// deterministic pure observer that consumes the STM's transaction
+// events (stm.Observer: labels, stripe acquisitions, aborts, commits)
+// and the allocator block lifecycle from the address space
+// (mem.HeapWatcher), and answers the question the aggregate counters
+// cannot — *why did this transaction die, and which allocation
+// decision is to blame?*
 //
 // Every abort is classified against allocator provenance into one of
 // four placement classes (plus a residue):
@@ -79,6 +80,7 @@ func (c Class) String() string {
 const (
 	maxExemplars = 32   // bounded reservoir of rendered events
 	maxOffenders = 4096 // bounded repeat-offender address map
+	acquirerPage = 1024 // ORT entries per last-acquirer page
 	lineSize     = 64   // cache-line granularity for the same-line enrichment
 )
 
@@ -108,13 +110,18 @@ type siteStat struct {
 	wasted uint64
 }
 
-// Observatory consumes ConflictEvents and block lifecycle events.
-// It implements stm.ConflictHook and mem.HeapWatcher structurally.
+// Observatory consumes transaction events and block lifecycle events.
+// It implements stm.Observer and mem.HeapWatcher.
 type Observatory struct {
 	shift uint // placement key = addr >> shift (the STM's Shift)
 
 	kinds []string // per-tid current kind label
 	chain []int    // per-tid current abort-cascade depth
+
+	// acquirers holds each ORT entry's last acquirer (a stripe abort's
+	// killer) as tid+1, 0 for never, in pages allocated on first touch:
+	// a run pays only for the stripe ranges it locks.
+	acquirers map[uint64]*[acquirerPage]int32
 
 	blocks    map[mem.Addr]*block // by user base
 	wordOwner map[mem.Addr]*block // word address -> owning block
@@ -149,6 +156,7 @@ func New(threads int, shift uint) *Observatory {
 		shift:     shift,
 		kinds:     make([]string, threads),
 		chain:     make([]int, threads),
+		acquirers: make(map[uint64]*[acquirerPage]int32),
 		blocks:    make(map[mem.Addr]*block),
 		wordOwner: make(map[mem.Addr]*block),
 		edges:     make(map[[2]string]*edgeStat),
@@ -172,17 +180,37 @@ func (o *Observatory) kindOf(tid int) string {
 	return o.kinds[tid]
 }
 
-// TxKind implements stm.ConflictHook.
-func (o *Observatory) TxKind(tid int, kind string) {
-	o.grow(tid)
-	o.kinds[tid] = kind
-}
-
-// TxCommitted implements stm.ConflictHook: a commit ends any abort
-// cascade rooted at the thread.
-func (o *Observatory) TxCommitted(tid int, kind string) {
-	o.grow(tid)
-	o.chain[tid] = 0
+// OnTx implements stm.Observer. A label names the thread's transactions,
+// a commit ends its abort cascade, and an acquire records the stripe's
+// last acquirer: an abort attributed to the stripe names it as the
+// killer unless it is the victim. A kill arrives with its killer named.
+func (o *Observatory) OnTx(ev stm.Event) {
+	page, i := ev.Stripe/acquirerPage, ev.Stripe%acquirerPage
+	switch ev.Kind {
+	case stm.EvLabel:
+		o.grow(ev.Tid)
+		o.kinds[ev.Tid] = ev.Label
+	case stm.EvAcquire:
+		p := o.acquirers[page]
+		if p == nil {
+			p = new([acquirerPage]int32)
+			o.acquirers[page] = p
+		}
+		p[i] = int32(ev.Tid) + 1
+	case stm.EvAbort:
+		// obs.NoStripe is never acquired, so an unattributed abort keeps
+		// the killer it arrived with.
+		if p := o.acquirers[page]; p != nil && p[i] != 0 {
+			ev.Killer = int(p[i]) - 1
+		}
+		if ev.Killer == ev.Tid {
+			ev.Killer = stm.NoKiller
+		}
+		o.abort(ev)
+	case stm.EvCommit:
+		o.grow(ev.Tid)
+		o.chain[ev.Tid] = 0
+	}
 }
 
 // OnHeapAlloc implements mem.HeapWatcher: track the block with its
@@ -234,27 +262,28 @@ func (o *Observatory) find(a mem.Addr) *block {
 
 // Classify maps one event onto the taxonomy, with the same-cache-line
 // and cross-block enrichment bits (meaningful for ClassFalse only).
-func (o *Observatory) Classify(ev stm.ConflictEvent) (class Class, sameLine, crossBlock bool) {
-	if ev.Stripe == obs.NoStripe || ev.OwnerAddr == 0 {
+func (o *Observatory) Classify(ev stm.Event) (class Class, sameLine, crossBlock bool) {
+	if ev.Stripe == obs.NoStripe || ev.Owner == 0 {
 		return ClassOther, false, false
 	}
-	if ev.VictimAddr == ev.OwnerAddr {
+	if ev.Addr == ev.Owner {
 		return ClassTrue, true, false
 	}
-	if uint64(ev.VictimAddr)>>o.shift != uint64(ev.OwnerAddr)>>o.shift {
+	if uint64(ev.Addr)>>o.shift != uint64(ev.Owner)>>o.shift {
 		return ClassAlias, false, false
 	}
-	vb, ob := o.find(ev.VictimAddr), o.find(ev.OwnerAddr)
+	vb, ob := o.find(ev.Addr), o.find(ev.Owner)
 	if vb == nil || ob == nil || !vb.live || !ob.live {
 		return ClassMeta, false, false
 	}
-	sameLine = uint64(ev.VictimAddr)/lineSize == uint64(ev.OwnerAddr)/lineSize
+	sameLine = uint64(ev.Addr)/lineSize == uint64(ev.Owner)/lineSize
 	return ClassFalse, sameLine, vb != ob
 }
 
-// TxConflict implements stm.ConflictHook: consume one abort event.
-func (o *Observatory) TxConflict(ev stm.ConflictEvent) {
-	o.grow(ev.Victim)
+// abort consumes one abort event whose killer is attributed: the
+// victim is ev.Tid, the killer ev.Killer.
+func (o *Observatory) abort(ev stm.Event) {
+	o.grow(ev.Tid)
 	if ev.Killer >= 0 {
 		o.grow(ev.Killer)
 	}
@@ -274,7 +303,7 @@ func (o *Observatory) TxConflict(ev stm.ConflictEvent) {
 
 	// Conflict graph: kind-level edge with wasted-cycle weight, plus the
 	// thread-level matrix. An unattributed killer is the "?" node.
-	vKind := o.kindOf(ev.Victim)
+	vKind := o.kindOf(ev.Tid)
 	kKind := "?"
 	if ev.Killer >= 0 {
 		kKind = o.kindOf(ev.Killer)
@@ -291,19 +320,19 @@ func (o *Observatory) TxConflict(ev stm.ConflictEvent) {
 	if placement {
 		e.false_++
 	}
-	o.thrEdges[[2]int{ev.Killer, ev.Victim}]++
+	o.thrEdges[[2]int{ev.Killer, ev.Tid}]++
 
 	// Blame table: placement-caused events charge the sites of the
 	// blocks owning the conflicting addresses (both sides when they
 	// differ — the pair's placement is to blame, not one call site).
 	if placement {
-		o.blame(ev.VictimAddr, ev.Wasted)
-		if o.find(ev.OwnerAddr) != o.find(ev.VictimAddr) {
-			o.blame(ev.OwnerAddr, ev.Wasted)
+		o.blame(ev.Addr, ev.Wasted)
+		if o.find(ev.Owner) != o.find(ev.Addr) {
+			o.blame(ev.Owner, ev.Wasted)
 		}
 		// Repeat offenders: the stripe-owning address that keeps killing.
-		if _, ok := o.offenders[ev.OwnerAddr]; ok || len(o.offenders) < maxOffenders {
-			o.offenders[ev.OwnerAddr]++
+		if _, ok := o.offenders[ev.Owner]; ok || len(o.offenders) < maxOffenders {
+			o.offenders[ev.Owner]++
 		} else {
 			o.offDropped++
 		}
@@ -314,7 +343,7 @@ func (o *Observatory) TxConflict(ev stm.ConflictEvent) {
 	if ev.Killer >= 0 {
 		depth = o.chain[ev.Killer] + 1
 	}
-	o.chain[ev.Victim] = depth
+	o.chain[ev.Tid] = depth
 	if depth > o.longestChain {
 		o.longestChain = depth
 	}
@@ -323,14 +352,14 @@ func (o *Observatory) TxConflict(ev stm.ConflictEvent) {
 		o.exemplars = append(o.exemplars, Exemplar{
 			Class:      class.String(),
 			Reason:     ev.Reason.String(),
-			Victim:     ev.Victim,
+			Victim:     ev.Tid,
 			VictimKind: vKind,
 			Killer:     ev.Killer,
 			KillerKind: kKind,
 			Attempt:    ev.Attempt,
 			Stripe:     ev.Stripe,
-			VictimAddr: uint64(ev.VictimAddr),
-			OwnerAddr:  uint64(ev.OwnerAddr),
+			VictimAddr: uint64(ev.Addr),
+			OwnerAddr:  uint64(ev.Owner),
 			Wasted:     ev.Wasted,
 			Rendered:   o.render(class, ev, vKind, kKind),
 		})
@@ -357,18 +386,18 @@ func (o *Observatory) blame(addr mem.Addr, wasted uint64) {
 	st.wasted += wasted
 }
 
-func (o *Observatory) render(class Class, ev stm.ConflictEvent, vKind, kKind string) string {
+func (o *Observatory) render(class Class, ev stm.Event, vKind, kKind string) string {
 	killer := "?"
 	if ev.Killer >= 0 {
 		killer = fmt.Sprintf("t%d %s", ev.Killer, kKind)
 	}
 	if ev.Stripe == obs.NoStripe {
 		return fmt.Sprintf("%s: t%d %s #%d killed by %s (%s), wasted %d",
-			class, ev.Victim, vKind, ev.Attempt, killer, ev.Reason, ev.Wasted)
+			class, ev.Tid, vKind, ev.Attempt, killer, ev.Reason, ev.Wasted)
 	}
 	return fmt.Sprintf("%s: t%d %s #%d killed by %s (%s) at stripe %#x, %#x vs %#x, wasted %d",
-		class, ev.Victim, vKind, ev.Attempt, killer, ev.Reason,
-		ev.Stripe, uint64(ev.VictimAddr), uint64(ev.OwnerAddr), ev.Wasted)
+		class, ev.Tid, vKind, ev.Attempt, killer, ev.Reason,
+		ev.Stripe, uint64(ev.Addr), uint64(ev.Owner), ev.Wasted)
 }
 
 // Events returns the number of abort events consumed.

@@ -1,6 +1,7 @@
 package conflict
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,18 +13,24 @@ import (
 // ev builds a stripe-attributed event for classifier tests. The
 // classifier trusts the reporting STM for the entry index, so tests
 // pass any non-sentinel stripe.
-func ev(victim, owner mem.Addr) stm.ConflictEvent {
-	return stm.ConflictEvent{
-		Victim:     1,
-		Killer:     0,
-		Kind:       "insert",
-		Attempt:    1,
-		Reason:     stm.AbortLockedByOther,
-		Stripe:     42,
-		VictimAddr: victim,
-		OwnerAddr:  owner,
-		Wasted:     100,
+func ev(victim, owner mem.Addr) stm.Event {
+	return stm.Event{
+		Kind:    stm.EvAbort,
+		Tid:     1,
+		Killer:  0,
+		Label:   "insert",
+		Attempt: 1,
+		Reason:  stm.AbortLockedByOther,
+		Stripe:  42,
+		Addr:    victim,
+		Owner:   owner,
+		Wasted:  100,
 	}
+}
+
+// label sets tid's workload label through the event stream.
+func label(o *Observatory, tid int, kind string) {
+	o.OnTx(stm.Event{Kind: stm.EvLabel, Tid: tid, Label: kind})
 }
 
 // TestClassifyPlacementClasses pins each taxonomy class from
@@ -49,8 +56,8 @@ func TestClassifyPlacementClasses(t *testing.T) {
 	const freed = mem.Addr(0x30000040)
 
 	o := New(2, shift)
-	o.TxKind(0, "remove")
-	o.TxKind(1, "insert")
+	label(o, 0, "remove")
+	label(o, 1, "insert")
 	o.OnHeapAlloc("glibc", glibcA, 16, 16, 0, 1)
 	o.OnHeapAlloc("glibc", glibcB, 16, 16, 0, 2)
 	o.OnHeapAlloc("tcmalloc", tcA, 16, 16, 1, 3)
@@ -60,7 +67,7 @@ func TestClassifyPlacementClasses(t *testing.T) {
 
 	cases := []struct {
 		name       string
-		event      stm.ConflictEvent
+		event      stm.Event
 		class      Class
 		sameLine   bool
 		crossBlock bool
@@ -109,8 +116,8 @@ func TestClassifyPlacementClasses(t *testing.T) {
 		{
 			// No attributable stripe (commit validation, OOM, kills).
 			name: "other no stripe",
-			event: stm.ConflictEvent{
-				Victim: 1, Killer: stm.NoKiller, Reason: stm.AbortValidation,
+			event: stm.Event{
+				Kind: stm.EvAbort, Tid: 1, Killer: stm.NoKiller, Reason: stm.AbortValidation,
 				Stripe: obs.NoStripe, Wasted: 10,
 			},
 			class: ClassOther,
@@ -140,25 +147,25 @@ func TestClassifyPlacementClasses(t *testing.T) {
 func TestObservatoryAggregates(t *testing.T) {
 	const shift = 5
 	o := New(3, shift)
-	o.TxKind(0, "remove")
-	o.TxKind(1, "insert")
-	o.TxKind(2, "contains")
+	label(o, 0, "remove")
+	label(o, 1, "insert")
+	label(o, 2, "contains")
 	base := mem.Addr(0x10000010)
 	o.OnHeapAlloc("glibc", base, 16, 16, 1, 1) // site: insert
 
 	// t0 kills t1 (false sharing, 100 wasted), then t1's death cascades:
 	// t1 kills t2 while t1 is itself a fresh victim.
 	e1 := ev(base, base+8) // victim t1, killer t0
-	o.TxConflict(e1)
-	e2 := stm.ConflictEvent{
-		Victim: 2, Killer: 1, Kind: "contains", Attempt: 3,
+	o.OnTx(e1)
+	e2 := stm.Event{
+		Kind: stm.EvAbort, Tid: 2, Killer: 1, Label: "contains", Attempt: 3,
 		Reason: stm.AbortLockedByOther, Stripe: 42,
-		VictimAddr: base + 8, OwnerAddr: base, Wasted: 50,
+		Addr: base + 8, Owner: base, Wasted: 50,
 	}
-	o.TxConflict(e2)
+	o.OnTx(e2)
 	// t0 commits: its chain resets; a later kill by t0 starts at depth 1.
-	o.TxCommitted(0, "remove")
-	o.TxConflict(e1)
+	o.OnTx(stm.Event{Kind: stm.EvCommit, Tid: 0})
+	o.OnTx(e1)
 
 	if o.Events() != 3 {
 		t.Fatalf("events = %d, want 3", o.Events())
@@ -213,11 +220,11 @@ func TestObservatoryAggregates(t *testing.T) {
 // TestWriteDot smoke-tests the graphviz export shape.
 func TestWriteDot(t *testing.T) {
 	o := New(2, 5)
-	o.TxKind(0, "remove")
-	o.TxKind(1, "insert")
+	label(o, 0, "remove")
+	label(o, 1, "insert")
 	base := mem.Addr(0x10000010)
 	o.OnHeapAlloc("glibc", base, 16, 16, 0, 1)
-	o.TxConflict(ev(base, base+8))
+	o.OnTx(ev(base, base+8))
 	var sb strings.Builder
 	if err := o.Report().WriteDot(&sb, "test"); err != nil {
 		t.Fatal(err)
@@ -227,5 +234,35 @@ func TestWriteDot(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("dot output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestStripeKillerIsLastAcquirer pins killer attribution from the
+// acquire events: a stripe abort names the thread that acquired the
+// stripe last, a victim's own acquire names no killer, and neither does
+// a stripe nobody acquired. A kill keeps the killer the STM named.
+func TestStripeKillerIsLastAcquirer(t *testing.T) {
+	o := New(3, 5)
+	acquire := func(tid int, stripe uint64) {
+		o.OnTx(stm.Event{Kind: stm.EvAcquire, Tid: tid, Stripe: stripe, Addr: 0x1000})
+	}
+	abort := func(tid int, stripe uint64) {
+		o.OnTx(stm.Event{Kind: stm.EvAbort, Tid: tid, Killer: stm.NoKiller, Reason: stm.AbortLockedByOther,
+			Stripe: stripe, Addr: 0x1008, Owner: 0x1000, Attempt: 1})
+	}
+	acquire(0, 7)
+	acquire(2, 7)
+	abort(1, 7) // t2 acquired stripe 7 last
+	acquire(1, 9)
+	abort(1, 9)  // the victim's own acquire
+	abort(1, 11) // never acquired
+	o.OnTx(stm.Event{Kind: stm.EvAbort, Tid: 1, Killer: 0, Reason: stm.AbortKilled, Stripe: obs.NoStripe})
+
+	var got []int
+	for _, e := range o.Report().Exemplars {
+		got = append(got, e.Killer)
+	}
+	if want := []int{2, stm.NoKiller, stm.NoKiller, 0}; !slices.Equal(got, want) {
+		t.Errorf("killers = %v, want %v", got, want)
 	}
 }

@@ -149,11 +149,11 @@ var testWatch func(*mem.Space)
 
 // NewSystem builds a System: the space, the allocator, the fault plan
 // and durable heap the policy asks for, the cache model, every selected
-// observer, the engine and the STM. Block watchers reach the space in a
-// fixed order — sanitizer shadow map, heap telemetry, durable heap,
-// race checker, conflict observatory — so an observer that unwinds a
-// thread mid-notification (a crash at the malloc checkpoint) is seen
-// the same way on every run.
+// observer, the engine and the STM. Block watchers reach the space, and
+// transaction observers the STM, in a fixed order — sanitizer shadow
+// map, heap telemetry, durable heap, race checker, conflict observatory
+// — so an observer that unwinds a thread mid-notification (a crash at
+// the malloc checkpoint) is seen the same way on every run.
 func NewSystem(opts Options) (*System, error) {
 	if opts.Allocator == "" {
 		opts.Allocator = "glibc"
@@ -223,6 +223,7 @@ func NewSystem(opts Options) (*System, error) {
 		Prof:      opts.Prof,
 	}
 	var watchers []mem.HeapWatcher
+	var txObservers []stm.Observer
 	if s.prof != nil {
 		engineCfg.Prof = s.prof
 	}
@@ -239,13 +240,13 @@ func NewSystem(opts Options) (*System, error) {
 	if opts.Race {
 		s.checker = race.New(opts.Threads)
 		engineCfg.Race = s.checker
-		stmCfg.Race = s.checker
 		watchers = append(watchers, s.checker)
+		txObservers = append(txObservers, s.checker)
 	}
 	if opts.Conflict {
 		s.conflict = conflict.New(opts.Threads, shift)
-		stmCfg.Conflict = s.conflict
 		watchers = append(watchers, s.conflict)
+		txObservers = append(txObservers, s.conflict)
 	}
 	for _, w := range watchers {
 		space.Watch(w)
@@ -264,6 +265,9 @@ func NewSystem(opts Options) (*System, error) {
 		stmCfg.Allocator = opts.TxAllocator(allocator)
 	}
 	s.STM = stm.New(space, stmCfg)
+	for _, o := range txObservers {
+		s.STM.Observe(o)
+	}
 	return s, nil
 }
 

@@ -9,10 +9,10 @@
 //   - scheduler/memory events from internal/vtime (raw word loads and
 //     stores outside any transaction, plus the run barrier at the start
 //     and end of every Engine.Run),
-//   - STM events from internal/stm (transaction begin/extend with the
-//     snapshot version, speculative accesses, commit with the publish
-//     version, abort, committed frees, quarantine release, and the
-//     durable redo-log milestones), and
+//   - STM events through the stm.Observer stream (begin/extend with
+//     the snapshot version, speculative accesses, commit with the
+//     publish version, rollback, committed frees, quarantine release,
+//     and the durable redo-log milestones), and
 //   - allocator block-lifecycle events through the mem.HeapWatcher
 //     seam (malloc, free, transaction-cache reuse).
 //
@@ -90,6 +90,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/stm"
 )
 
 // Violation classes, in the order they appear in obs.RaceInfo.
@@ -214,7 +215,7 @@ type pendAccess struct {
 
 // Checker is the happens-before checker. Construct with New, drive it
 // from one simulated run, then read Findings/Info. It implements
-// vtime.RaceObserver, stm.RaceHook and mem.HeapWatcher structurally.
+// vtime.RaceObserver, stm.Observer and mem.HeapWatcher.
 type Checker struct {
 	n  int        // thread count
 	vc [][]uint64 // per-thread vector clock
@@ -433,7 +434,34 @@ func (c *Checker) SyncAcquire(tid int, obj any) {
 	}
 }
 
-// ---- stm.RaceHook ----
+// ---- stm.Observer ----
+
+// OnTx implements stm.Observer with the per-event methods below; labels,
+// acquires and the forensic abort and commit events carry no ordering.
+func (c *Checker) OnTx(ev stm.Event) {
+	switch ev.Kind {
+	case stm.EvBegin:
+		c.TxBegin(ev.Tid, ev.Snapshot)
+	case stm.EvExtend:
+		c.TxExtend(ev.Tid, ev.Snapshot)
+	case stm.EvLoad, stm.EvStore:
+		c.TxAccess(ev.Tid, ev.Addr, ev.Kind == stm.EvStore)
+	case stm.EvPublish:
+		c.TxCommit(ev.Tid, ev.Version)
+	case stm.EvRollback:
+		c.TxAbort(ev.Tid)
+	case stm.EvFreeCommitted:
+		c.TxFreeCommitted(ev.Tid, ev.Addr)
+	case stm.EvQuarantineRelease:
+		c.QuarantineRelease(ev.Tid)
+	case stm.EvDurLogCommitted:
+		c.DurLogCommitted(ev.Tid)
+	case stm.EvDurStore:
+		c.DurStore(ev.Tid, ev.Addr)
+	case stm.EvDurApply:
+		c.DurApply(ev.Tid)
+	}
+}
 
 // TxBegin opens a transaction at the given snapshot version.
 func (c *Checker) TxBegin(tid int, snapshot uint64) {

@@ -11,7 +11,7 @@ import (
 
 // The checker plugs into all three event seams structurally.
 var (
-	_ stm.RaceHook       = (*Checker)(nil)
+	_ stm.Observer       = (*Checker)(nil)
 	_ vtime.RaceObserver = (*Checker)(nil)
 	_ mem.HeapWatcher    = (*Checker)(nil)
 )

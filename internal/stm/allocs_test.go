@@ -35,6 +35,50 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	}
 }
 
+// eventCounts tallies the transaction events it observes, by kind.
+type eventCounts [EvDurApply + 1]int
+
+func (c *eventCounts) OnTx(ev Event) { c[ev.Kind]++ }
+
+// TestSteadyStateAllocBudgetObserved is TestSteadyStateAllocBudget with
+// an observer attached: events travel by value through the observer
+// list, so the observed cycle must not allocate on the host either. It
+// also pins what one such transaction emits.
+func TestSteadyStateAllocBudgetObserved(t *testing.T) {
+	space := mem.NewSpace()
+	s := New(space, Config{})
+	var got eventCounts
+	s.Observe(&got)
+	th := vtime.Solo(space, 0, nil)
+	words := space.MustMap(mem.PageSize, 0)
+
+	body := func(tx *Tx) {
+		for i := 0; i < 16; i++ {
+			a := words + mem.Addr(i*8)
+			tx.Store(a, tx.Load(a)+1)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		s.Atomic(th, body)
+	}
+	if avg := testing.AllocsPerRun(100, func() { s.Atomic(th, body) }); avg > 0 {
+		t.Errorf("observed steady-state begin/load/store/commit allocates %.1f objects/tx, want 0", avg)
+	}
+
+	got = eventCounts{}
+	s.Atomic(th, body)
+	var want eventCounts
+	want[EvBegin] = 1
+	want[EvLoad] = 16
+	want[EvStore] = 16
+	want[EvAcquire] = 4 // 128 bytes over 32-byte stripes
+	want[EvPublish] = 1
+	want[EvCommit] = 1
+	if got != want {
+		t.Errorf("events per transaction = %v, want %v", got, want)
+	}
+}
+
 // TestSteadyStateAllocBudgetWithMalloc extends the budget to the
 // transactional allocation path (Malloc + Free + quarantine): the
 // simulated allocator may tick virtual time, but the host side must

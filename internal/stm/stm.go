@@ -114,16 +114,6 @@ type Config struct {
 	// transaction-object pooling, whose recycled blocks bypass the
 	// block journal. New panics on either combination.
 	Durable DurableLog
-	// Race, when non-nil, feeds the happens-before checker from the
-	// transaction lifecycle (internal/race.Checker implements it; see
-	// race.go). Pure observation: the enabled path is byte-identical
-	// to the disabled one.
-	Race RaceHook
-	// Conflict, when non-nil, receives per-abort forensics — victim and
-	// killer identity, conflicting stripe and addresses, wasted cycles
-	// (internal/conflict.Observatory implements it; see conflict.go).
-	// Pure observation, same byte-identity contract as Race.
-	Conflict ConflictHook
 }
 
 // DurableLog is the redo-log seam of a durable-memory layer. The commit
@@ -252,17 +242,12 @@ type STM struct {
 	retryCap  uint64
 	fault     FaultHook
 	durable   DurableLog
-	race      RaceHook     // happens-before event sink; nil disables
-	conflict  ConflictHook // abort-forensics sink; nil disables
-	fallback  vtime.Lock   // serializes irrevocable fallback transactions
+	observers []Observer // transaction-event stream, in attach order (observe.go)
+	fallback  vtime.Lock // serializes irrevocable fallback transactions
 
 	// lockAddrs[i] records which address acquired ORT entry i, for
 	// false-conflict classification (diagnostic only).
 	lockAddrs []mem.Addr
-	// lockTids[i] records which thread acquired ORT entry i (-1: none
-	// yet), for killer attribution. Allocated only when a ConflictHook
-	// is attached; nil otherwise (diagnostic only).
-	lockTids []int32
 
 	txs map[int]*Tx
 
@@ -331,16 +316,8 @@ func New(space *mem.Space, cfg Config) *STM {
 		retryCap:  cfg.RetryCap,
 		fault:     cfg.Fault,
 		durable:   cfg.Durable,
-		race:      cfg.Race,
-		conflict:  cfg.Conflict,
 		lockAddrs: make([]mem.Addr, size),
 		txs:       make(map[int]*Tx),
-	}
-	if cfg.Conflict != nil {
-		s.lockTids = make([]int32, size)
-		for i := range s.lockTids {
-			s.lockTids[i] = -1
-		}
 	}
 	if s.retryCap == 0 {
 		s.retryCap = DefaultRetryCap
@@ -610,10 +587,10 @@ type Tx struct {
 	ctlReqs []ctlReq
 	ctlSeen u64Table
 
-	// Conflict-forensics state (see conflict.go): the workload label
-	// and the 1-based attempt number of the current Atomic (reset on
-	// commit). Maintained unconditionally — two scalar updates — so the
-	// observed and unobserved paths run the same code.
+	// Forensics state carried on events (observe.go): the workload
+	// label and the 1-based attempt number of the current Atomic (reset
+	// on commit). Maintained unconditionally — two scalar updates — so
+	// the observed and unobserved paths run the same code.
 	kind    string
 	attempt uint64
 
@@ -650,7 +627,7 @@ func (tx *Tx) begin() {
 	tx.frees = tx.frees[:0]
 	tx.stats.Starts++
 	tx.th.Tick(tx.th.Cost().TxBase)
-	tx.raceBegin()
+	tx.note(EvBegin, 0)
 }
 
 // abort rolls the transaction back and unwinds fn via panic. idx is
@@ -670,7 +647,7 @@ func (tx *Tx) abort(reason AbortReason, idx uint64, a mem.Addr) {
 		s.rec.TxAbort(tx.th.ID(), tx.beginClock, tx.th.Clock(), reason.String(),
 			idx, falseConflict, uint64(owner)>>s.shift, uint64(a)>>s.shift)
 	}
-	tx.conflictStripe(reason, idx, a, owner)
+	tx.noteAbort(reason, idx, a, owner)
 	panic(abortSignal{reason})
 }
 
@@ -682,14 +659,14 @@ func (tx *Tx) abortNoStripe(reason AbortReason) {
 }
 
 // abandon rolls the transaction back and reports an abort with no
-// attributable ORT entry to the recorder and the conflict observatory.
+// attributable ORT entry to the recorder and the observers.
 func (tx *Tx) abandon(reason AbortReason) {
 	tx.rollback(reason)
 	if s := tx.stm; s.rec != nil {
 		s.rec.TxAbort(tx.th.ID(), tx.beginClock, tx.th.Clock(), reason.String(),
 			obs.NoStripe, false, 0, 0)
 	}
-	tx.conflictNoStripe(reason)
+	tx.noteAbort(reason, obs.NoStripe, 0, 0)
 }
 
 // rollback releases locks, undoes transactional allocations and drops
@@ -718,7 +695,7 @@ func (tx *Tx) rollback(reason AbortReason) {
 			tx.stm.allocator.Free(tx.th, rec.addr)
 		}
 	}
-	tx.raceAbort()
+	tx.note(EvRollback, 0)
 	tx.active = false
 	tx.stats.Aborts++
 	tx.stats.ByReason[reason]++
@@ -759,7 +736,7 @@ func (tx *Tx) extend() bool {
 		return false
 	}
 	tx.snapshot = now
-	tx.raceExtend()
+	tx.note(EvExtend, 0)
 	return true
 }
 
@@ -776,7 +753,7 @@ func (tx *Tx) Load(a mem.Addr) uint64 {
 	tx.th.Tick(tx.th.Cost().TxAccess)
 	tx.sanCheck(a, false)
 	v := tx.loadWord(a)
-	tx.raceAccess(a, false)
+	tx.note(EvLoad, a)
 	return v
 }
 
@@ -854,7 +831,7 @@ func (tx *Tx) Store(a mem.Addr, v uint64) {
 	}
 	tx.th.Tick(tx.th.Cost().TxAccess)
 	tx.sanCheck(a, true)
-	tx.raceAccess(a, true)
+	tx.note(EvStore, a)
 	switch tx.stm.design {
 	case ETLWriteThrough:
 		idx := tx.stm.OrtIndex(a)
@@ -914,9 +891,7 @@ func (tx *Tx) acquire(idx uint64, a mem.Addr) {
 			tx.lockedSet.put(idx, int32(len(tx.locked)))
 			tx.locked = append(tx.locked, lockRec{idx: idx, prev: w})
 			s.lockAddrs[idx] = a
-			if s.lockTids != nil {
-				s.lockTids[idx] = int32(tx.th.ID())
-			}
+			tx.noteAcquire(idx, a)
 			break
 		}
 	}
@@ -937,9 +912,9 @@ func (tx *Tx) commit() bool {
 		if s.durable != nil && len(tx.allocs)+len(tx.frees) > 0 {
 			tx.logPopulate()
 			s.durable.LogApply(tx.th)
-			tx.raceDurApply()
+			tx.note(EvDurApply, 0)
 		}
-		tx.raceCommit(0) // read-only: no version published
+		tx.notePublish(0) // read-only: no version published
 		tx.finishCommit()
 		return true
 	}
@@ -971,7 +946,7 @@ func (tx *Tx) commit() bool {
 	// then release locks with the new version.
 	for _, w := range tx.writeSet {
 		if s.durable != nil {
-			tx.raceDurStore(w.addr)
+			tx.note(EvDurStore, w.addr)
 		}
 		tx.th.Store(w.addr, w.value)
 	}
@@ -983,9 +958,9 @@ func (tx *Tx) commit() bool {
 	// each stored line, fence, truncate) now that the stripes are free.
 	if s.durable != nil {
 		s.durable.LogApply(tx.th)
-		tx.raceDurApply()
+		tx.note(EvDurApply, 0)
 	}
-	tx.raceCommit(uint64(next))
+	tx.notePublish(uint64(next))
 	tx.finishCommit()
 	return true
 }
@@ -1006,7 +981,7 @@ func (tx *Tx) logPopulate() {
 		d.LogFree(tx.th, rec.addr, rec.size)
 	}
 	d.LogCommit(tx.th)
-	tx.raceDurLogCommitted()
+	tx.note(EvDurLogCommitted, 0)
 }
 
 // ctlAcquireAll locks every stripe the write set touches, in index
@@ -1066,7 +1041,7 @@ func (tx *Tx) finishCommit() {
 				tx.pool.Put(tx, rec.addr, rec.size)
 				continue
 			}
-			tx.raceTxFreeCommitted(rec.addr)
+			tx.note(EvFreeCommitted, rec.addr)
 			tx.sanMarkFreed(rec.addr)
 			if n, ok := tx.stm.allocator.(TxFreeNoter); ok {
 				n.NoteTxFree(rec.addr)
@@ -1083,7 +1058,7 @@ func (tx *Tx) finishCommit() {
 	if s := tx.stm; s.rec != nil {
 		s.rec.TxCommit(tx.th.ID(), tx.beginClock, tx.th.Clock(), len(tx.readSet), int(ws))
 	}
-	tx.conflictCommitted()
+	tx.note(EvCommit, 0)
 }
 
 // reclaim hands quarantined blocks back to the allocator once they are
@@ -1131,7 +1106,9 @@ func (s *STM) reclaim(th *vtime.Thread) {
 		}
 		// The epoch guarantee just established (every active snapshot
 		// has passed the freeing commits) is a happens-before edge.
-		s.raceQuarantineRelease(th.ID())
+		if len(s.observers) != 0 {
+			s.emit(Event{Kind: EvQuarantineRelease, Tid: th.ID()})
+		}
 		for _, q := range release {
 			s.allocator.Free(th, q.addr)
 		}

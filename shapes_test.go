@@ -3,10 +3,25 @@ package repro
 import (
 	"testing"
 
+	_ "repro/internal/alloc/glibc"
+	_ "repro/internal/alloc/hoard"
+	_ "repro/internal/alloc/tbb"
+	_ "repro/internal/alloc/tcmalloc"
+	_ "repro/internal/stamp/bayes"
+	_ "repro/internal/stamp/genome"
+	_ "repro/internal/stamp/intruder"
+	_ "repro/internal/stamp/kmeans"
+	_ "repro/internal/stamp/labyrinth"
+	_ "repro/internal/stamp/ssca2"
+	_ "repro/internal/stamp/vacation"
+	_ "repro/internal/stamp/yada"
+
 	"repro/internal/intset"
 	"repro/internal/stamp"
 	"repro/internal/threadtest"
 )
+
+var allocators = []string{"glibc", "hoard", "tbb", "tcmalloc"}
 
 // These integration tests pin the paper's qualitative findings — the
 // "shapes" the reproduction must preserve — at test-friendly scales.
