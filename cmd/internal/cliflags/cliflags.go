@@ -1,8 +1,10 @@
-// Package cliflags is the shared flag surface of the tm* binaries:
-// the robustness-policy group (-cm, -retry-cap, -fault, -deadline), the
-// sweep group (-jobs, -cache, -no-cache) and the artifact-output group
-// (-trace, -metrics, -json). Flag values that name things — contention
-// managers, fault plans — are validated while flags parse, so a typo
+// Package cliflags is the shared front end of the tm* binaries: the
+// workload flag group (Add), which writes the robustness, pooling and
+// observer flags straight into a harness.Spec; the sweep group (-jobs,
+// -cache, -no-cache); the artifact-output group (-trace, -metrics,
+// -json) with its one writer; and the single-cell runner (RunCell).
+// Flag values that name things — contention managers, fault plans,
+// pooling disciplines — are validated while flags parse, so a typo
 // fails immediately with the allowed names instead of minutes into a
 // sweep.
 package cliflags
@@ -18,43 +20,47 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/harness"
+	"repro/internal/heapscope"
 	"repro/internal/obs"
 	"repro/internal/stm"
 	"repro/internal/sweep"
 )
 
-// Robustness is the parsed policy group.
-type Robustness struct {
-	CM       stm.CM
-	RetryCap uint64
-	Fault    string
-	Deadline uint64
-	Pmem     bool
-	Crash    string
+// Workload is the parsed workload flag group. The policy, pooling and
+// observer flags land in Spec as they parse; Session completes it from
+// the output, profile and heap flags.
+type Workload struct {
+	Spec harness.Spec
+	*Sweep
+	*Output
+	profilePath string
+	heapPath    string
 }
 
-// AddRobustness registers -cm, -retry-cap, -fault and -deadline on fs.
-// -cm and -fault validate as they parse.
-func AddRobustness(fs *flag.FlagSet) *Robustness {
-	r := &Robustness{}
+// Add registers the workload flag group on fs: -cm, -retry-cap, -fault,
+// -deadline, -pmem, -crash, -pool, -race-sim, -conflict, the sweep and
+// output groups, -sanitize, -profile, -heap and -heap-cadence.
+func Add(fs *flag.FlagSet) *Workload {
+	w := &Workload{Sweep: AddSweep(fs), Output: AddOutput(fs)}
+	s := &w.Spec
 	fs.Func("cm", "contention manager: "+strings.Join(stm.CMNames(), ", "), func(v string) error {
 		cm, err := stm.ParseCM(v)
 		if err != nil {
 			return fmt.Errorf("unknown contention manager %q (allowed: %s)", v, strings.Join(stm.CMNames(), ", "))
 		}
-		r.CM = cm
+		s.CM = cm
 		return nil
 	})
-	fs.Uint64Var(&r.RetryCap, "retry-cap", 0, "aborts before the irrevocable fallback (0 = default)")
+	fs.Uint64Var(&s.RetryCap, "retry-cap", 0, "aborts before the irrevocable fallback (0 = default)")
 	fs.Func("fault", "fault plan injected into every workload (internal/fault grammar)", func(v string) error {
 		if _, err := fault.Parse(v, 1); err != nil {
 			return err
 		}
-		r.Fault = v
+		s.Fault = v
 		return nil
 	})
-	fs.Uint64Var(&r.Deadline, "deadline", 0, "virtual-cycle watchdog bound per workload phase (0 = none)")
-	fs.BoolVar(&r.Pmem, "pmem", false,
+	fs.Uint64Var(&s.Deadline, "deadline", 0, "virtual-cycle watchdog bound per workload phase (0 = none)")
+	fs.BoolVar(&s.Pmem, "pmem", false,
 		"durable simulated heap: redo-logged commits with priced flush/fence and a recovery verdict in run records")
 	fs.Func("crash", "crash-injection clauses (crash@N, crash%P, crashphase:<commit|apply|malloc>); implies -pmem", func(v string) error {
 		plan, err := fault.Parse(v, 1)
@@ -64,47 +70,44 @@ func AddRobustness(fs *flag.FlagSet) *Robustness {
 		if !plan.HasCrash() {
 			return fmt.Errorf("spec %q contains no crash clause", v)
 		}
-		r.Crash = v
+		s.Crash = v
 		return nil
 	})
-	return r
-}
-
-// Spec assembles a typed harness spec from the policy group plus the
-// binary's own scale flags, mapping the CLI's zero-means-default
-// conventions onto the spec's explicit nil-or-override pointers.
-func (r *Robustness) Spec(full bool, reps int, seed uint64) *harness.Spec {
-	s := &harness.Spec{Full: full, CM: r.CM, Fault: r.Fault, Pmem: r.Pmem, Crash: r.Crash}
-	if reps > 0 {
-		s.Reps = &reps
-	}
-	if seed != 0 {
-		s.Seed = &seed
-	}
-	if r.RetryCap != 0 {
-		s.RetryCap = &r.RetryCap
-	}
-	if r.Deadline != 0 {
-		s.Deadline = &r.Deadline
-	}
-	return s
-}
-
-// AddPool registers -pool on fs, validated while flags parse. The
-// returned value holds the selected tx-object pooling discipline
-// (PoolNone when the flag is absent); "cache" is the documented alias
-// for the paper's original §6.2 thread-local cache.
-func AddPool(fs *flag.FlagSet) *stm.Pooling {
-	p := new(stm.Pooling)
 	fs.Func("pool", "tx-object pooling discipline: "+strings.Join(stm.PoolingNames(), ", "), func(v string) error {
 		d, err := stm.ParsePooling(v)
 		if err != nil {
 			return fmt.Errorf("unknown pooling discipline %q (allowed: %s)", v, strings.Join(stm.PoolingNames(), ", "))
 		}
-		*p = d
+		s.Pool = d
 		return nil
 	})
-	return p
+	fs.BoolVar(&s.Race, "race-sim", false, "attach the happens-before race checker to every cell (bypasses the cache)")
+	fs.BoolVar(&s.Conflict, "conflict", false, "attach the abort-forensics observatory to every cell (bypasses the cache)")
+	AddSanitize(fs)
+	fs.StringVar(&w.profilePath, "profile", "",
+		"write the virtual-cycle profile to this file (.folded = folded stacks, .pb.gz = gzipped pprof, else JSON)")
+	fs.StringVar(&w.heapPath, "heap", "",
+		"write the tmheap/series/v1 allocator-state telemetry to this file")
+	fs.Uint64Var(&s.HeapCadence, "heap-cadence", heapscope.DefaultCadence,
+		"virtual cycles between heap snapshots")
+	return w
+}
+
+// Session completes the spec from the output, profile and heap flags,
+// validates it and opens the cell cache: the session every cell of the
+// run goes through.
+func (w *Workload) Session() (*harness.Session, error) {
+	w.Spec.Obs = w.NewRecorder()
+	w.Spec.Profile = w.profilePath != ""
+	w.Spec.Heap = w.heapPath != ""
+	if err := w.Spec.Validate(); err != nil {
+		return nil, err
+	}
+	cache, err := w.Open()
+	if err != nil {
+		return nil, err
+	}
+	return &harness.Session{Spec: &w.Spec, Jobs: w.Jobs, Cache: cache}, nil
 }
 
 // Sweep is the parsed scheduler group.
@@ -130,6 +133,18 @@ func (s *Sweep) Open() (*sweep.Cache, error) {
 		return nil, nil
 	}
 	return sweep.OpenCache(s.Dir)
+}
+
+// Info is a run record's sweep block: the cells' identity and how many
+// of them ran or came from the cache, at the -jobs width.
+func (s *Sweep) Info(cells []sweep.Cell, stats sweep.Stats) *obs.SweepInfo {
+	return &obs.SweepInfo{
+		CellSet:  sweep.CellSetHash(cells),
+		Cells:    stats.Cells,
+		Executed: stats.Executed,
+		Cached:   stats.Cached,
+		Jobs:     s.Jobs,
+	}
 }
 
 // Output is the parsed artifact group.
@@ -160,9 +175,26 @@ func (o *Output) NewRecorder() *obs.Recorder {
 	return obs.New(obs.Config{})
 }
 
-// WriteTrace writes the recorder's event trace to -trace (no-op when
-// unset), as Chrome trace-event JSON or JSON Lines by extension.
-func (o *Output) WriteTrace(rec *obs.Recorder) error {
+// Write writes the artifacts the output flags ask for: the records to
+// -json, rec's metrics followed by the sweep's to -metrics, and rec's
+// event trace to -trace (JSON Lines if the path ends in .jsonl, else
+// Chrome trace-event JSON).
+func (o *Output) Write(rec *obs.Recorder, stats sweep.Stats, records ...*obs.RunRecord) error {
+	if o.JSON != "" {
+		if err := WriteTo(o.JSON, func(w io.Writer) error { return obs.WriteRunRecords(w, records) }); err != nil {
+			return err
+		}
+	}
+	if o.Metrics != "" {
+		if err := WriteTo(o.Metrics, func(w io.Writer) error {
+			if err := rec.WritePrometheus(w); err != nil {
+				return err
+			}
+			return stats.WritePrometheus(w)
+		}); err != nil {
+			return err
+		}
+	}
 	if o.Trace == "" {
 		return nil
 	}
@@ -171,32 +203,6 @@ func (o *Output) WriteTrace(rec *obs.Recorder) error {
 		write = rec.WriteJSONL
 	}
 	return WriteTo(o.Trace, write)
-}
-
-// WriteMetrics writes the recorder's metrics to -metrics (no-op when
-// unset); extra, when non-nil, appends additional metric blocks (e.g.
-// the sweep scheduler's) after the recorder's.
-func (o *Output) WriteMetrics(rec *obs.Recorder, extra func(io.Writer) error) error {
-	if o.Metrics == "" {
-		return nil
-	}
-	return WriteTo(o.Metrics, func(w io.Writer) error {
-		if err := rec.WritePrometheus(w); err != nil {
-			return err
-		}
-		if extra != nil {
-			return extra(w)
-		}
-		return nil
-	})
-}
-
-// WriteRecords writes the run records to -json (no-op when unset).
-func (o *Output) WriteRecords(records []*obs.RunRecord) error {
-	if o.JSON == "" {
-		return nil
-	}
-	return WriteTo(o.JSON, func(w io.Writer) error { return obs.WriteRunRecords(w, records) })
 }
 
 // WriteTo creates path (and its directory) and streams fn into it.

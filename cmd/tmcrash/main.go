@@ -123,13 +123,7 @@ func main() {
 	record.Config = obs.RunConfig{Seed: *seed, Extra: map[string]string{
 		"kind": *kind, "threads": fmt.Sprintf("%d", *threads), "at": fmt.Sprintf("%d", *at),
 	}}
-	record.Sweep = &obs.SweepInfo{
-		CellSet:  sweep.CellSetHash(cells),
-		Cells:    stats.Cells,
-		Executed: stats.Executed,
-		Cached:   stats.Cached,
-		Jobs:     sw.Jobs,
-	}
+	record.Sweep = sw.Info(cells, stats)
 
 	perAlloc := map[string]*agg{}
 	table := obs.Table{
@@ -233,18 +227,8 @@ func main() {
 		record.Failure = fmt.Sprintf("%d of %d crash cells did not recover cleanly", notOK, len(cells))
 	}
 	record.Recovery = worst
-	if outp.JSON != "" {
-		record.Attach(rec)
-		if err := cliflags.WriteTo(outp.JSON, record.WriteJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if err := outp.WriteMetrics(rec, stats.WritePrometheus); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := outp.WriteTrace(rec); err != nil {
+	record.Attach(rec)
+	if err := outp.Write(rec, stats, record); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

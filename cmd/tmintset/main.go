@@ -28,13 +28,11 @@ import (
 	_ "repro/internal/alloc/tcmalloc"
 
 	"repro/cmd/internal/cliflags"
-	"repro/internal/harness"
 	"repro/internal/heapscope"
 	"repro/internal/intset"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/stm"
-	"repro/internal/sweep"
 )
 
 func main() {
@@ -52,19 +50,11 @@ func main() {
 		hytm      = flag.Bool("hytm", false, "run under the hybrid HTM (hashset only; refuses the STM, robustness and observer flags)")
 		seed      = flag.Uint64("seed", 0, "workload seed")
 		seedUAF   = flag.Bool("seed-uaf", false, "plant a use-after-free in the measurement phase (sanitizer demo)")
-		raceSim   = flag.Bool("race-sim", false, "attach the happens-before race checker to the run")
 		seedRace  = flag.Bool("seed-race", false, "plant an allocator-metadata race in the measurement phase (race-checker demo; needs -threads >= 2)")
-		conf      = flag.Bool("conflict", false, "attach the abort-forensics observatory to the run")
 		seedAlias = flag.Bool("seed-alias", false, "plant a choreographed ORT stripe-aliasing pair in the measurement phase (forensics demo; needs -threads >= 2)")
 		ortBits   = flag.Uint("ort-bits", 0, "log2 of the ORT entry count (0 = default; -seed-alias defaults it to 12)")
 	)
-	rob := cliflags.AddRobustness(flag.CommandLine)
-	pool := cliflags.AddPool(flag.CommandLine)
-	sw := cliflags.AddSweep(flag.CommandLine)
-	outp := cliflags.AddOutput(flag.CommandLine)
-	cliflags.AddSanitize(flag.CommandLine)
-	pr := cliflags.AddProfile(flag.CommandLine)
-	hp := cliflags.AddHeap(flag.CommandLine)
+	w := cliflags.Add(flag.CommandLine)
 	flag.Parse()
 	if *hytm {
 		// The hybrid-TM run reads only the workload shape, the seed and
@@ -99,14 +89,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown design %q\n", *design)
 		os.Exit(2)
 	}
-	spec := rob.Spec(false, 0, *seed)
-	spec.Obs = outp.NewRecorder()
-	spec.Profile = pr.Enabled()
-	spec.Heap = hp.Enabled()
-	spec.HeapCadence = hp.Cadence
-	spec.Race = *raceSim
-	spec.Conflict = *conf
-	if err := spec.Validate(); err != nil {
+	session, err := w.Session()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -121,56 +105,41 @@ func main() {
 		Shift:        *shift,
 		Design:       d,
 		CacheTx:      *cacheTx,
-		Pool:         *pool,
+		Pool:         w.Spec.Pool,
 		Seed:         *seed,
-		Policy:       spec.Policy(),
+		Policy:       w.Spec.Policy(),
 		SeedUAF:      *seedUAF,
 		SeedRace:     *seedRace,
 		SeedAlias:    *seedAlias,
 		OrtBits:      *ortBits,
 	}
 
-	cache, err := sw.Open()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	mode := "stm"
 	if *hytm {
 		mode = "hytm"
 	}
 	key := fmt.Sprintf("cli/intset/%s/%s/%s/t%d/u%d/%s",
 		mode, *kind, *name, *threads, *updates, *design)
-	if *pool != stm.PoolNone {
-		key += "/p" + pool.String()
+	if w.Spec.Pool != stm.PoolNone {
+		key += "/p" + w.Spec.Pool.String()
 	}
 	if *seedAlias || *ortBits != 0 {
 		key += fmt.Sprintf("/sa%v-ob%d", *seedAlias, *ortBits)
 	}
-	// The run is one cell, so its artifacts come straight from the
-	// cell's own recorder.
-	var rec *obs.Recorder
-	cells := []sweep.Cell{spec.Cell(key, cfg, *seed, func(cellRec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
-		rec = cellRec
+	cell, err := w.RunCell(session, "intset/"+mode, key, cfg, *seed, func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
 		c := cfg
 		c.Obs, c.Prof, c.Heap = rec, pp, hc
 		if *hytm {
 			return intset.RunHyTM(c)
 		}
 		return intset.Run(c)
-	})}
-	session := &harness.Session{Spec: spec, Jobs: sw.Jobs, Cache: cache}
-	outs, stats := session.RunCells(cells)
-	out := outs[0]
-	if out.Err != nil {
-		fmt.Fprintln(os.Stderr, out.Err)
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if out.Cached {
-		fmt.Fprintf(os.Stderr, "cached result (%s, hash %.12s)\n", sw.Dir, out.Hash)
-	}
 
-	record := obs.NewRunRecord("intset/" + mode)
+	record := cell.Record
 	record.Title = fmt.Sprintf("%s on %s, %d thread(s), %d%% updates (%s)", *kind, *name, *threads, *updates, mode)
 	record.Config = obs.RunConfig{
 		Seed: *seed,
@@ -180,39 +149,16 @@ func main() {
 			"updates": fmt.Sprintf("%d", *updates),
 			"design":  *design,
 			"mode":    mode,
-			"cm":      rob.CM.String(),
-			"pool":    pool.String(),
+			"cm":      w.Spec.CM.String(),
+			"pool":    w.Spec.Pool.String(),
 		},
-	}
-	record.Sweep = &obs.SweepInfo{
-		CellSet:  sweep.CellSetHash(cells),
-		Cells:    stats.Cells,
-		Executed: stats.Executed,
-		Cached:   stats.Cached,
-		Jobs:     sw.Jobs,
-	}
-	if out.Profile != nil {
-		record.Profile = out.Profile.Info()
-		if err := pr.Write(out.Profile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if out.Heap != nil {
-		set := heapscope.NewSet("intset/" + mode)
-		set.Add(out.Heap)
-		record.Heap = set.Info()
-		if err := hp.Write(set); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	exitFailed := false
 	if *hytm {
 		var res intset.HyTMResult
-		if err := json.Unmarshal(out.Payload, &res); err != nil {
+		if err := json.Unmarshal(cell.Payload, &res); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -237,36 +183,17 @@ func main() {
 		}}
 	} else {
 		var res intset.Result
-		if err := json.Unmarshal(out.Payload, &res); err != nil {
+		if err := json.Unmarshal(cell.Payload, &res); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(tw, "mode\tSTM %s, shift %d, CM %s\n", d, res.Config.Shift, rob.CM)
+		fmt.Fprintf(tw, "mode\tSTM %s, shift %d, CM %s\n", d, res.Config.Shift, w.Spec.CM)
 		if res.Status != "" && res.Status != obs.StatusOK {
 			fmt.Fprintf(tw, "status\t%s: %s\n", res.Status, res.Failure)
 		}
-		if r := res.Recovery; r != nil {
-			if r.Crashed {
-				fmt.Fprintf(tw, "durability\tcrash at cycle %d (%s phase); recovery %s: %d logs replayed, %d torn, %d/%d meta words repaired\n",
-					r.CrashCycle, r.CrashPhase, r.Verdict, r.Replayed, r.TornLogs, r.TornMeta, r.MetaWords)
-			} else {
-				fmt.Fprintf(tw, "durability\t%d flushes, %d fences, %d log appends, %d metadata records\n",
-					r.Flushes, r.Fences, r.LogAppends, r.MetaRecs)
-			}
-		}
-		if p := res.Pool; p != nil {
-			fmt.Fprintf(tw, "pooling\t%s: %d hits, %d misses, %d returns (%d held at end)\n",
-				p.Discipline, p.Hits, p.Misses, p.Returns, p.Held)
-		}
-		if r := res.Race; r != nil {
-			if r.Findings > 0 {
-				fmt.Fprintf(tw, "race\t%d finding(s) over %d blocks / %d words; first: %s\n",
-					r.Findings, r.Blocks, r.Words, r.First)
-			} else {
-				fmt.Fprintf(tw, "race\tclean: %d events over %d blocks / %d words\n",
-					r.Events, r.Blocks, r.Words)
-			}
-		}
+		cliflags.Durability(tw, res.Recovery)
+		cliflags.Pooling(tw, res.Pool)
+		cliflags.Race(tw, res.Race)
 		if c := res.Conflict; c != nil {
 			fmt.Fprintf(tw, "conflicts\t%d aborts dissected: %d true, %d false (%d same-line, %d cross-block), %d alias, %d metadata, %d other\n",
 				c.Events, c.TrueSharing, c.FalseSharing, c.SameLine, c.CrossBlock, c.StripeAlias, c.Metadata, c.Other)
@@ -311,18 +238,7 @@ func main() {
 		exitFailed = res.Status == obs.StatusFailed
 	}
 
-	if outp.JSON != "" {
-		record.Attach(rec)
-		if err := cliflags.WriteTo(outp.JSON, record.WriteJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if err := outp.WriteMetrics(rec, stats.WritePrometheus); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := outp.WriteTrace(rec); err != nil {
+	if err := cell.Write(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

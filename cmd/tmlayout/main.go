@@ -35,6 +35,7 @@ import (
 
 	"repro/cmd/internal/cliflags"
 	"repro/internal/alloc"
+	"repro/internal/harness"
 	"repro/internal/heapscope"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -82,6 +83,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	// The analyses attach no observer, so the spec is empty; the session
+	// still bypasses the cache under -sanitize.
+	session := &harness.Session{Spec: &harness.Spec{}, Jobs: sw.Jobs, Cache: cache}
 	var cells []sweep.Cell
 	for _, name := range alloc.Names() {
 		p := layoutParams{
@@ -92,22 +96,12 @@ func main() {
 			Shift:     *shift,
 			Parallel:  *mode == "parallel",
 		}
-		spec, err := json.Marshal(p)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		cells = append(cells, sweep.Cell{
-			Key:  fmt.Sprintf("cli/layout/%s/b%d/t%d/n%d/s%d/%s", name, *size, *threads, *blocks, *shift, *mode),
-			Spec: spec,
-			Run: func() (any, *obs.Delta, *prof.Profile, *heapscope.Series, error) {
-				r, err := analyze(p)
-				return r, nil, nil, nil, err
-			},
-		})
+		key := fmt.Sprintf("cli/layout/%s/b%d/t%d/n%d/s%d/%s", name, *size, *threads, *blocks, *shift, *mode)
+		cells = append(cells, session.Spec.Cell(key, p, 0, func(*obs.Recorder, *prof.Profiler, *heapscope.Collector) (any, error) {
+			return analyze(p)
+		}))
 	}
-	sched := &sweep.Scheduler{Jobs: sw.Jobs, Cache: cache}
-	outs, stats := sched.Run(cells)
+	outs, stats := session.RunCells(cells)
 
 	table := obs.Table{
 		Title: fmt.Sprintf("%d threads x %d blocks of %d bytes, ORT shift %d, %s mode",
@@ -151,13 +145,7 @@ func main() {
 			"shift":   fmt.Sprintf("%d", *shift),
 			"mode":    *mode,
 		}}
-		record.Sweep = &obs.SweepInfo{
-			CellSet:  sweep.CellSetHash(cells),
-			Cells:    stats.Cells,
-			Executed: stats.Executed,
-			Cached:   stats.Cached,
-			Jobs:     sw.Jobs,
-		}
+		record.Sweep = sw.Info(cells, stats)
 		record.Tables = []obs.Table{table}
 		if err := record.WriteJSON(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -42,16 +42,8 @@ func main() {
 		out   = flag.String("out", "", "directory to also write per-experiment .txt and BENCH_<id>.json files into")
 		chart = flag.Bool("chart", true, "render figures' series as ASCII charts")
 		md    = flag.Bool("md", false, "emit GitHub-flavoured markdown instead of plain tables")
-		race  = flag.Bool("race-sim", false, "attach the happens-before race checker to every cell (bypasses the cache)")
-		conf  = flag.Bool("conflict", false, "attach the abort-forensics observatory to every cell (bypasses the cache)")
 	)
-	rob := cliflags.AddRobustness(flag.CommandLine)
-	pool := cliflags.AddPool(flag.CommandLine)
-	sw := cliflags.AddSweep(flag.CommandLine)
-	outp := cliflags.AddOutput(flag.CommandLine)
-	cliflags.AddSanitize(flag.CommandLine)
-	pr := cliflags.AddProfile(flag.CommandLine)
-	hp := cliflags.AddHeap(flag.CommandLine)
+	w := cliflags.Add(flag.CommandLine)
 	flag.Parse()
 	if *quick {
 		*full = false
@@ -78,22 +70,20 @@ func main() {
 		}
 	}
 
-	spec := rob.Spec(*full, *reps, *seed)
-	spec.Pool = *pool
-	spec.Obs = outp.NewRecorder()
-	spec.Profile = pr.Enabled()
-	spec.Heap = hp.Enabled()
-	spec.HeapCadence = hp.Cadence
-	spec.Race = *race
-	spec.Conflict = *conf
-	cache, err := sw.Open()
+	w.Spec.Full = *full
+	if *reps > 0 {
+		w.Spec.Reps = reps
+	}
+	if *seed != 0 {
+		w.Spec.Seed = seed
+	}
+	session, err := w.Session()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	session := &harness.Session{Spec: spec, Jobs: sw.Jobs, Cache: cache}
 
-	fmt.Fprintf(os.Stderr, "running %d experiment(s) with -jobs %d...\n", len(ids), sw.Jobs)
+	fmt.Fprintf(os.Stderr, "running %d experiment(s) with -jobs %d...\n", len(ids), w.Jobs)
 	watch := cliflags.StartStopwatch()
 	runs, stats := session.Run(ids)
 	fmt.Fprintf(os.Stderr, "sweep: %s\n", stats)
@@ -107,7 +97,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", r.ID, r.Err)
 			failed++
 			r.Health.Note(obs.StatusFailed, r.Err.Error())
-			if outp.Enabled() || *out != "" {
+			if w.Enabled() || *out != "" {
 				rec := session.Record(r)
 				records = append(records, rec)
 				if *out != "" {
@@ -150,7 +140,7 @@ func main() {
 			}
 		}
 
-		if outp.Enabled() || *out != "" {
+		if w.Enabled() || *out != "" {
 			rec := session.Record(r)
 			records = append(records, rec)
 			if *out != "" {
@@ -163,7 +153,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", watch.Elapsed())
 
-	if pr.Enabled() {
+	if w.Spec.Profile {
 		var profiles []*prof.Profile
 		for _, r := range runs {
 			if r.Profile != nil {
@@ -172,32 +162,24 @@ func main() {
 		}
 		merged := prof.Merge(profiles...)
 		merged.Label = strings.Join(ids, ",")
-		if err := pr.Write(merged); err != nil {
+		if err := w.WriteProfile(merged); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
-	if hp.Enabled() {
+	if w.Spec.Heap {
 		set := heapscope.NewSet(strings.Join(ids, ","))
 		for _, r := range runs {
 			if r.Heap != nil {
 				set.Series = append(set.Series, r.Heap.Series...)
 			}
 		}
-		if err := hp.Write(set); err != nil {
+		if err := w.WriteHeap(set); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
-	if err := outp.WriteRecords(records); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := outp.WriteMetrics(spec.Obs, stats.WritePrometheus); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := outp.WriteTrace(spec.Obs); err != nil {
+	if err := w.Write(w.Spec.Obs, stats, records...); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

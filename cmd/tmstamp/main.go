@@ -38,13 +38,11 @@ import (
 	_ "repro/internal/stamp/yada"
 
 	"repro/cmd/internal/cliflags"
-	"repro/internal/harness"
 	"repro/internal/heapscope"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/stamp"
 	"repro/internal/stm"
-	"repro/internal/sweep"
 	"repro/internal/vtime"
 )
 
@@ -59,16 +57,8 @@ func main() {
 		cacheTx = flag.Bool("cachetx", false, "deprecated alias for -pool cache (paper §6.2 tx-object caching)")
 		profile = flag.Bool("alloc-profile", false, "print the Table 5 allocation profile")
 		seed    = flag.Uint64("seed", 0, "workload seed (0 = default)")
-		raceSim = flag.Bool("race-sim", false, "attach the happens-before race checker to the run")
-		conf    = flag.Bool("conflict", false, "attach the abort-forensics observatory to the run")
 	)
-	rob := cliflags.AddRobustness(flag.CommandLine)
-	pool := cliflags.AddPool(flag.CommandLine)
-	sw := cliflags.AddSweep(flag.CommandLine)
-	outp := cliflags.AddOutput(flag.CommandLine)
-	cliflags.AddSanitize(flag.CommandLine)
-	pr := cliflags.AddProfile(flag.CommandLine)
-	hp := cliflags.AddHeap(flag.CommandLine)
+	w := cliflags.Add(flag.CommandLine)
 	flag.Parse()
 	if *app == "" {
 		flag.Usage()
@@ -83,14 +73,8 @@ func main() {
 	if *variant == "low" {
 		va = stamp.LowContention
 	}
-	spec := rob.Spec(false, 0, *seed)
-	spec.Obs = outp.NewRecorder()
-	spec.Profile = pr.Enabled()
-	spec.Heap = hp.Enabled()
-	spec.HeapCadence = hp.Cadence
-	spec.Race = *raceSim
-	spec.Conflict = *conf
-	if err := spec.Validate(); err != nil {
+	session, err := w.Session()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -102,60 +86,30 @@ func main() {
 		Variant:   va,
 		Shift:     *shift,
 		CacheTx:   *cacheTx,
-		Pool:      *pool,
+		Pool:      w.Spec.Pool,
 		Profile:   *profile,
 		Seed:      *seed,
-		Policy:    spec.Policy(),
+		Policy:    w.Spec.Policy(),
 	}
 
-	cache, err := sw.Open()
+	key := fmt.Sprintf("cli/stamp/%s/%s/t%d/sc%d/v%d/sh%d/c%v/p%v",
+		*app, *alloc, *threads, sc, va, *shift, *cacheTx, *profile)
+	if w.Spec.Pool != stm.PoolNone {
+		key += "/p" + w.Spec.Pool.String()
+	}
+	cell, err := w.RunCell(session, "stamp/"+*app, key, cfg, *seed, func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
+		c := cfg
+		c.Obs, c.Prof, c.Heap = rec, pp, hc
+		return stamp.Run(c)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	key := fmt.Sprintf("cli/stamp/%s/%s/t%d/sc%d/v%d/sh%d/c%v/p%v",
-		*app, *alloc, *threads, sc, va, *shift, *cacheTx, *profile)
-	if *pool != stm.PoolNone {
-		key += "/p" + pool.String()
-	}
-	// The run is one cell, so its artifacts come straight from the
-	// cell's own recorder.
-	var rec *obs.Recorder
-	cells := []sweep.Cell{spec.Cell(key, cfg, *seed, func(cellRec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
-		rec = cellRec
-		c := cfg
-		c.Obs, c.Prof, c.Heap = rec, pp, hc
-		return stamp.Run(c)
-	})}
-	session := &harness.Session{Spec: spec, Jobs: sw.Jobs, Cache: cache}
-	outs, stats := session.RunCells(cells)
-	out := outs[0]
-	if out.Err != nil {
-		fmt.Fprintln(os.Stderr, out.Err)
-		os.Exit(1)
-	}
-	if out.Cached {
-		fmt.Fprintf(os.Stderr, "cached result (%s, hash %.12s)\n", sw.Dir, out.Hash)
-	}
 	var res stamp.Result
-	if err := json.Unmarshal(out.Payload, &res); err != nil {
+	if err := json.Unmarshal(cell.Payload, &res); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if out.Profile != nil {
-		if err := pr.Write(out.Profile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	var heapSet *heapscope.Set
-	if out.Heap != nil {
-		heapSet = heapscope.NewSet("stamp/" + *app)
-		heapSet.Add(out.Heap)
-		if err := hp.Write(heapSet); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 
 	switch res.Status {
@@ -179,10 +133,7 @@ func main() {
 		res.Tx.MaxReadSet, res.Tx.MaxWriteSet, res.Tx.MaxRetries)
 	fmt.Fprintf(tw, "tx memory\t%d mallocs, %d frees inside transactions\n",
 		res.Tx.AllocsInTx, res.Tx.FreesInTx)
-	if p := res.Pool; p != nil {
-		fmt.Fprintf(tw, "pooling\t%s: %d hits, %d misses, %d returns (%d held at end)\n",
-			p.Discipline, p.Hits, p.Misses, p.Returns, p.Held)
-	}
+	cliflags.Pooling(tw, res.Pool)
 	if res.Tx.Irrevocables > 0 || res.Tx.BackoffCycles > 0 || res.Alloc.FailedMallocs > 0 {
 		fmt.Fprintf(tw, "robustness\t%d irrevocable fallbacks, %d backoff cycles, worst streak %d aborts, %d failed mallocs\n",
 			res.Tx.Irrevocables, res.Tx.BackoffCycles, res.Tx.MaxConsecAborts, res.Alloc.FailedMallocs)
@@ -192,24 +143,8 @@ func main() {
 		res.Alloc.RemoteFrees, res.Alloc.OSMaps)
 	fmt.Fprintf(tw, "cache\t%.2f%% L1D miss, %d coherence misses, %d false-sharing misses\n",
 		res.L1Miss*100, res.Cache.CohMisses, res.Cache.FalseShare)
-	if r := res.Recovery; r != nil {
-		if r.Crashed {
-			fmt.Fprintf(tw, "durability\tcrash at cycle %d (%s phase); recovery %s: %d logs replayed, %d torn, %d/%d meta words repaired\n",
-				r.CrashCycle, r.CrashPhase, r.Verdict, r.Replayed, r.TornLogs, r.TornMeta, r.MetaWords)
-		} else {
-			fmt.Fprintf(tw, "durability\t%d flushes, %d fences, %d log appends, %d metadata records\n",
-				r.Flushes, r.Fences, r.LogAppends, r.MetaRecs)
-		}
-	}
-	if r := res.Race; r != nil {
-		if r.Findings > 0 {
-			fmt.Fprintf(tw, "race\t%d finding(s) over %d blocks / %d words; first: %s\n",
-				r.Findings, r.Blocks, r.Words, r.First)
-		} else {
-			fmt.Fprintf(tw, "race\tclean: %d events over %d blocks / %d words\n",
-				r.Events, r.Blocks, r.Words)
-		}
-	}
+	cliflags.Durability(tw, res.Recovery)
+	cliflags.Race(tw, res.Race)
 	if c := res.Conflict; c != nil {
 		fmt.Fprintf(tw, "conflicts\t%d aborts dissected: %d true, %d false, %d alias, %d metadata, %d other; %d wasted cycles\n",
 			c.Events, c.TrueSharing, c.FalseSharing, c.StripeAlias, c.Metadata, c.Other, c.WastedCycles)
@@ -233,64 +168,40 @@ func main() {
 		tw.Flush()
 	}
 
-	if outp.JSON != "" {
-		record := obs.NewRunRecord("stamp/" + *app)
-		record.Title = fmt.Sprintf("%s on %s, %d thread(s), %s scale", *app, *alloc, *threads, *scale)
-		record.Status = res.Status
-		record.Failure = res.Failure
-		record.Config = obs.RunConfig{
-			Seed: *seed,
-			Extra: map[string]string{
-				"app":      *app,
-				"alloc":    *alloc,
-				"threads":  fmt.Sprintf("%d", *threads),
-				"scale":    *scale,
-				"variant":  *variant,
-				"cachetx":  fmt.Sprintf("%v", *cacheTx),
-				"pool":     pool.String(),
-				"cm":       rob.CM.String(),
-				"retrycap": fmt.Sprintf("%d", rob.RetryCap),
-				"fault":    rob.Fault,
-				"deadline": fmt.Sprintf("%d", rob.Deadline),
-			},
-		}
-		record.Sweep = &obs.SweepInfo{
-			CellSet:  sweep.CellSetHash(cells),
-			Cells:    stats.Cells,
-			Executed: stats.Executed,
-			Cached:   stats.Cached,
-			Jobs:     sw.Jobs,
-		}
-		if out.Profile != nil {
-			record.Profile = out.Profile.Info()
-		}
-		if heapSet != nil {
-			record.Heap = heapSet.Info()
-		}
-		record.Blocks = res.Blocks
-		record.Tables = []obs.Table{{
-			Title:   "Summary",
-			Columns: []string{"Metric", "Value"},
-			Rows: [][]string{
-				{"execution time (ms)", fmt.Sprintf("%.4f", res.Seconds*1e3)},
-				{"init time (ms)", fmt.Sprintf("%.4f", vtime.Seconds(res.InitCycles)*1e3)},
-				{"commits", fmt.Sprintf("%d", res.Tx.Commits)},
-				{"aborts", fmt.Sprintf("%d", res.Tx.Aborts)},
-				{"false aborts", fmt.Sprintf("%d", res.Tx.FalseAborts)},
-				{"L1 miss", fmt.Sprintf("%.4f", res.L1Miss)},
-			},
-		}}
-		record.Attach(rec)
-		if err := cliflags.WriteTo(outp.JSON, record.WriteJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	record := cell.Record
+	record.Title = fmt.Sprintf("%s on %s, %d thread(s), %s scale", *app, *alloc, *threads, *scale)
+	record.Status = res.Status
+	record.Failure = res.Failure
+	record.Config = obs.RunConfig{
+		Seed: *seed,
+		Extra: map[string]string{
+			"app":      *app,
+			"alloc":    *alloc,
+			"threads":  fmt.Sprintf("%d", *threads),
+			"scale":    *scale,
+			"variant":  *variant,
+			"cachetx":  fmt.Sprintf("%v", *cacheTx),
+			"pool":     w.Spec.Pool.String(),
+			"cm":       w.Spec.CM.String(),
+			"retrycap": fmt.Sprintf("%d", w.Spec.RetryCap),
+			"fault":    w.Spec.Fault,
+			"deadline": fmt.Sprintf("%d", w.Spec.Deadline),
+		},
 	}
-	if err := outp.WriteMetrics(rec, stats.WritePrometheus); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := outp.WriteTrace(rec); err != nil {
+	record.Blocks = res.Blocks
+	record.Tables = []obs.Table{{
+		Title:   "Summary",
+		Columns: []string{"Metric", "Value"},
+		Rows: [][]string{
+			{"execution time (ms)", fmt.Sprintf("%.4f", res.Seconds*1e3)},
+			{"init time (ms)", fmt.Sprintf("%.4f", vtime.Seconds(res.InitCycles)*1e3)},
+			{"commits", fmt.Sprintf("%d", res.Tx.Commits)},
+			{"aborts", fmt.Sprintf("%d", res.Tx.Aborts)},
+			{"false aborts", fmt.Sprintf("%d", res.Tx.FalseAborts)},
+			{"L1 miss", fmt.Sprintf("%.4f", res.L1Miss)},
+		},
+	}}
+	if err := cell.Write(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

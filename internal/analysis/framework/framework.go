@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"sort"
 	"strings"
@@ -222,4 +223,40 @@ func (p *Pass) Inspect(fn func(ast.Node) bool) {
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, fn)
 	}
+}
+
+// IdentObj resolves an expression to the object of a plain identifier,
+// unwrapping parentheses.
+func (p *Pass) IdentObj(e ast.Expr) types.Object {
+	for {
+		if pe, ok := e.(*ast.ParenExpr); ok {
+			e = pe.X
+			continue
+		}
+		break
+	}
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if o := p.Pkg.Info.Uses[id]; o != nil {
+		return o
+	}
+	return p.Pkg.Info.Defs[id]
+}
+
+// Deref unwraps one level of pointer and reports the named type.
+func Deref(t types.Type) (*types.Named, bool) {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return n, ok
+}
+
+// IsType reports whether the named type is pkgSuffix.name.
+func IsType(n *types.Named, pkgSuffix, name string) bool {
+	obj := n.Obj()
+	return obj != nil && obj.Pkg() != nil &&
+		strings.HasSuffix(obj.Pkg().Path(), pkgSuffix) && obj.Name() == name
 }

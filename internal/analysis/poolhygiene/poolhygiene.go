@@ -64,7 +64,7 @@ func checkFunc(p *framework.Pass, body *ast.BlockStmt) {
 			if i >= len(as.Rhs) {
 				break
 			}
-			obj := identObj(p, lhs)
+			obj := p.IdentObj(lhs)
 			if obj == nil {
 				continue
 			}
@@ -99,7 +99,7 @@ func checkFunc(p *framework.Pass, body *ast.BlockStmt) {
 			return true
 		}
 		for _, arg := range call.Args {
-			obj := identObj(p, arg)
+			obj := p.IdentObj(arg)
 			if obj == nil {
 				continue
 			}
@@ -140,45 +140,9 @@ func isMethodCall(p *framework.Pass, call *ast.CallExpr, pkgSuffix, typeName, me
 	if !ok {
 		return false
 	}
-	recv, ok := deref(selection.Recv())
+	recv, ok := framework.Deref(selection.Recv())
 	if !ok {
 		return false
 	}
-	return isType(recv, pkgSuffix, typeName)
-}
-
-// identObj resolves an expression to the object of a plain identifier,
-// unwrapping parentheses.
-func identObj(p *framework.Pass, e ast.Expr) types.Object {
-	for {
-		if pe, ok := e.(*ast.ParenExpr); ok {
-			e = pe.X
-			continue
-		}
-		break
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if o := p.Pkg.Info.Uses[id]; o != nil {
-		return o
-	}
-	return p.Pkg.Info.Defs[id]
-}
-
-// deref unwraps one level of pointer and reports the named type.
-func deref(t types.Type) (*types.Named, bool) {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return n, ok
-}
-
-// isType reports whether the named type is pkgSuffix.name.
-func isType(n *types.Named, pkgSuffix, name string) bool {
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil &&
-		strings.HasSuffix(obj.Pkg().Path(), pkgSuffix) && obj.Name() == name
+	return framework.IsType(recv, pkgSuffix, typeName)
 }

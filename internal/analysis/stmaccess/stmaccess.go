@@ -16,7 +16,6 @@ package stmaccess
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis/framework"
 )
@@ -71,7 +70,7 @@ func txParams(p *framework.Pass, lit *ast.FuncLit) map[types.Object]bool {
 			if obj == nil {
 				continue
 			}
-			if named, ok := deref(obj.Type()); ok && isType(named, "internal/stm", "Tx") {
+			if named, ok := framework.Deref(obj.Type()); ok && framework.IsType(named, "internal/stm", "Tx") {
 				out[obj] = true
 			}
 		}
@@ -92,7 +91,7 @@ func checkBody(p *framework.Pass, lit *ast.FuncLit, txVars map[types.Object]bool
 		case *ast.AssignStmt:
 			checkEscapeAssign(p, lit, n, txVars)
 		case *ast.SendStmt:
-			if obj := identObj(p, n.Value); obj != nil && txVars[obj] {
+			if obj := p.IdentObj(n.Value); obj != nil && txVars[obj] {
 				p.Reportf(n.Pos(), "Tx sent on a channel escapes its transaction; pass values, not the handle")
 			}
 		}
@@ -110,12 +109,12 @@ func checkRawAccess(p *framework.Pass, call *ast.CallExpr) {
 	if !ok {
 		return
 	}
-	recv, ok := deref(selection.Recv())
+	recv, ok := framework.Deref(selection.Recv())
 	if !ok {
 		return
 	}
 	for key, methods := range forbidden {
-		if isType(recv, key[0], key[1]) && methods[sel.Sel.Name] {
+		if framework.IsType(recv, key[0], key[1]) && methods[sel.Sel.Name] {
 			p.Reportf(call.Pos(),
 				"raw %s.%s inside a transaction bypasses the STM protocol; use the tx.%s wrapper",
 				key[1], sel.Sel.Name, txEquivalent(sel.Sel.Name))
@@ -138,14 +137,14 @@ func txEquivalent(m string) string {
 // a variable declared outside the closure.
 func checkEscapeAssign(p *framework.Pass, lit *ast.FuncLit, as *ast.AssignStmt, txVars map[types.Object]bool) {
 	for i, rhs := range as.Rhs {
-		obj := identObj(p, rhs)
+		obj := p.IdentObj(rhs)
 		if obj == nil || !txVars[obj] {
 			continue
 		}
 		if i >= len(as.Lhs) {
 			continue
 		}
-		lhsObj := identObj(p, as.Lhs[i])
+		lhsObj := p.IdentObj(as.Lhs[i])
 		if lhsObj == nil {
 			// Field stores and index stores always reach memory that can
 			// outlive the closure.
@@ -156,40 +155,4 @@ func checkEscapeAssign(p *framework.Pass, lit *ast.FuncLit, as *ast.AssignStmt, 
 			p.Reportf(as.Pos(), "Tx assigned to %q, declared outside the closure; the handle dies with the transaction", lhsObj.Name())
 		}
 	}
-}
-
-// identObj resolves an expression to the object of a plain identifier,
-// unwrapping parentheses.
-func identObj(p *framework.Pass, e ast.Expr) types.Object {
-	for {
-		if pe, ok := e.(*ast.ParenExpr); ok {
-			e = pe.X
-			continue
-		}
-		break
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if o := p.Pkg.Info.Uses[id]; o != nil {
-		return o
-	}
-	return p.Pkg.Info.Defs[id]
-}
-
-// deref unwraps one level of pointer and reports the named type.
-func deref(t types.Type) (*types.Named, bool) {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return n, ok
-}
-
-// isType reports whether the named type is pkgSuffix.name.
-func isType(n *types.Named, pkgSuffix, name string) bool {
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil &&
-		strings.HasSuffix(obj.Pkg().Path(), pkgSuffix) && obj.Name() == name
 }

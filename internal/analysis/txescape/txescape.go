@@ -24,7 +24,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"repro/internal/analysis/framework"
 )
@@ -85,7 +84,7 @@ func checkFunc(p *framework.Pass, body *ast.BlockStmt) {
 				return true
 			}
 			for _, lhs := range as.Lhs {
-				obj := identObj(p, lhs)
+				obj := p.IdentObj(lhs)
 				if obj == nil || !isAddr(obj.Type()) {
 					continue
 				}
@@ -112,7 +111,7 @@ func checkFunc(p *framework.Pass, body *ast.BlockStmt) {
 			return true
 		}
 		if recv, name, ok := methodRecv(p, call); ok &&
-			isType(recv, "internal/vtime", "Engine") && name == "Run" {
+			framework.IsType(recv, "internal/vtime", "Engine") && name == "Run" {
 			barriers = append(barriers, call.End())
 		}
 		return true
@@ -146,7 +145,7 @@ func checkFunc(p *framework.Pass, body *ast.BlockStmt) {
 		}
 		hit := false
 		for key, methods := range rawOps {
-			if isType(recv, key[0], key[1]) && methods[name] {
+			if framework.IsType(recv, key[0], key[1]) && methods[name] {
 				hit = true
 				break
 			}
@@ -155,7 +154,7 @@ func checkFunc(p *framework.Pass, body *ast.BlockStmt) {
 			return true
 		}
 		for _, arg := range call.Args {
-			obj := identObj(p, arg)
+			obj := p.IdentObj(arg)
 			if obj == nil {
 				continue
 			}
@@ -177,7 +176,7 @@ func hasTxParam(p *framework.Pass, lit *ast.FuncLit) bool {
 		return false
 	}
 	for _, field := range lit.Type.Params.List {
-		if named, ok := deref(p.Pkg.Info.TypeOf(field.Type)); ok && isType(named, "internal/stm", "Tx") {
+		if named, ok := framework.Deref(p.Pkg.Info.TypeOf(field.Type)); ok && framework.IsType(named, "internal/stm", "Tx") {
 			return true
 		}
 	}
@@ -194,7 +193,7 @@ func methodRecv(p *framework.Pass, call *ast.CallExpr) (*types.Named, string, bo
 	if !ok {
 		return nil, "", false
 	}
-	recv, ok := deref(selection.Recv())
+	recv, ok := framework.Deref(selection.Recv())
 	if !ok {
 		return nil, "", false
 	}
@@ -204,41 +203,5 @@ func methodRecv(p *framework.Pass, call *ast.CallExpr) (*types.Named, string, bo
 // isAddr reports whether t is mem.Addr.
 func isAddr(t types.Type) bool {
 	n, ok := t.(*types.Named)
-	return ok && isType(n, "internal/mem", "Addr")
-}
-
-// identObj resolves an expression to the object of a plain identifier,
-// unwrapping parentheses.
-func identObj(p *framework.Pass, e ast.Expr) types.Object {
-	for {
-		if pe, ok := e.(*ast.ParenExpr); ok {
-			e = pe.X
-			continue
-		}
-		break
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if o := p.Pkg.Info.Uses[id]; o != nil {
-		return o
-	}
-	return p.Pkg.Info.Defs[id]
-}
-
-// deref unwraps one level of pointer and reports the named type.
-func deref(t types.Type) (*types.Named, bool) {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return n, ok
-}
-
-// isType reports whether the named type is pkgSuffix.name.
-func isType(n *types.Named, pkgSuffix, name string) bool {
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil &&
-		strings.HasSuffix(obj.Pkg().Path(), pkgSuffix) && obj.Name() == name
+	return ok && framework.IsType(n, "internal/mem", "Addr")
 }

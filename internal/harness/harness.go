@@ -58,20 +58,11 @@ func (h *Health) Failure() string {
 	return fmt.Sprintf("%s (+%d more)", h.failures[0], len(h.failures)-1)
 }
 
-// Table is one printable table of results.
-type Table struct {
-	Title   string
-	Columns []string
-	Rows    [][]string
-}
+// Table is one printable table of results, in its run-record form.
+type Table = obs.Table
 
 // Series is one plottable line: label plus (x, y[, err]) points.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
-	Err   []float64
-}
+type Series = obs.Series
 
 // Result is what an experiment produces.
 type Result struct {

@@ -224,14 +224,14 @@ func (s *Session) Record(run *ExperimentRun) *obs.RunRecord {
 	if s.Spec.CM != stm.CMSuicide {
 		extra["cm"] = s.Spec.CM.String()
 	}
-	if s.Spec.RetryCap != nil {
-		extra["retry_cap"] = fmt.Sprintf("%d", *s.Spec.RetryCap)
+	if s.Spec.RetryCap != 0 {
+		extra["retry_cap"] = fmt.Sprintf("%d", s.Spec.RetryCap)
 	}
 	if s.Spec.Fault != "" {
 		extra["fault"] = s.Spec.Fault
 	}
-	if s.Spec.Deadline != nil {
-		extra["deadline"] = fmt.Sprintf("%d", *s.Spec.Deadline)
+	if s.Spec.Deadline != 0 {
+		extra["deadline"] = fmt.Sprintf("%d", s.Spec.Deadline)
 	}
 	if s.Spec.Pmem {
 		extra["pmem"] = "on"
@@ -253,13 +253,7 @@ func (s *Session) Record(run *ExperimentRun) *obs.RunRecord {
 		rec.Sweep = &sw
 	}
 	if r := run.Result; r != nil {
-		for _, t := range r.Tables {
-			rec.Tables = append(rec.Tables, obs.Table{Title: t.Title, Columns: t.Columns, Rows: t.Rows})
-		}
-		for _, sr := range r.Series {
-			rec.Series = append(rec.Series, obs.Series{Label: sr.Label, X: sr.X, Y: sr.Y, Err: sr.Err})
-		}
-		rec.Notes = r.Notes
+		rec.Tables, rec.Series, rec.Notes = r.Tables, r.Series, r.Notes
 	}
 	if run.Profile != nil {
 		rec.Profile = run.Profile.Info()

@@ -20,19 +20,18 @@ import (
 // integers) with enum and explicit-override fields that validate at
 // construction time instead of deep inside an experiment loop.
 //
-// Nil pointer fields mean "use the per-experiment default"; a non-nil
-// pointer is an explicit override, so overriding *to zero* (e.g.
-// RetryCap pointing at 0 = stm.NoRetryCap semantics via validation) is
-// expressible, which the old zero-means-default ints could not say.
+// Reps and Seed are nil for "use the per-experiment default"; the
+// policy knobs are plain values whose zero means the default, as in
+// core.Policy.
 type Spec struct {
 	Full bool    // paper-scale parameters instead of quick ones
 	Reps *int    // repetitions for mean/CI; nil = per-experiment default
 	Seed *uint64 // base seed; nil = the suite default
 
-	CM       stm.CM  // contention manager (typed; default CMSuicide)
-	RetryCap *uint64 // irrevocable-fallback threshold; nil = STM default
-	Fault    string  // fault-plan spec (internal/fault grammar); "" disables
-	Deadline *uint64 // virtual-cycle watchdog bound per workload phase; nil = none
+	CM       stm.CM // contention manager (typed; default CMSuicide)
+	RetryCap uint64 // irrevocable-fallback threshold; 0 = STM default
+	Fault    string // fault-plan spec (internal/fault grammar); "" disables
+	Deadline uint64 // virtual-cycle watchdog bound per workload phase; 0 = none
 
 	Pmem  bool   // durable heap on every workload cell: redo-logged commits, priced flush/fence
 	Crash string // crash-injection clauses (fault crash grammar); "" disables; implies Pmem
@@ -98,15 +97,8 @@ func (s *Spec) Validate() error {
 // The host-side observers (recorder, profiler, heap collector) are per
 // cell; see Cell.
 func (s *Spec) Policy() core.Policy {
-	p := core.Policy{CM: s.CM, Fault: s.Fault, Pmem: s.Pmem, Crash: s.Crash,
-		Plan: s.plan, Race: s.Race, Conflict: s.Conflict}
-	if s.RetryCap != nil {
-		p.RetryCap = *s.RetryCap
-	}
-	if s.Deadline != nil {
-		p.Deadline = *s.Deadline
-	}
-	return p
+	return core.Policy{CM: s.CM, RetryCap: s.RetryCap, Fault: s.Fault, Deadline: s.Deadline,
+		Pmem: s.Pmem, Crash: s.Crash, Plan: s.plan, Race: s.Race, Conflict: s.Conflict}
 }
 
 // mustExecute reports whether cells must run instead of replaying from

@@ -15,8 +15,8 @@ const (
 	RunRecordSchema   = "tmrepro/run-record/v2"
 )
 
-// Table is the serialization form of one result table (mirrors
-// harness.Table without importing it, so any tool can reuse it).
+// Table is the serialization form of one result table; harness.Table
+// is this type.
 type Table struct {
 	Title   string     `json:"title,omitempty"`
 	Columns []string   `json:"columns"`
@@ -87,9 +87,7 @@ type ProfileInfo struct {
 // a run (the full tmheap/series/v1 artifact is its own file; the record
 // carries only its identity and extent). It lives here rather than in
 // internal/heapscope because heapscope builds on obs; the heapscope
-// package fills it in. Kept flat (scalars and one string list, no
-// nested objects) so byte-identity tooling can strip the whole block
-// with a line-range filter.
+// package fills it in.
 type HeapInfo struct {
 	Schema     string   `json:"schema"`     // series artifact schema (tmheap/series/v1)
 	Series     int      `json:"series"`     // per-cell series captured
@@ -102,9 +100,7 @@ type HeapInfo struct {
 // flush/fence/log traffic when the run completed normally, plus the
 // crash point and the recovery invariant sweep when a deterministic
 // crash was injected. It lives here rather than in internal/pmem
-// because pmem builds on obs; the pmem package fills it in. Kept flat
-// (scalars only, no nested objects) so byte-identity tooling can strip
-// the whole block with a line-range filter.
+// because pmem builds on obs; the pmem package fills it in.
 type RecoveryInfo struct {
 	// Verdict is "ok", "degraded" (metadata repaired with caveats:
 	// free-list closure or shadow-map disagreement) or "failed" (a
@@ -140,9 +136,7 @@ type RecoveryInfo struct {
 // served from reuse lists versus falling through to the allocator, and
 // what the pool retained. It lives here rather than in internal/stm
 // because stm builds on obs; the workloads fill it in from
-// stm.PoolStats. Kept flat (scalars and one string, no nested objects)
-// so byte-identity tooling can strip the whole block with a line-range
-// filter.
+// stm.PoolStats.
 type PoolInfo struct {
 	Discipline string `json:"discipline"`           // none / cache / pool / batch
 	Hits       uint64 `json:"hits"`                 // Gets served from a reuse list
@@ -159,9 +153,7 @@ type PoolInfo struct {
 // blocks) and what it found, split by violation class (see
 // internal/race for the taxonomy). It lives here rather than in
 // internal/race because race builds on obs; the race package fills it
-// in. Kept flat (scalars and one string, no nested objects) so
-// byte-identity tooling can strip the whole block with a line-range
-// filter.
+// in.
 type RaceInfo struct {
 	Checked  bool `json:"checked"`  // a checker was attached for the run
 	Findings int  `json:"findings"` // total violations, all classes
@@ -186,9 +178,7 @@ type RaceInfo struct {
 // the taxonomy), plus the headline aggregates of the killer/victim
 // graph, the allocation-site blame table and the abort-chain detector.
 // It lives here rather than in internal/conflict because conflict
-// builds on obs; the conflict package fills it in. Kept flat (scalars
-// and strings, no nested objects) so byte-identity tooling can strip
-// the whole block with a line-range filter.
+// builds on obs; the conflict package fills it in.
 type ConflictInfo struct {
 	Observed bool `json:"observed"` // an observatory was attached for the run
 	Events   int  `json:"events"`   // abort events consumed

@@ -690,13 +690,14 @@ func (c *Checker) OnHeapFree(base mem.Addr, tid int, clock uint64) {
 }
 
 // OnHeapReuse tracks a block revived from a transaction-local cache:
-// same extent, fresh history.
+// same extent, live again, fresh history.
 func (c *Checker) OnHeapReuse(base mem.Addr, tid int, clock uint64) {
 	c.events++
 	b := c.blocks[base]
 	if b == nil {
 		return
 	}
+	b.state = blockLive
 	for a := b.base &^ (mem.WordSize - 1); a < b.end; a += mem.WordSize {
 		delete(c.words, a)
 	}

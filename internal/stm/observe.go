@@ -34,7 +34,7 @@ const (
 	EvAbort
 	EvCommit        // the commit finished, ending any abort chain rooted at the thread
 	EvLabel         // SetKind set Label
-	EvFreeCommitted // the block at Addr entered quarantine; its allocator free is still to come
+	EvFreeCommitted // the block at Addr entered quarantine or a pool's recycle list; its watchers' free note follows
 	// EvQuarantineRelease: thread Tid is about to hand quarantined blocks
 	// back to the allocator, every active snapshot having passed their
 	// frees. It carries no transaction context.

@@ -248,13 +248,17 @@ func (p *TxPool) carve(tx *Tx, size uint64) mem.Addr {
 }
 
 // Put parks a block leaving a transaction on the recycle list for its
-// request size. A PoolBatch sub-block stays invisible to the
-// block-granularity observers (shadow map, heap watcher): the allocator
-// only ever handed out its slab, so marking one sub-block freed would
-// poison the whole slab — the first sub-block even shares its base
-// address — and every live neighbor would misread as use-after-free.
+// request size. Outside PoolBatch the park is announced as a
+// quarantined free is, to the transaction observers (EvFreeCommitted)
+// and then to the block watchers; the allocator never sees it. A
+// PoolBatch sub-block stays invisible to the block-granularity
+// observers (shadow map, heap watcher): the allocator only ever handed
+// out its slab, so marking one sub-block freed would poison the whole
+// slab — the first sub-block even shares its base address — and every
+// live neighbor would misread as use-after-free.
 func (p *TxPool) Put(tx *Tx, addr mem.Addr, size uint64) {
 	if p.discipline != PoolBatch {
+		tx.note(EvFreeCommitted, addr)
 		tx.sanMarkFreed(addr)
 	}
 	p.recycled[size] = append(p.recycled[size], addr)

@@ -119,7 +119,6 @@ type RaceObserver interface {
 type Engine struct {
 	Space   *mem.Space
 	Cache   *cachesim.Hierarchy // may be nil: flat memory costs
-	Cost    *CostModel
 	Quantum uint64
 	Obs     *obs.Recorder // scheduler-quantum tracing; nil disables
 	Prof    Profiler      // cycle attribution; nil disables
@@ -142,7 +141,6 @@ type Engine struct {
 // Config carries optional Engine settings.
 type Config struct {
 	Cache    *cachesim.Hierarchy
-	Cost     *CostModel
 	Quantum  uint64
 	Obs      *obs.Recorder
 	Prof     Profiler     // cycle attribution; nil disables
@@ -157,7 +155,6 @@ func NewEngine(space *mem.Space, n int, cfg Config) *Engine {
 		rng:      0x9e3779b97f4a7c15,
 		Space:    space,
 		Cache:    cfg.Cache,
-		Cost:     cfg.Cost,
 		Quantum:  cfg.Quantum,
 		Obs:      cfg.Obs,
 		Prof:     cfg.Prof,
@@ -165,13 +162,10 @@ func NewEngine(space *mem.Space, n int, cfg Config) *Engine {
 		Race:     cfg.Race,
 		Deadline: cfg.Deadline,
 	}
-	if e.Cost == nil {
-		c := DefaultCost
-		e.Cost = &c
-	}
 	if e.Quantum == 0 {
 		e.Quantum = DefaultQuantum
 	}
+	cost := DefaultCost
 	e.threads = make([]*Thread, n)
 	for i := range e.threads {
 		e.threads[i] = &Thread{
@@ -179,7 +173,7 @@ func NewEngine(space *mem.Space, n int, cfg Config) *Engine {
 			engine: e,
 			space:  space,
 			cache:  e.Cache,
-			cost:   e.Cost,
+			cost:   &cost,
 			prof:   cfg.Prof,
 			race:   cfg.Race,
 			resume: make(chan uint64),

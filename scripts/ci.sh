@@ -164,6 +164,14 @@ grep -q ' 0 executed' "$tmpdir/c2.err" || {
     echo "second -cache invocation executed cells instead of hitting the cache" >&2
     exit 1
 }
+# The sanitizer bypasses the cache in every binary: tmlayout's cells go
+# through the same session, so a warm cache must not skip -sanitize.
+go run ./cmd/tmlayout -cache "$tmpdir/layoutcache" >/dev/null 2>&1
+go run ./cmd/tmlayout -cache "$tmpdir/layoutcache" -sanitize -json >"$tmpdir/layoutsan.json" 2>/dev/null
+grep -q '"executed": 4' "$tmpdir/layoutsan.json" || {
+    echo "tmlayout -sanitize replayed cells from a warm cache instead of executing them" >&2
+    exit 1
+}
 
 echo "== profiler toolchain gate =="
 # tmprof must read a profile artifact back, and a profile diffed against
@@ -267,6 +275,15 @@ go run ./cmd/tmintset -kind linkedlist -alloc glibc -threads 2 \
     echo "seeded metadata race failed without -race-sim (should pass silently)" >&2
     exit 1
 }
+# Pooled runs park freed blocks in the STM's recycle lists, never in the
+# allocator; the checker must not read their reuse as a metadata race.
+for pool in cache pool; do
+    go run ./cmd/tmintset -kind linkedlist -alloc glibc -threads 4 \
+        -initial 64 -ops 100 -race-sim -pool "$pool" >/dev/null || {
+        echo "unseeded -pool $pool run reported races under -race-sim" >&2
+        exit 1
+    }
+done
 
 echo "== conflict-observatory detection gate =="
 # A choreographed ORT stripe-aliasing pair must fail loudly under
