@@ -31,7 +31,8 @@ type Cell struct {
 // returns the cell with a run record for experiment.
 func (w *Workload) RunCell(session *harness.Session, experiment, key string, spec any, seed uint64, run harness.CellFunc) (*Cell, error) {
 	// The run is one cell, so its artifacts come straight from the
-	// cell's own recorder.
+	// cell's own recorder: the session recorder opens with a "run" phase
+	// of its own, which a single-cell artifact does not carry.
 	var rec *obs.Recorder
 	cells := []sweep.Cell{session.Spec.Cell(key, spec, seed, func(r *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
 		rec = r
@@ -47,15 +48,16 @@ func (w *Workload) RunCell(session *harness.Session, experiment, key string, spe
 	}
 	record := obs.NewRunRecord(experiment)
 	record.Sweep = w.Sweep.Info(cells, stats)
-	if out.Profile != nil {
-		record.Profile = out.Profile.Info()
-		if err := w.WriteProfile(out.Profile); err != nil {
+	h, _ := out.Harvest.(*harness.Harvest)
+	if h != nil && h.Profile != nil {
+		record.Profile = h.Profile.Info()
+		if err := w.WriteProfile(h.Profile); err != nil {
 			return nil, err
 		}
 	}
-	if out.Heap != nil {
+	if h != nil && h.Heap != nil {
 		set := heapscope.NewSet(experiment)
-		set.Add(out.Heap)
+		set.Add(h.Heap)
 		record.Heap = set.Info()
 		if err := w.WriteHeap(set); err != nil {
 			return nil, err

@@ -55,6 +55,19 @@ type CoreStats struct {
 	// different word of the line (classic false sharing)
 }
 
+// Sub returns c minus o field-wise, for isolating one measurement
+// phase's statistics.
+func (c CoreStats) Sub(o CoreStats) CoreStats {
+	return CoreStats{
+		Accesses:   c.Accesses - o.Accesses,
+		L1Misses:   c.L1Misses - o.L1Misses,
+		L2Misses:   c.L2Misses - o.L2Misses,
+		InvalsSent: c.InvalsSent - o.InvalsSent,
+		CohMisses:  c.CohMisses - o.CohMisses,
+		FalseShare: c.FalseShare - o.FalseShare,
+	}
+}
+
 // L1MissRatio returns L1 misses over accesses.
 func (c CoreStats) L1MissRatio() float64 {
 	if c.Accesses == 0 {

@@ -120,6 +120,27 @@ func TestWorkingSetFitsAfterWarmup(t *testing.T) {
 	}
 }
 
+// TestCoreStatsSub isolates the second of two sweeps the way the
+// workload drivers isolate their measurement phase: every field of the
+// difference is what the second sweep alone counted.
+func TestCoreStatsSub(t *testing.T) {
+	h := New(2)
+	for off := mem.Addr(0); off < 16<<10; off += 64 {
+		h.Access(0, base+off, true)
+	}
+	before := h.TotalStats()
+	for off := mem.Addr(0); off < 16<<10; off += 64 {
+		h.Access(1, base+off+8, true) // same lines, another word: false sharing
+	}
+	got := h.TotalStats().Sub(before)
+	if want := h.Stats(1); got != want {
+		t.Errorf("Sub = %+v, want core 1's own counts %+v", got, want)
+	}
+	if got.InvalsSent == 0 || got.Accesses != 256 {
+		t.Errorf("Sub = %+v, want 256 accesses that invalidate core 0's lines", got)
+	}
+}
+
 func TestGlibcVsDenseLayoutLocality(t *testing.T) {
 	// The paper's Genome observation: 16-byte nodes placed 32 bytes
 	// apart (glibc) touch twice as many lines as densely packed ones.

@@ -7,11 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/obs"
 )
 
 // purityRun is one fig1 session's observable output: the printed
 // result, the run record decoded as JSON (pool width zeroed) and the
-// observer's own artifact (merged profile or heap series), if any.
+// observer's own artifact (merged profile, heap series, or the session
+// recorder's JSONL trace and Prometheus text), if any.
 type purityRun struct {
 	printed  []byte
 	record   []byte
@@ -51,6 +53,13 @@ func runFig1(t *testing.T, jobs int, spec *Spec) purityRun {
 		if err := r.Heap.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
+	case spec.Obs != nil:
+		if err := spec.Obs.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := spec.Obs.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out.artifact = buf.Bytes()
 	return out
@@ -58,33 +67,40 @@ func runFig1(t *testing.T, jobs int, spec *Spec) purityRun {
 
 // TestObserverPurity proves every observer is a pure observer: with it
 // attached, fig1 prints exactly what a plain run prints, its run record
-// is the plain record plus the observer's own top-level block, and the
+// is the plain record plus the observer's own top-level blocks, and the
 // observed record and artifact are byte-identical at -jobs 1 and 8.
 func TestObserverPurity(t *testing.T) {
 	plain := runFig1(t, 1, &Spec{})
 	for _, tc := range []struct {
 		name  string
-		key   string // the observer's top-level record block; "" when it adds none
+		keys  []string // the observer's top-level record blocks; none when it adds none
 		set   func(t *testing.T, s *Spec)
-		check func(t *testing.T, block map[string]any)
+		check func(t *testing.T, block map[string]any) // inspects the keys[0] block
 	}{
 		{name: "sanitizer", set: func(t *testing.T, _ *Spec) {
 			prev := mem.SanitizeDefault()
 			mem.SetSanitizeDefault(true)
 			t.Cleanup(func() { mem.SetSanitizeDefault(prev) })
 		}},
-		{name: "profiler", key: "profile", set: func(_ *testing.T, s *Spec) { s.Profile = true }},
-		{name: "heapscope", key: "heap", set: func(_ *testing.T, s *Spec) { s.Heap = true }},
-		{name: "race", key: "race", set: func(_ *testing.T, s *Spec) { s.Race = true },
+		{name: "profiler", keys: []string{"profile"}, set: func(_ *testing.T, s *Spec) { s.Profile = true }},
+		{name: "heapscope", keys: []string{"heap"}, set: func(_ *testing.T, s *Spec) { s.Heap = true }},
+		{name: "race", keys: []string{"race"}, set: func(_ *testing.T, s *Spec) { s.Race = true },
 			check: func(t *testing.T, block map[string]any) {
 				if block["findings"] != 0.0 {
 					t.Errorf("clean run reported race findings: %v", block)
 				}
 			}},
-		{name: "conflict", key: "conflict", set: func(_ *testing.T, s *Spec) { s.Conflict = true },
+		{name: "conflict", keys: []string{"conflict"}, set: func(_ *testing.T, s *Spec) { s.Conflict = true },
 			check: func(t *testing.T, block map[string]any) {
 				if block["observed"] != true {
 					t.Errorf("conflict block not marked observed: %v", block)
+				}
+			}},
+		{name: "recorder", keys: []string{"trace", "metrics", "stripe_heatmap"},
+			set: func(_ *testing.T, s *Spec) { s.Obs = obs.New(obs.Config{}) },
+			check: func(t *testing.T, block map[string]any) {
+				if n, _ := block["events"].(float64); n <= 0 {
+					t.Errorf("recorder traced no events: %v", block["events"])
 				}
 			}},
 	} {
@@ -105,18 +121,20 @@ func TestObserverPurity(t *testing.T) {
 			if !bytes.Equal(one.artifact, eight.artifact) {
 				t.Error("observer artifacts differ between -jobs 1 and -jobs 8")
 			}
-			if tc.key != "" {
-				block, ok := one.decoded[tc.key].(map[string]any)
-				if !ok {
-					t.Fatalf("record carries no %q block", tc.key)
+			for _, key := range tc.keys {
+				if one.decoded[key] == nil {
+					t.Fatalf("record carries no %q block", key)
 				}
-				if tc.check != nil {
-					tc.check(t, block)
-				}
-				delete(one.decoded, tc.key)
+			}
+			if tc.check != nil {
+				block, _ := one.decoded[tc.keys[0]].(map[string]any)
+				tc.check(t, block)
+			}
+			for _, key := range tc.keys {
+				delete(one.decoded, key)
 			}
 			if !reflect.DeepEqual(one.decoded, plain.decoded) {
-				t.Errorf("record differs from the plain record (own block %q deleted)", tc.key)
+				t.Errorf("record differs from the plain record (own blocks %q deleted)", tc.keys)
 			}
 		})
 	}

@@ -16,11 +16,12 @@ import (
 // scheduled once (so configurations shared between experiments — fig4
 // and tab3, fig7 and fig8 — execute once), and each experiment reduces
 // its own outcomes. Results are byte-identical for any Jobs value: the
-// scheduler hands outcomes back in cell order, observability deltas
-// merge in first-reference order, and reducers are plain serial code.
+// scheduler hands outcomes back in cell order, the cells' sibling
+// recorders fold in first-reference order, and reducers are plain
+// serial code.
 type Session struct {
 	Spec *Spec
-	Jobs int // host goroutine pool width; <= 1 runs serially
+	Jobs int // host goroutine pool width; <= 1 runs one worker
 
 	// Cache memoizes finished cells on disk. Ignored (treated as nil)
 	// when the spec attaches any observer — a trace, profile, heap
@@ -98,8 +99,6 @@ func (s *Session) Run(ids []string) ([]*ExperimentRun, sweep.Stats) {
 
 	outs, stats := s.RunCells(cells)
 
-	profiled := make(map[*prof.Profile]bool)
-	watched := make(map[*heapscope.Series]bool)
 	for _, p := range plans {
 		p.b.outs = outs[p.lo:p.hi]
 		sw := &obs.SweepInfo{CellSet: sweep.CellSetHash(p.b.cells), Cells: len(p.b.cells)}
@@ -118,19 +117,18 @@ func (s *Session) Run(ids []string) ([]*ExperimentRun, sweep.Stats) {
 			default:
 				sw.Executed++
 			}
-			if o.Profile != nil && !profiled[o.Profile] {
-				profiled[o.Profile] = true
-				profiles = append(profiles, o.Profile)
-			}
-			if o.Heap != nil && !watched[o.Heap] {
-				// Deduplicated cells share one Outcome (and Series
-				// pointer): each distinct series is collected exactly
-				// once, at its first reference, in cell-index order.
-				watched[o.Heap] = true
-				if heapSet == nil {
-					heapSet = heapscope.NewSet(p.run.ID)
+			// Only a cell's first reference carries its harvest, so each
+			// distinct profile and series is taken once, in cell order.
+			if h, ok := o.Harvest.(*Harvest); ok {
+				if h.Profile != nil {
+					profiles = append(profiles, h.Profile)
 				}
-				heapSet.Add(o.Heap)
+				if h.Heap != nil {
+					if heapSet == nil {
+						heapSet = heapscope.NewSet(p.run.ID)
+					}
+					heapSet.Add(h.Heap)
+				}
 			}
 			var v struct {
 				CellHealth
@@ -142,9 +140,6 @@ func (s *Session) Run(ids []string) ([]*ExperimentRun, sweep.Stats) {
 			}
 		}
 		if len(profiles) > 0 {
-			// Deduplicated cells share one Outcome (and Profile pointer):
-			// like deltas, each distinct profile merges exactly once, at
-			// its first reference, in cell-index order.
 			p.run.Profile = prof.Merge(profiles...)
 			p.run.Profile.Label = p.run.ID
 		}
@@ -160,25 +155,27 @@ func (s *Session) Run(ids []string) ([]*ExperimentRun, sweep.Stats) {
 }
 
 // RunCells schedules cells on the sweep scheduler, replaying them from
-// the cache unless the spec must execute, and folds each distinct
-// recorder delta into Spec.Obs at its first reference in cell order
-// (deduplicated cells share one Outcome and Delta pointer), so the
-// merged trace is what a serial no-dedup run would produce up to that
-// sharing.
+// the cache unless the spec must execute. When a cell reaches the front
+// of the cell order, its sibling recorder is folded into Spec.Obs and
+// dropped, so a cell's event rings live only until the cells before it
+// have finished. A deduplicated cell's harvest appears on its first
+// reference only, so the merged trace is what a serial no-dedup run
+// would produce up to that sharing.
+//
+// The fold runs on a worker goroutine under the scheduler's lock, one
+// call at a time, while later cells still run: a cell body must never
+// read Spec.Obs.
 func (s *Session) RunCells(cells []sweep.Cell) ([]sweep.Outcome, sweep.Stats) {
 	cache := s.Cache
 	if s.Spec.mustExecute() {
 		cache = nil
 	}
-	outs, stats := (&sweep.Scheduler{Jobs: s.jobs(), Cache: cache}).Run(cells)
-	merged := make(map[*obs.Delta]bool)
-	for _, o := range outs {
-		if o.Err == nil && o.Delta != nil && !merged[o.Delta] {
-			merged[o.Delta] = true
-			s.Spec.Obs.Apply(o.Delta)
+	return (&sweep.Scheduler{Jobs: s.jobs(), Cache: cache}).Run(cells, func(o sweep.Outcome) {
+		if h, ok := o.Harvest.(*Harvest); ok {
+			s.Spec.Obs.Apply(h.rec)
+			h.rec = nil
 		}
-	}
-	return outs, stats
+	})
 }
 
 // planRecovered runs the experiment's Plan with panic capture.
@@ -266,7 +263,7 @@ func (s *Session) Record(run *ExperimentRun) *obs.RunRecord {
 	return rec
 }
 
-// RunExperiment runs a single experiment serially with no cache — the
+// RunExperiment runs a single experiment on one worker with no cache — the
 // spec-level equivalent of the old monolithic Run entry point.
 func RunExperiment(e *Experiment, spec *Spec) (*Result, error) {
 	runs, _ := (&Session{Spec: spec}).Run([]string{e.ID})

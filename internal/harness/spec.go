@@ -116,13 +116,28 @@ func (s *Spec) mustExecute() bool {
 // returns the cell's payload.
 type CellFunc func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error)
 
+// Harvest is what one executed cell's host-side observers collected:
+// the sweep.Outcome.Harvest of every cell Spec.Cell builds. The sweep
+// hands it back on the cell's first reference only, so nothing needs
+// deduplicating. A per-cell artifact is one more field here.
+type Harvest struct {
+	Profile *prof.Profile     // cycle attribution labelled with the cell key; nil when unprofiled
+	Heap    *heapscope.Series // allocator-state series labelled with the key; nil when unwatched
+
+	rec *obs.Recorder // the sibling of Spec.Obs, until Session.RunCells folds it in
+}
+
 // Cell builds one sweep cell: key names it, spec (serialized
 // canonically) plus seed identify it for caching, and run executes it.
 // Cell is where every cell's host-side observers are created and
-// harvested: a sibling of Spec.Obs whose delta Session.RunCells folds
-// back, a profiler labelled with the key when Profile is set, and a
-// heap collector whose series is labelled with the key when Heap is
-// set.
+// harvested: a sibling of Spec.Obs that Session.RunCells folds back, a
+// profiler labelled with the key when Profile is set, and a heap
+// collector whose series is labelled with the key when Heap is set. A
+// cell none of them observes returns no harvest, so it may be cached.
+//
+// Cell bodies run concurrently with the fold of earlier cells into
+// Spec.Obs, so run must never read Spec.Obs; it records into its own
+// sibling only.
 func (s *Spec) Cell(key string, spec any, seed uint64, run CellFunc) sweep.Cell {
 	raw, err := json.Marshal(spec)
 	if err != nil {
@@ -133,7 +148,7 @@ func (s *Spec) Cell(key string, spec any, seed uint64, run CellFunc) sweep.Cell 
 		Key:  key,
 		Spec: raw,
 		Seed: seed,
-		Run: func() (any, *obs.Delta, *prof.Profile, *heapscope.Series, error) {
+		Run: func() (any, any, error) {
 			rec := parent.Sibling()
 			var pp *prof.Profiler
 			if profiled {
@@ -146,18 +161,20 @@ func (s *Spec) Cell(key string, spec any, seed uint64, run CellFunc) sweep.Cell 
 			}
 			payload, err := run(rec, pp, hc)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, nil, err
 			}
-			var pf *prof.Profile
+			if rec == nil && pp == nil && hc == nil {
+				return payload, nil, nil
+			}
+			h := &Harvest{rec: rec}
 			if pp != nil {
-				pf = pp.Profile()
-				pf.Label = key
+				h.Profile = pp.Profile()
+				h.Profile.Label = key
 			}
-			var hp *heapscope.Series
 			if hc != nil {
-				hp = hc.Series(key)
+				h.Heap = hc.Series(key)
 			}
-			return payload, rec.Delta(), pf, hp, nil
+			return payload, h, nil
 		},
 	}
 }

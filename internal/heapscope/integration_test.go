@@ -16,7 +16,6 @@ import (
 	"repro/internal/heapscope"
 	"repro/internal/intset"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/sweep"
 )
 
@@ -105,26 +104,26 @@ func TestSeriesJobsIdentity(t *testing.T) {
 				Key:  "heapwatch/" + name,
 				Spec: spec,
 				Seed: cfg.Seed,
-				Run: func() (any, *obs.Delta, *prof.Profile, *heapscope.Series, error) {
+				Run: func() (any, any, error) {
 					c := cfg
 					hc := heapscope.New(1 << 16)
 					c.Heap = hc
 					res, err := intset.Run(c)
 					if err != nil {
-						return nil, nil, nil, nil, err
+						return nil, nil, err
 					}
-					return res, nil, nil, hc.Series("heapwatch/" + name), nil
+					return res, hc.Series("heapwatch/" + name), nil
 				},
 			})
 		}
 		sched := &sweep.Scheduler{Jobs: jobs}
-		outs, _ := sched.Run(cells)
+		outs, _ := sched.Run(cells, nil)
 		set := heapscope.NewSet("jobs-identity")
 		for _, o := range outs {
 			if o.Err != nil {
 				t.Fatal(o.Err)
 			}
-			set.Add(o.Heap)
+			set.Add(o.Harvest.(*heapscope.Series))
 		}
 		var buf bytes.Buffer
 		if err := set.WriteJSON(&buf); err != nil {

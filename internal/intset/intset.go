@@ -362,16 +362,7 @@ func Run(cfg Config) (res Result, err error) {
 	}
 
 	cycles := sys.EndPhase()
-	total := sys.Cache.TotalStats()
-	phase := cachesim.CoreStats{
-		Accesses: total.Accesses - missBase.Accesses,
-		L1Misses: total.L1Misses - missBase.L1Misses,
-		L2Misses: total.L2Misses - missBase.L2Misses,
-		CohMisses: total.CohMisses -
-			missBase.CohMisses,
-		FalseShare: total.FalseShare - missBase.FalseShare,
-		InvalsSent: total.InvalsSent - missBase.InvalsSent,
-	}
+	phase := sys.Cache.TotalStats().Sub(missBase)
 	ops := uint64(cfg.Threads) * uint64(cfg.OpsPerThread)
 	secs := vtime.Seconds(cycles)
 	thr := 0.0

@@ -2,54 +2,16 @@ package obs
 
 import "sort"
 
-// Delta is the detachable observability state of one Recorder — the
-// events, phases, metrics and heatmap one sweep cell collected while
-// running with its own private Recorder. The parallel sweep scheduler
-// gives every cell its own Recorder (the Recorder itself is not
-// host-thread-safe), carries the finished cells' Deltas back to the
-// coordinating goroutine, and the harness folds them into the main
-// Recorder with Apply in deterministic cell order — so a -jobs 8 run
-// merges to exactly the bytes a -jobs 1 run produces.
-type Delta struct {
-	phases []string
-	rings  []*ring
-	reg    *Registry
-	heat   *Heatmap
-}
-
-// Delta returns the recorder's collected state as a mergeable unit.
-// The recorder must not be used for further recording afterwards (the
-// Delta aliases its internals); per-cell recorders are discarded once
-// their cell completes, so nothing does.
-func (r *Recorder) Delta() *Delta {
-	if r == nil {
-		return nil
-	}
-	return &Delta{phases: r.phases, rings: r.rings, reg: r.reg, heat: r.heat}
-}
-
-// Events returns the delta's retained event count (for provenance).
-func (d *Delta) Events() int {
-	if d == nil {
-		return 0
-	}
-	n := 0
-	for _, rg := range d.rings {
-		if rg != nil {
-			n += len(rg.events())
-		}
-	}
-	return n
-}
-
-// Apply folds a cell's Delta into the recorder: phases are appended
-// (event epochs shifted accordingly, so each cell keeps its own trace
-// process), per-thread events are re-pushed in their original order,
-// counters and histogram buckets add, gauges keep the maximum (every
-// gauge in this codebase is a watermark), and heatmap cells accumulate.
-// Applying the same deltas in the same order always yields the same
-// recorder state — merge determinism is the caller's ordering duty.
-func (r *Recorder) Apply(d *Delta) {
+// Apply folds a finished cell's sibling recorder (see Sibling) into
+// the recorder: phases are appended (event epochs shifted accordingly,
+// so each cell keeps its own trace process), per-thread events are
+// re-pushed in their original order, counters and histogram buckets
+// add, gauges keep the maximum (every gauge in this codebase is a
+// watermark), and heatmap cells accumulate. Applying the same siblings
+// in the same order always yields the same recorder state — merge
+// determinism is the caller's ordering duty. The sibling is only read,
+// and nothing may record into it concurrently.
+func (r *Recorder) Apply(d *Recorder) {
 	if r == nil || d == nil {
 		return
 	}

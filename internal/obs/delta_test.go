@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestDeltaMergeDeterminism is the scheduler's observability
-// contract: per-cell sibling recorders merged in cell order produce
-// the same parent state regardless of which host goroutine ran which
-// cell — because the deltas themselves are only touched at Apply time.
+// TestDeltaMergeDeterminism is the sweep's observability contract:
+// per-cell sibling recorders merged in cell order produce the same
+// parent state regardless of which host goroutine ran which cell —
+// because each sibling is only read at Apply time.
 func TestDeltaMergeDeterminism(t *testing.T) {
 	build := func() *Recorder {
 		parent := New(Config{RingSize: 64})
@@ -24,8 +24,8 @@ func TestDeltaMergeDeterminism(t *testing.T) {
 		b.Metrics().Counter("tm_tx_commits_total").Add(2)
 		b.Metrics().Gauge("alloc_heap_bytes").Set(250)
 
-		parent.Apply(a.Delta())
-		parent.Apply(b.Delta())
+		parent.Apply(a)
+		parent.Apply(b)
 		return parent
 	}
 	p1, p2 := build(), build()
@@ -34,7 +34,7 @@ func TestDeltaMergeDeterminism(t *testing.T) {
 		t.Errorf("merge is not deterministic: %+v vs %+v", s1, s2)
 	}
 	if s1.Counters["tm_tx_commits_total"] != 3 {
-		t.Errorf("counters must add across deltas: %+v", s1.Counters)
+		t.Errorf("counters must add across siblings: %+v", s1.Counters)
 	}
 	if s1.Gauges["alloc_heap_bytes"] != 250 {
 		t.Errorf("gauges are watermarks and must merge by max: %+v", s1.Gauges)
@@ -66,12 +66,11 @@ func TestDeltaMergeDeterminism(t *testing.T) {
 }
 
 func TestDeltaNilSafety(t *testing.T) {
-	var r *Recorder
-	if d := r.Delta(); d != nil {
-		t.Error("nil recorder must yield a nil delta")
-	}
 	parent := New(Config{})
 	parent.Apply(nil) // must not panic
+	if parent.EventCount() != 0 || len(parent.Phases()) != 1 {
+		t.Error("applying a nil sibling must leave the recorder as it was")
+	}
 	if s := (*Recorder)(nil).Sibling(); s != nil {
 		t.Error("nil recorder must yield a nil sibling")
 	}

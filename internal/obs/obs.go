@@ -167,7 +167,7 @@ type Recorder struct {
 	epoch    int32
 	phases   []string
 
-	// extraDropped counts events already dropped inside merged Deltas
+	// extraDropped counts events already dropped inside applied siblings
 	// (they never reached this recorder's rings).
 	extraDropped uint64
 
@@ -233,8 +233,8 @@ func New(cfg Config) *Recorder {
 }
 
 // Sibling returns a fresh empty recorder with the same configuration —
-// the per-cell private recorder whose Delta is later applied back into
-// this one (nil on a nil recorder).
+// the per-cell private recorder that is later applied back into this
+// one (nil on a nil recorder).
 func (r *Recorder) Sibling() *Recorder {
 	if r == nil {
 		return nil

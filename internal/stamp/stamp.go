@@ -327,15 +327,7 @@ func Run(cfg Config) (res Result, err error) {
 		failure = fmt.Sprintf("validation failed under fault plan %q: %v", cfg.Fault, err)
 	}
 
-	total := sys.Cache.TotalStats()
-	phase := cachesim.CoreStats{
-		Accesses:   total.Accesses - cacheBase.Accesses,
-		L1Misses:   total.L1Misses - cacheBase.L1Misses,
-		L2Misses:   total.L2Misses - cacheBase.L2Misses,
-		CohMisses:  total.CohMisses - cacheBase.CohMisses,
-		FalseShare: total.FalseShare - cacheBase.FalseShare,
-		InvalsSent: total.InvalsSent - cacheBase.InvalsSent,
-	}
+	phase := sys.Cache.TotalStats().Sub(cacheBase)
 	res = Result{
 		Config:     cfg,
 		InitCycles: initCycles,

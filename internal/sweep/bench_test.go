@@ -16,7 +16,7 @@ func BenchmarkSchedulerPayloadCells(b *testing.B) {
 	s := &Scheduler{Jobs: 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Run(cells)
+		s.Run(cells, nil)
 	}
 }
 

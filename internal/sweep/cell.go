@@ -17,10 +17,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/heapscope"
-	"repro/internal/obs"
-	"repro/internal/prof"
 )
 
 // Version is the code-relevant version folded into every cell hash.
@@ -44,10 +40,10 @@ type Cell struct {
 	// Seed is the cell's derived seed (hashed too).
 	Seed uint64
 	// Run executes the cell and returns a JSON-serializable payload
-	// plus the cell's private observability delta, cycle-attribution
-	// profile and allocator-state telemetry series (each nil when the
-	// run was unobserved/unprofiled/unwatched).
-	Run func() (payload any, delta *obs.Delta, profile *prof.Profile, heap *heapscope.Series, err error)
+	// plus an opaque harvest: whatever the caller's observers collected
+	// while the cell ran, nil when nothing observed it. The scheduler
+	// never looks inside a harvest; it only hands it back.
+	Run func() (payload, harvest any, err error)
 
 	hash string
 }
@@ -105,12 +101,10 @@ type Outcome struct {
 	Key     string
 	Hash    string
 	Payload json.RawMessage
-	Delta   *obs.Delta        // nil for cached or unobserved cells
-	Profile *prof.Profile     // nil for cached or unprofiled cells
-	Heap    *heapscope.Series // nil for cached or unwatched cells
-	Cached  bool              // served from the on-disk cache
-	Stolen  bool              // executed by a worker that stole it from another's deque
-	Err     error             // execution or (de)serialization failure
+	Harvest any   // the cell's harvest, on its first reference only; nil for cached, failed or unobserved cells
+	Cached  bool  // served from the on-disk cache
+	Stolen  bool  // executed by a worker that stole it from another's deque
+	Err     error // execution or (de)serialization failure
 
 	cacheErr bool // the payload could not be written back to the cache
 }

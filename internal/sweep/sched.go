@@ -6,16 +6,12 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"repro/internal/heapscope"
-	"repro/internal/obs"
-	"repro/internal/prof"
 )
 
 // Scheduler executes cells on a bounded pool of host goroutines with
-// work stealing. The zero value runs serially with no cache.
+// work stealing. The zero value runs one worker with no cache.
 type Scheduler struct {
-	Jobs  int    // goroutine pool width; <= 1 executes serially on the calling goroutine
+	Jobs  int    // goroutine pool width; <= 1 runs one worker
 	Cache *Cache // finished-cell memoization; nil disables
 }
 
@@ -32,14 +28,15 @@ type Stats struct {
 	Errors   int // unique cells that failed
 	Stolen   int // executed cells taken from another worker's deque
 	CacheErr int // cache write failures (the run itself still succeeds)
-	Jobs     int // pool width used
+	Jobs     int // requested pool width (at least 1)
 
 	Wall     time.Duration // whole-sweep host time
 	CellWall time.Duration // summed per-cell host time
 }
 
 // Speedup estimates the pool's wall-clock win: summed cell time over
-// sweep time (1.0 when serial; approaches Jobs under perfect scaling).
+// sweep time (about 1.0 at one worker; approaches Jobs under perfect
+// scaling).
 func (s Stats) Speedup() float64 {
 	if s.Wall <= 0 {
 		return 1
@@ -47,9 +44,15 @@ func (s Stats) Speedup() float64 {
 	return float64(s.CellWall) / float64(s.Wall)
 }
 
+// String is the one-line summary the binaries print on stderr. A failed
+// cache write does not fail the run, so it is named here or nowhere.
 func (s Stats) String() string {
-	return fmt.Sprintf("%d cells (%d unique): %d executed, %d cached, %d stolen, %d failed; jobs=%d wall=%v speedup=%.2fx",
-		s.Cells, s.Unique, s.Executed, s.Cached, s.Stolen, s.Errors, s.Jobs, s.Wall.Round(time.Millisecond), s.Speedup())
+	writes := ""
+	if s.CacheErr > 0 {
+		writes = fmt.Sprintf(", %d cache writes failed", s.CacheErr)
+	}
+	return fmt.Sprintf("%d cells (%d unique): %d executed, %d cached, %d stolen, %d failed%s; jobs=%d wall=%v speedup=%.2fx",
+		s.Cells, s.Unique, s.Executed, s.Cached, s.Stolen, s.Errors, writes, s.Jobs, s.Wall.Round(time.Millisecond), s.Speedup())
 }
 
 // WritePrometheus renders the scheduler stats as their own metric
@@ -111,18 +114,21 @@ func (d *deque) popBack() (int, bool) {
 // the scheduler owns *when and where* cells run, never *what they
 // mean*, so callers reduce the outcome slice exactly as a serial loop
 // would. Duplicate cells (equal hashes) execute once and share one
-// outcome (including the Delta pointer: callers merging observability
-// must apply each distinct Delta once).
-func (s *Scheduler) Run(cells []Cell) ([]Outcome, Stats) {
+// outcome; only the first reference carries the harvest.
+//
+// fold (nil allowed) sees each outcome in cell-index order as soon as
+// that cell and every earlier one have finished, so a caller can
+// consume a harvest while later cells still run. It is called on a
+// worker goroutine under the scheduler's lock, one call at a time;
+// cell bodies must not touch what it writes.
+func (s *Scheduler) Run(cells []Cell, fold func(Outcome)) ([]Outcome, Stats) {
 	//tmvet:allow nodeterm: Stats.Wall measures host scheduling efficiency; it never reaches cell hashes or run-record result bytes
 	start := time.Now()
-	stats := Stats{Cells: len(cells), Jobs: s.Jobs}
-	if stats.Jobs < 1 {
-		stats.Jobs = 1
-	}
+	stats := Stats{Cells: len(cells), Jobs: max(s.Jobs, 1)}
 
-	// Deduplicate by hash, keeping first-occurrence order.
-	uniq := make([]*Cell, 0, len(cells))
+	// Deduplicate by hash, keeping first-occurrence order: uniq holds
+	// each unique cell's first reference.
+	var uniq []int
 	uniqOf := make([]int, len(cells))
 	byHash := make(map[string]int, len(cells))
 	for i := range cells {
@@ -131,59 +137,63 @@ func (s *Scheduler) Run(cells []Cell) ([]Outcome, Stats) {
 		if !ok {
 			u = len(uniq)
 			byHash[h] = u
-			uniq = append(uniq, &cells[i])
+			uniq = append(uniq, i)
 		}
 		uniqOf[i] = u
 	}
 	stats.Unique = len(uniq)
 
 	results := make([]Outcome, len(uniq))
-	var cellWall int64 // summed per-cell nanoseconds, mutated under mu below
-
-	if stats.Jobs == 1 || len(uniq) <= 1 {
-		for u, c := range uniq {
-			t0 := time.Now() //tmvet:allow nodeterm: per-cell host time feeds the stderr speedup line only
-			results[u] = s.execute(c, false, &stats)
-			cellWall += int64(time.Since(t0)) //tmvet:allow nodeterm: per-cell host time feeds the stderr speedup line only
-		}
-	} else {
-		deques := make([]*deque, stats.Jobs)
-		for w := range deques {
-			deques[w] = &deque{}
-		}
-		for u := range uniq {
-			w := u % stats.Jobs
-			deques[w].items = append(deques[w].items, u)
-		}
-		var mu sync.Mutex // guards stats counters and cellWall
-		var wg sync.WaitGroup
-		for w := 0; w < stats.Jobs; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					u, stolen, ok := next(deques, w)
-					if !ok {
-						return
-					}
-					t0 := time.Now() //tmvet:allow nodeterm: per-cell host time feeds the stderr speedup line only
-					out := s.executeLocked(uniq[u], stolen, &stats, &mu)
-					results[u] = out
-					mu.Lock()
-					cellWall += int64(time.Since(t0)) //tmvet:allow nodeterm: per-cell host time feeds the stderr speedup line only
-					mu.Unlock()
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
-	stats.CellWall = time.Duration(cellWall)
-	stats.Wall = time.Since(start) //tmvet:allow nodeterm: whole-sweep host time for the stderr stats line; results are pure virtual time
+	done := make([]bool, len(uniq))
 	outs := make([]Outcome, len(cells))
-	for i, u := range uniqOf {
-		outs[i] = results[u]
+	var (
+		mu    sync.Mutex // guards stats, results, done and front
+		front int        // the next cell index to hand to fold
+	)
+	// One worker path for every width. No more workers start than there
+	// are unique cells, so every worker has work of its own and a lone
+	// cell is never counted as stolen.
+	deques := make([]*deque, min(stats.Jobs, len(uniq)))
+	for w := range deques {
+		deques[w] = &deque{}
 	}
+	for u := range uniq {
+		w := u % len(deques)
+		deques[w].items = append(deques[w].items, u)
+	}
+	var wg sync.WaitGroup
+	for w := range deques {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				u, stolen, ok := next(deques, w)
+				if !ok {
+					return
+				}
+				t0 := time.Now() //tmvet:allow nodeterm: per-cell host time feeds the stderr speedup line only
+				out := s.run(&cells[uniq[u]], stolen)
+				mu.Lock()
+				stats.CellWall += time.Since(t0) //tmvet:allow nodeterm: per-cell host time feeds the stderr speedup line only
+				s.account(out, &stats)
+				results[u], done[u] = out, true
+				for ; front < len(cells) && done[uniqOf[front]]; front++ {
+					o := results[uniqOf[front]]
+					if uniq[uniqOf[front]] != front {
+						o.Harvest = nil
+					}
+					outs[front] = o
+					if fold != nil {
+						fold(o)
+					}
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	stats.Wall = time.Since(start) //tmvet:allow nodeterm: whole-sweep host time for the stderr stats line; results are pure virtual time
 	return outs, stats
 }
 
@@ -199,23 +209,6 @@ func next(deques []*deque, w int) (idx int, stolen, ok bool) {
 		}
 	}
 	return 0, false, false
-}
-
-// executeLocked is execute with stats mutation serialized for the
-// parallel path.
-func (s *Scheduler) executeLocked(c *Cell, stolen bool, stats *Stats, mu *sync.Mutex) Outcome {
-	out := s.run(c, stolen)
-	mu.Lock()
-	s.account(out, stats)
-	mu.Unlock()
-	return out
-}
-
-// execute runs one cell on the calling goroutine (serial path).
-func (s *Scheduler) execute(c *Cell, stolen bool, stats *Stats) Outcome {
-	out := s.run(c, stolen)
-	s.account(out, stats)
-	return out
 }
 
 func (s *Scheduler) account(out Outcome, stats *Stats) {
@@ -243,7 +236,7 @@ func (s *Scheduler) run(c *Cell, stolen bool) (out Outcome) {
 		out.Stolen = false
 		return out
 	}
-	payload, delta, profile, heap, err := runRecovered(c)
+	payload, harvest, err := runRecovered(c)
 	if err != nil {
 		out.Err = err
 		return out
@@ -254,14 +247,11 @@ func (s *Scheduler) run(c *Cell, stolen bool) (out Outcome) {
 		return out
 	}
 	out.Payload = raw
-	out.Delta = delta
-	out.Profile = profile
-	out.Heap = heap
-	// Observed, profiled or heap-watched cells are never cached: a cache
-	// hit could not replay the trace, the cycle attribution or the heap
-	// series. Callers enforce that by not configuring a Cache, but keep
-	// the invariant locally too.
-	if delta == nil && profile == nil && heap == nil {
+	out.Harvest = harvest
+	// A cell that returned a harvest is never cached: a cache hit could
+	// not replay what its observers collected. Callers enforce that by
+	// not configuring a Cache, but keep the invariant locally too.
+	if harvest == nil {
 		if err := s.Cache.Put(c, raw); err != nil {
 			out.cacheErr = true
 		}
@@ -272,10 +262,10 @@ func (s *Scheduler) run(c *Cell, stolen bool) (out Outcome) {
 // runRecovered invokes the cell with panic capture: a cell that blows
 // up (a harness bug, an injected fault tripping an unguarded path)
 // fails alone instead of tearing down the whole sweep.
-func runRecovered(c *Cell) (payload any, delta *obs.Delta, profile *prof.Profile, heap *heapscope.Series, err error) {
+func runRecovered(c *Cell) (payload, harvest any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			payload, delta, profile, heap = nil, nil, nil, nil
+			payload, harvest = nil, nil
 			err = fmt.Errorf("sweep: cell %s panicked: %v", c.Key, r)
 		}
 	}()

@@ -7,12 +7,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/heapscope"
-	"repro/internal/obs"
-	"repro/internal/prof"
+	"time"
 )
 
 func TestDeriveSeed(t *testing.T) {
@@ -58,8 +56,8 @@ func payloadCell(key string, seed uint64, v string) Cell {
 		Key:  key,
 		Spec: json.RawMessage(fmt.Sprintf(`{"v":%q}`, v)),
 		Seed: seed,
-		Run: func() (any, *obs.Delta, *prof.Profile, *heapscope.Series, error) {
-			return map[string]string{"v": v}, nil, nil, nil, nil
+		Run: func() (any, any, error) {
+			return map[string]string{"v": v}, nil, nil
 		},
 	}
 }
@@ -135,9 +133,9 @@ func TestSchedulerOrderAndDedup(t *testing.T) {
 		return Cell{
 			Key:  key,
 			Spec: json.RawMessage(fmt.Sprintf(`{"v":%q}`, v)),
-			Run: func() (any, *obs.Delta, *prof.Profile, *heapscope.Series, error) {
+			Run: func() (any, any, error) {
 				executed.Add(1)
-				return v, nil, nil, nil, nil
+				return v, nil, nil
 			},
 		}
 	}
@@ -147,7 +145,7 @@ func TestSchedulerOrderAndDedup(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		executed.Store(0)
 		s := &Scheduler{Jobs: jobs}
-		outs, stats := s.Run(cells)
+		outs, stats := s.Run(cells, nil)
 		if executed.Load() != 3 {
 			t.Errorf("jobs=%d: executed %d closures, want 3 (dedup)", jobs, executed.Load())
 		}
@@ -175,10 +173,10 @@ func TestSchedulerPanicIsolation(t *testing.T) {
 	cells := []Cell{
 		payloadCell("ok", 1, "fine"),
 		{Key: "boom", Spec: json.RawMessage(`{}`),
-			Run: func() (any, *obs.Delta, *prof.Profile, *heapscope.Series, error) { panic("injected") }},
+			Run: func() (any, any, error) { panic("injected") }},
 	}
 	s := &Scheduler{Jobs: 4}
-	outs, stats := s.Run(cells)
+	outs, stats := s.Run(cells, nil)
 	if outs[0].Err != nil {
 		t.Error("healthy cell must survive a sibling's panic:", outs[0].Err)
 	}
@@ -198,11 +196,11 @@ func TestSchedulerCacheRoundTrip(t *testing.T) {
 	}
 	cells := []Cell{payloadCell("a", 1, "A"), payloadCell("b", 2, "B")}
 	s := &Scheduler{Jobs: 2, Cache: c}
-	first, st1 := s.Run(cells)
+	first, st1 := s.Run(cells, nil)
 	if st1.Executed != 2 || st1.Cached != 0 {
 		t.Fatalf("cold run stats = %+v, want 2 executed", st1)
 	}
-	second, st2 := s.Run(cells)
+	second, st2 := s.Run(cells, nil)
 	if st2.Executed != 0 || st2.Cached != 2 {
 		t.Fatalf("warm run stats = %+v, want 2 cached", st2)
 	}
@@ -217,26 +215,105 @@ func TestSchedulerCacheRoundTrip(t *testing.T) {
 }
 
 // TestSchedulerObservedCellsNotCached pins the invariant that a cell
-// returning a trace delta is never written to the cache: replaying a
-// hit could not reproduce the events.
+// returning a harvest is never written to the cache: replaying a hit
+// could not reproduce what its observers collected.
 func TestSchedulerObservedCellsNotCached(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.New(obs.Config{})
 	cell := Cell{
 		Key:  "observed",
 		Spec: json.RawMessage(`{}`),
-		Run: func() (any, *obs.Delta, *prof.Profile, *heapscope.Series, error) {
-			return "v", rec.Delta(), nil, nil, nil
-		},
+		Run:  func() (any, any, error) { return "v", "harvest", nil },
 	}
 	s := &Scheduler{Jobs: 1, Cache: c}
-	s.Run([]Cell{cell})
+	s.Run([]Cell{cell}, nil)
 	if _, ok := c.Get(&cell); ok {
-		t.Error("a cell that returned a delta must not be cached")
+		t.Error("a cell that returned a harvest must not be cached")
+	}
+}
+
+// TestSchedulerCacheWriteFailureReported plants a regular file where a
+// cell's fan-out directory goes, so the write fails even as root: the
+// run succeeds, and the summary line names the failed write.
+func TestSchedulerCacheWriteFailureReported(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := payloadCell("k", 1, "x")
+	if err := os.WriteFile(filepath.Join(dir, cell.Hash()[:2]), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outs, stats := (&Scheduler{Jobs: 1, Cache: c}).Run([]Cell{cell}, nil)
+	if outs[0].Err != nil || stats.Executed != 1 {
+		t.Fatalf("outcome err %v, stats %+v: a failed cache write must not fail the cell", outs[0].Err, stats)
+	}
+	if stats.CacheErr != 1 {
+		t.Errorf("stats.CacheErr = %d, want 1", stats.CacheErr)
+	}
+	if got := stats.String(); !strings.Contains(got, " 1 executed,") || !strings.Contains(got, ", 1 cache writes failed;") {
+		t.Errorf("summary %q does not report the failed cache write", got)
+	}
+	if got := (Stats{Executed: 1}).String(); strings.Contains(got, "cache writes") {
+		t.Errorf("summary %q names cache writes when none failed", got)
+	}
+}
+
+// TestSchedulerFoldOrder pins the fold contract: fold sees every cell
+// in index order whatever order the workers finish in, only a
+// duplicate's first reference carries the harvest, and with one
+// worker each cell is folded before the next one starts.
+func TestSchedulerFoldOrder(t *testing.T) {
+	keys := []string{"a", "b", "a", "c", "d", "e", "b", "f"}
+	for _, jobs := range []int{1, 4} {
+		var mu sync.Mutex
+		var log []string
+		note := func(s string) {
+			mu.Lock()
+			log = append(log, s)
+			mu.Unlock()
+		}
+		cells := make([]Cell, len(keys))
+		for i, k := range keys {
+			delay := time.Duration(len(keys)-i) * time.Millisecond // later cells finish first
+			cells[i] = Cell{Key: k, Spec: json.RawMessage(`{}`), Run: func() (any, any, error) {
+				note("start " + k)
+				time.Sleep(delay)
+				return k, "harvest " + k, nil
+			}}
+		}
+		var folded []Outcome
+		outs, _ := (&Scheduler{Jobs: jobs}).Run(cells, func(o Outcome) {
+			note("fold " + o.Key)
+			folded = append(folded, o)
+		})
+		if !reflect.DeepEqual(folded, outs) {
+			t.Errorf("jobs=%d: fold saw %d outcomes that differ from the returned ones", jobs, len(folded))
+		}
+		seen := map[string]bool{}
+		for i, o := range outs {
+			first := !seen[keys[i]]
+			seen[keys[i]] = true
+			switch {
+			case o.Key != keys[i]:
+				t.Errorf("jobs=%d: outcome %d is cell %q, want %q", jobs, i, o.Key, keys[i])
+			case first && o.Harvest != "harvest "+keys[i]:
+				t.Errorf("jobs=%d: first reference %d carries harvest %v", jobs, i, o.Harvest)
+			case !first && o.Harvest != nil:
+				t.Errorf("jobs=%d: duplicate reference %d carries harvest %v", jobs, i, o.Harvest)
+			}
+		}
+		if jobs == 1 {
+			want := []string{"start a", "fold a", "start b", "fold b", "fold a", "start c", "fold c",
+				"start d", "fold d", "start e", "fold e", "fold b", "start f", "fold f"}
+			if !reflect.DeepEqual(log, want) {
+				t.Errorf("jobs=1: events %v, want %v", log, want)
+			}
+		}
 	}
 }
 
@@ -249,7 +326,7 @@ func TestSchedulerStress(t *testing.T) {
 		cells[i] = payloadCell(fmt.Sprintf("c%d", i), uint64(i+1), fmt.Sprintf("v%d", i))
 	}
 	s := &Scheduler{Jobs: 8}
-	outs, stats := s.Run(cells)
+	outs, stats := s.Run(cells, nil)
 	if stats.Executed != n || stats.Errors != 0 {
 		t.Fatalf("stats = %+v, want %d executed", stats, n)
 	}

@@ -51,8 +51,12 @@ go test -race ./internal/obs ./internal/mem ./internal/sim ./internal/cachesim .
 echo "== go test -race (sweep scheduler) =="
 # The scheduler is the one component that genuinely runs host
 # goroutines concurrently; its deque/steal/cache paths get a dedicated
-# race pass.
+# race pass. The session's fold (each cell's sibling recorder applied
+# into the session recorder on a worker goroutine while later cells
+# still record) rides along through its synthetic test, which needs no
+# simulation.
 go test -race ./internal/sweep
+go test -race -run '^TestRunCellsFoldsEachSiblingOnce$' ./internal/harness
 
 echo "== fault-injection smoke =="
 # Every STAMP app must survive an injected-OOM plan with the graceful-
