@@ -135,15 +135,16 @@ func (s *Sweep) Open() (*sweep.Cache, error) {
 	return sweep.OpenCache(s.Dir)
 }
 
-// Info is a run record's sweep block: the cells' identity and how many
-// of them ran or came from the cache, at the -jobs width.
-func (s *Sweep) Info(cells []sweep.Cell, stats sweep.Stats) *obs.SweepInfo {
+// SweepInfo is a run record's sweep block: the cells' identity, how
+// many of them ran or came from the cache, and the pool width the
+// scheduler used.
+func SweepInfo(cells []sweep.Cell, stats sweep.Stats) *obs.SweepInfo {
 	return &obs.SweepInfo{
 		CellSet:  sweep.CellSetHash(cells),
 		Cells:    stats.Cells,
 		Executed: stats.Executed,
 		Cached:   stats.Cached,
-		Jobs:     s.Jobs,
+		Jobs:     stats.Jobs,
 	}
 }
 

@@ -3,12 +3,17 @@ package cliflags
 import (
 	"flag"
 	"io"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/heapscope"
+	"repro/internal/intset"
+	"repro/internal/obs"
+	"repro/internal/prof"
 	"repro/internal/stm"
 )
 
@@ -92,5 +97,70 @@ func TestBadValuesFailWhileParsing(t *testing.T) {
 		if _, _, err := parse(args...); err == nil {
 			t.Errorf("%v parsed without error", args)
 		}
+	}
+}
+
+// runCell runs one small intset cell through RunCell with args parsed
+// into the workload group. It returns the cell, its session and the
+// recorder the cell body was handed.
+func runCell(t *testing.T, args ...string) (*Cell, *harness.Session, *obs.Recorder) {
+	t.Helper()
+	w, _, err := parse(args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, err := w.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := intset.Config{Kind: intset.LinkedList, Allocator: "glibc", Threads: 2,
+		InitialSize: 64, OpsPerThread: 50, UpdatePct: 20, Seed: 1}
+	var rec *obs.Recorder
+	cell, err := w.RunCell(session, "intset/stm", "test/intset", cfg, cfg.Seed,
+		func(r *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
+			rec = r
+			c := cfg
+			c.Obs, c.Prof, c.Heap = r, pp, hc
+			return intset.Run(c)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cell, session, rec
+}
+
+// TestRunCellRecordsOnce checks that a single cell records straight
+// into the recorder Write writes, profiler spans included, and that no
+// other recorder holds a copy of its events.
+func TestRunCellRecordsOnce(t *testing.T) {
+	dir := t.TempDir()
+	cell, session, rec := runCell(t, "-trace", filepath.Join(dir, "t.jsonl"), "-profile", filepath.Join(dir, "p.json"))
+	if rec == nil || rec != cell.rec {
+		t.Fatalf("the cell recorded into %p, but Write writes %p", rec, cell.rec)
+	}
+	regions := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindRegion {
+			regions++
+		}
+	}
+	if regions == 0 || regions == rec.EventCount() {
+		t.Errorf("written recorder holds %d region spans among %d events; want both profiler spans and workload events",
+			regions, rec.EventCount())
+	}
+	if other := session.Spec.Obs; other != rec && other.EventCount() > 0 {
+		t.Errorf("the session recorder holds a second copy: %d events", other.EventCount())
+	}
+	if err := cell.Write(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSweepBlockRecordsTheUsedWidth checks that the sweep block carries
+// the pool width the scheduler ran at, not the raw -jobs value.
+func TestSweepBlockRecordsTheUsedWidth(t *testing.T) {
+	cell, _, _ := runCell(t, "-jobs", "0")
+	if got := cell.Record.Sweep.Jobs; got != 1 {
+		t.Errorf("sweep block jobs = %d at -jobs 0, want 1", got)
 	}
 }

@@ -30,13 +30,16 @@ type Cell struct {
 // cache hit on stderr, writes the -profile and -heap artifacts, and
 // returns the cell with a run record for experiment.
 func (w *Workload) RunCell(session *harness.Session, experiment, key string, spec any, seed uint64, run harness.CellFunc) (*Cell, error) {
-	// The run is one cell, so its artifacts come straight from the
-	// cell's own recorder: the session recorder opens with a "run" phase
-	// of its own, which a single-cell artifact does not carry.
-	var rec *obs.Recorder
-	cells := []sweep.Cell{session.Spec.Cell(key, spec, seed, func(r *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
-		rec = r
-		return run(r, pp, hc)
+	// The run is one cell, so it records straight into the session
+	// recorder, which Write writes. The cell is built from a spec copy
+	// without that recorder, so it gets no sibling for RunCells to fold
+	// in, and its profiler is linked to the session recorder here.
+	rec := session.Spec.Obs
+	cellSpec := *session.Spec
+	cellSpec.Obs = nil
+	cells := []sweep.Cell{cellSpec.Cell(key, spec, seed, func(_ *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
+		pp.SetRecorder(rec)
+		return run(rec, pp, hc)
 	})}
 	outs, stats := session.RunCells(cells)
 	out := outs[0]
@@ -47,7 +50,7 @@ func (w *Workload) RunCell(session *harness.Session, experiment, key string, spe
 		fmt.Fprintf(os.Stderr, "cached result (%s, hash %.12s)\n", w.Dir, out.Hash)
 	}
 	record := obs.NewRunRecord(experiment)
-	record.Sweep = w.Sweep.Info(cells, stats)
+	record.Sweep = SweepInfo(cells, stats)
 	h, _ := out.Harvest.(*harness.Harvest)
 	if h != nil && h.Profile != nil {
 		record.Profile = h.Profile.Info()

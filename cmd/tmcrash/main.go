@@ -123,7 +123,7 @@ func main() {
 	record.Config = obs.RunConfig{Seed: *seed, Extra: map[string]string{
 		"kind": *kind, "threads": fmt.Sprintf("%d", *threads), "at": fmt.Sprintf("%d", *at),
 	}}
-	record.Sweep = sw.Info(cells, stats)
+	record.Sweep = cliflags.SweepInfo(cells, stats)
 
 	perAlloc := map[string]*agg{}
 	table := obs.Table{

@@ -145,7 +145,7 @@ func main() {
 			"shift":   fmt.Sprintf("%d", *shift),
 			"mode":    *mode,
 		}}
-		record.Sweep = sw.Info(cells, stats)
+		record.Sweep = cliflags.SweepInfo(cells, stats)
 		record.Tables = []obs.Table{table}
 		if err := record.WriteJSON(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -3,7 +3,7 @@
 // Systems" (PPoPP 2015) on this repository's simulated substrate.
 //
 // Experiments decompose into independent (configuration, repetition)
-// cells that run on a work-stealing goroutine pool (-jobs) and memoize
+// cells that run in cell order on a goroutine pool (-jobs) and memoize
 // into an on-disk cache (-cache); output bytes are identical for any
 // pool width, and a repeated invocation with the same cache serves
 // every cell from disk.
@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -79,8 +80,7 @@ func main() {
 	}
 	session, err := w.Session()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
 
 	fmt.Fprintf(os.Stderr, "running %d experiment(s) with -jobs %d...\n", len(ids), w.Jobs)
@@ -89,6 +89,21 @@ func main() {
 	fmt.Fprintf(os.Stderr, "sweep: %s\n", stats)
 
 	var records []*obs.RunRecord
+	// record keeps r's run record for -json and writes it to -out as
+	// BENCH_<id>.json.
+	record := func(r *harness.ExperimentRun) {
+		if !w.Enabled() && *out == "" {
+			return
+		}
+		rec := session.Record(r)
+		records = append(records, rec)
+		if *out == "" {
+			return
+		}
+		if err := cliflags.WriteTo(filepath.Join(*out, "BENCH_"+r.ID+".json"), rec.WriteJSON); err != nil {
+			fatal(err)
+		}
+	}
 	failed := 0
 	for _, r := range runs {
 		if r.Err != nil {
@@ -97,15 +112,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", r.ID, r.Err)
 			failed++
 			r.Health.Note(obs.StatusFailed, r.Err.Error())
-			if w.Enabled() || *out != "" {
-				rec := session.Record(r)
-				records = append(records, rec)
-				if *out != "" {
-					if mkErr := os.MkdirAll(*out, 0o755); mkErr == nil {
-						cliflags.WriteTo(filepath.Join(*out, "BENCH_"+r.ID+".json"), rec.WriteJSON)
-					}
-				}
-			}
+			record(r)
 			continue
 		}
 		if s := r.Health.Status(); s != "" && s != obs.StatusOK {
@@ -116,40 +123,27 @@ func main() {
 				r.ID, rc.CrashCycle, rc.CrashPhase, rc.Verdict)
 		}
 
-		writers := []io.Writer{os.Stdout}
-		if *out != "" {
-			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			f, err := os.Create(filepath.Join(*out, r.ID+".txt"))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			writers = append(writers, f)
-			defer f.Close()
-		}
-		mw := io.MultiWriter(writers...)
+		var text bytes.Buffer
 		if *md {
-			harness.PrintMarkdown(mw, r.Result)
+			harness.PrintMarkdown(&text, r.Result)
 		} else {
-			harness.Print(mw, r.Result)
+			harness.Print(&text, r.Result)
 			if *chart && len(r.Result.Series) > 0 {
-				harness.Chart(mw, r.Result, 64, 14)
+				harness.Chart(&text, r.Result, 64, 14)
 			}
 		}
-
-		if w.Enabled() || *out != "" {
-			rec := session.Record(r)
-			records = append(records, rec)
-			if *out != "" {
-				if err := cliflags.WriteTo(filepath.Join(*out, "BENCH_"+r.ID+".json"), rec.WriteJSON); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
+		if _, err := os.Stdout.Write(text.Bytes()); err != nil {
+			fatal(err)
+		}
+		if *out != "" {
+			if err := cliflags.WriteTo(filepath.Join(*out, r.ID+".txt"), func(f io.Writer) error {
+				_, err := f.Write(text.Bytes())
+				return err
+			}); err != nil {
+				fatal(err)
 			}
 		}
+		record(r)
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", watch.Elapsed())
 
@@ -163,8 +157,7 @@ func main() {
 		merged := prof.Merge(profiles...)
 		merged.Label = strings.Join(ids, ",")
 		if err := w.WriteProfile(merged); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 	if w.Spec.Heap {
@@ -175,15 +168,19 @@ func main() {
 			}
 		}
 		if err := w.WriteHeap(set); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 	if err := w.Write(w.Spec.Obs, stats, records...); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// fatal reports err on stderr and exits with status 1.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }

@@ -31,6 +31,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/conflict"
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/intset"
 	"repro/internal/obs"
 )
@@ -61,7 +62,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	initial, keyRange, ops := scale(*full, intset.Kind(*kind))
+	// fig4's geometry, so tmwhy dissects the same cell the figures measure.
+	initial, keyRange, ops := harness.IntsetScale(*full, intset.Kind(*kind))
 	runs := make([]run, 0, len(names))
 	for _, name := range names {
 		res, err := intset.Run(intset.Config{
@@ -126,18 +128,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// scale mirrors the harness's fig4 quick/full workload geometry so
-// tmwhy dissects the same cell the figures measure.
-func scale(full bool, kind intset.Kind) (initial, keyRange, ops int) {
-	if full {
-		return 4096, 8192, 400
-	}
-	if kind == intset.LinkedList {
-		return 768, 1536, 120
-	}
-	return 2048, 4096, 300
 }
 
 func pct(part, whole uint64) string {

@@ -6,10 +6,10 @@ import (
 	"repro/internal/intset"
 )
 
-// intsetScale returns the workload parameters for the synthetic
+// IntsetScale returns the workload parameters for the synthetic
 // benchmark: the paper's 4096/8192 at full scale, a shape-preserving
 // reduction otherwise.
-func intsetScale(full bool, kind intset.Kind) (initial, keyRange, ops int) {
+func IntsetScale(full bool, kind intset.Kind) (initial, keyRange, ops int) {
 	if full {
 		return 4096, 8192, 400
 	}
@@ -25,7 +25,7 @@ func intsetThreads() []int { return []int{1, 2, 4, 6, 8} }
 // intsetCfg builds the write-dominated synthetic configuration used by
 // several experiments (so their cells hash — and dedupe — identically).
 func intsetCfg(full bool, kind intset.Kind, aname string, threads int) intset.Config {
-	initial, keyRange, ops := intsetScale(full, kind)
+	initial, keyRange, ops := IntsetScale(full, kind)
 	return intset.Config{
 		Kind:         kind,
 		Allocator:    aname,

@@ -30,7 +30,7 @@ func profiledRun(t *testing.T, jobs int) ([]byte, *ExperimentRun, *Session) {
 // TestSessionProfileJobsByteIdentity pins the merge determinism
 // guarantee: the merged per-cell profile — down to its folded-stacks
 // bytes — is identical whether the sweep ran serially or on a wide
-// work-stealing pool.
+// pool.
 func TestSessionProfileJobsByteIdentity(t *testing.T) {
 	serial, r, s := profiledRun(t, 1)
 	if len(serial) == 0 || r.Profile.TotalCycles == 0 {

@@ -47,7 +47,7 @@ func runAll(t *testing.T, jobs int, cache *sweep.Cache) (map[string][]byte, swee
 
 // TestSessionParallelByteIdentity is the tentpole guarantee: every
 // experiment's run record is byte-identical whether its cells run
-// serially or on a wide work-stealing pool.
+// serially or on a wide pool.
 func TestSessionParallelByteIdentity(t *testing.T) {
 	serial, _ := runAll(t, 1, nil)
 	for _, jobs := range []int{4, 8} {

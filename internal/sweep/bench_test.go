@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkSchedulerPayloadCells measures scheduler overhead — dedup,
-// deque churn, payload marshalling — over trivially cheap cells, so
+// cursor hand-out, payload marshalling — over trivially cheap cells, so
 // the cell bodies contribute almost nothing to the figure.
 func BenchmarkSchedulerPayloadCells(b *testing.B) {
 	cells := make([]Cell, 64)

@@ -39,14 +39,6 @@ func OpenCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache root ("" on a nil cache).
-func (c *Cache) Dir() string {
-	if c == nil {
-		return ""
-	}
-	return c.dir
-}
-
 func (c *Cache) path(hash string) string {
 	return filepath.Join(c.dir, hash[:2], hash+".json")
 }

@@ -1,6 +1,7 @@
 // Package sweep runs experiment sweeps as independent cells on a
-// bounded pool of host goroutines with work stealing, and memoizes
-// finished cells in an on-disk cache keyed by a canonical config hash.
+// bounded pool of host goroutines that take cells in cell order from
+// one shared cursor, and memoizes finished cells in an on-disk cache
+// keyed by a canonical config hash.
 //
 // A cell is one (configuration, repetition) point of an experiment's
 // cross product — one simulated workload run. Every cell carries its
@@ -103,7 +104,6 @@ type Outcome struct {
 	Payload json.RawMessage
 	Harvest any   // the cell's harvest, on its first reference only; nil for cached, failed or unobserved cells
 	Cached  bool  // served from the on-disk cache
-	Stolen  bool  // executed by a worker that stole it from another's deque
 	Err     error // execution or (de)serialization failure
 
 	cacheErr bool // the payload could not be written back to the cache

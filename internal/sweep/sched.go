@@ -5,28 +5,30 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Scheduler executes cells on a bounded pool of host goroutines with
-// work stealing. The zero value runs one worker with no cache.
+// Scheduler executes cells on a bounded pool of host goroutines that
+// take unique cells, in cell order, from one shared cursor. The zero
+// value runs one worker with no cache.
 type Scheduler struct {
 	Jobs  int    // goroutine pool width; <= 1 runs one worker
 	Cache *Cache // finished-cell memoization; nil disables
 }
 
 // Stats summarizes one Run: how the sweep executed. Cells/Unique/
-// Executed/Cached are deterministic for a given cache state; Stolen,
-// Wall and CellWall depend on host timing and are reported only here
-// and in the Prometheus exposition — never inside run records, which
-// must stay byte-identical across pool widths.
+// Executed/Cached are deterministic for a given cache state; Wall and
+// CellWall depend on host timing and are reported only here and in the
+// Prometheus exposition — never inside run records, which must stay
+// byte-identical across pool widths.
 type Stats struct {
 	Cells    int // cells submitted
 	Unique   int // after config-hash deduplication
 	Executed int // unique cells actually run
 	Cached   int // unique cells served from the cache
 	Errors   int // unique cells that failed
-	Stolen   int // executed cells taken from another worker's deque
+	Stolen   int // never set: the pool does not steal; the hostbench module still reads it
 	CacheErr int // cache write failures (the run itself still succeeds)
 	Jobs     int // requested pool width (at least 1)
 
@@ -51,15 +53,14 @@ func (s Stats) String() string {
 	if s.CacheErr > 0 {
 		writes = fmt.Sprintf(", %d cache writes failed", s.CacheErr)
 	}
-	return fmt.Sprintf("%d cells (%d unique): %d executed, %d cached, %d stolen, %d failed%s; jobs=%d wall=%v speedup=%.2fx",
-		s.Cells, s.Unique, s.Executed, s.Cached, s.Stolen, s.Errors, writes, s.Jobs, s.Wall.Round(time.Millisecond), s.Speedup())
+	return fmt.Sprintf("%d cells (%d unique): %d executed, %d cached, %d failed%s; jobs=%d wall=%v speedup=%.2fx",
+		s.Cells, s.Unique, s.Executed, s.Cached, s.Errors, writes, s.Jobs, s.Wall.Round(time.Millisecond), s.Speedup())
 }
 
 // WritePrometheus renders the scheduler stats as their own metric
-// block. These are host-execution metrics (pool width, stealing, wall
-// time), so the block is deterministic only in its deterministic
-// members; it is appended to -metrics output, never attached to run
-// records.
+// block. These are host-execution metrics (pool width, wall time), so
+// the block is deterministic only in its deterministic members; it is
+// appended to -metrics output, never attached to run records.
 func (s Stats) WritePrometheus(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -71,43 +72,12 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 	p("# TYPE sweep_cells_unique_total counter\nsweep_cells_unique_total %d\n", s.Unique)
 	p("# TYPE sweep_cells_executed_total counter\nsweep_cells_executed_total %d\n", s.Executed)
 	p("# TYPE sweep_cells_cached_total counter\nsweep_cells_cached_total %d\n", s.Cached)
-	p("# TYPE sweep_cells_stolen_total counter\nsweep_cells_stolen_total %d\n", s.Stolen)
 	p("# TYPE sweep_cells_failed_total counter\nsweep_cells_failed_total %d\n", s.Errors)
 	p("# TYPE sweep_pool_jobs gauge\nsweep_pool_jobs %d\n", s.Jobs)
 	p("# TYPE sweep_wall_seconds gauge\nsweep_wall_seconds %g\n", s.Wall.Seconds())
 	p("# TYPE sweep_cell_wall_seconds gauge\nsweep_cell_wall_seconds %g\n", s.CellWall.Seconds())
 	p("# TYPE sweep_speedup_ratio gauge\nsweep_speedup_ratio %g\n", s.Speedup())
 	return err
-}
-
-// deque is one worker's lock-protected work queue of unique-cell
-// indices. The owner pops from the front; thieves take from the back,
-// so a steal grabs the work the owner would reach last.
-type deque struct {
-	mu    sync.Mutex
-	items []int
-}
-
-func (d *deque) popFront() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return 0, false
-	}
-	idx := d.items[0]
-	d.items = d.items[1:]
-	return idx, true
-}
-
-func (d *deque) popBack() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return 0, false
-	}
-	idx := d.items[len(d.items)-1]
-	d.items = d.items[:len(d.items)-1]
-	return idx, true
 }
 
 // Run executes every cell and returns outcomes in cell-index order —
@@ -147,32 +117,26 @@ func (s *Scheduler) Run(cells []Cell, fold func(Outcome)) ([]Outcome, Stats) {
 	done := make([]bool, len(uniq))
 	outs := make([]Outcome, len(cells))
 	var (
-		mu    sync.Mutex // guards stats, results, done and front
-		front int        // the next cell index to hand to fold
+		cursor atomic.Int64 // the next unique cell to hand out
+		mu     sync.Mutex   // guards stats, results, done and front
+		front  int          // the next cell index to hand to fold
 	)
-	// One worker path for every width. No more workers start than there
-	// are unique cells, so every worker has work of its own and a lone
-	// cell is never counted as stolen.
-	deques := make([]*deque, min(stats.Jobs, len(uniq)))
-	for w := range deques {
-		deques[w] = &deque{}
-	}
-	for u := range uniq {
-		w := u % len(deques)
-		deques[w].items = append(deques[w].items, u)
-	}
+	// One worker path for every width, and no more workers than unique
+	// cells. Each worker takes the next unique cell in cell order, so
+	// finished cells stay close to the fold front, and taking one never
+	// waits on the lock the fold holds.
 	var wg sync.WaitGroup
-	for w := range deques {
+	for range min(stats.Jobs, len(uniq)) {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
-				u, stolen, ok := next(deques, w)
-				if !ok {
+				u := int(cursor.Add(1)) - 1
+				if u >= len(uniq) {
 					return
 				}
 				t0 := time.Now() //tmvet:allow nodeterm: per-cell host time feeds the stderr speedup line only
-				out := s.run(&cells[uniq[u]], stolen)
+				out := s.run(&cells[uniq[u]])
 				mu.Lock()
 				stats.CellWall += time.Since(t0) //tmvet:allow nodeterm: per-cell host time feeds the stderr speedup line only
 				s.account(out, &stats)
@@ -189,26 +153,12 @@ func (s *Scheduler) Run(cells []Cell, fold func(Outcome)) ([]Outcome, Stats) {
 				}
 				mu.Unlock()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
 	stats.Wall = time.Since(start) //tmvet:allow nodeterm: whole-sweep host time for the stderr stats line; results are pure virtual time
 	return outs, stats
-}
-
-// next takes the worker's own front item, or steals from the back of
-// the first other non-empty deque.
-func next(deques []*deque, w int) (idx int, stolen, ok bool) {
-	if idx, ok := deques[w].popFront(); ok {
-		return idx, false, true
-	}
-	for off := 1; off < len(deques); off++ {
-		if idx, ok := deques[(w+off)%len(deques)].popBack(); ok {
-			return idx, true, true
-		}
-	}
-	return 0, false, false
 }
 
 func (s *Scheduler) account(out Outcome, stats *Stats) {
@@ -219,21 +169,17 @@ func (s *Scheduler) account(out Outcome, stats *Stats) {
 		stats.Cached++
 	default:
 		stats.Executed++
-		if out.Stolen {
-			stats.Stolen++
-		}
 	}
 	if out.cacheErr {
 		stats.CacheErr++
 	}
 }
 
-func (s *Scheduler) run(c *Cell, stolen bool) (out Outcome) {
-	out = Outcome{Key: c.Key, Hash: c.Hash(), Stolen: stolen}
+func (s *Scheduler) run(c *Cell) (out Outcome) {
+	out = Outcome{Key: c.Key, Hash: c.Hash()}
 	if payload, ok := s.Cache.Get(c); ok {
 		out.Payload = payload
 		out.Cached = true
-		out.Stolen = false
 		return out
 	}
 	payload, harvest, err := runRecovered(c)

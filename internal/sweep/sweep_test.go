@@ -318,7 +318,7 @@ func TestSchedulerFoldOrder(t *testing.T) {
 }
 
 // TestSchedulerStress drives many cheap cells through a wide pool; with
-// -race this exercises the deque/steal paths for data races.
+// -race this exercises the shared cursor and the fold for data races.
 func TestSchedulerStress(t *testing.T) {
 	const n = 256
 	cells := make([]Cell, n)
@@ -338,5 +338,70 @@ func TestSchedulerStress(t *testing.T) {
 		if want := fmt.Sprintf("v%d", i); v["v"] != want {
 			t.Errorf("cell %d: payload %q, want %q", i, v["v"], want)
 		}
+	}
+}
+
+// TestSchedulerDispatchOrder pins dispatch from one cursor in cell
+// order: while cell 0 blocks, the other worker of two starts cells 1,
+// 2 and 3 in that order, so no worker runs ahead on a share of its own.
+func TestSchedulerDispatchOrder(t *testing.T) {
+	var mu sync.Mutex
+	var started []int
+	three := make(chan struct{})
+	cells := make([]Cell, 8)
+	for i := range cells {
+		cells[i] = Cell{Key: fmt.Sprintf("c%d", i), Spec: json.RawMessage(`{}`), Run: func() (any, any, error) {
+			if i == 0 {
+				<-three
+				return i, nil, nil
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if started = append(started, i); len(started) == 3 {
+				close(three)
+			}
+			return i, nil, nil
+		}}
+	}
+	(&Scheduler{Jobs: 2}).Run(cells, nil)
+	if want := []int{1, 2, 3}; !reflect.DeepEqual(started[:3], want) {
+		t.Errorf("while cell 0 ran, the other worker started %v, want %v", started[:3], want)
+	}
+}
+
+// TestStatsOutput pins the stderr summary and the sweep_* metric
+// families. scripts/ci.sh's cache gate greps the summary for
+// " 0 executed".
+func TestStatsOutput(t *testing.T) {
+	s := Stats{Cells: 6, Unique: 4, Executed: 0, Cached: 3, Errors: 1, Jobs: 2,
+		Wall: 1500 * time.Millisecond, CellWall: 3 * time.Second}
+	if got, want := s.String(), "6 cells (4 unique): 0 executed, 3 cached, 1 failed; jobs=2 wall=1.5s speedup=2.00x"; got != want {
+		t.Errorf("summary %q\nwant    %q", got, want)
+	}
+	var b strings.Builder
+	if err := s.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := `# TYPE sweep_cells_total counter
+sweep_cells_total 6
+# TYPE sweep_cells_unique_total counter
+sweep_cells_unique_total 4
+# TYPE sweep_cells_executed_total counter
+sweep_cells_executed_total 0
+# TYPE sweep_cells_cached_total counter
+sweep_cells_cached_total 3
+# TYPE sweep_cells_failed_total counter
+sweep_cells_failed_total 1
+# TYPE sweep_pool_jobs gauge
+sweep_pool_jobs 2
+# TYPE sweep_wall_seconds gauge
+sweep_wall_seconds 1.5
+# TYPE sweep_cell_wall_seconds gauge
+sweep_cell_wall_seconds 3
+# TYPE sweep_speedup_ratio gauge
+sweep_speedup_ratio 2
+`
+	if got := b.String(); got != want {
+		t.Errorf("metrics:\n%s\nwant:\n%s", got, want)
 	}
 }

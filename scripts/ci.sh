@@ -50,11 +50,11 @@ go test -race ./internal/obs ./internal/mem ./internal/sim ./internal/cachesim .
 
 echo "== go test -race (sweep scheduler) =="
 # The scheduler is the one component that genuinely runs host
-# goroutines concurrently; its deque/steal/cache paths get a dedicated
-# race pass. The session's fold (each cell's sibling recorder applied
-# into the session recorder on a worker goroutine while later cells
-# still record) rides along through its synthetic test, which needs no
-# simulation.
+# goroutines concurrently; its shared cursor, fold and cache paths get
+# a dedicated race pass. The session's fold (each cell's sibling
+# recorder applied into the session recorder on a worker goroutine
+# while later cells still record) rides along through its synthetic
+# test, which needs no simulation.
 go test -race ./internal/sweep
 go test -race -run '^TestRunCellsFoldsEachSiblingOnce$' ./internal/harness
 
@@ -80,7 +80,7 @@ grep -q '"status"' "$tmpdir/fault1.json" || {
 }
 
 echo "== parallel-determinism gate =="
-# A wide work-stealing pool must produce byte-identical results to a
+# A wide worker pool must produce byte-identical results to a
 # serial run. Only the recorded pool width ("jobs", execution
 # provenance like wall-clock time) may differ between the two records.
 go run ./cmd/tmrepro -run fig1 -jobs 1 -out "$tmpdir/j1" >"$tmpdir/j1.txt"
