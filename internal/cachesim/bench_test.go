@@ -100,3 +100,13 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestNewAllocBudget bounds the host allocations of building one
+// hierarchy: every simulated world builds one, so a map presized for
+// lines a short run never touches is paid in every cell.
+func TestNewAllocBudget(t *testing.T) {
+	const budget = 20
+	if got := testing.AllocsPerRun(10, func() { New(DefaultCores) }); got > budget {
+		t.Errorf("New(DefaultCores) allocated %.0f times, budget %d", got, budget)
+	}
+}

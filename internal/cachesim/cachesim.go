@@ -191,7 +191,7 @@ func New(cores int) *Hierarchy {
 		l1:        make([]cache, cores),
 		l1Line:    make([]int32, cores*l1Size),
 		l2:        make([]cache, sockets),
-		lineIdx:   make(map[uint64]int32, 1<<16),
+		lineIdx:   make(map[uint64]int32),
 		lineArena: make([]lineState, 0, 1<<16),
 		stats:     make([]CoreStats, cores),
 	}

@@ -369,12 +369,22 @@ func TestSchedulerDispatchOrder(t *testing.T) {
 	}
 }
 
+// TestSpeedupCountsCPUNotWaits checks that the printed speedup is CPU
+// time over wall time: eight cells that each waited out most of a
+// second on a two-CPU host did not run eight times faster.
+func TestSpeedupCountsCPUNotWaits(t *testing.T) {
+	s := Stats{Wall: time.Second, CellWall: 8 * time.Second, CPU: 2 * time.Second}
+	if got := s.Speedup(); got != 2 {
+		t.Errorf("Speedup() = %v, want 2", got)
+	}
+}
+
 // TestStatsOutput pins the stderr summary and the sweep_* metric
 // families. scripts/ci.sh's cache gate greps the summary for
 // " 0 executed".
 func TestStatsOutput(t *testing.T) {
 	s := Stats{Cells: 6, Unique: 4, Executed: 0, Cached: 3, Errors: 1, Jobs: 2,
-		Wall: 1500 * time.Millisecond, CellWall: 3 * time.Second}
+		Wall: 1500 * time.Millisecond, CellWall: 3 * time.Second, CPU: 3 * time.Second}
 	if got, want := s.String(), "6 cells (4 unique): 0 executed, 3 cached, 1 failed; jobs=2 wall=1.5s speedup=2.00x"; got != want {
 		t.Errorf("summary %q\nwant    %q", got, want)
 	}

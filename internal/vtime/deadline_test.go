@@ -86,3 +86,32 @@ func TestDeadlinePreservesRealPanics(t *testing.T) {
 		panic("boom")
 	})
 }
+
+// TestDeadlineUnwindRunsToEnd checks that a thread the watchdog kills
+// runs its deferred cleanup to the end: once a thread unwinds, its
+// ticks no longer reach the scheduler, so the cleanup is not cut short
+// at its first tick.
+func TestDeadlineUnwindRunsToEnd(t *testing.T) {
+	s := mem.NewSpace()
+	e := NewEngine(s, 4, Config{Deadline: 50_000})
+	ticks := make([]int, 4)
+	e.Run(func(th *Thread) {
+		defer func() {
+			for i := 0; i < 10; i++ {
+				th.Tick(1000)
+				ticks[th.ID()]++
+			}
+		}()
+		for {
+			th.Work(10)
+		}
+	})
+	if !e.DeadlineExceeded() {
+		t.Fatal("watchdog did not trip")
+	}
+	for id, n := range ticks {
+		if n != 10 {
+			t.Errorf("thread %d ran %d of its 10 cleanup ticks", id, n)
+		}
+	}
+}

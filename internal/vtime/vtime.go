@@ -1,16 +1,19 @@
+//go:build go1.23
+
 // Package vtime is a deterministic virtual-time execution engine for
 // simulating a small multicore machine on any host.
 //
-// Logical threads run as goroutines, but the engine's scheduler admits
-// exactly one at a time — always the thread with the smallest virtual
-// clock — for a bounded quantum of cycles. Every simulated memory
+// Logical threads run as coroutines (iter.Pull) on the goroutine that
+// called Run, and the engine's scheduler resumes exactly one at a time —
+// always the thread with the smallest virtual clock — for a bounded
+// quantum of cycles. Every simulated memory
 // access a thread performs advances its clock by the latency the cache
 // model assigns (L1/L2/memory/coherence), locks are acquired by spinning
 // in virtual time, and "execution time" of a parallel region is the
 // largest clock when the last thread finishes.
 //
-// Because at most one thread executes at any real instant and the
-// scheduling order is a pure function of the virtual clocks, runs are
+// Because one goroutine at a time executes a world and the scheduling
+// order is a pure function of the virtual clocks, runs are
 // deterministic and free of data races by construction, while the
 // *virtual* interleaving is as dense as on a real multicore: two
 // transactions whose virtual intervals overlap conflict exactly as they
@@ -19,6 +22,7 @@ package vtime
 
 import (
 	"fmt"
+	"iter"
 	"os"
 	"runtime/debug"
 
@@ -35,12 +39,6 @@ import (
 const DefaultQuantum = 199
 
 const farFuture = ^uint64(0) >> 1
-
-// killDeadline is the poison resume value the scheduler sends to wind a
-// thread down when the engine's virtual-time deadline passes: the next
-// scheduling point inside the thread converts it into a deadlineSignal
-// panic, unwound and captured by the thread wrapper.
-const killDeadline = ^uint64(0)
 
 // deadlineSignal unwinds a thread killed by the engine watchdog. It is
 // recognized (and swallowed) by Run; user code never sees it unless it
@@ -176,19 +174,9 @@ func NewEngine(space *mem.Space, n int, cfg Config) *Engine {
 			cost:   &cost,
 			prof:   cfg.Prof,
 			race:   cfg.Race,
-			resume: make(chan uint64),
-			pause:  make(chan threadEvent),
 		}
 	}
 	return e
-}
-
-// Threads returns the engine's threads (index == thread id).
-func (e *Engine) Threads() []*Thread { return e.threads }
-
-type threadEvent struct {
-	done  bool
-	panic any
 }
 
 // Run executes fn(thread) on every thread under virtual-time scheduling
@@ -199,7 +187,6 @@ type threadEvent struct {
 // regions accumulate time; use ResetClocks between independent
 // experiments.
 func (e *Engine) Run(fn func(t *Thread)) []uint64 {
-	n := len(e.threads)
 	e.deadlineHit = false
 	if e.Race != nil {
 		// Every thread is quiesced here: whatever ran before this
@@ -207,33 +194,29 @@ func (e *Engine) Run(fn func(t *Thread)) []uint64 {
 		// everything inside it.
 		e.Race.Barrier(e.minClock())
 	}
+	var firstPanic any
 	for _, t := range e.threads {
 		t.done = false
-		go func(t *Thread) {
+		t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
+			t.yield = yield
+			// Recover here, not in the scheduler: iter.Pull would
+			// re-raise the panic from next or stop.
 			defer func() {
-				ev := threadEvent{done: true}
-				if r := recover(); r != nil {
-					ev.panic = r
-					if !isEngineSignal(r) {
-						// The panic value is re-raised from Run's caller
-						// context, which loses this goroutine's stack;
-						// surface it here for debuggability.
-						fmt.Fprintf(os.Stderr, "vtime: thread %d panicked: %v\n%s\n", t.id, r, debug.Stack())
+				if r := recover(); r != nil && !isEngineSignal(r) {
+					// The panic value is re-raised from Run's caller
+					// context, which loses this thread's stack; surface
+					// it here for debuggability.
+					fmt.Fprintf(os.Stderr, "vtime: thread %d panicked: %v\n%s\n", t.id, r, debug.Stack())
+					if firstPanic == nil {
+						firstPanic = r
 					}
 				}
-				t.pause <- ev
 			}()
-			t.deadline = <-t.resume
-			if t.deadline == killDeadline {
-				panic(deadlineSignal{})
-			}
 			fn(t)
-		}(t)
+		})
 	}
 
-	var firstPanic any
-	running := n
-	for running > 0 {
+	for {
 		// Pick the min-clock runnable thread; ties break by id for
 		// determinism.
 		var cur *Thread
@@ -244,6 +227,9 @@ func (e *Engine) Run(fn func(t *Thread)) []uint64 {
 			if cur == nil || t.clock < cur.clock {
 				cur = t
 			}
+		}
+		if cur == nil {
+			break
 		}
 		// Heap-telemetry cadence: cur.clock is the global min runnable
 		// clock, monotone within this Run, so sampling here is a pure
@@ -256,8 +242,9 @@ func (e *Engine) Run(fn func(t *Thread)) []uint64 {
 		// Engine watchdog (the least-advanced runnable thread is past
 		// the deadline, so every thread is) or a requested stop (a crash
 		// point fired): wind the region down. Each remaining thread is
-		// resumed with the poison deadline and unwinds at its next
-		// scheduling point.
+		// stopped in thread order and unwinds from its scheduling point;
+		// one that never ran does not start, and stopping a finished
+		// one does nothing.
 		if e.stopped || (e.Deadline != 0 && cur.clock > e.Deadline) {
 			if !e.stopped {
 				e.deadlineHit = true
@@ -265,21 +252,8 @@ func (e *Engine) Run(fn func(t *Thread)) []uint64 {
 					e.Obs.Watchdog("deadline", cur.id, cur.clock)
 				}
 			}
-			for running > 0 {
-				var victim *Thread
-				for _, t := range e.threads {
-					if !t.done {
-						victim = t
-						break
-					}
-				}
-				victim.resume <- killDeadline
-				ev := <-victim.pause
-				victim.done = true
-				running--
-				if ev.panic != nil && firstPanic == nil && !isEngineSignal(ev.panic) {
-					firstPanic = ev.panic
-				}
+			for _, t := range e.threads {
+				t.stop()
 			}
 			break
 		}
@@ -303,18 +277,12 @@ func (e *Engine) Run(fn func(t *Thread)) []uint64 {
 			deadline += (e.rng >> 33) % (e.Quantum/2 + 1)
 		}
 		sliceStart := cur.clock
-		cur.resume <- deadline
-		ev := <-cur.pause
+		cur.deadline = deadline
+		_, running := cur.next()
 		if e.Obs != nil && cur.clock > sliceStart {
 			e.Obs.Quantum(cur.id, sliceStart, cur.clock)
 		}
-		if ev.done {
-			cur.done = true
-			running--
-			if ev.panic != nil && firstPanic == nil && !isEngineSignal(ev.panic) {
-				firstPanic = ev.panic
-			}
-		}
+		cur.done = !running
 	}
 	if firstPanic != nil {
 		panic(firstPanic)
@@ -324,7 +292,7 @@ func (e *Engine) Run(fn func(t *Thread)) []uint64 {
 		// follows (harvest and validation reads).
 		e.Race.Barrier(e.MaxClock())
 	}
-	out := make([]uint64, n)
+	out := make([]uint64, len(e.threads))
 	for i, t := range e.threads {
 		if t.prof != nil {
 			// Flush trailing compute cycles so the profile partitions the
@@ -412,9 +380,12 @@ type Thread struct {
 	clock    uint64
 	deadline uint64
 
-	resume chan uint64
-	pause  chan threadEvent
-	done   bool
+	// The thread's coroutine during Run: the scheduler resumes it with
+	// next and winds it down with stop; the thread parks with yield.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	done  bool
 }
 
 // Solo returns a detached thread with the given id: it accumulates
@@ -439,22 +410,29 @@ func (t *Thread) Space() *mem.Space { return t.space }
 func (t *Thread) Tick(cycles uint64) {
 	t.clock += cycles
 	if t.clock >= t.deadline && t.engine != nil {
-		t.pause <- threadEvent{}
-		t.deadline = <-t.resume
-		if t.deadline == killDeadline {
-			panic(deadlineSignal{})
-		}
+		t.park()
 	}
 }
 
 // Yield forces a scheduling point without advancing time.
 func (t *Thread) Yield() {
 	if t.engine != nil && t.clock >= t.deadline {
-		t.pause <- threadEvent{}
-		t.deadline = <-t.resume
-		if t.deadline == killDeadline {
-			panic(deadlineSignal{})
-		}
+		t.park()
+	}
+}
+
+// park yields to the scheduler, which resumes the thread with a new
+// deadline set. If the scheduler stops the thread instead (a region
+// wind-down), park unwinds it with deadlineSignal, first lifting the
+// deadline so that the unwind's own ticks (an STM rollback, deferred
+// cleanup) run to their end instead of parking again. It stays out of
+// line so that Tick and Yield, which run on every priced access, inline.
+//
+//go:noinline
+func (t *Thread) park() {
+	if !t.yield(struct{}{}) {
+		t.deadline = ^uint64(0)
+		panic(deadlineSignal{})
 	}
 }
 

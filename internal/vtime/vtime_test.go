@@ -214,3 +214,20 @@ func TestCASCharged(t *testing.T) {
 		t.Error("CAS did not store")
 	}
 }
+
+// TestRunAllocBudget bounds the host allocations of one parallel
+// region: an 8-thread Run whose threads each cross several quanta.
+// Each thread costs a coroutine's set-up, so the budget is per thread.
+func TestRunAllocBudget(t *testing.T) {
+	const threads, perThread = 8, 13
+	e := NewEngine(mem.NewSpace(), threads, Config{})
+	body := func(th *Thread) {
+		for i := 0; i < 20; i++ {
+			th.Work(50)
+		}
+	}
+	e.Run(body)
+	if got := testing.AllocsPerRun(20, func() { e.Run(body) }); got > threads*perThread {
+		t.Errorf("Run allocated %.0f times, budget %d (%d per thread)", got, threads*perThread, perThread)
+	}
+}

@@ -151,9 +151,11 @@ echo "== alloc-budget gate =="
 # begin/load/store/commit path, cachesim's Access over a touched
 # footprint, the obs emitters and prof.Begin/End pin at zero
 # steady-state host allocs, and the flagship workload stays within its
-# 1,000 allocs/run budget (down from 9,271 before pooling).
+# 1,000 allocs/run budget (down from 9,271 before pooling). Building a
+# world stays cheap too: cachesim.New within 20 allocs, and a vtime Run
+# within 13 per simulated thread (one coroutine each).
 go test -count=1 -run 'AllocBudget|SteadyStateAlloc' \
-    ./internal/stm ./internal/cachesim ./internal/obs ./internal/prof
+    ./internal/stm ./internal/cachesim ./internal/obs ./internal/prof ./internal/vtime
 
 echo "== cache round-trip gate =="
 # A second invocation against a warm cache must execute nothing and
