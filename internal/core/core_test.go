@@ -1,7 +1,9 @@
 package core
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	_ "repro/internal/alloc/glibc"
@@ -9,6 +11,7 @@ import (
 	_ "repro/internal/alloc/tbb"
 	_ "repro/internal/alloc/tcmalloc"
 
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/stm"
 	"repro/internal/vtime"
@@ -97,5 +100,64 @@ func TestTransactionalMallocThroughSystem(t *testing.T) {
 	}
 	if st := sys.Allocator.Stats(); st.Mallocs < 100 {
 		t.Errorf("allocator saw %d mallocs", st.Mallocs)
+	}
+}
+
+// TestWorldsShareNothing runs one world per allocator twice, one after
+// another and then all four at once on their own goroutines, from one
+// parsed fault template with every observer on. A world's space, fault
+// plan and observers belong to the goroutine that runs it, so the runs
+// must agree, and under -race any state two worlds share is reported.
+func TestWorldsShareNothing(t *testing.T) {
+	prev := mem.SanitizeDefault()
+	mem.SetSanitizeDefault(true)
+	t.Cleanup(func() { mem.SetSanitizeDefault(prev) })
+
+	template := fault.MustParse("oom%1,lat%2:200,storm@20000:24000", 1)
+	type result struct {
+		report Report
+		faults fault.Stats
+	}
+	run := func(allocator string) result {
+		sys := MustNewSystem(Options{Allocator: allocator, Threads: 4, Policy: Policy{
+			Plan: template, RetryCap: 64, Race: true, Conflict: true, Pmem: true,
+		}})
+		head := sys.Space.MustMap(4096, 0)
+		sys.Run(func(th *vtime.Thread) {
+			for i := 0; i < 50; i++ {
+				sys.Atomic(th, func(tx *stm.Tx) {
+					n := tx.Malloc(16)
+					tx.Store(n, uint64(th.ID())<<32|uint64(i))
+					tx.Store(n+8, tx.Load(head))
+					tx.Store(head, uint64(n))
+				})
+			}
+		})
+		return result{sys.Report(), sys.Plan.Stats()}
+	}
+
+	names := []string{"glibc", "hoard", "tbb", "tcmalloc"}
+	serial := make([]result, len(names))
+	for i, name := range names {
+		serial[i] = run(name)
+	}
+	parallel := make([]result, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func(i int, name string) {
+			defer wg.Done()
+			parallel[i] = run(name)
+		}(i, name)
+	}
+	wg.Wait()
+
+	for i, name := range names {
+		if f := serial[i].faults; f.OOMs+f.Spikes+f.Aborted == 0 {
+			t.Errorf("%s: the fault plan never fired: %+v", name, f)
+		}
+		if !reflect.DeepEqual(serial[i], parallel[i]) {
+			t.Errorf("%s: concurrent world differs from the serial one\nserial:   %+v\nparallel: %+v", name, serial[i], parallel[i])
+		}
 	}
 }

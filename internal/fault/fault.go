@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -86,9 +85,9 @@ type crashPhase struct {
 
 // Plan is a parsed, seeded fault plan. It implements alloc.Injector
 // (structurally — this package does not import alloc) and the stm
-// layer's fault hooks. Methods are safe for use from engine threads:
-// the virtual-time engine runs one thread at a time, but a host mutex
-// guards the counters anyway so host-level races cannot corrupt them.
+// layer's fault hooks. A running plan has one owner, the goroutine that
+// runs its world; a parsed template shared across worlds is only read,
+// by CloneSeeded, which gives each world its own copy.
 type Plan struct {
 	spec string
 	seed uint64
@@ -105,7 +104,6 @@ type Plan struct {
 	crashPct uint64
 	phases   []crashPhase
 
-	mu      sync.Mutex
 	rng     uint64
 	mallocN uint64 // Mallocs seen
 	crashed bool   // a crash clause fired (one-shot across all clauses)
@@ -367,8 +365,6 @@ func parseWindow(s string) (window, error) {
 // Reset rewinds the plan's counters and PRNG to their post-Parse state,
 // making the next run identical to the first.
 func (p *Plan) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.rng = p.seed ^ 0x9e3779b97f4a7c15
 	if p.rng == 0 {
 		p.rng = 0x9e3779b97f4a7c15
@@ -398,7 +394,6 @@ func (p *Plan) CloneSeeded(seed uint64) *Plan {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
 	q := &Plan{
 		spec:     p.spec,
 		seed:     seed,
@@ -414,7 +409,6 @@ func (p *Plan) CloneSeeded(seed uint64) *Plan {
 		crashPct: p.crashPct,
 		phases:   append([]crashPhase(nil), p.phases...),
 	}
-	p.mu.Unlock()
 	q.Reset()
 	return q
 }
@@ -458,13 +452,9 @@ func (p *Plan) HasCrash() bool {
 }
 
 // Stats returns the faults delivered so far.
-func (p *Plan) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
+func (p *Plan) Stats() Stats { return p.stats }
 
-// next steps the splitmix64 PRNG; caller holds p.mu.
+// next steps the splitmix64 PRNG.
 func (p *Plan) next() uint64 {
 	p.rng += 0x9e3779b97f4a7c15
 	z := p.rng
@@ -473,7 +463,7 @@ func (p *Plan) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// roll returns true with probability pct percent; caller holds p.mu.
+// roll returns true with probability pct percent.
 func (p *Plan) roll(pct uint64) bool {
 	if pct == 0 {
 		return false
@@ -485,8 +475,6 @@ func (p *Plan) roll(pct uint64) bool {
 // consulted once per Malloc, it reports whether the call must fail and
 // how many extra virtual cycles to charge.
 func (p *Plan) MallocFault(tid int, size uint64) (fail bool, delay uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.mallocN++
 	p.stats.MallocsN++
 	n := p.mallocN
@@ -520,8 +508,6 @@ func (p *Plan) MallocFault(tid int, size uint64) (fail bool, delay uint64) {
 // serve before the transaction starts) and storm (the transaction must
 // abort and retry — an abort-storm kill).
 func (p *Plan) TxBegin(tid int, clock uint64) (stallCycles uint64, storm bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for i := range p.stalls {
 		s := &p.stalls[i]
 		if !s.fired && s.tid == tid && clock >= s.at {
@@ -553,8 +539,6 @@ func (p *Plan) TxBegin(tid int, clock uint64) (stallCycles uint64, storm bool) {
 // fires per plan; after it the plan never fires again (the machine is
 // down).
 func (p *Plan) Crash(tid int, clock uint64, phase string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.crashed {
 		return false
 	}

@@ -165,8 +165,10 @@ func TestSessionObservedRunsBypassCache(t *testing.T) {
 }
 
 // TestSessionStormFaultParallel schedules a transaction-heavy
-// experiment under an abort-storm fault plan on a wide pool — the
-// scheduler soak for `go test -race`.
+// experiment under an abort-storm fault plan on a wide pool: every cell
+// must finish without error. No gate runs it under -race (it takes
+// minutes there); core's TestWorldsShareNothing is the race check that
+// worlds share no fault plan.
 func TestSessionStormFaultParallel(t *testing.T) {
 	one := 1
 	spec := &Spec{Reps: &one, Fault: "storm@20000:24000"}

@@ -12,10 +12,8 @@ func (s *Space) LoadByte(a Addr) byte {
 	return byte(w >> ((uint64(a) & 7) * 8))
 }
 
-// StoreByte writes b at address a. It is not atomic with respect to
-// concurrent stores of neighbouring bytes in the same word; callers
-// partition byte ranges between threads at word granularity or use it
-// only in single-threaded phases.
+// StoreByte writes b at address a, as a load and a store of the word
+// that holds it.
 func (s *Space) StoreByte(a Addr, b byte) {
 	shift := (uint64(a) & 7) * 8
 	w := s.Load(a)

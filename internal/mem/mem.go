@@ -6,21 +6,20 @@
 // into blocks, and the STM reads and writes 8-byte words at simulated
 // addresses. Because every 64 KiB simulated page is backed by one
 // contiguous Go array, adjacency of simulated addresses is adjacency in
-// host memory, so cache locality and cache-line false sharing induced by
-// an allocator's placement decisions manifest physically as well as in
-// the trace-driven cache model.
+// host memory, so the host's cache locality follows an allocator's
+// placement decisions; cache-line false sharing between simulated cores
+// is what the trace-driven cache model prices.
 //
-// Word loads and stores use atomic operations, making concurrent access
-// to the same word well defined (the STM provides the actual isolation
-// discipline on top).
+// A Space has one owner, the goroutine that runs its world: simulated
+// threads are coroutines on that goroutine, so loads, stores and region
+// changes need no host synchronization.
 package mem
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // ErrNoMemory is the simulated out-of-memory condition: a Map request
@@ -78,7 +77,7 @@ type page struct {
 }
 
 type l2table struct {
-	pages [l2Size]atomic.Pointer[page]
+	pages [l2Size]*page
 }
 
 // Region describes one mapped region of the address space.
@@ -105,18 +104,12 @@ type Stats struct {
 // Space is a simulated address space. The zero value is not usable; call
 // NewSpace.
 type Space struct {
-	l1 [l1Size]atomic.Pointer[l2table]
+	l1 [l1Size]*l2table
 
-	mu      sync.Mutex // guards region list mutation and next
 	next    Addr
-	quota   uint64                   // reserved-byte ceiling; 0 = unlimited
-	regions atomic.Pointer[[]Region] // sorted by Base, copy-on-write
-
-	mapCalls   atomic.Uint64
-	unmapCalls atomic.Uint64
-	reserved   atomic.Uint64
-	committed  atomic.Uint64
-	peak       atomic.Uint64
+	quota   uint64   // reserved-byte ceiling; 0 = unlimited
+	regions []Region // sorted by Base: Map appends bases at or above next, which only rises
+	stats   Stats
 
 	// shadow is the sanitizer's word-granularity shadow map, nil unless
 	// sanitizer mode is on (see shadow.go). Set at construction or via
@@ -139,8 +132,6 @@ type Space struct {
 // a sanitizer shadow map from the start.
 func NewSpace() *Space {
 	s := &Space{next: startBase}
-	empty := make([]Region, 0)
-	s.regions.Store(&empty)
 	if sanitizeDefault.Load() {
 		s.EnableSanitizer()
 	}
@@ -166,12 +157,9 @@ func (s *Space) Map(size, align uint64) (Addr, error) {
 	}
 	size = (size + pageMask) &^ uint64(pageMask)
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	if s.quota != 0 && s.reserved.Load()+size > s.quota {
+	if s.quota != 0 && s.stats.ReservedBytes+size > s.quota {
 		return 0, fmt.Errorf("mem: Map: %d bytes requested over a %d-byte quota with %d reserved: %w",
-			size, s.quota, s.reserved.Load(), ErrNoMemory)
+			size, s.quota, s.stats.ReservedBytes, ErrNoMemory)
 	}
 	base := (s.next + Addr(align-1)) &^ Addr(align-1)
 	// Leave one unmapped guard page after every region so that linear
@@ -181,22 +169,11 @@ func (s *Space) Map(size, align uint64) (Addr, error) {
 		return 0, fmt.Errorf("mem: Map: address space exhausted (%d bytes requested): %w", size, ErrNoMemory)
 	}
 	s.next = next
+	s.regions = append(s.regions, Region{Base: base, Size: size})
 
-	old := *s.regions.Load()
-	regions := make([]Region, len(old)+1)
-	copy(regions, old)
-	regions[len(old)] = Region{Base: base, Size: size}
-	sort.Slice(regions, func(i, j int) bool { return regions[i].Base < regions[j].Base })
-	s.regions.Store(&regions)
-
-	s.mapCalls.Add(1)
-	r := s.reserved.Add(size)
-	for {
-		p := s.peak.Load()
-		if r <= p || s.peak.CompareAndSwap(p, r) {
-			break
-		}
-	}
+	s.stats.MapCalls++
+	s.stats.ReservedBytes += size
+	s.stats.PeakReserved = max(s.stats.PeakReserved, s.stats.ReservedBytes)
 	return base, nil
 }
 
@@ -217,54 +194,29 @@ func (s *Space) MustMap(size, align uint64) Addr {
 // total past quota fails with ErrNoMemory. Zero removes the cap. The
 // quota models address-space exhaustion and memory pressure; it is not
 // retroactive (already-mapped regions stay mapped).
-func (s *Space) SetQuota(quota uint64) {
-	s.mu.Lock()
-	s.quota = quota
-	s.mu.Unlock()
-}
-
-// Quota returns the current byte quota (0 = unlimited).
-func (s *Space) Quota() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quota
-}
+func (s *Space) SetQuota(quota uint64) { s.quota = quota }
 
 // Unmap releases the region with the given base address (as returned by
 // Map) and drops its backing pages. Accessing the region afterwards
 // faults.
 func (s *Space) Unmap(base Addr) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	old := *s.regions.Load()
-	idx := -1
-	for i, r := range old {
-		if r.Base == base {
-			idx = i
-			break
-		}
-	}
+	idx := slices.IndexFunc(s.regions, func(r Region) bool { return r.Base == base })
 	if idx < 0 {
 		return fmt.Errorf("mem: Unmap: %#x is not a mapped region base", uint64(base))
 	}
-	r := old[idx]
-	regions := make([]Region, 0, len(old)-1)
-	regions = append(regions, old[:idx]...)
-	regions = append(regions, old[idx+1:]...)
-	s.regions.Store(&regions)
+	r := s.regions[idx]
+	s.regions = slices.Delete(s.regions, idx, idx+1)
 
 	// Drop backing pages.
 	for a := r.Base; a < r.End(); a += PageSize {
 		pn := uint64(a) >> PageShift
-		if t := s.l1[pn>>l2Bits].Load(); t != nil {
-			if t.pages[pn&l2Mask].Swap(nil) != nil {
-				s.committed.Add(^uint64(PageSize - 1))
-			}
+		if t := s.l1[pn>>l2Bits]; t != nil && t.pages[pn&l2Mask] != nil {
+			t.pages[pn&l2Mask] = nil
+			s.stats.CommittedBytes -= PageSize
 		}
 	}
-	s.unmapCalls.Add(1)
-	s.reserved.Add(^uint64(r.Size - 1))
+	s.stats.UnmapCalls++
+	s.stats.ReservedBytes -= r.Size
 	if s.ptrack != nil {
 		s.ptrack.OnUnmap(r.Base, r.Size)
 	}
@@ -273,7 +225,7 @@ func (s *Space) Unmap(base Addr) error {
 
 // RegionOf returns the mapped region containing a, if any.
 func (s *Space) RegionOf(a Addr) (Region, bool) {
-	regions := *s.regions.Load()
+	regions := s.regions
 	i := sort.Search(len(regions), func(i int) bool { return regions[i].End() > a })
 	if i < len(regions) && regions[i].Contains(a) {
 		return regions[i], true
@@ -283,11 +235,11 @@ func (s *Space) RegionOf(a Addr) (Region, bool) {
 
 func (s *Space) pageFor(a Addr) *page {
 	pn := uint64(a) >> PageShift
-	t := s.l1[(pn>>l2Bits)&(l1Size-1)].Load()
+	t := s.l1[(pn>>l2Bits)&(l1Size-1)]
 	if t == nil {
 		return nil
 	}
-	return t.pages[pn&l2Mask].Load()
+	return t.pages[pn&l2Mask]
 }
 
 // ensurePage returns the backing page for a, creating it if a lies in a
@@ -301,19 +253,14 @@ func (s *Space) ensurePage(a Addr) *page {
 	}
 	pn := uint64(a) >> PageShift
 	l1i := (pn >> l2Bits) & (l1Size - 1)
-	s.mu.Lock()
-	t := s.l1[l1i].Load()
+	t := s.l1[l1i]
 	if t == nil {
 		t = new(l2table)
-		s.l1[l1i].Store(t)
+		s.l1[l1i] = t
 	}
-	p := t.pages[pn&l2Mask].Load()
-	if p == nil {
-		p = new(page)
-		t.pages[pn&l2Mask].Store(p)
-		s.committed.Add(PageSize)
-	}
-	s.mu.Unlock()
+	p := new(page)
+	t.pages[pn&l2Mask] = p
+	s.stats.CommittedBytes += PageSize
 	return p
 }
 
@@ -328,7 +275,7 @@ func (s *Space) Load(a Addr) uint64 {
 		}
 		panic(Fault{Addr: a})
 	}
-	return atomic.LoadUint64(&p.words[(uint64(a)&pageMask)>>3])
+	return p.words[(uint64(a)&pageMask)>>3]
 }
 
 // Store writes the 8-byte word v at address a.
@@ -337,39 +284,32 @@ func (s *Space) Store(a Addr, v uint64) {
 	if p == nil {
 		panic(Fault{Addr: a, Write: true})
 	}
-	atomic.StoreUint64(&p.words[(uint64(a)&pageMask)>>3], v)
+	p.words[(uint64(a)&pageMask)>>3] = v
 	if s.ptrack != nil {
 		s.ptrack.OnStore(a)
 	}
 }
 
-// CompareAndSwap atomically replaces the word at a with new if it equals
-// old, reporting whether the swap happened.
+// CompareAndSwap replaces the word at a with new if it equals old,
+// reporting whether the swap happened.
 func (s *Space) CompareAndSwap(a Addr, old, new uint64) bool {
 	p := s.ensurePage(a)
 	if p == nil {
 		panic(Fault{Addr: a, Write: true})
 	}
-	ok := atomic.CompareAndSwapUint64(&p.words[(uint64(a)&pageMask)>>3], old, new)
-	if ok && s.ptrack != nil {
+	w := &p.words[(uint64(a)&pageMask)>>3]
+	if *w != old {
+		return false
+	}
+	*w = new
+	if s.ptrack != nil {
 		s.ptrack.OnStore(a)
 	}
-	return ok
+	return true
 }
 
 // Stats returns current usage counters.
-func (s *Space) Stats() Stats {
-	return Stats{
-		MapCalls:       s.mapCalls.Load(),
-		UnmapCalls:     s.unmapCalls.Load(),
-		ReservedBytes:  s.reserved.Load(),
-		CommittedBytes: s.committed.Load(),
-		PeakReserved:   s.peak.Load(),
-	}
-}
+func (s *Space) Stats() Stats { return s.stats }
 
 // AlignUp rounds v up to the next multiple of align (a power of two).
 func AlignUp(v, align uint64) uint64 { return (v + align - 1) &^ (align - 1) }
-
-// AlignAddr rounds a up to the next multiple of align (a power of two).
-func AlignAddr(a Addr, align uint64) Addr { return (a + Addr(align-1)) &^ Addr(align-1) }

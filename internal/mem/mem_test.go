@@ -2,7 +2,7 @@ package mem
 
 import (
 	"errors"
-	"sync"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -98,19 +98,59 @@ func TestUnmap(t *testing.T) {
 	}
 }
 
+// TestRegionOf pins the region list RegionOf searches: Map appends to
+// it and Unmap deletes in place, so it stays sorted by base across
+// mixed alignments, an unmap in the middle and a quota rejection.
 func TestRegionOf(t *testing.T) {
 	s := NewSpace()
-	a := s.MustMap(PageSize, 0)
-	b := s.MustMap(PageSize, 0)
-	if r, ok := s.RegionOf(a + 100); !ok || r.Base != a {
-		t.Errorf("RegionOf(a+100) = %+v, %v; want base %#x", r, ok, uint64(a))
+	var live []Region
+	mapRegion := func(size, align uint64) {
+		t.Helper()
+		base, err := s.Map(size, align)
+		if err != nil {
+			t.Fatalf("Map(%d, %d): %v", size, align, err)
+		}
+		live = append(live, Region{Base: base, Size: AlignUp(size, PageSize)})
 	}
-	if r, ok := s.RegionOf(b); !ok || r.Base != b {
-		t.Errorf("RegionOf(b) = %+v, %v; want base %#x", r, ok, uint64(b))
+	for _, align := range []uint64{0, 1 << 26, PageSize, 1 << 20} {
+		mapRegion(2*PageSize, align)
 	}
-	// Guard page between the regions is unmapped.
-	if _, ok := s.RegionOf(a + PageSize); ok {
-		t.Error("guard page reported as mapped")
+	gone := live[1]
+	if err := s.Unmap(gone.Base); err != nil {
+		t.Fatal(err)
+	}
+	live = slices.Delete(live, 1, 2)
+	s.SetQuota(s.Stats().ReservedBytes + 4*PageSize)
+	mapRegion(PageSize, 1<<20)
+	if _, err := s.Map(4*PageSize, 0); !errors.Is(err, ErrNoMemory) {
+		t.Fatalf("Map over quota: err = %v, want ErrNoMemory", err)
+	}
+	mapRegion(2*PageSize+1, 0)
+
+	for _, r := range live {
+		for _, a := range []Addr{r.Base, r.End() - 1} {
+			if got, ok := s.RegionOf(a); !ok || got != r {
+				t.Errorf("RegionOf(%#x) = %+v, %v; want %+v", uint64(a), got, ok, r)
+			}
+		}
+		for _, a := range []Addr{r.End(), r.End() + PageSize - 1} {
+			if got, ok := s.RegionOf(a); ok {
+				t.Errorf("guard page byte %#x after %+v reported as mapped in %+v", uint64(a), r, got)
+			}
+		}
+	}
+	for _, a := range []Addr{gone.Base, gone.End() - 1} {
+		if got, ok := s.RegionOf(a); ok {
+			t.Errorf("unmapped %#x reported as mapped in %+v", uint64(a), got)
+		}
+		func() {
+			defer func() {
+				if _, ok := recover().(Fault); !ok {
+					t.Errorf("Load(%#x) in an unmapped region did not fault", uint64(a))
+				}
+			}()
+			s.Load(a)
+		}()
 	}
 }
 
@@ -121,31 +161,6 @@ func TestGuardGapBetweenRegions(t *testing.T) {
 	if b < a+2*PageSize {
 		t.Errorf("regions not separated by a guard page: a=%#x b=%#x", uint64(a), uint64(b))
 	}
-}
-
-func TestConcurrentDisjointAccess(t *testing.T) {
-	s := NewSpace()
-	const threads = 8
-	const words = 1 << 12
-	base := s.MustMap(threads*words*8, 0)
-	var wg sync.WaitGroup
-	for tid := 0; tid < threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			start := base + Addr(tid*words*8)
-			for i := 0; i < words; i++ {
-				s.Store(start+Addr(i*8), uint64(tid)<<32|uint64(i))
-			}
-			for i := 0; i < words; i++ {
-				if got := s.Load(start + Addr(i*8)); got != uint64(tid)<<32|uint64(i) {
-					t.Errorf("tid %d word %d: got %#x", tid, i, got)
-					return
-				}
-			}
-		}(tid)
-	}
-	wg.Wait()
 }
 
 func TestCompareAndSwap(t *testing.T) {
@@ -189,9 +204,6 @@ func TestAlignHelpers(t *testing.T) {
 	if AlignUp(0, 16) != 0 || AlignUp(1, 16) != 16 || AlignUp(16, 16) != 16 || AlignUp(17, 16) != 32 {
 		t.Error("AlignUp wrong")
 	}
-	if AlignAddr(Addr(100), 64) != 128 {
-		t.Error("AlignAddr wrong")
-	}
 }
 
 func TestStatsAccounting(t *testing.T) {
@@ -221,9 +233,6 @@ func TestQuota(t *testing.T) {
 	// Still below the cap: a smaller request succeeds.
 	if _, err := s.Map(PageSize, 0); err != nil {
 		t.Fatalf("after rejection: %v", err)
-	}
-	if got := s.Quota(); got != 4*PageSize {
-		t.Errorf("Quota() = %d, want %d", got, 4*PageSize)
 	}
 	// Unmapping frees quota.
 	base := s.MustMap(PageSize, 0)
@@ -256,4 +265,97 @@ func TestMustMapPanicsOnQuota(t *testing.T) {
 		}
 	}()
 	s.MustMap(2*PageSize, 0)
+}
+
+// backedPage returns a space with one mapped, zero-filled page whose
+// backing array exists, and the page's base.
+func backedPage() (*Space, Addr) {
+	s := NewSpace()
+	base := s.MustMap(PageSize, 0)
+	s.Store(base, 0)
+	return s, base
+}
+
+var sinkWord uint64
+
+// BenchmarkSpaceLoad measures Load per word over a backed page, cycling
+// through its words.
+func BenchmarkSpaceLoad(b *testing.B) {
+	s, base := backedPage()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		sum += s.Load(base + Addr(i%PageWords)*WordSize)
+	}
+	sinkWord = sum
+}
+
+// BenchmarkSpaceStore measures Store per word over a backed page.
+func BenchmarkSpaceStore(b *testing.B) {
+	s, base := backedPage()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Store(base+Addr(i%PageWords)*WordSize, uint64(i))
+	}
+}
+
+// BenchmarkSpaceCompareAndSwap measures a successful CompareAndSwap per
+// word over a backed page: every word stays zero, so each swap of 0 for
+// 0 succeeds and stores.
+func BenchmarkSpaceCompareAndSwap(b *testing.B) {
+	s, base := backedPage()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.CompareAndSwap(base+Addr(i%PageWords)*WordSize, 0, 0)
+	}
+}
+
+// TestSpaceAllocBudget pins the host allocations of the space's hot
+// paths: none for a word access to a backed page or for a Map+Unmap
+// pair among 64 live regions, and one, the page, for the first store
+// to a page whose second-level table already exists.
+func TestSpaceAllocBudget(t *testing.T) {
+	s, base := backedPage()
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Load", func() { sinkWord = s.Load(base + 8) }},
+		{"Store", func() { s.Store(base+8, 2) }},
+		{"CompareAndSwap", func() { s.CompareAndSwap(base+8, 2, 2) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.f); got != 0 {
+			t.Errorf("%s on a backed page: %v allocs, want 0", c.name, got)
+		}
+	}
+
+	for i := 0; i < 64; i++ {
+		s.MustMap(PageSize, 0)
+	}
+	mapUnmap := func() {
+		if err := s.Unmap(s.MustMap(PageSize, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, mapUnmap); got != 0 {
+		t.Errorf("Map+Unmap with 64 regions live: %v allocs, want 0", got)
+	}
+
+	// One second-level table spans 1<<(PageShift+l2Bits) bytes; a region
+	// aligned to it, backed at its first page, takes every later first
+	// store in that table.
+	const span = 1 << (PageShift + l2Bits)
+	fresh := s.MustMap(128*PageSize, span)
+	s.Store(fresh, 1)
+	next := fresh
+	firstStore := func() {
+		next += PageSize
+		s.Store(next, 1)
+	}
+	if got := testing.AllocsPerRun(100, firstStore); got != 1 {
+		t.Errorf("first Store to a fresh page: %v allocs, want 1", got)
+	}
 }

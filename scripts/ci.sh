@@ -4,11 +4,9 @@
 #   scripts/ci.sh
 #
 # Steps: formatting, vet, build, the full test suite (and the hostbench
-# module's, which has its own go.mod), and a -race pass over the
-# packages whose tests don't depend on the virtual-time engine's
-# one-goroutine-at-a-time determinism (the engine serializes execution
-# by construction, so -race on those packages only slows the suite down
-# without adding coverage).
+# module's, which has its own go.mod), a -race pass that checks each
+# simulated world has one owner, a -race pass over the sweep scheduler,
+# and the CLI gates.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,11 +40,15 @@ echo "== tmvet =="
 # mandatory reasons.
 go run ./cmd/tmvet ./...
 
-echo "== go test -race (virtual-time-independent packages) =="
-# stm and mem ride along: their suites run mostly single-threaded under
-# the engine, but TestMain arms the sanitizer, whose shadow-map
-# bookkeeping must stay race-free where host goroutines do appear.
-go test -race ./internal/obs ./internal/mem ./internal/sim ./internal/cachesim ./internal/stm
+echo "== go test -race (one owner per world) =="
+# mem.Space and fault.Plan carry no locks or atomics: a world's space,
+# fault plan and observers belong to the one goroutine that runs it,
+# its simulated threads being coroutines there. This pass is the check
+# of that: core's TestWorldsShareNothing runs four worlds at once from
+# one parsed fault template with every observer and the sanitizer on,
+# and vtime's coroutine hand-offs must order every access.
+go test -race ./internal/obs ./internal/mem ./internal/sim ./internal/cachesim ./internal/stm \
+    ./internal/core ./internal/fault ./internal/vtime
 
 echo "== go test -race (sweep scheduler) =="
 # The scheduler is the one component that genuinely runs host
@@ -153,9 +155,12 @@ echo "== alloc-budget gate =="
 # steady-state host allocs, and the flagship workload stays within its
 # 1,000 allocs/run budget (down from 9,271 before pooling). Building a
 # world stays cheap too: cachesim.New within 20 allocs, and a vtime Run
-# within 13 per simulated thread (one coroutine each).
+# within 13 per simulated thread (one coroutine each). mem's word
+# accesses and a Map+Unmap pair allocate nothing, and a page's first
+# store allocates the page alone.
 go test -count=1 -run 'AllocBudget|SteadyStateAlloc' \
-    ./internal/stm ./internal/cachesim ./internal/obs ./internal/prof ./internal/vtime
+    ./internal/stm ./internal/cachesim ./internal/obs ./internal/prof ./internal/vtime \
+    ./internal/mem
 
 echo "== cache round-trip gate =="
 # A second invocation against a warm cache must execute nothing and
