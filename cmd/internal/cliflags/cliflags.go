@@ -83,7 +83,8 @@ func Add(fs *flag.FlagSet) *Workload {
 	})
 	fs.BoolVar(&s.Race, "race-sim", false, "attach the happens-before race checker to every cell (bypasses the cache)")
 	fs.BoolVar(&s.Conflict, "conflict", false, "attach the abort-forensics observatory to every cell (bypasses the cache)")
-	AddSanitize(fs)
+	fs.BoolVar(&s.Sanitize, "sanitize", false,
+		"attach the shadow-memory sanitizer to every cell; heap-misuse diagnostics fail the run (bypasses the cache)")
 	fs.StringVar(&w.profilePath, "profile", "",
 		"write the virtual-cycle profile to this file (.folded = folded stacks, .pb.gz = gzipped pprof, else JSON)")
 	fs.StringVar(&w.heapPath, "heap", "",

@@ -47,7 +47,7 @@ func TestAddRegistersTheGroup(t *testing.T) {
 func TestFlagsLandInTheSpec(t *testing.T) {
 	w, _, err := parse("-cm", "karma", "-retry-cap", "32", "-deadline", "5000000000",
 		"-fault", "oom%1", "-pmem", "-crash", "crash@9", "-pool", "cache", "-race-sim",
-		"-conflict", "-profile", "p", "-heap", "h", "-heap-cadence", "5000", "-json", "r")
+		"-conflict", "-sanitize", "-profile", "p", "-heap", "h", "-heap-cadence", "5000", "-json", "r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestFlagsLandInTheSpec(t *testing.T) {
 	}
 	p.Plan = nil
 	want := core.Policy{CM: stm.CMKarma, RetryCap: 32, Fault: "oom%1", Deadline: 5000000000,
-		Pmem: true, Crash: "crash@9", Race: true, Conflict: true}
+		Pmem: true, Crash: "crash@9", Sanitize: true, Race: true, Conflict: true}
 	if !reflect.DeepEqual(p, want) {
 		t.Fatalf("policy = %+v\nwant     %+v", p, want)
 	}

@@ -68,10 +68,10 @@ func main() {
 		updates = flag.Int("updates", 60, "update percentage")
 		at      = flag.Uint64("at", 200, "crash at the N-th checkpoint of each phase (default lands past initialization, with frees in flight)")
 		seed    = flag.Uint64("seed", 0, "workload seed (0 = default)")
+		sanit   = flag.Bool("sanitize", false, "attach the shadow-memory sanitizer to every cell; recovery also checks the shadow map against the journal")
 	)
 	sw := cliflags.AddSweep(flag.CommandLine)
 	outp := cliflags.AddOutput(flag.CommandLine)
-	cliflags.AddSanitize(flag.CommandLine)
 	flag.Parse()
 
 	names := harness.Allocators()
@@ -99,7 +99,7 @@ func main() {
 				OpsPerThread: *ops,
 				UpdatePct:    *updates,
 				Seed:         *seed,
-				Policy:       core.Policy{Crash: fmt.Sprintf("crashphase:%s@%d", ph, *at)},
+				Policy:       core.Policy{Crash: fmt.Sprintf("crashphase:%s@%d", ph, *at), Sanitize: *sanit},
 			}
 			key := fmt.Sprintf("tmcrash/%s/%s/%s/t%d/i%d/o%d/u%d/at%d",
 				*kind, a, ph, *threads, *initial, *ops, *updates, *at)

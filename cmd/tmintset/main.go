@@ -58,12 +58,12 @@ func main() {
 	flag.Parse()
 	if *hytm {
 		// The hybrid-TM run reads only the workload shape, the seed and
-		// the output, cache and sanitizer flags; refuse the rest rather
-		// than drop them silently.
+		// the output and cache flags; refuse the rest rather than drop
+		// them silently.
 		honored := map[string]bool{
 			"kind": true, "alloc": true, "threads": true, "updates": true, "initial": true,
 			"range": true, "ops": true, "seed": true, "hytm": true, "json": true, "metrics": true,
-			"trace": true, "cache": true, "no-cache": true, "jobs": true, "sanitize": true,
+			"trace": true, "cache": true, "no-cache": true, "jobs": true,
 		}
 		var refused []string
 		flag.Visit(func(f *flag.Flag) {

@@ -67,7 +67,6 @@ func main() {
 		heapGeo = flag.Bool("heap-geometry", false, "emit each allocator's static size-class/superblock geometry as a tmheap/series/v1 artifact on stdout")
 	)
 	sw := cliflags.AddSweep(flag.CommandLine)
-	cliflags.AddSanitize(flag.CommandLine)
 	flag.Parse()
 
 	if *heapGeo {
@@ -83,8 +82,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// The analyses attach no observer, so the spec is empty; the session
-	// still bypasses the cache under -sanitize.
+	// The analyses run no transaction and attach no observer, so the
+	// spec is empty and a warm cache serves every cell.
 	session := &harness.Session{Spec: &harness.Spec{}, Jobs: sw.Jobs, Cache: cache}
 	var cells []sweep.Cell
 	for _, name := range alloc.Names() {

@@ -58,9 +58,6 @@ const (
 	classCount
 )
 
-// ClassCount is the number of placement classes.
-const ClassCount = int(classCount)
-
 func (c Class) String() string {
 	switch c {
 	case ClassTrue:
@@ -405,9 +402,6 @@ func (o *Observatory) Events() int { return o.events }
 
 // Count returns the abort count of one class.
 func (o *Observatory) Count(c Class) int { return o.counts[c] }
-
-// Wasted returns the wasted virtual cycles of one class.
-func (o *Observatory) Wasted(c Class) uint64 { return o.wasted[c] }
 
 // WastedTotal returns the wasted virtual cycles across all classes.
 func (o *Observatory) WastedTotal() uint64 {

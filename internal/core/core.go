@@ -25,9 +25,9 @@
 // NewSystem is also the one world builder of the workload drivers
 // (intset.Run, stamp.Run): it alone parses the fault plan, attaches the
 // durable heap, and builds and attaches every observer a Policy selects
-// — profiler, heap telemetry, race checker, conflict observatory — and
-// Finish alone folds their results into the run's status and info
-// blocks.
+// — sanitizer, profiler, heap telemetry, race checker, conflict
+// observatory — and Finish alone folds their results into the run's
+// status and info blocks.
 package core
 
 import (
@@ -65,6 +65,10 @@ type Policy struct {
 	// the run's seed (harness cells parse the spec once). Excluded from
 	// spec hashing: the strings above already identify the plan.
 	Plan *fault.Plan `json:"-"`
+	// Sanitize attaches the shadow-memory sanitizer (mem.Shadow) to the
+	// run's space: a transactional access to a freed block, a redzone
+	// or a wild address, or a double free, fails the run.
+	Sanitize bool `json:"-"`
 	// Race attaches the happens-before checker (internal/race): its
 	// verdict lands in the Race info block, and any finding fails the
 	// run.
@@ -171,6 +175,9 @@ func NewSystem(opts Options) (*System, error) {
 		opts.Pool = stm.PoolCache
 	}
 	space := mem.NewSpace()
+	if opts.Sanitize {
+		space.EnableSanitizer()
+	}
 	allocator, err := alloc.New(opts.Allocator, space, opts.Threads)
 	if err != nil {
 		return nil, err

@@ -109,10 +109,6 @@ func TestTransactionalMallocThroughSystem(t *testing.T) {
 // plan and observers belong to the goroutine that runs it, so the runs
 // must agree, and under -race any state two worlds share is reported.
 func TestWorldsShareNothing(t *testing.T) {
-	prev := mem.SanitizeDefault()
-	mem.SetSanitizeDefault(true)
-	t.Cleanup(func() { mem.SetSanitizeDefault(prev) })
-
 	template := fault.MustParse("oom%1,lat%2:200,storm@20000:24000", 1)
 	type result struct {
 		report Report
@@ -120,8 +116,11 @@ func TestWorldsShareNothing(t *testing.T) {
 	}
 	run := func(allocator string) result {
 		sys := MustNewSystem(Options{Allocator: allocator, Threads: 4, Policy: Policy{
-			Plan: template, RetryCap: 64, Race: true, Conflict: true, Pmem: true,
+			Plan: template, RetryCap: 64, Sanitize: true, Race: true, Conflict: true, Pmem: true,
 		}})
+		if sys.Space.Sanitizer() == nil {
+			t.Errorf("%s: Sanitize attached no shadow map", allocator)
+		}
 		head := sys.Space.MustMap(4096, 0)
 		sys.Run(func(th *vtime.Thread) {
 			for i := 0; i < 50; i++ {

@@ -89,7 +89,6 @@ type crashPhase struct {
 // runs its world; a parsed template shared across worlds is only read,
 // by CloneSeeded, which gives each world its own copy.
 type Plan struct {
-	spec string
 	seed uint64
 
 	oomAt    []window
@@ -124,7 +123,7 @@ type Stats struct {
 // Parse builds a Plan from a spec string and a seed. An empty spec
 // yields a plan that never fires (but still counts Mallocs).
 func Parse(spec string, seed uint64) (*Plan, error) {
-	p := &Plan{spec: spec, seed: seed}
+	p := &Plan{seed: seed}
 	p.Reset()
 	if strings.TrimSpace(spec) == "" {
 		return p, nil
@@ -383,10 +382,10 @@ func (p *Plan) Reset() {
 	}
 }
 
-// CloneSeeded returns an independent plan with the same parsed clauses
-// and spec, rewound to its post-Parse state and seeded with seed. It
-// replaces re-parsing the spec string when the same plan drives several
-// runs (harness cells): the clone carries no shared state, so
+// CloneSeeded returns an independent plan with the same parsed clauses,
+// rewound to its post-Parse state and seeded with seed. It replaces
+// re-parsing the spec string when the same plan drives several runs
+// (harness cells): the clone carries no shared state, so
 // concurrent cells cannot perturb each other's fault schedules, and the
 // harness derives one seed per cell so probabilistic clauses
 // decorrelate across cells while each cell stays reproducible.
@@ -395,7 +394,6 @@ func (p *Plan) CloneSeeded(seed uint64) *Plan {
 		return nil
 	}
 	q := &Plan{
-		spec:     p.spec,
 		seed:     seed,
 		oomAt:    append([]window(nil), p.oomAt...),
 		oomPct:   p.oomPct,
@@ -428,12 +426,6 @@ func Join(specs ...string) string {
 
 // SetObserver streams delivered faults into r (nil disables).
 func (p *Plan) SetObserver(r *obs.Recorder) { p.rec = r }
-
-// Spec returns the spec string the plan was parsed from.
-func (p *Plan) Spec() string { return p.spec }
-
-// Seed returns the plan's PRNG seed.
-func (p *Plan) Seed() uint64 { return p.seed }
 
 // Empty reports whether the plan can never fire.
 func (p *Plan) Empty() bool {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/mem"
 	"repro/internal/obs"
 )
 
@@ -74,30 +73,26 @@ func TestObserverPurity(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		keys  []string // the observer's top-level record blocks; none when it adds none
-		set   func(t *testing.T, s *Spec)
+		set   func(s *Spec)
 		check func(t *testing.T, block map[string]any) // inspects the keys[0] block
 	}{
-		{name: "sanitizer", set: func(t *testing.T, _ *Spec) {
-			prev := mem.SanitizeDefault()
-			mem.SetSanitizeDefault(true)
-			t.Cleanup(func() { mem.SetSanitizeDefault(prev) })
-		}},
-		{name: "profiler", keys: []string{"profile"}, set: func(_ *testing.T, s *Spec) { s.Profile = true }},
-		{name: "heapscope", keys: []string{"heap"}, set: func(_ *testing.T, s *Spec) { s.Heap = true }},
-		{name: "race", keys: []string{"race"}, set: func(_ *testing.T, s *Spec) { s.Race = true },
+		{name: "sanitizer", set: func(s *Spec) { s.Sanitize = true }},
+		{name: "profiler", keys: []string{"profile"}, set: func(s *Spec) { s.Profile = true }},
+		{name: "heapscope", keys: []string{"heap"}, set: func(s *Spec) { s.Heap = true }},
+		{name: "race", keys: []string{"race"}, set: func(s *Spec) { s.Race = true },
 			check: func(t *testing.T, block map[string]any) {
 				if block["findings"] != 0.0 {
 					t.Errorf("clean run reported race findings: %v", block)
 				}
 			}},
-		{name: "conflict", keys: []string{"conflict"}, set: func(_ *testing.T, s *Spec) { s.Conflict = true },
+		{name: "conflict", keys: []string{"conflict"}, set: func(s *Spec) { s.Conflict = true },
 			check: func(t *testing.T, block map[string]any) {
 				if block["observed"] != true {
 					t.Errorf("conflict block not marked observed: %v", block)
 				}
 			}},
 		{name: "recorder", keys: []string{"trace", "metrics", "stripe_heatmap"},
-			set: func(_ *testing.T, s *Spec) { s.Obs = obs.New(obs.Config{}) },
+			set: func(s *Spec) { s.Obs = obs.New(obs.Config{}) },
 			check: func(t *testing.T, block map[string]any) {
 				if n, _ := block["events"].(float64); n <= 0 {
 					t.Errorf("recorder traced no events: %v", block["events"])
@@ -108,7 +103,7 @@ func TestObserverPurity(t *testing.T) {
 			runs := map[int]purityRun{}
 			for _, jobs := range []int{1, 8} {
 				spec := &Spec{}
-				tc.set(t, spec)
+				tc.set(spec)
 				runs[jobs] = runFig1(t, jobs, spec)
 			}
 			one, eight := runs[1], runs[8]

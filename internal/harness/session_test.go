@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
@@ -132,23 +131,19 @@ func TestSessionObservedRunsBypassCache(t *testing.T) {
 	rec := obs.New(obs.Config{})
 	for _, tc := range []struct {
 		name string
-		set  func(t *testing.T, s *Spec)
+		set  func(s *Spec)
 	}{
-		{"recorder", func(_ *testing.T, s *Spec) { s.Obs = rec }},
-		{"profiler", func(_ *testing.T, s *Spec) { s.Profile = true }},
-		{"heap", func(_ *testing.T, s *Spec) { s.Heap = true }},
-		{"race", func(_ *testing.T, s *Spec) { s.Race = true }},
-		{"conflict", func(_ *testing.T, s *Spec) { s.Conflict = true }},
-		{"crash", func(_ *testing.T, s *Spec) { s.Crash = "crash@5000" }},
-		{"sanitizer", func(t *testing.T, _ *Spec) {
-			prev := mem.SanitizeDefault()
-			mem.SetSanitizeDefault(true)
-			t.Cleanup(func() { mem.SetSanitizeDefault(prev) })
-		}},
+		{"recorder", func(s *Spec) { s.Obs = rec }},
+		{"profiler", func(s *Spec) { s.Profile = true }},
+		{"heap", func(s *Spec) { s.Heap = true }},
+		{"race", func(s *Spec) { s.Race = true }},
+		{"conflict", func(s *Spec) { s.Conflict = true }},
+		{"crash", func(s *Spec) { s.Crash = "crash@5000" }},
+		{"sanitizer", func(s *Spec) { s.Sanitize = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := &Spec{Reps: &one}
-			tc.set(t, spec)
+			tc.set(spec)
 			s := &Session{Spec: spec, Cache: cache}
 			runs, stats := s.Run([]string{"fig1"})
 			if runs[0].Err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/heapscope"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/stm"
@@ -62,6 +61,11 @@ type Spec struct {
 	// (internal/conflict) to every workload cell. A pure observer —
 	// observed cells compute byte-identical results.
 	Conflict bool
+
+	// Sanitize attaches the shadow-memory sanitizer to every workload
+	// cell's space. A pure observer unless it fires: a heap-misuse
+	// diagnostic fails the cell.
+	Sanitize bool
 }
 
 // DefaultSeed is the suite's base seed when Spec.Seed is nil.
@@ -98,7 +102,7 @@ func (s *Spec) Validate() error {
 // cell; see Cell.
 func (s *Spec) Policy() core.Policy {
 	return core.Policy{CM: s.CM, RetryCap: s.RetryCap, Fault: s.Fault, Deadline: s.Deadline,
-		Pmem: s.Pmem, Crash: s.Crash, Plan: s.plan, Race: s.Race, Conflict: s.Conflict}
+		Pmem: s.Pmem, Crash: s.Crash, Plan: s.plan, Sanitize: s.Sanitize, Race: s.Race, Conflict: s.Conflict}
 }
 
 // mustExecute reports whether cells must run instead of replaying from
@@ -107,8 +111,8 @@ func (s *Spec) Policy() core.Policy {
 // sanitizer diagnostics — and a crash verdict must come from recovery
 // actually running, not from a record of an earlier run.
 func (s *Spec) mustExecute() bool {
-	return s.Obs != nil || s.Profile || s.Heap || s.Race || s.Conflict ||
-		s.Crash != "" || s.plan.HasCrash() || mem.SanitizeDefault()
+	return s.Obs != nil || s.Profile || s.Heap || s.Sanitize || s.Race || s.Conflict ||
+		s.Crash != "" || s.plan.HasCrash()
 }
 
 // CellFunc runs one cell against its private recorder, profiler and

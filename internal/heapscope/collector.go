@@ -112,9 +112,6 @@ func (c *Collector) Attach(a alloc.Allocator) {
 // and Perfetto counter samples alongside the series (nil disables).
 func (c *Collector) SetRecorder(r *obs.Recorder) { c.rec = r }
 
-// Cadence returns the snapshot interval in virtual cycles.
-func (c *Collector) Cadence() uint64 { return c.cadence }
-
 // Sample implements vtime.HeapSampler: called from the scheduler loop
 // with the monotone min-runnable clock, it snapshots once per elapsed
 // cadence interval, stamping each snapshot at its exact due cycle so

@@ -17,7 +17,7 @@ func benchConfig(race, conflict bool) intset.Config {
 		Threads:      4,
 		InitialSize:  128,
 		OpsPerThread: 200,
-		Policy:       core.Policy{Race: race, Conflict: conflict},
+		Policy:       core.Policy{Sanitize: true, Race: race, Conflict: conflict},
 	}
 }
 

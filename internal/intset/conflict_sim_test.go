@@ -20,7 +20,7 @@ func conflictConfig(allocator string, seedAlias bool) intset.Config {
 		OpsPerThread: 40,
 		UpdatePct:    60,
 		SeedAlias:    seedAlias,
-		Policy:       core.Policy{Conflict: true},
+		Policy:       core.Policy{Sanitize: true, Conflict: true},
 	}
 }
 

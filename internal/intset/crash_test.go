@@ -19,7 +19,7 @@ func TestCrashRecoverVerdicts(t *testing.T) {
 				res, err := Run(Config{
 					Kind: LinkedList, Allocator: a, Threads: 4,
 					InitialSize: 64, OpsPerThread: 50, UpdatePct: 60,
-					Policy: core.Policy{Crash: "crashphase:" + phase + "@3"},
+					Policy: core.Policy{Crash: "crashphase:" + phase + "@3", Sanitize: true},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -45,7 +45,7 @@ func TestCrashRunDeterministic(t *testing.T) {
 	cfg := Config{
 		Kind: HashSet, Allocator: "hoard", Threads: 4,
 		InitialSize: 64, OpsPerThread: 50, UpdatePct: 60,
-		Policy: core.Policy{Crash: "crash@9000"},
+		Policy: core.Policy{Crash: "crash@9000", Sanitize: true},
 	}
 	r1, err := Run(cfg)
 	if err != nil {
@@ -72,6 +72,7 @@ func TestPmemOverheadVisible(t *testing.T) {
 	base := Config{
 		Kind: LinkedList, Allocator: "glibc", Threads: 2,
 		InitialSize: 64, OpsPerThread: 40, UpdatePct: 60,
+		Policy: core.Policy{Sanitize: true},
 	}
 	vol, err := Run(base)
 	if err != nil {

@@ -6,16 +6,19 @@ import (
 	_ "repro/internal/alloc/glibc"
 	_ "repro/internal/alloc/hoard"
 
+	"repro/internal/core"
 	"repro/internal/intset"
 )
 
 // One §5 benchmark run: the sorted linked list under the
-// write-dominated workload. Results are deterministic for a fixed
+// write-dominated workload, with the shadow-memory sanitizer checking
+// every transactional access. Results are deterministic for a fixed
 // configuration, so the derived comparison below is stable.
 func ExampleRun() {
 	glibc, err := intset.Run(intset.Config{
 		Kind: intset.LinkedList, Allocator: "glibc", Threads: 2,
 		InitialSize: 256, KeyRange: 512, UpdatePct: 60, OpsPerThread: 100,
+		Policy: core.Policy{Sanitize: true},
 	})
 	if err != nil {
 		panic(err)
@@ -23,6 +26,7 @@ func ExampleRun() {
 	hoard, err := intset.Run(intset.Config{
 		Kind: intset.LinkedList, Allocator: "hoard", Threads: 2,
 		InitialSize: 256, KeyRange: 512, UpdatePct: 60, OpsPerThread: 100,
+		Policy: core.Policy{Sanitize: true},
 	})
 	if err != nil {
 		panic(err)

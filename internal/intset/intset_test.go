@@ -9,6 +9,7 @@ import (
 	_ "repro/internal/alloc/tcmalloc"
 
 	"repro/internal/alloc"
+	"repro/internal/core"
 )
 
 // small returns a scaled-down config that preserves the paper's shape.
@@ -22,6 +23,7 @@ func small(kind Kind, allocator string, threads int) Config {
 		UpdatePct:    60,
 		OpsPerThread: 150,
 		HashBuckets:  8192,
+		Policy:       core.Policy{Sanitize: true},
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/intset"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/stm"
 )
@@ -21,7 +20,7 @@ func raceConfig(allocator string, seed bool) intset.Config {
 		InitialSize:  32,
 		OpsPerThread: 25,
 		SeedRace:     seed,
-		Policy:       core.Policy{Race: true},
+		Policy:       core.Policy{Sanitize: true, Race: true},
 	}
 }
 
@@ -83,9 +82,6 @@ func checkRaceClean(t *testing.T, cfg intset.Config) {
 // is attached and completes silently when it is not, under every
 // allocator model and every pooling discipline.
 func TestSeedRaceDetected(t *testing.T) {
-	old := mem.SanitizeDefault()
-	mem.SetSanitizeDefault(false) // let the race reach commit un-diagnosed
-	defer mem.SetSanitizeDefault(old)
 	for _, name := range alloc.Names() {
 		for _, p := range append([]stm.Pooling{stm.PoolNone}, pooled...) {
 			row := name
@@ -94,6 +90,7 @@ func TestSeedRaceDetected(t *testing.T) {
 			}
 			cfg := raceConfig(name, true)
 			cfg.Pool = p
+			cfg.Sanitize = false // let the race reach commit un-diagnosed
 			t.Run(row+"/checked", func(t *testing.T) {
 				res, err := intset.Run(cfg)
 				if err != nil {

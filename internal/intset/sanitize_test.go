@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/core"
 	"repro/internal/intset"
-	"repro/internal/mem"
 	"repro/internal/obs"
 )
 
@@ -18,6 +18,7 @@ func uafConfig(allocator string) intset.Config {
 		InitialSize:  32,
 		OpsPerThread: 10,
 		SeedUAF:      true,
+		Policy:       core.Policy{Sanitize: true},
 	}
 }
 
@@ -42,10 +43,9 @@ func TestSeedUAF(t *testing.T) {
 			}
 		})
 		t.Run(name+"/unsanitized", func(t *testing.T) {
-			old := mem.SanitizeDefault()
-			mem.SetSanitizeDefault(false)
-			defer mem.SetSanitizeDefault(old)
-			res, err := intset.Run(uafConfig(name))
+			cfg := uafConfig(name)
+			cfg.Sanitize = false
+			res, err := intset.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

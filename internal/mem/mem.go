@@ -112,8 +112,8 @@ type Space struct {
 	stats   Stats
 
 	// shadow is the sanitizer's word-granularity shadow map, nil unless
-	// sanitizer mode is on (see shadow.go). Set at construction or via
-	// EnableSanitizer, before the space is shared across sim threads.
+	// sanitizer mode is on (see shadow.go). Set via EnableSanitizer
+	// before the first allocation (core.NewSystem, when the policy asks).
 	shadow *Shadow
 
 	// ptrack is the durable-memory tracker, nil unless a pmem instance
@@ -127,15 +127,10 @@ type Space struct {
 	watchers []HeapWatcher
 }
 
-// NewSpace returns an empty address space. When the process-wide
-// sanitize default is set (the CLIs' -sanitize flag), the space carries
-// a sanitizer shadow map from the start.
+// NewSpace returns an empty address space with no shadow map; see
+// EnableSanitizer.
 func NewSpace() *Space {
-	s := &Space{next: startBase}
-	if sanitizeDefault.Load() {
-		s.EnableSanitizer()
-	}
-	return s
+	return &Space{next: startBase}
 }
 
 // Map reserves a region of size bytes whose base address is a multiple

@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Sanitizer mode: an ASan-style shadow map over the simulated address
 // space. Every allocator block is registered on malloc and poisoned on
@@ -279,20 +276,10 @@ func (sh *Shadow) BlockAt(a Addr) (ShadowBlock, bool) {
 	return sh.blocks[p.block[w]-1], true
 }
 
-// sanitizeDefault makes -sanitize reach every Space a CLI constructs
-// without threading a flag through each experiment: NewSpace consults
-// it once at construction.
-var sanitizeDefault atomic.Bool
-
-// SetSanitizeDefault controls whether future NewSpace calls attach a
-// sanitizer shadow map.
-func SetSanitizeDefault(on bool) { sanitizeDefault.Store(on) }
-
-// SanitizeDefault reports the current default.
-func SanitizeDefault() bool { return sanitizeDefault.Load() }
-
 // EnableSanitizer attaches a shadow map to the space (idempotent) and
-// returns it.
+// returns it. The map learns blocks as they are allocated, so attach
+// it before the space's first allocation: core.NewSystem does, first
+// among the watchers, when its Policy selects Sanitize.
 func (s *Space) EnableSanitizer() *Shadow {
 	if s.shadow == nil {
 		s.shadow = newShadow(s)

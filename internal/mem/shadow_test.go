@@ -80,18 +80,19 @@ func TestShadowStateMachine(t *testing.T) {
 	}
 }
 
+// TestSanitizeDefault pins the per-space default: a fresh space has no
+// shadow map, and EnableSanitizer attaches exactly one, idempotently,
+// as a block watcher.
 func TestSanitizeDefault(t *testing.T) {
-	SetSanitizeDefault(true)
-	defer SetSanitizeDefault(false)
-	if s := NewSpace(); s.Sanitizer() == nil {
-		t.Error("NewSpace under the sanitize default has no shadow map")
-	}
-	SetSanitizeDefault(false)
 	s := NewSpace()
-	if s.Sanitizer() != nil {
-		t.Error("NewSpace without the default grew a shadow map")
+	if s.Sanitizer() != nil || len(s.watchers) != 0 {
+		t.Fatalf("NewSpace has a shadow map (%v) or watchers (%d)", s.Sanitizer() != nil, len(s.watchers))
 	}
-	if s.EnableSanitizer() == nil || s.Sanitizer() == nil {
-		t.Error("EnableSanitizer did not attach a shadow map")
+	sh := s.EnableSanitizer()
+	if sh == nil || s.Sanitizer() != sh {
+		t.Fatal("EnableSanitizer did not attach a shadow map")
+	}
+	if again := s.EnableSanitizer(); again != sh || len(s.watchers) != 1 {
+		t.Errorf("second EnableSanitizer: same map %v, %d watchers; want the same map and 1", again == sh, len(s.watchers))
 	}
 }

@@ -12,7 +12,7 @@ import (
 	_ "repro/internal/alloc/tbb"
 	_ "repro/internal/alloc/tcmalloc"
 
-	"repro/internal/mem"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stamp"
 	"repro/internal/stm"
@@ -29,12 +29,10 @@ func Check(t *testing.T, app string, wantTx bool) {
 			check(t, stamp.Config{App: app, Allocator: name, Threads: threads}, wantTx)
 		}
 	}
-	old := mem.SanitizeDefault()
-	mem.SetSanitizeDefault(true)
-	defer mem.SetSanitizeDefault(old)
+	sanitize := core.Policy{Sanitize: true}
 	for _, pool := range []stm.Pooling{stm.PoolNone, stm.PoolCache, stm.PoolReuse, stm.PoolBatch} {
 		for _, name := range allocators {
-			check(t, stamp.Config{App: app, Allocator: name, Threads: 4, Pool: pool}, wantTx)
+			check(t, stamp.Config{App: app, Allocator: name, Threads: 4, Pool: pool, Policy: sanitize}, wantTx)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // host at all. Any regression here multiplies across every simulated
 // transaction of every sweep cell.
 func TestSteadyStateAllocBudget(t *testing.T) {
-	space := mem.NewSpace()
+	space := SanitizedSpace()
 	s := New(space, Config{})
 	th := vtime.Solo(space, 0, nil)
 	words := space.MustMap(mem.PageSize, 0)
@@ -45,7 +45,7 @@ func (c *eventCounts) OnTx(ev Event) { c[ev.Kind]++ }
 // list, so the observed cycle must not allocate on the host either. It
 // also pins what one such transaction emits.
 func TestSteadyStateAllocBudgetObserved(t *testing.T) {
-	space := mem.NewSpace()
+	space := SanitizedSpace()
 	s := New(space, Config{})
 	var got eventCounts
 	s.Observe(&got)
@@ -86,7 +86,7 @@ func TestSteadyStateAllocBudgetObserved(t *testing.T) {
 func TestSteadyStateAllocBudgetWithMalloc(t *testing.T) {
 	for _, pooling := range []Pooling{PoolNone, PoolCache, PoolReuse, PoolBatch} {
 		t.Run(pooling.String(), func(t *testing.T) {
-			space := mem.NewSpace()
+			space := SanitizedSpace()
 			a := alloc.MustNew("tbb", space, 1)
 			s := New(space, Config{Allocator: a, Pooling: pooling})
 			th := vtime.Solo(space, 0, nil)

@@ -90,7 +90,7 @@ func TestNoRetryCapDisablesLadder(t *testing.T) {
 // almost the whole window in which the rival wants it.
 func duel(t *testing.T, cm CM, retryCap, deadline uint64) (*STM, *vtime.Engine) {
 	t.Helper()
-	space := mem.NewSpace()
+	space := SanitizedSpace()
 	e := vtime.NewEngine(space, 2, vtime.Config{Deadline: deadline})
 	s := New(space, Config{OrtBits: 10, CM: cm, RetryCap: retryCap})
 	base := space.MustMap(mem.PageSize, 0)

@@ -14,7 +14,7 @@ import (
 // A word-based transaction over simulated memory: encounter-time
 // locking, write-back, automatic retry on conflict.
 func ExampleSTM_Atomic() {
-	space := mem.NewSpace()
+	space := stm.SanitizedSpace()
 	s := stm.New(space, stm.Config{})
 	account := space.MustMap(4096, 0)
 	space.Store(account, 100)
@@ -37,7 +37,7 @@ func ExampleSTM_Atomic() {
 // Transactional allocation: blocks malloc'd by an aborted transaction
 // go back to the allocator; frees are deferred to commit.
 func ExampleTx_Malloc() {
-	space := mem.NewSpace()
+	space := stm.SanitizedSpace()
 	a := alloc.MustNew("glibc", space, 1)
 	s := stm.New(space, stm.Config{Allocator: a})
 	th := vtime.Solo(space, 0, nil)
@@ -64,7 +64,7 @@ func ExampleTx_Malloc() {
 // shift of 5, addresses 16 bytes apart share one versioned lock while
 // addresses 32 bytes apart do not.
 func ExampleSTM_OrtIndex() {
-	s := stm.New(mem.NewSpace(), stm.Config{})
+	s := stm.New(stm.SanitizedSpace(), stm.Config{})
 	a := mem.Addr(0x18000020)
 	fmt.Println("16 bytes apart share a lock:", s.OrtIndex(a) == s.OrtIndex(a+16))
 	fmt.Println("32 bytes apart share a lock:", s.OrtIndex(a) == s.OrtIndex(a+32))

@@ -22,7 +22,7 @@ func TestFaultInvariants(t *testing.T) {
 		for _, d := range []Design{ETLWriteBack, ETLWriteThrough, CTL} {
 			t.Run(fmt.Sprintf("%s/%s", name, d), func(t *testing.T) {
 				const threads = 4
-				space := mem.NewSpace()
+				space := SanitizedSpace()
 				e := vtime.NewEngine(space, threads, vtime.Config{Deadline: 100_000_000})
 				a := alloc.MustNew(name, space, threads)
 				plan := fault.MustParse(

@@ -9,17 +9,15 @@ import (
 	"repro/internal/vtime"
 )
 
-// runSanitized executes fn on one simulated thread over a sanitized
-// space and returns the sanitizer diagnostic it raised, if any.
+// runSanitized executes fn on one simulated thread over a space that
+// carries the sanitizer when sanitize is set, and returns the sanitizer
+// diagnostic it raised, if any.
 func runSanitized(t *testing.T, allocator string, sanitize bool, pool Pooling, fn func(s *STM, th *vtime.Thread)) *mem.Diag {
 	t.Helper()
-	// TestMain arms the sanitizer package-wide; the sanitize=false cases
-	// drop the default for the duration of this run (tests within a
-	// package run sequentially, so the swap cannot race).
-	old := mem.SanitizeDefault()
-	mem.SetSanitizeDefault(sanitize)
-	defer mem.SetSanitizeDefault(old)
 	space := mem.NewSpace()
+	if sanitize {
+		space.EnableSanitizer()
+	}
 	e := vtime.NewEngine(space, 1, vtime.Config{})
 	a, err := alloc.New(allocator, space, 1)
 	if err != nil {
@@ -208,10 +206,7 @@ func TestSanitizerPooledDisciplines(t *testing.T) {
 				name += "-privatized"
 			}
 			t.Run(name, func(t *testing.T) {
-				old := mem.SanitizeDefault()
-				mem.SetSanitizeDefault(true)
-				defer mem.SetSanitizeDefault(old)
-				space := mem.NewSpace()
+				space := SanitizedSpace()
 				e := vtime.NewEngine(space, 1, vtime.Config{})
 				a, err := alloc.New("glibc", space, 1)
 				if err != nil {

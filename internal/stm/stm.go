@@ -1149,8 +1149,3 @@ func (tx *Tx) Free(a mem.Addr, size uint64) {
 	}
 	tx.frees = append(tx.frees, allocRec{addr: a, size: size})
 }
-
-// ClockValue returns the current global version clock (diagnostics).
-func (s *STM) ClockValue(th *vtime.Thread) int64 {
-	return s.clockRead(th)
-}

@@ -61,7 +61,7 @@ func TestAbortReasonStrings(t *testing.T) {
 }
 
 func TestTwoSTMInstancesShareSpaceIndependently(t *testing.T) {
-	space := mem.NewSpace()
+	space := SanitizedSpace()
 	s1 := New(space, Config{Shift: 5})
 	s2 := New(space, Config{Shift: 4})
 	a := space.MustMap(mem.PageSize, 0)
@@ -74,7 +74,7 @@ func TestTwoSTMInstancesShareSpaceIndependently(t *testing.T) {
 }
 
 func TestOrtBitsConfigurable(t *testing.T) {
-	space := mem.NewSpace()
+	space := SanitizedSpace()
 	s := New(space, Config{OrtBits: 10}) // 1024 entries
 	base := mem.Addr(1 << 28)
 	// Aliasing period = 1024 * 32 bytes = 32 KiB.
@@ -90,7 +90,7 @@ func TestOrtBitsConfigurable(t *testing.T) {
 // disjoint counters never abort and always sum correctly.
 func TestQuickDisjointCountersNeverConflict(t *testing.T) {
 	check := func(seed uint64) bool {
-		space := mem.NewSpace()
+		space := SanitizedSpace()
 		e := vtime.NewEngine(space, 4, vtime.Config{})
 		s := New(space, Config{})
 		base := space.MustMap(mem.PageSize, 0)
@@ -123,7 +123,7 @@ func TestQuickDisjointCountersNeverConflict(t *testing.T) {
 // correctly for any timing seed.
 func TestQuickSharedStripeStillCorrect(t *testing.T) {
 	check := func(seed uint64) bool {
-		space := mem.NewSpace()
+		space := SanitizedSpace()
 		e := vtime.NewEngine(space, 4, vtime.Config{})
 		s := New(space, Config{})
 		base := space.MustMap(mem.PageSize, 0)

@@ -13,8 +13,19 @@ import (
 	"repro/internal/vtime"
 )
 
-func newWorld(threads int) (*mem.Space, *vtime.Engine) {
+// SanitizedSpace returns a fresh space with the shadow-memory sanitizer
+// attached. The package's tests and examples build their spaces here,
+// so the STM suite runs with access checking on; a sanitized run is
+// byte-identical to an unsanitized one unless a diagnostic fires
+// (TestObserverPurity in internal/harness).
+func SanitizedSpace() *mem.Space {
 	space := mem.NewSpace()
+	space.EnableSanitizer()
+	return space
+}
+
+func newWorld(threads int) (*mem.Space, *vtime.Engine) {
+	space := SanitizedSpace()
 	return space, vtime.NewEngine(space, threads, vtime.Config{})
 }
 
@@ -363,11 +374,11 @@ func TestReadOnlyTxDoesNotBumpClock(t *testing.T) {
 	a := space.MustMap(mem.PageSize, 0)
 	th := vtime.Solo(space, 0, nil)
 	s.Atomic(th, func(tx *Tx) { tx.Store(a, 1) })
-	before := s.ClockValue(th)
+	before := s.clockRead(th)
 	for i := 0; i < 5; i++ {
 		s.Atomic(th, func(tx *Tx) { tx.Load(a) })
 	}
-	if got := s.ClockValue(th); got != before {
+	if got := s.clockRead(th); got != before {
 		t.Errorf("read-only transactions bumped the clock: %d -> %d", before, got)
 	}
 }

@@ -175,14 +175,21 @@ grep -q ' 0 executed' "$tmpdir/c2.err" || {
     echo "second -cache invocation executed cells instead of hitting the cache" >&2
     exit 1
 }
-# The sanitizer bypasses the cache in every binary: tmlayout's cells go
-# through the same session, so a warm cache must not skip -sanitize.
-go run ./cmd/tmlayout -cache "$tmpdir/layoutcache" >/dev/null 2>&1
-go run ./cmd/tmlayout -cache "$tmpdir/layoutcache" -sanitize -json >"$tmpdir/layoutsan.json" 2>/dev/null
-grep -q '"executed": 4' "$tmpdir/layoutsan.json" || {
-    echo "tmlayout -sanitize replayed cells from a warm cache instead of executing them" >&2
+# The sanitizer bypasses the cache: after a warm-up, a plain tmstamp
+# rerun is a cache hit and a -sanitize rerun executes. No -json,
+# -metrics or -trace here: any of them attaches a recorder, which forces
+# execution by itself.
+go run ./cmd/tmstamp -app kmeans -cache "$tmpdir/stampcache" >/dev/null 2>&1
+go run ./cmd/tmstamp -app kmeans -cache "$tmpdir/stampcache" >/dev/null 2>"$tmpdir/stampwarm.err"
+grep -q 'cached result' "$tmpdir/stampwarm.err" || {
+    echo "tmstamp rerun against a warm cache executed instead of hitting it" >&2
     exit 1
 }
+go run ./cmd/tmstamp -app kmeans -cache "$tmpdir/stampcache" -sanitize >/dev/null 2>"$tmpdir/stampsan.err"
+if grep -q 'cached result' "$tmpdir/stampsan.err"; then
+    echo "tmstamp -sanitize replayed its cell from a warm cache instead of executing it" >&2
+    exit 1
+fi
 
 echo "== profiler toolchain gate =="
 # tmprof must read a profile artifact back, and a profile diffed against
@@ -318,10 +325,13 @@ go run ./cmd/tmintset -kind linkedlist -alloc glibc -threads 2 \
 
 echo "== hybrid-TM flag gate =="
 # tmintset -hytm runs outside the STM world, so it must refuse (exit 2)
-# the STM, robustness and observer flags instead of dropping them.
+# the STM, robustness and observer flags instead of dropping them; the
+# sanitizer among them, since only STM accesses consult its shadow map.
 go build -o "$tmpdir/tmintset" ./cmd/tmintset
-rc=0; "$tmpdir/tmintset" -kind hashset -hytm -race-sim >/dev/null 2>&1 || rc=$?
-[ "$rc" -eq 2 ] || { echo "tmintset -hytm -race-sim exited $rc, want 2" >&2; exit 1; }
+for f in -race-sim -sanitize; do
+    rc=0; "$tmpdir/tmintset" -kind hashset -hytm "$f" >/dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ] || { echo "tmintset -hytm $f exited $rc, want 2" >&2; exit 1; }
+done
 
 echo "== durability crash-matrix gate =="
 # The full crash→recover→verify matrix (4 allocators × 3 commit-phase
