@@ -1,8 +1,8 @@
 // Package cliflags is the shared front end of the tm* binaries: the
 // workload flag group (Add), which writes the robustness, pooling and
-// observer flags straight into a harness.Spec; the sweep group (-jobs,
-// -cache, -no-cache); the artifact-output group (-trace, -metrics,
-// -json) with its one writer; and the single-cell runner (RunCell).
+// observer flags straight into a harness.Spec; the sweep group (-jobs);
+// the artifact-output group (-trace, -metrics, -json) with its one
+// writer; and the single-cell runner (RunCell).
 // Flag values that name things — contention managers, fault plans,
 // pooling disciplines — are validated while flags parse, so a typo
 // fails immediately with the allowed names instead of minutes into a
@@ -81,10 +81,10 @@ func Add(fs *flag.FlagSet) *Workload {
 		s.Pool = d
 		return nil
 	})
-	fs.BoolVar(&s.Race, "race-sim", false, "attach the happens-before race checker to every cell (bypasses the cache)")
-	fs.BoolVar(&s.Conflict, "conflict", false, "attach the abort-forensics observatory to every cell (bypasses the cache)")
+	fs.BoolVar(&s.Race, "race-sim", false, "attach the happens-before race checker to every cell")
+	fs.BoolVar(&s.Conflict, "conflict", false, "attach the abort-forensics observatory to every cell")
 	fs.BoolVar(&s.Sanitize, "sanitize", false,
-		"attach the shadow-memory sanitizer to every cell; heap-misuse diagnostics fail the run (bypasses the cache)")
+		"attach the shadow-memory sanitizer to every cell; heap-misuse diagnostics fail the run")
 	fs.StringVar(&w.profilePath, "profile", "",
 		"write the virtual-cycle profile to this file (.folded = folded stacks, .pb.gz = gzipped pprof, else JSON)")
 	fs.StringVar(&w.heapPath, "heap", "",
@@ -94,9 +94,9 @@ func Add(fs *flag.FlagSet) *Workload {
 	return w
 }
 
-// Session completes the spec from the output, profile and heap flags,
-// validates it and opens the cell cache: the session every cell of the
-// run goes through.
+// Session completes the spec from the output, profile and heap flags
+// and validates it: the session every cell of the run goes through.
+// Every cell executes; the binaries open no cell cache.
 func (w *Workload) Session() (*harness.Session, error) {
 	w.Spec.Obs = w.NewRecorder()
 	w.Spec.Profile = w.profilePath != ""
@@ -104,41 +104,25 @@ func (w *Workload) Session() (*harness.Session, error) {
 	if err := w.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	cache, err := w.Open()
-	if err != nil {
-		return nil, err
-	}
-	return &harness.Session{Spec: &w.Spec, Jobs: w.Jobs, Cache: cache}, nil
+	return &harness.Session{Spec: &w.Spec, Jobs: w.Jobs}, nil
 }
 
 // Sweep is the parsed scheduler group.
 type Sweep struct {
-	Jobs    int
-	Dir     string
-	NoCache bool
+	Jobs int
 }
 
-// AddSweep registers -jobs, -cache and -no-cache on fs.
+// AddSweep registers -jobs on fs.
 func AddSweep(fs *flag.FlagSet) *Sweep {
 	s := &Sweep{}
 	fs.IntVar(&s.Jobs, "jobs", runtime.NumCPU(),
 		"host goroutine pool width for sweep cells (results are byte-identical for any value)")
-	fs.StringVar(&s.Dir, "cache", "", "directory memoizing finished cells by config hash ('' disables)")
-	fs.BoolVar(&s.NoCache, "no-cache", false, "disable the cell cache even when -cache is set")
 	return s
 }
 
-// Open returns the configured cell cache (nil when disabled).
-func (s *Sweep) Open() (*sweep.Cache, error) {
-	if s.NoCache || s.Dir == "" {
-		return nil, nil
-	}
-	return sweep.OpenCache(s.Dir)
-}
-
 // SweepInfo is a run record's sweep block: the cells' identity, how
-// many of them ran or came from the cache, and the pool width the
-// scheduler used.
+// many of them ran, how many came from a cell cache (0 here: no binary
+// opens one), and the pool width the scheduler used.
 func SweepInfo(cells []sweep.Cell, stats sweep.Stats) *obs.SweepInfo {
 	return &obs.SweepInfo{
 		CellSet:  sweep.CellSetHash(cells),

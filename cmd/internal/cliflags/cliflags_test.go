@@ -31,22 +31,37 @@ func TestAddRegistersTheGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"cache", "cm", "conflict", "crash", "deadline", "fault", "heap", "heap-cadence",
-		"jobs", "json", "metrics", "no-cache", "pmem", "pool", "profile", "race-sim",
+		"cm", "conflict", "crash", "deadline", "fault", "heap", "heap-cadence",
+		"jobs", "json", "metrics", "pmem", "pool", "profile", "race-sim",
 		"retry-cap", "sanitize", "trace",
 	}
-	sort.Strings(got)
-	if !reflect.DeepEqual(got, want) {
+	if got := flagNames(fs); !reflect.DeepEqual(got, want) {
 		t.Fatalf("flags = %v\nwant    %v", got, want)
 	}
 }
 
+// TestAddSweepRegistersOnlyJobs checks that the sweep group is the pool
+// width alone: no binary can point its cells at a cell cache.
+func TestAddSweepRegistersOnlyJobs(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	AddSweep(fs)
+	if got, want := flagNames(fs), []string{"jobs"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("flags = %v, want %v", got, want)
+	}
+}
+
+// flagNames returns the names registered on fs, sorted.
+func flagNames(fs *flag.FlagSet) []string {
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	sort.Strings(got)
+	return got
+}
+
 func TestFlagsLandInTheSpec(t *testing.T) {
 	w, _, err := parse("-cm", "karma", "-retry-cap", "32", "-deadline", "5000000000",
-		"-fault", "oom%1", "-pmem", "-crash", "crash@9", "-pool", "cache", "-race-sim",
+		"-fault", "oom%1", "-pmem", "-crash", "crash@9", "-pool", "batch", "-race-sim",
 		"-conflict", "-sanitize", "-profile", "p", "-heap", "h", "-heap-cadence", "5000", "-json", "r")
 	if err != nil {
 		t.Fatal(err)
@@ -66,13 +81,13 @@ func TestFlagsLandInTheSpec(t *testing.T) {
 		t.Fatalf("policy = %+v\nwant     %+v", p, want)
 	}
 	s := w.Spec
-	if s.Pool != stm.PoolCache || !s.Profile || !s.Heap || s.HeapCadence != 5000 || s.Obs == nil {
+	if s.Pool != stm.PoolBatch || !s.Profile || !s.Heap || s.HeapCadence != 5000 || s.Obs == nil {
 		t.Fatalf("spec: pool %v, profile %v, heap %v, cadence %d, recorder %v",
 			s.Pool, s.Profile, s.Heap, s.HeapCadence, s.Obs != nil)
 	}
 	extra := session.Record(&harness.ExperimentRun{ID: "x"}).Config.Extra
 	wantExtra := map[string]string{"cm": "karma", "retry_cap": "32", "fault": "oom%1",
-		"deadline": "5000000000", "pmem": "on", "crash": "crash@9", "pool": "cache"}
+		"deadline": "5000000000", "pmem": "on", "crash": "crash@9", "pool": "batch"}
 	if !reflect.DeepEqual(extra, wantExtra) {
 		t.Fatalf("record extras = %v\nwant            %v", extra, wantExtra)
 	}

@@ -26,9 +26,9 @@ type Cell struct {
 }
 
 // RunCell runs one workload cell through session: key, spec and seed
-// identify it (harness.Spec.Cell) and run executes it. It reports a
-// cache hit on stderr, writes the -profile and -heap artifacts, and
-// returns the cell with a run record for experiment.
+// identify it (harness.Spec.Cell) and run executes it. It writes the
+// -profile and -heap artifacts and returns the cell with a run record
+// for experiment.
 func (w *Workload) RunCell(session *harness.Session, experiment, key string, spec any, seed uint64, run harness.CellFunc) (*Cell, error) {
 	// The run is one cell, so it records straight into the session
 	// recorder, which Write writes. The cell is built from a spec copy
@@ -45,9 +45,6 @@ func (w *Workload) RunCell(session *harness.Session, experiment, key string, spe
 	out := outs[0]
 	if out.Err != nil {
 		return nil, out.Err
-	}
-	if out.Cached {
-		fmt.Fprintf(os.Stderr, "cached result (%s, hash %.12s)\n", w.Dir, out.Hash)
 	}
 	record := obs.NewRunRecord(experiment)
 	record.Sweep = SweepInfo(cells, stats)

@@ -113,8 +113,6 @@ func main() {
 		}
 	}
 
-	// Crash cells never cache: the verdict must come from recovery
-	// actually running, not a memoized claim.
 	session := &harness.Session{Spec: spec, Jobs: sw.Jobs}
 	outs, stats := session.RunCells(cells)
 

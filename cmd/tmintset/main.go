@@ -7,11 +7,10 @@
 //
 //	tmintset -kind linkedlist -alloc glibc -threads 8 -updates 60
 //	tmintset -kind hashset -alloc tcmalloc -threads 8 -hytm
-//	tmintset -kind rbtree -alloc hoard -cache .tmcache -json out/run.json
+//	tmintset -kind rbtree -alloc hoard -json out/run.json
 //
-// The run executes as one sweep cell, so -cache memoizes it by
-// configuration hash; tracing (-trace / -metrics) forces a live run,
-// since a cache hit cannot replay events.
+// The run executes as one sweep cell, which the run record's sweep
+// block identifies by hash (cell_set).
 package main
 
 import (
@@ -58,12 +57,12 @@ func main() {
 	flag.Parse()
 	if *hytm {
 		// The hybrid-TM run reads only the workload shape, the seed and
-		// the output and cache flags; refuse the rest rather than drop
+		// the output and sweep flags; refuse the rest rather than drop
 		// them silently.
 		honored := map[string]bool{
 			"kind": true, "alloc": true, "threads": true, "updates": true, "initial": true,
 			"range": true, "ops": true, "seed": true, "hytm": true, "json": true, "metrics": true,
-			"trace": true, "cache": true, "no-cache": true, "jobs": true,
+			"trace": true, "jobs": true,
 		}
 		var refused []string
 		flag.Visit(func(f *flag.Flag) {

@@ -14,7 +14,7 @@
 //   - the resulting collision histogram over the ORT.
 //
 // The per-allocator analyses run as independent sweep cells on the
-// -jobs pool and memoize into -cache by configuration hash.
+// -jobs pool.
 //
 // Usage:
 //
@@ -46,7 +46,7 @@ import (
 )
 
 // layoutParams is the cell spec: everything that determines a layout
-// analysis, so the cache key changes exactly when the analysis would.
+// analysis, so the cell hash changes exactly when the analysis would.
 type layoutParams struct {
 	Allocator string `json:"allocator"`
 	Size      uint64 `json:"size"`
@@ -77,14 +77,9 @@ func main() {
 		return
 	}
 
-	cache, err := sw.Open()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	// The analyses run no transaction and attach no observer, so the
-	// spec is empty and a warm cache serves every cell.
-	session := &harness.Session{Spec: &harness.Spec{}, Jobs: sw.Jobs, Cache: cache}
+	// spec is empty.
+	session := &harness.Session{Spec: &harness.Spec{}, Jobs: sw.Jobs}
 	var cells []sweep.Cell
 	for _, name := range alloc.Names() {
 		p := layoutParams{
@@ -129,9 +124,6 @@ func main() {
 			fmt.Sprintf("%d", r.CrossThreadLines),
 			fmt.Sprintf("%d", r.MaxPerStripe),
 		})
-	}
-	if stats.Cached > 0 {
-		fmt.Fprintf(os.Stderr, "%d/%d cells served from cache (%s)\n", stats.Cached, stats.Cells, sw.Dir)
 	}
 
 	if *jsonOut {

@@ -3,16 +3,15 @@
 // Systems" (PPoPP 2015) on this repository's simulated substrate.
 //
 // Experiments decompose into independent (configuration, repetition)
-// cells that run in cell order on a goroutine pool (-jobs) and memoize
-// into an on-disk cache (-cache); output bytes are identical for any
-// pool width, and a repeated invocation with the same cache serves
-// every cell from disk.
+// cells that run in cell order on a goroutine pool (-jobs); a cell
+// shared by several experiments runs once per invocation, and output
+// bytes are identical for any pool width.
 //
 // Usage:
 //
 //	tmrepro -list
 //	tmrepro -run fig1,tab4
-//	tmrepro -run all -full -reps 5 -out results/ -jobs 8 -cache .tmcache
+//	tmrepro -run all -full -reps 5 -out results/ -jobs 8
 //	tmrepro -run fig4 -quick -trace out.json -metrics out.prom -json out/run.json
 package main
 

@@ -5,15 +5,14 @@
 // Usage:
 //
 //	tmstamp -app yada -alloc glibc -threads 8 [-scale ref] [-cachetx]
-//	        [-shift 5] [-alloc-profile] [-profile FILE] [-seed 1] [-cache DIR]
+//	        [-shift 5] [-alloc-profile] [-profile FILE] [-seed 1]
 //
 // It prints the modelled execution time, transaction statistics,
 // allocator activity, cache behaviour and (with -alloc-profile) the
 // Table 5-style allocation characterization; -profile FILE writes the
 // virtual-cycle attribution profile. The run executes as one sweep
-// cell, so -cache memoizes it by configuration hash; tracing (-trace /
-// -metrics) and profiling force a live run, since a cache hit cannot
-// replay events.
+// cell, which the run record's sweep block identifies by hash
+// (cell_set).
 package main
 
 import (

@@ -131,7 +131,6 @@ type System struct {
 	// was given.
 	Plan *fault.Plan
 
-	prof     *prof.Profiler
 	heap     *heapscope.Collector
 	durable  *pmem.Pmem
 	checker  *race.Checker
@@ -187,7 +186,6 @@ func NewSystem(opts Options) (*System, error) {
 		Allocator: allocator,
 		Threads:   opts.Threads,
 		Plan:      opts.Plan.CloneSeeded(opts.Seed),
-		prof:      opts.Prof,
 		heap:      opts.Heap,
 	}
 	if spec := fault.Join(opts.Fault, opts.Crash); s.Plan == nil && spec != "" {
@@ -231,8 +229,8 @@ func NewSystem(opts Options) (*System, error) {
 	}
 	var watchers []mem.HeapWatcher
 	var txObservers []stm.Observer
-	if s.prof != nil {
-		engineCfg.Prof = s.prof
+	if opts.Prof != nil {
+		engineCfg.Prof = opts.Prof
 	}
 	if s.heap != nil {
 		s.heap.Attach(allocator)
@@ -305,18 +303,6 @@ func (s *System) Seq(fn func(th *vtime.Thread)) {
 // Atomic executes fn transactionally on th with SUICIDE retry.
 func (s *System) Atomic(th *vtime.Thread, fn func(tx *stm.Tx)) {
 	s.STM.Atomic(th, fn)
-}
-
-// Region opens a named profiler region on th and returns its closer,
-// for use as `defer sys.Region(th, "phase")()`; a no-op when the run is
-// unprofiled.
-func (s *System) Region(th *vtime.Thread, name string) func() {
-	p := s.prof
-	if p == nil {
-		return func() {}
-	}
-	p.Begin(th, name)
-	return func() { p.End(th) }
 }
 
 // Report collects the current statistics.

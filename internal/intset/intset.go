@@ -204,7 +204,7 @@ func Run(cfg Config) (res Result, err error) {
 	// Initialization: the main thread (thread 0) allocates and inserts
 	// every initial node.
 	engine.Run(func(th *vtime.Thread) {
-		defer sys.Region(th, "intset/init")()
+		defer cfg.Prof.Region(th, "intset/init")()
 		if th.ID() != 0 {
 			return
 		}
@@ -251,7 +251,7 @@ func Run(cfg Config) (res Result, err error) {
 	// memory stripes, one ORT entry (same sharing discipline).
 	var aliasA, aliasB mem.Addr
 	measure := func(th *vtime.Thread) {
-		defer sys.Region(th, "intset/run")()
+		defer cfg.Prof.Region(th, "intset/run")()
 		if cfg.SeedUAF && th.ID() == 0 {
 			var p mem.Addr
 			st.Atomic(th, func(tx *stm.Tx) { p = tx.Malloc(64); tx.Store(p, 0xdead) })

@@ -35,7 +35,7 @@ func (r *Recorder) Apply(d *Recorder) {
 // which stamps the recorder's current epoch).
 func (r *Recorder) pushRaw(tid int, ev Event) {
 	for tid >= len(r.rings) {
-		r.rings = append(r.rings, &ring{buf: make([]Event, r.ringSize)})
+		r.rings = append(r.rings, &ring{size: r.ringSize})
 	}
 	ev.TID = int32(tid)
 	r.rings[tid].push(ev)

@@ -10,8 +10,9 @@
 // never wall clock — so recorded traces and metrics are byte-for-byte
 // deterministic for a fixed seed.
 //
-// Events are buffered in fixed-capacity per-logical-thread ring buffers
-// (the newest events win; the drop count is reported). Exporters render
+// Events are buffered in bounded per-logical-thread ring buffers that
+// grow as events arrive, up to a fixed capacity (past it the newest
+// events win; the drop count is reported). Exporters render
 // the merged, deterministically ordered stream as Chrome trace-event
 // JSON (loadable in Perfetto or chrome://tracing) or as JSONL.
 package obs
@@ -124,16 +125,31 @@ type Config struct {
 	RingSize int // events retained per logical thread (default 1<<15)
 }
 
-// ring is a per-thread overwrite-oldest event buffer.
+// minRingGrowth is the first backing-array size of a ring that grows.
+const minRingGrowth = 64
+
+// ring is a per-thread overwrite-oldest event buffer of at most size
+// events. Its backing array doubles as events arrive, never past size;
+// once it holds size events, each push overwrites the oldest.
 type ring struct {
-	buf []Event
-	n   uint64 // events ever pushed; buf index = seq % len(buf)
+	buf  []Event
+	size int
+	n    uint64 // events ever pushed; once full, buf index = seq % size
 }
 
 func (r *ring) push(ev Event) {
 	ev.Seq = r.n
-	r.buf[r.n%uint64(len(r.buf))] = ev
 	r.n++
+	if len(r.buf) == r.size {
+		r.buf[ev.Seq%uint64(r.size)] = ev
+		return
+	}
+	if len(r.buf) == cap(r.buf) {
+		buf := make([]Event, len(r.buf), min(max(2*cap(r.buf), minRingGrowth), r.size))
+		copy(buf, r.buf)
+		r.buf = buf
+	}
+	r.buf = append(r.buf, ev)
 }
 
 // events returns the retained events in push order.
@@ -283,7 +299,7 @@ func (r *Recorder) Phases() []string {
 
 func (r *Recorder) push(tid int, ev Event) {
 	for tid >= len(r.rings) {
-		r.rings = append(r.rings, &ring{buf: make([]Event, r.ringSize)})
+		r.rings = append(r.rings, &ring{size: r.ringSize})
 	}
 	ev.TID = int32(tid)
 	ev.Epoch = r.epoch

@@ -58,6 +58,49 @@ func TestRingOverflow(t *testing.T) {
 	}
 }
 
+// TestRingGrowsOnDemand checks that a ring's backing array grows with
+// the events it holds: 100 events into a default-size recorder must not
+// allocate the full 2^15-slot ring.
+func TestRingGrowsOnDemand(t *testing.T) {
+	r := New(Config{})
+	for i := 0; i < 100; i++ {
+		r.Quantum(0, uint64(i), uint64(i)+1)
+	}
+	if got := cap(r.rings[0].buf); got > 256 {
+		t.Fatalf("100 events hold a %d-slot backing array, want at most 256 (ring size %d)", got, DefaultRingSize)
+	}
+	if r.EventCount() != 100 || r.Dropped() != 0 {
+		t.Fatalf("EventCount = %d, Dropped = %d; want 100 and 0", r.EventCount(), r.Dropped())
+	}
+}
+
+// TestGrownRingWraps checks a ring that grows through several steps and
+// then wraps: its backing array never passes the ring size, and it
+// returns the newest events in order with their sequence numbers and
+// the right drop count.
+func TestGrownRingWraps(t *testing.T) {
+	const size, pushed = 200, 1000
+	r := New(Config{RingSize: size})
+	for i := 0; i < pushed; i++ {
+		r.Quantum(0, uint64(i), uint64(i)+1)
+		if c := cap(r.rings[0].buf); c > size {
+			t.Fatalf("after %d events the backing array has %d slots, past the ring size %d", i+1, c, size)
+		}
+	}
+	evs := r.Events()
+	if len(evs) != size {
+		t.Fatalf("retained %d events, want %d", len(evs), size)
+	}
+	for i, ev := range evs {
+		if want := uint64(pushed - size + i); ev.TS != want || ev.Seq != want {
+			t.Fatalf("event %d: TS %d, Seq %d; want both %d", i, ev.TS, ev.Seq, want)
+		}
+	}
+	if r.Dropped() != pushed-size {
+		t.Fatalf("dropped = %d, want %d", r.Dropped(), pushed-size)
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	cases := []struct {
 		v    uint64

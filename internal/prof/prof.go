@@ -163,6 +163,17 @@ func (p *Profiler) End(th *vtime.Thread) {
 	ts.cur = ts.cur.parent
 }
 
+// Region opens the named region on th and returns its closer, for use
+// as `defer p.Region(th, "app/phase")()`. On a nil profiler the closer
+// is a no-op, so workloads call it unconditionally.
+func (p *Profiler) Region(th *vtime.Thread, name string) func() {
+	if p == nil {
+		return func() {}
+	}
+	p.Begin(th, name)
+	return func() { p.End(th) }
+}
+
 // Stall attributes one priced memory access: cost cycles at the given
 // hierarchy level plus inval coherence-invalidation cycles, with now
 // the thread clock after the access was charged. Compute cycles that

@@ -441,30 +441,30 @@ func (c *Checker) SyncAcquire(tid int, obj any) {
 func (c *Checker) OnTx(ev stm.Event) {
 	switch ev.Kind {
 	case stm.EvBegin:
-		c.TxBegin(ev.Tid, ev.Snapshot)
+		c.txBegin(ev.Tid, ev.Snapshot)
 	case stm.EvExtend:
-		c.TxExtend(ev.Tid, ev.Snapshot)
+		c.txExtend(ev.Tid, ev.Snapshot)
 	case stm.EvLoad, stm.EvStore:
-		c.TxAccess(ev.Tid, ev.Addr, ev.Kind == stm.EvStore)
+		c.txAccess(ev.Tid, ev.Addr, ev.Kind == stm.EvStore)
 	case stm.EvPublish:
-		c.TxCommit(ev.Tid, ev.Version)
+		c.txCommit(ev.Tid, ev.Version)
 	case stm.EvRollback:
-		c.TxAbort(ev.Tid)
+		c.txAbort(ev.Tid)
 	case stm.EvFreeCommitted:
-		c.TxFreeCommitted(ev.Tid, ev.Addr)
+		c.txFreeCommitted(ev.Tid, ev.Addr)
 	case stm.EvQuarantineRelease:
-		c.QuarantineRelease(ev.Tid)
+		c.quarantineRelease(ev.Tid)
 	case stm.EvDurLogCommitted:
-		c.DurLogCommitted(ev.Tid)
+		c.durLogCommitted(ev.Tid)
 	case stm.EvDurStore:
-		c.DurStore(ev.Tid, ev.Addr)
+		c.durStore(ev.Tid, ev.Addr)
 	case stm.EvDurApply:
-		c.DurApply(ev.Tid)
+		c.durApply(ev.Tid)
 	}
 }
 
-// TxBegin opens a transaction at the given snapshot version.
-func (c *Checker) TxBegin(tid int, snapshot uint64) {
+// txBegin opens a transaction at the given snapshot version.
+func (c *Checker) txBegin(tid int, snapshot uint64) {
 	if !c.valid(tid) {
 		return
 	}
@@ -477,8 +477,8 @@ func (c *Checker) TxBegin(tid int, snapshot uint64) {
 	c.logCommitted[tid] = false
 }
 
-// TxExtend re-joins after a successful snapshot extension.
-func (c *Checker) TxExtend(tid int, snapshot uint64) {
+// txExtend re-joins after a successful snapshot extension.
+func (c *Checker) txExtend(tid int, snapshot uint64) {
 	if !c.valid(tid) || !c.inTx[tid] {
 		return
 	}
@@ -487,9 +487,9 @@ func (c *Checker) TxExtend(tid int, snapshot uint64) {
 	c.snap[tid] = snapshot
 }
 
-// TxAccess buffers one speculative access; it reaches the word state
+// txAccess buffers one speculative access; it reaches the word state
 // only if the transaction commits.
-func (c *Checker) TxAccess(tid int, a mem.Addr, write bool) {
+func (c *Checker) txAccess(tid int, a mem.Addr, write bool) {
 	if !c.valid(tid) || !c.inTx[tid] {
 		return
 	}
@@ -497,10 +497,10 @@ func (c *Checker) TxAccess(tid int, a mem.Addr, write bool) {
 	c.pending[tid] = append(c.pending[tid], pendAccess{addr: a &^ (mem.WordSize - 1), write: write})
 }
 
-// TxCommit flushes the transaction's buffered accesses with the
+// txCommit flushes the transaction's buffered accesses with the
 // committer's clock, publishes the clock under ver (0 for read-only
 // commits, which publish nothing), and closes the epoch.
-func (c *Checker) TxCommit(tid int, ver uint64) {
+func (c *Checker) txCommit(tid int, ver uint64) {
 	if !c.valid(tid) || !c.inTx[tid] {
 		return
 	}
@@ -560,8 +560,8 @@ func (c *Checker) TxCommit(tid int, ver uint64) {
 	c.logCommitted[tid] = false
 }
 
-// TxAbort discards the transaction's buffered accesses.
-func (c *Checker) TxAbort(tid int) {
+// txAbort discards the transaction's buffered accesses.
+func (c *Checker) txAbort(tid int) {
 	if !c.valid(tid) {
 		return
 	}
@@ -571,10 +571,10 @@ func (c *Checker) TxAbort(tid int) {
 	c.logCommitted[tid] = false
 }
 
-// TxFreeCommitted marks a block freed by a committed transaction: it
+// txFreeCommitted marks a block freed by a committed transaction: it
 // enters quarantine, and the allocator-level free notification that
 // accompanies the commit is expected and consumed silently.
-func (c *Checker) TxFreeCommitted(tid int, base mem.Addr) {
+func (c *Checker) txFreeCommitted(tid int, base mem.Addr) {
 	c.events++
 	b := c.blocks[base]
 	if b == nil || b.state != blockLive {
@@ -584,10 +584,10 @@ func (c *Checker) TxFreeCommitted(tid int, base mem.Addr) {
 	b.expectNote = true
 }
 
-// QuarantineRelease records the reclaim ordering edge: releasing
+// quarantineRelease records the reclaim ordering edge: releasing
 // quarantined blocks requires every snapshot to have advanced past the
 // frees, so the reclaimer joins every thread's last transaction end.
-func (c *Checker) QuarantineRelease(tid int) {
+func (c *Checker) quarantineRelease(tid int) {
 	if !c.valid(tid) {
 		return
 	}
@@ -597,8 +597,8 @@ func (c *Checker) QuarantineRelease(tid int) {
 	}
 }
 
-// DurLogCommitted marks the open transaction's redo log durable.
-func (c *Checker) DurLogCommitted(tid int) {
+// durLogCommitted marks the open transaction's redo log durable.
+func (c *Checker) durLogCommitted(tid int) {
 	if !c.valid(tid) {
 		return
 	}
@@ -606,10 +606,10 @@ func (c *Checker) DurLogCommitted(tid int) {
 	c.logCommitted[tid] = true
 }
 
-// DurStore checks the durable-ordering invariant: no store may become
+// durStore checks the durable-ordering invariant: no store may become
 // visible in the home locations before the redo log that re-creates it
 // is durable.
-func (c *Checker) DurStore(tid int, a mem.Addr) {
+func (c *Checker) durStore(tid int, a mem.Addr) {
 	if !c.valid(tid) {
 		return
 	}
@@ -620,8 +620,8 @@ func (c *Checker) DurStore(tid int, a mem.Addr) {
 	}
 }
 
-// DurApply marks the log applied and truncated.
-func (c *Checker) DurApply(tid int) {
+// durApply marks the log applied and truncated.
+func (c *Checker) durApply(tid int) {
 	if !c.valid(tid) {
 		return
 	}

@@ -38,9 +38,9 @@ func TestPublicationDetected(t *testing.T) {
 	c := New(2)
 	allocBlock(c, 0)
 	c.OnAccess(0, base, true, 0) // t0 publishes without a barrier
-	c.TxBegin(1, 0)
-	c.TxAccess(1, base, false)
-	c.TxCommit(1, 0)
+	c.txBegin(1, 0)
+	c.txAccess(1, base, false)
+	c.txCommit(1, 0)
 	if got := kinds(c); !reflect.DeepEqual(got, []string{KindPublication}) {
 		t.Fatalf("findings = %v, want [publication]", got)
 	}
@@ -52,12 +52,12 @@ func TestPublicationOrderedClean(t *testing.T) {
 	c.OnAccess(0, base, true, 0)
 	// t0 publishes through a committed transaction; t1's snapshot
 	// covers it, so the raw initialization is ordered.
-	c.TxBegin(0, 0)
-	c.TxAccess(0, base+8, true)
-	c.TxCommit(0, 10)
-	c.TxBegin(1, 10)
-	c.TxAccess(1, base, false)
-	c.TxCommit(1, 0)
+	c.txBegin(0, 0)
+	c.txAccess(0, base+8, true)
+	c.txCommit(0, 10)
+	c.txBegin(1, 10)
+	c.txAccess(1, base, false)
+	c.txCommit(1, 0)
 	if c.Count() != 0 {
 		t.Fatalf("findings = %v, want none", c.Findings())
 	}
@@ -66,9 +66,9 @@ func TestPublicationOrderedClean(t *testing.T) {
 func TestPrivatizationDetected(t *testing.T) {
 	c := New(2)
 	allocBlock(c, 0)
-	c.TxBegin(0, 0)
-	c.TxAccess(0, base, true)
-	c.TxCommit(0, 5)
+	c.txBegin(0, 0)
+	c.txAccess(0, base, true)
+	c.txCommit(0, 5)
 	c.OnAccess(1, base, false, 0) // t1 never synchronized with the commit
 	if got := kinds(c); !reflect.DeepEqual(got, []string{KindPrivatization}) {
 		t.Fatalf("findings = %v, want [privatization]", got)
@@ -78,9 +78,9 @@ func TestPrivatizationDetected(t *testing.T) {
 func TestMixedWriteWrite(t *testing.T) {
 	c := New(2)
 	allocBlock(c, 0)
-	c.TxBegin(0, 0)
-	c.TxAccess(0, base, true)
-	c.TxCommit(0, 5)
+	c.txBegin(0, 0)
+	c.txAccess(0, base, true)
+	c.txCommit(0, 5)
 	c.OnAccess(1, base, true, 0)
 	if got := kinds(c); !reflect.DeepEqual(got, []string{KindMixed}) {
 		t.Fatalf("findings = %v, want [mixed]", got)
@@ -90,9 +90,9 @@ func TestMixedWriteWrite(t *testing.T) {
 func TestAbortDiscardsAccesses(t *testing.T) {
 	c := New(2)
 	allocBlock(c, 0)
-	c.TxBegin(0, 0)
-	c.TxAccess(0, base, true)
-	c.TxAbort(0)
+	c.txBegin(0, 0)
+	c.txAccess(0, base, true)
+	c.txAbort(0)
 	c.OnAccess(1, base, true, 0)
 	c.OnAccess(1, base, false, 0)
 	if c.Count() != 0 {
@@ -105,9 +105,9 @@ func TestBarrierOrders(t *testing.T) {
 	allocBlock(c, 0)
 	c.OnAccess(0, base, true, 0)
 	c.Barrier(0)
-	c.TxBegin(1, 0)
-	c.TxAccess(1, base, false)
-	c.TxCommit(1, 0)
+	c.txBegin(1, 0)
+	c.txAccess(1, base, false)
+	c.txCommit(1, 0)
 	if c.Count() != 0 {
 		t.Fatalf("barrier-ordered access reported: %v", c.Findings())
 	}
@@ -116,14 +116,14 @@ func TestBarrierOrders(t *testing.T) {
 func TestInTxRawAccessesIgnored(t *testing.T) {
 	c := New(2)
 	allocBlock(c, 0)
-	c.TxBegin(0, 0)
-	c.TxAccess(0, base, true)
-	c.TxCommit(0, 5)
+	c.txBegin(0, 0)
+	c.txAccess(0, base, true)
+	c.txCommit(0, 5)
 	// ORT probes / write-back stores arrive as raw accesses while the
 	// thread is inside a transaction; they must not count as raw.
-	c.TxBegin(1, 0)
+	c.txBegin(1, 0)
 	c.OnAccess(1, base, true, 0)
-	c.TxAbort(1)
+	c.txAbort(1)
 	if c.Count() != 0 {
 		t.Fatalf("in-tx raw access reported: %v", c.Findings())
 	}
@@ -135,13 +135,13 @@ func TestInTxRawAccessesIgnored(t *testing.T) {
 func TestMetadataRace(t *testing.T) {
 	c := New(2)
 	allocBlock(c, 0)
-	c.TxBegin(0, 0)
-	c.TxAccess(0, base, true)
-	c.TxCommit(0, 3)
+	c.txBegin(0, 0)
+	c.txAccess(0, base, true)
+	c.txCommit(0, 3)
 	c.OnHeapFree(base, 0, 0) // raw free, never went through the STM
-	c.TxBegin(1, 3)          // snapshot covers the commit, not the free
-	c.TxAccess(1, base, false)
-	c.TxCommit(1, 0)
+	c.txBegin(1, 3)          // snapshot covers the commit, not the free
+	c.txAccess(1, base, false)
+	c.txCommit(1, 0)
 	if got := kinds(c); !reflect.DeepEqual(got, []string{KindMetadata}) {
 		t.Fatalf("findings = %v, want [metadata]", got)
 	}
@@ -150,14 +150,14 @@ func TestMetadataRace(t *testing.T) {
 func TestMetadataOrderedClean(t *testing.T) {
 	c := New(2)
 	allocBlock(c, 0)
-	c.TxBegin(0, 0)
-	c.TxAccess(0, base, true)
-	c.TxCommit(0, 3)
+	c.txBegin(0, 0)
+	c.txAccess(0, base, true)
+	c.txCommit(0, 3)
 	c.OnHeapFree(base, 0, 0)
 	c.Barrier(0) // free ordered before the next phase
-	c.TxBegin(1, 3)
-	c.TxAccess(1, base, false)
-	c.TxCommit(1, 0)
+	c.txBegin(1, 3)
+	c.txAccess(1, base, false)
+	c.txCommit(1, 0)
 	if c.Count() != 0 {
 		t.Fatalf("ordered free reported: %v", c.Findings())
 	}
@@ -166,7 +166,7 @@ func TestMetadataOrderedClean(t *testing.T) {
 func TestQuarantineBypass(t *testing.T) {
 	c := New(2)
 	allocBlock(c, 0)
-	c.TxFreeCommitted(0, base)
+	c.txFreeCommitted(0, base)
 	c.OnHeapFree(base, 0, 0) // the commit's own free notification
 	allocBlock(c, 1)         // reissued while still quarantined
 	if got := kinds(c); !reflect.DeepEqual(got, []string{KindQuarantineBypass}) {
@@ -180,21 +180,21 @@ func TestQuarantineBypass(t *testing.T) {
 func TestTxFreeReclaimClean(t *testing.T) {
 	c := New(2)
 	allocBlock(c, 0)
-	c.TxBegin(0, 0)
-	c.TxAccess(0, base, true) // payload write + free's zero-store
-	c.TxCommit(0, 4)
-	c.TxFreeCommitted(0, base)
+	c.txBegin(0, 0)
+	c.txAccess(0, base, true) // payload write + free's zero-store
+	c.txCommit(0, 4)
+	c.txFreeCommitted(0, base)
 	c.OnHeapFree(base, 0, 0) // commit's free notification (consumed)
 	// t1 releases the quarantine and the allocator links the block
 	// into a free list through the block's own words.
-	c.QuarantineRelease(1)
+	c.quarantineRelease(1)
 	c.OnHeapFree(base, 1, 0)
 	c.OnAccess(1, base, true, 0) // free-list link write, raw
 	// t1 then reuses the address.
 	allocBlock(c, 1)
-	c.TxBegin(1, 4)
-	c.TxAccess(1, base, true)
-	c.TxCommit(1, 5)
+	c.txBegin(1, 4)
+	c.txAccess(1, base, true)
+	c.txCommit(1, 5)
 	if c.Count() != 0 {
 		t.Fatalf("legitimate reclaim lifecycle reported: %v", c.Findings())
 	}
@@ -202,12 +202,12 @@ func TestTxFreeReclaimClean(t *testing.T) {
 
 func TestDurableOrdering(t *testing.T) {
 	c := New(1)
-	c.TxBegin(0, 0)
-	c.DurStore(0, base) // store visible before the log committed
-	c.DurLogCommitted(0)
-	c.DurStore(0, base+8) // ordered correctly
-	c.DurApply(0)
-	c.TxCommit(0, 2)
+	c.txBegin(0, 0)
+	c.durStore(0, base) // store visible before the log committed
+	c.durLogCommitted(0)
+	c.durStore(0, base+8) // ordered correctly
+	c.durApply(0)
+	c.txCommit(0, 2)
 	if got := kinds(c); !reflect.DeepEqual(got, []string{KindDurableOrdering}) {
 		t.Fatalf("findings = %v, want [durable-ordering]", got)
 	}
@@ -220,11 +220,11 @@ func TestReadsetPromotion(t *testing.T) {
 	c.OnAccess(1, base, false, 0) // concurrent with t0's read: promotes
 	// t2 orders itself after t0 only, then tx-writes: the race is with
 	// t1's read, which a single-epoch record would have lost.
-	c.TxBegin(0, 0)
-	c.TxCommit(0, 7)
-	c.TxBegin(2, 7)
-	c.TxAccess(2, base, true)
-	c.TxCommit(2, 8)
+	c.txBegin(0, 0)
+	c.txCommit(0, 7)
+	c.txBegin(2, 7)
+	c.txAccess(2, base, true)
+	c.txCommit(2, 8)
 	fs := c.Findings()
 	if len(fs) != 1 || fs[0].Kind != KindPrivatization || fs[0].Other != 1 {
 		t.Fatalf("findings = %v, want one privatization against t1", fs)
@@ -234,9 +234,9 @@ func TestReadsetPromotion(t *testing.T) {
 func TestUntrackedWordsIgnored(t *testing.T) {
 	c := New(2)
 	c.OnAccess(0, 0x5000, true, 0)
-	c.TxBegin(1, 0)
-	c.TxAccess(1, 0x5000, false)
-	c.TxCommit(1, 0)
+	c.txBegin(1, 0)
+	c.txAccess(1, 0x5000, false)
+	c.txCommit(1, 0)
 	if c.Count() != 0 {
 		t.Fatalf("untracked word reported: %v", c.Findings())
 	}
@@ -247,9 +247,9 @@ func TestHeapReuseWipesHistory(t *testing.T) {
 	allocBlock(c, 0)
 	c.OnAccess(0, base, true, 0)
 	c.OnHeapReuse(base, 1, 0) // tx-cache revival: fresh history
-	c.TxBegin(1, 0)
-	c.TxAccess(1, base, false)
-	c.TxCommit(1, 0)
+	c.txBegin(1, 0)
+	c.txAccess(1, base, false)
+	c.txCommit(1, 0)
 	if c.Count() != 0 {
 		t.Fatalf("reuse kept stale history: %v", c.Findings())
 	}
@@ -260,16 +260,16 @@ func TestReleaseCompaction(t *testing.T) {
 	allocBlock(c, 0)
 	c.OnAccess(0, base, true, 0)
 	for v := uint64(1); v <= compactAt+16; v++ {
-		c.TxBegin(0, v-1)
-		c.TxCommit(0, v)
+		c.txBegin(0, v-1)
+		c.txCommit(0, v)
 	}
 	if len(c.releases) >= compactAt {
 		t.Fatalf("release list not compacted: %d entries", len(c.releases))
 	}
 	// Acquire through the compacted floor still orders the history.
-	c.TxBegin(1, compactAt+16)
-	c.TxAccess(1, base, false)
-	c.TxCommit(1, 0)
+	c.txBegin(1, compactAt+16)
+	c.txAccess(1, base, false)
+	c.txCommit(1, 0)
 	if c.Count() != 0 {
 		t.Fatalf("compacted acquire lost edges: %v", c.Findings())
 	}
@@ -280,13 +280,13 @@ func TestDeterministicReplay(t *testing.T) {
 		c := New(2)
 		allocBlock(c, 0)
 		c.OnAccess(0, base, true, 0)
-		c.TxBegin(1, 0)
-		c.TxAccess(1, base, false)
-		c.TxCommit(1, 0)
+		c.txBegin(1, 0)
+		c.txAccess(1, base, false)
+		c.txCommit(1, 0)
 		c.OnHeapFree(base, 0, 0)
-		c.TxBegin(1, 0)
-		c.TxAccess(1, base+8, false)
-		c.TxCommit(1, 0)
+		c.txBegin(1, 0)
+		c.txAccess(1, base+8, false)
+		c.txCommit(1, 0)
 		return c
 	}
 	a, b := run(), run()
@@ -302,9 +302,9 @@ func TestInfoCounts(t *testing.T) {
 	c := New(2)
 	allocBlock(c, 0)
 	c.OnAccess(0, base, true, 0)
-	c.TxBegin(1, 0)
-	c.TxAccess(1, base, false)
-	c.TxCommit(1, 0)
+	c.txBegin(1, 0)
+	c.txAccess(1, base, false)
+	c.txCommit(1, 0)
 	info := c.Info()
 	if !info.Checked || info.Findings != 1 || info.Publication != 1 {
 		t.Fatalf("info = %+v", info)
@@ -323,9 +323,9 @@ func TestSyncBarrierOrders(t *testing.T) {
 	// reads raw. Ordered — no privatization finding.
 	c := New(2)
 	allocBlock(c, 0)
-	c.TxBegin(0, 0)
-	c.TxAccess(0, base, true)
-	c.TxCommit(0, 10)
+	c.txBegin(0, 0)
+	c.txAccess(0, base, true)
+	c.txCommit(0, 10)
 	obj := new(int)
 	c.SyncRelease(0, obj)
 	c.SyncRelease(1, obj)
@@ -342,9 +342,9 @@ func TestSyncWithoutAcquireStillRaces(t *testing.T) {
 	// that never acquires it (or acquires a different object).
 	c := New(2)
 	allocBlock(c, 0)
-	c.TxBegin(0, 0)
-	c.TxAccess(0, base, true)
-	c.TxCommit(0, 10)
+	c.txBegin(0, 0)
+	c.txAccess(0, base, true)
+	c.txCommit(0, 10)
 	c.SyncRelease(0, new(int))
 	c.SyncAcquire(1, new(int)) // different object: no edge
 	c.OnAccess(1, base, false, 0)
@@ -361,9 +361,9 @@ func TestSyncReleaseClosesEpoch(t *testing.T) {
 	allocBlock(c, 0)
 	obj := new(int)
 	c.SyncRelease(0, obj)
-	c.TxBegin(0, 0)
-	c.TxAccess(0, base, true)
-	c.TxCommit(0, 10)
+	c.txBegin(0, 0)
+	c.txAccess(0, base, true)
+	c.txCommit(0, 10)
 	c.SyncAcquire(1, obj)
 	c.OnAccess(1, base, false, 0)
 	if got := kinds(c); !reflect.DeepEqual(got, []string{KindPrivatization}) {

@@ -86,7 +86,7 @@ func (a *Bayes) dataByte(th *vtime.Thread, rec, v int) byte {
 func (a *Bayes) Setup(w *stamp.World) {
 	a.params(w.Scale)
 	w.Seq(func(th *vtime.Thread) {
-		defer w.Region(th, "bayes/setup")()
+		defer w.Prof.Region(th, "bayes/setup")()
 		rng := sim.NewRand(w.Seed)
 		a.data = w.Calloc(th, uint64(a.records*a.vars))
 		a.adj = w.Calloc(th, uint64(a.vars*a.vars*8))
@@ -227,7 +227,7 @@ func (a *Bayes) createsCycleTx(tx *stm.Tx, from, to int) bool {
 
 // Parallel implements stamp.App: the learner loop.
 func (a *Bayes) Parallel(w *stamp.World, th *vtime.Thread) {
-	defer w.Region(th, "bayes/parallel")()
+	defer w.Prof.Region(th, "bayes/parallel")()
 	for {
 		var task mem.Addr
 		w.Atomic(th, func(tx *stm.Tx) {

@@ -77,7 +77,7 @@ func (g *Genome) Setup(w *stamp.World) {
 	g.phase1Done = vtime.NewBarrier(w.Threads)
 	g.phase2aEnd = vtime.NewBarrier(w.Threads)
 	w.Seq(func(th *vtime.Thread) {
-		defer w.Region(th, "genome/setup")()
+		defer w.Prof.Region(th, "genome/setup")()
 		rng := sim.NewRand(w.Seed)
 		g.gene = make([]byte, g.geneLen)
 		for i := range g.gene {
@@ -181,7 +181,7 @@ func chainLookupAny(tx *stm.Tx, buckets mem.Addr, nb uint64, hash uint64) int {
 
 // Parallel implements stamp.App.
 func (g *Genome) Parallel(w *stamp.World, th *vtime.Thread) {
-	defer w.Region(th, "genome/parallel")()
+	defer w.Prof.Region(th, "genome/parallel")()
 	nPool := len(g.segs)
 	lo := th.ID() * nPool / w.Threads
 	hi := (th.ID() + 1) * nPool / w.Threads

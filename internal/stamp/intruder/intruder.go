@@ -78,7 +78,7 @@ func (a *Intruder) params(s stamp.Scale) {
 func (a *Intruder) Setup(w *stamp.World) {
 	a.params(w.Scale)
 	w.Seq(func(th *vtime.Thread) {
-		defer w.Region(th, "intruder/setup")()
+		defer w.Prof.Region(th, "intruder/setup")()
 		rng := sim.NewRand(w.Seed)
 		w.Atomic(th, func(tx *stm.Tx) {
 			a.queue = txstruct.NewQueue(tx, 256)
@@ -124,7 +124,7 @@ func (a *Intruder) Setup(w *stamp.World) {
 
 // Parallel implements stamp.App: the capture/reassembly/detect loop.
 func (a *Intruder) Parallel(w *stamp.World, th *vtime.Thread) {
-	defer w.Region(th, "intruder/parallel")()
+	defer w.Prof.Region(th, "intruder/parallel")()
 	for {
 		var rec mem.Addr
 		w.Atomic(th, func(tx *stm.Tx) {

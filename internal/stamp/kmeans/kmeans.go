@@ -62,7 +62,7 @@ func (a *KMeans) Setup(w *World) {
 	a.params(w.Scale, w.Variant)
 	a.barrier = vtime.NewBarrier(w.Threads)
 	w.Seq(func(th *vtime.Thread) {
-		defer w.Region(th, "kmeans/setup")()
+		defer w.Prof.Region(th, "kmeans/setup")()
 		a.points = w.Malloc(th, uint64(a.n*a.d*8))
 		a.centers = w.Malloc(th, uint64(a.k*a.d*8))
 		a.newSum = w.Calloc(th, uint64(a.k*a.d*8))
@@ -88,7 +88,7 @@ type World = stamp.World
 
 // Parallel implements stamp.App: the threaded clustering iterations.
 func (a *KMeans) Parallel(w *World, th *vtime.Thread) {
-	defer w.Region(th, "kmeans/parallel")()
+	defer w.Prof.Region(th, "kmeans/parallel")()
 	for it := 0; it < a.iterations; it++ {
 		lo := th.ID() * a.n / w.Threads
 		hi := (th.ID() + 1) * a.n / w.Threads

@@ -93,7 +93,7 @@ func (a *Labyrinth) Setup(w *stamp.World) {
 	a.params(w.Scale)
 	a.routed = make([]bool, a.nPaths)
 	w.Seq(func(th *vtime.Thread) {
-		defer w.Region(th, "labyrinth/setup")()
+		defer w.Prof.Region(th, "labyrinth/setup")()
 		rng := sim.NewRand(w.Seed)
 		a.grid = w.Calloc(th, uint64(a.cells()*8))
 		// Sprinkle walls (~8%).
@@ -118,7 +118,7 @@ func (a *Labyrinth) Setup(w *stamp.World) {
 
 // Parallel implements stamp.App: the router loop.
 func (a *Labyrinth) Parallel(w *stamp.World, th *vtime.Thread) {
-	defer w.Region(th, "labyrinth/parallel")()
+	defer w.Prof.Region(th, "labyrinth/parallel")()
 	nCells := a.cells()
 	for {
 		pathID := -1

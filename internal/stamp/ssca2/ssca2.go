@@ -52,7 +52,7 @@ func (a *SSCA2) Setup(w *stamp.World) {
 	a.params(w.Scale)
 	a.barrier = vtime.NewBarrier(w.Threads)
 	w.Seq(func(th *vtime.Thread) {
-		defer w.Region(th, "ssca2/setup")()
+		defer w.Prof.Region(th, "ssca2/setup")()
 		a.edgeU = w.Malloc(th, uint64(a.e*8))
 		a.edgeV = w.Malloc(th, uint64(a.e*8))
 		a.deg = w.Calloc(th, uint64(a.v*8))
@@ -77,7 +77,7 @@ func (a *SSCA2) Setup(w *stamp.World) {
 // transactions, a prefix sum runs on thread 0, phase B claims slots
 // transactionally and writes targets into privatized slots.
 func (a *SSCA2) Parallel(w *stamp.World, th *vtime.Thread) {
-	defer w.Region(th, "ssca2/parallel")()
+	defer w.Prof.Region(th, "ssca2/parallel")()
 	lo := th.ID() * a.e / w.Threads
 	hi := (th.ID() + 1) * a.e / w.Threads
 

@@ -99,18 +99,6 @@ type World struct {
 	prof      *profAlloc
 }
 
-// Region opens a named profiler region on th and returns its closer,
-// for use as `defer w.Region(th, "app/phase")()`. A no-op closure when
-// profiling is off, so applications can call it unconditionally.
-func (w *World) Region(th *vtime.Thread, name string) func() {
-	p := w.Prof
-	if p == nil {
-		return func() {}
-	}
-	p.Begin(th, name)
-	return func() { p.End(th) }
-}
-
 // mallocRetries and mallocRetryWait bound how long a non-transactional
 // allocation waits out a transient failure before declaring the system
 // out of memory.

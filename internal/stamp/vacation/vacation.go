@@ -99,7 +99,7 @@ func (a *Vacation) params(s stamp.Scale, v stamp.Variant) {
 func (a *Vacation) Setup(w *stamp.World) {
 	a.params(w.Scale, w.Variant)
 	w.Seq(func(th *vtime.Thread) {
-		defer w.Region(th, "vacation/setup")()
+		defer w.Prof.Region(th, "vacation/setup")()
 		rng := sim.NewRand(w.Seed)
 		for t := 0; t < tblCount; t++ {
 			w.Atomic(th, func(tx *stm.Tx) { a.tables[t] = txstruct.NewRBTree(tx) })
@@ -252,7 +252,7 @@ func (a *Vacation) updateTables(w *stamp.World, th *vtime.Thread, rng *sim.Rand)
 // follows the high-contention configuration: 90% reservations, 5%
 // deletions, 5% table updates.
 func (a *Vacation) Parallel(w *stamp.World, th *vtime.Thread) {
-	defer w.Region(th, "vacation/parallel")()
+	defer w.Prof.Region(th, "vacation/parallel")()
 	rng := sim.NewRand(w.Seed*7919 + uint64(th.ID()) + 1)
 	for i := 0; i < a.opsPerThread; i++ {
 		switch r := rng.Intn(100); {

@@ -162,7 +162,7 @@ func (a *Yada) isBad(p0, p1, p2 pt, v0, v1, v2 int) (bad bool, center pt) {
 func (a *Yada) Setup(w *stamp.World) {
 	a.params(w.Scale)
 	w.Seq(func(th *vtime.Thread) {
-		defer w.Region(th, "yada/setup")()
+		defer w.Prof.Region(th, "yada/setup")()
 		rng := sim.NewRand(w.Seed)
 		a.points = w.Calloc(th, uint64(a.maxPoints*16))
 		cells := w.Calloc(th, 8)
@@ -501,7 +501,7 @@ func (a *Yada) meshTriangles(tx *stm.Tx) []mem.Addr {
 // whole refinement would serialize the benchmark; stale queue entries
 // are instead filtered by the epoch check.
 func (a *Yada) Parallel(w *stamp.World, th *vtime.Thread) {
-	defer w.Region(th, "yada/parallel")()
+	defer w.Prof.Region(th, "yada/parallel")()
 	pinchCount := map[mem.Addr]int{} // per-thread pinch re-queue budget
 	for {
 		var item uint64

@@ -20,10 +20,10 @@ import (
 	"fmt"
 )
 
-// Version is the code-relevant version folded into every cell hash.
-// Bump it whenever a change to the simulation substrate (allocators,
-// STM, vtime costs, workloads) alters what a cell would produce, so
-// stale cache entries miss instead of resurfacing old results.
+// Version names the cell-hash scheme and is folded into every cell
+// hash. It carries no code identity: a change to the allocators, STM,
+// vtime costs or workloads leaves every hash as it was, so a cache
+// entry cannot tell which build made it.
 const Version = "tmrepro-cells/v1"
 
 // Cell is one independent unit of work: a pure function of its spec

@@ -28,7 +28,7 @@ func TestDeadlineWatchdog(t *testing.T) {
 	// The engine must still be usable: a normal region afterwards runs
 	// to completion and clears the flag.
 	e.ResetClocks()
-	e.Deadline = 0
+	e.deadline = 0
 	done := make([]bool, 4)
 	e.Run(func(th *Thread) {
 		th.Work(100)

@@ -79,7 +79,7 @@ func scheduleScenarios() []scheduleScenario {
 			// spinning and coherence traffic.
 			name: "mixed", threads: 8, cfg: Config{Cache: cachesim.New(8)},
 			body: func(e *Engine, l *schedLog) func(th *Thread) {
-				base := e.Space.MustMap(mem.PageSize, 0)
+				base := e.threads[0].space.MustMap(mem.PageSize, 0)
 				var lk Lock
 				return func(th *Thread) {
 					rng := scenarioRNG(0x9e3779b9 + 0x10001*uint64(th.ID()))

@@ -113,22 +113,13 @@ type RaceObserver interface {
 }
 
 // Engine coordinates a set of logical threads over one address space
-// and one cache hierarchy.
+// and one cache hierarchy. It is configured only through Config.
 type Engine struct {
-	Space   *mem.Space
-	Cache   *cachesim.Hierarchy // may be nil: flat memory costs
-	Quantum uint64
-	Obs     *obs.Recorder // scheduler-quantum tracing; nil disables
-	Prof    Profiler      // cycle attribution; nil disables
-	Heap    HeapSampler   // heap-state telemetry; nil disables
-	Race    RaceObserver  // happens-before checking; nil disables
-	// Deadline, when non-zero, is the engine watchdog: a Run whose
-	// least-advanced thread passes this virtual-cycle bound is wound
-	// down (every thread is unwound at its next scheduling point) and
-	// Run returns normally with DeadlineExceeded reporting true. It
-	// turns livelocks and runaway workloads into a diagnosable,
-	// artifact-producing outcome instead of a host-side hang.
-	Deadline uint64
+	quantum  uint64
+	obs      *obs.Recorder
+	heap     HeapSampler
+	race     RaceObserver
+	deadline uint64
 
 	threads     []*Thread
 	rng         uint64 // deterministic deadline jitter state
@@ -138,30 +129,33 @@ type Engine struct {
 
 // Config carries optional Engine settings.
 type Config struct {
-	Cache    *cachesim.Hierarchy
-	Quantum  uint64
-	Obs      *obs.Recorder
-	Prof     Profiler     // cycle attribution; nil disables
-	Heap     HeapSampler  // heap-state telemetry; nil disables
-	Race     RaceObserver // happens-before checking; nil disables
-	Deadline uint64       // virtual-cycle watchdog bound; 0 disables
+	Cache   *cachesim.Hierarchy // may be nil: flat memory costs
+	Quantum uint64              // 0 selects DefaultQuantum
+	Obs     *obs.Recorder       // scheduler-quantum tracing; nil disables
+	Prof    Profiler            // cycle attribution; nil disables
+	Heap    HeapSampler         // heap-state telemetry; nil disables
+	Race    RaceObserver        // happens-before checking; nil disables
+	// Deadline, when non-zero, is the engine watchdog: a Run whose
+	// least-advanced thread passes this virtual-cycle bound is wound
+	// down (every thread is unwound at its next scheduling point) and
+	// Run returns normally with DeadlineExceeded reporting true. It
+	// turns livelocks and runaway workloads into a diagnosable,
+	// artifact-producing outcome instead of a host-side hang.
+	Deadline uint64
 }
 
 // NewEngine builds an engine over space for n logical threads.
 func NewEngine(space *mem.Space, n int, cfg Config) *Engine {
 	e := &Engine{
 		rng:      0x9e3779b97f4a7c15,
-		Space:    space,
-		Cache:    cfg.Cache,
-		Quantum:  cfg.Quantum,
-		Obs:      cfg.Obs,
-		Prof:     cfg.Prof,
-		Heap:     cfg.Heap,
-		Race:     cfg.Race,
-		Deadline: cfg.Deadline,
+		quantum:  cfg.Quantum,
+		obs:      cfg.Obs,
+		heap:     cfg.Heap,
+		race:     cfg.Race,
+		deadline: cfg.Deadline,
 	}
-	if e.Quantum == 0 {
-		e.Quantum = DefaultQuantum
+	if e.quantum == 0 {
+		e.quantum = DefaultQuantum
 	}
 	cost := DefaultCost
 	e.threads = make([]*Thread, n)
@@ -170,7 +164,7 @@ func NewEngine(space *mem.Space, n int, cfg Config) *Engine {
 			id:     i,
 			engine: e,
 			space:  space,
-			cache:  e.Cache,
+			cache:  cfg.Cache,
 			cost:   &cost,
 			prof:   cfg.Prof,
 			race:   cfg.Race,
@@ -188,11 +182,11 @@ func NewEngine(space *mem.Space, n int, cfg Config) *Engine {
 // experiments.
 func (e *Engine) Run(fn func(t *Thread)) []uint64 {
 	e.deadlineHit = false
-	if e.Race != nil {
+	if e.race != nil {
 		// Every thread is quiesced here: whatever ran before this
 		// region (setup writes, a previous region) is ordered before
 		// everything inside it.
-		e.Race.Barrier(e.minClock())
+		e.race.Barrier(e.minClock())
 	}
 	var firstPanic any
 	for _, t := range e.threads {
@@ -236,8 +230,8 @@ func (e *Engine) Run(fn func(t *Thread)) []uint64 {
 		// function of virtual time — independent of host scheduling and of
 		// the sweep pool width. The sampler must not touch e.rng, tick
 		// clocks, or access simulated memory.
-		if e.Heap != nil {
-			e.Heap.Sample(cur.clock)
+		if e.heap != nil {
+			e.heap.Sample(cur.clock)
 		}
 		// Engine watchdog (the least-advanced runnable thread is past
 		// the deadline, so every thread is) or a requested stop (a crash
@@ -245,11 +239,11 @@ func (e *Engine) Run(fn func(t *Thread)) []uint64 {
 		// stopped in thread order and unwinds from its scheduling point;
 		// one that never ran does not start, and stopping a finished
 		// one does nothing.
-		if e.stopped || (e.Deadline != 0 && cur.clock > e.Deadline) {
+		if e.stopped || (e.deadline != 0 && cur.clock > e.deadline) {
 			if !e.stopped {
 				e.deadlineHit = true
-				if e.Obs != nil {
-					e.Obs.Watchdog("deadline", cur.id, cur.clock)
+				if e.obs != nil {
+					e.obs.Watchdog("deadline", cur.id, cur.clock)
 				}
 			}
 			for _, t := range e.threads {
@@ -263,8 +257,8 @@ func (e *Engine) Run(fn func(t *Thread)) []uint64 {
 			if t == cur || t.done {
 				continue
 			}
-			if t.clock+e.Quantum < deadline {
-				deadline = t.clock + e.Quantum
+			if t.clock+e.quantum < deadline {
+				deadline = t.clock + e.quantum
 			}
 		}
 		if deadline == farFuture {
@@ -274,23 +268,23 @@ func (e *Engine) Run(fn func(t *Thread)) []uint64 {
 			// and periodic workloads (which would otherwise always yield
 			// at the same instruction).
 			e.rng = e.rng*6364136223846793005 + 1442695040888963407
-			deadline += (e.rng >> 33) % (e.Quantum/2 + 1)
+			deadline += (e.rng >> 33) % (e.quantum/2 + 1)
 		}
 		sliceStart := cur.clock
 		cur.deadline = deadline
 		_, running := cur.next()
-		if e.Obs != nil && cur.clock > sliceStart {
-			e.Obs.Quantum(cur.id, sliceStart, cur.clock)
+		if e.obs != nil && cur.clock > sliceStart {
+			e.obs.Quantum(cur.id, sliceStart, cur.clock)
 		}
 		cur.done = !running
 	}
 	if firstPanic != nil {
 		panic(firstPanic)
 	}
-	if e.Race != nil {
+	if e.race != nil {
 		// All threads finished: the region is ordered before whatever
 		// follows (harvest and validation reads).
-		e.Race.Barrier(e.MaxClock())
+		e.race.Barrier(e.MaxClock())
 	}
 	out := make([]uint64, len(e.threads))
 	for i, t := range e.threads {
@@ -305,7 +299,7 @@ func (e *Engine) Run(fn func(t *Thread)) []uint64 {
 }
 
 // DeadlineExceeded reports whether the last Run was wound down by the
-// engine watchdog (Deadline passed before every thread finished).
+// engine watchdog (Config.Deadline passed before every thread finished).
 func (e *Engine) DeadlineExceeded() bool { return e.deadlineHit }
 
 // isEngineSignal reports whether a recovered panic value is one of the

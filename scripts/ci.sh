@@ -162,35 +162,6 @@ go test -count=1 -run 'AllocBudget|SteadyStateAlloc' \
     ./internal/stm ./internal/cachesim ./internal/obs ./internal/prof ./internal/vtime \
     ./internal/mem
 
-echo "== cache round-trip gate =="
-# A second invocation against a warm cache must execute nothing and
-# reproduce the same stdout.
-go run ./cmd/tmrepro -run tab4 -cache "$tmpdir/cellcache" >"$tmpdir/c1.txt" 2>/dev/null
-go run ./cmd/tmrepro -run tab4 -cache "$tmpdir/cellcache" >"$tmpdir/c2.txt" 2>"$tmpdir/c2.err"
-cmp "$tmpdir/c1.txt" "$tmpdir/c2.txt" || {
-    echo "cached run differs from executed run" >&2
-    exit 1
-}
-grep -q ' 0 executed' "$tmpdir/c2.err" || {
-    echo "second -cache invocation executed cells instead of hitting the cache" >&2
-    exit 1
-}
-# The sanitizer bypasses the cache: after a warm-up, a plain tmstamp
-# rerun is a cache hit and a -sanitize rerun executes. No -json,
-# -metrics or -trace here: any of them attaches a recorder, which forces
-# execution by itself.
-go run ./cmd/tmstamp -app kmeans -cache "$tmpdir/stampcache" >/dev/null 2>&1
-go run ./cmd/tmstamp -app kmeans -cache "$tmpdir/stampcache" >/dev/null 2>"$tmpdir/stampwarm.err"
-grep -q 'cached result' "$tmpdir/stampwarm.err" || {
-    echo "tmstamp rerun against a warm cache executed instead of hitting it" >&2
-    exit 1
-}
-go run ./cmd/tmstamp -app kmeans -cache "$tmpdir/stampcache" -sanitize >/dev/null 2>"$tmpdir/stampsan.err"
-if grep -q 'cached result' "$tmpdir/stampsan.err"; then
-    echo "tmstamp -sanitize replayed its cell from a warm cache instead of executing it" >&2
-    exit 1
-fi
-
 echo "== profiler toolchain gate =="
 # tmprof must read a profile artifact back, and a profile diffed against
 # the other pool width's artifact must partition both totals exactly.
