@@ -4,9 +4,9 @@
 // the artifact-output group (-trace, -metrics, -json) with its one
 // writer; and the single-cell runner (RunCell).
 // Flag values that name things — contention managers, fault plans,
-// pooling disciplines — are validated while flags parse, so a typo
-// fails immediately with the allowed names instead of minutes into a
-// sweep.
+// pooling disciplines, intset structures (Kind) — are validated while
+// flags parse, so a typo fails immediately with the allowed names
+// instead of minutes into a sweep.
 package cliflags
 
 import (
@@ -21,6 +21,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/heapscope"
+	"repro/internal/intset"
 	"repro/internal/obs"
 	"repro/internal/stm"
 	"repro/internal/sweep"
@@ -105,6 +106,17 @@ func (w *Workload) Session() (*harness.Session, error) {
 		return nil, err
 	}
 	return &harness.Session{Spec: &w.Spec, Jobs: w.Jobs}, nil
+}
+
+// Kind registers -kind on fs: the intset structure, validated while
+// flags parse.
+func Kind(fs *flag.FlagSet) *intset.Kind {
+	k := intset.LinkedList
+	fs.Func("kind", "structure: linkedlist (default), hashset, rbtree", func(v string) (err error) {
+		k, err = intset.ParseKind(v)
+		return err
+	})
+	return &k
 }
 
 // Sweep is the parsed scheduler group.

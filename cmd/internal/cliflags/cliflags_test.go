@@ -10,10 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/heapscope"
 	"repro/internal/intset"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/stm"
 )
 
@@ -70,7 +68,7 @@ func TestFlagsLandInTheSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := w.Spec.Policy()
+	p := w.Spec.Policy
 	if p.Plan == nil || !p.Plan.HasCrash() {
 		t.Fatalf("policy carries no parsed crash plan: %+v", p.Plan)
 	}
@@ -132,10 +130,10 @@ func runCell(t *testing.T, args ...string) (*Cell, *harness.Session, *obs.Record
 		InitialSize: 64, OpsPerThread: 50, UpdatePct: 20, Seed: 1}
 	var rec *obs.Recorder
 	cell, err := w.RunCell(session, "intset/stm", "test/intset", cfg, cfg.Seed,
-		func(r *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
-			rec = r
+		func(in core.Instruments) (any, error) {
+			rec = in.Obs
 			c := cfg
-			c.Obs, c.Prof, c.Heap = r, pp, hc
+			c.Instruments = in
 			return intset.Run(c)
 		})
 	if err != nil {
@@ -177,5 +175,25 @@ func TestSweepBlockRecordsTheUsedWidth(t *testing.T) {
 	cell, _, _ := runCell(t, "-jobs", "0")
 	if got := cell.Record.Sweep.Jobs; got != 1 {
 		t.Errorf("sweep block jobs = %d at -jobs 0, want 1", got)
+	}
+}
+
+func TestKindParsesTheStructure(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want intset.Kind
+		ok   bool
+	}{
+		{nil, intset.LinkedList, true},
+		{[]string{"-kind", "rbtree"}, intset.RBTree, true},
+		{[]string{"-kind", "bogus"}, "", false},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		k := Kind(fs)
+		err := fs.Parse(c.args)
+		if (err == nil) != c.ok || (c.ok && *k != c.want) {
+			t.Errorf("%v: kind %q, err %v; want %q, ok %v", c.args, *k, err, c.want, c.ok)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/heapscope"
 	"repro/internal/obs"
@@ -37,9 +38,10 @@ func (w *Workload) RunCell(session *harness.Session, experiment, key string, spe
 	rec := session.Spec.Obs
 	cellSpec := *session.Spec
 	cellSpec.Obs = nil
-	cells := []sweep.Cell{cellSpec.Cell(key, spec, seed, func(_ *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
-		pp.SetRecorder(rec)
-		return run(rec, pp, hc)
+	cells := []sweep.Cell{cellSpec.Cell(key, spec, seed, func(in core.Instruments) (any, error) {
+		in.Obs = rec
+		in.Prof.SetRecorder(rec)
+		return run(in)
 	})}
 	outs, stats := session.RunCells(cells)
 	out := outs[0]

@@ -33,10 +33,8 @@ import (
 	"repro/cmd/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/heapscope"
 	"repro/internal/intset"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/sweep"
 )
 
@@ -61,7 +59,6 @@ func (a *agg) ratio() float64 {
 func main() {
 	var (
 		allocs  = flag.String("alloc", "all", "allocators to crash (comma list, or all)")
-		kind    = flag.String("kind", "linkedlist", "structure: linkedlist, hashset, rbtree")
 		threads = flag.Int("threads", 4, "logical threads")
 		initial = flag.Int("initial", 128, "initial set size")
 		ops     = flag.Int("ops", 200, "operations per thread")
@@ -70,6 +67,7 @@ func main() {
 		seed    = flag.Uint64("seed", 0, "workload seed (0 = default)")
 		sanit   = flag.Bool("sanitize", false, "attach the shadow-memory sanitizer to every cell; recovery also checks the shadow map against the journal")
 	)
+	kind := cliflags.Kind(flag.CommandLine)
 	sw := cliflags.AddSweep(flag.CommandLine)
 	outp := cliflags.AddOutput(flag.CommandLine)
 	flag.Parse()
@@ -92,7 +90,7 @@ func main() {
 	for _, a := range names {
 		for _, ph := range phases {
 			cfg := intset.Config{
-				Kind:         intset.Kind(*kind),
+				Kind:         *kind,
 				Allocator:    a,
 				Threads:      *threads,
 				InitialSize:  *initial,
@@ -104,9 +102,9 @@ func main() {
 			key := fmt.Sprintf("tmcrash/%s/%s/%s/t%d/i%d/o%d/u%d/at%d",
 				*kind, a, ph, *threads, *initial, *ops, *updates, *at)
 			runCfg := cfg
-			cells = append(cells, spec.Cell(key, cfg, *seed, func(rec *obs.Recorder, _ *prof.Profiler, _ *heapscope.Collector) (any, error) {
+			cells = append(cells, spec.Cell(key, cfg, *seed, func(in core.Instruments) (any, error) {
 				c := runCfg
-				c.Obs = rec
+				c.Instruments = in
 				return intset.Run(c)
 			}))
 			ids = append(ids, cellID{alloc: a, phase: ph})
@@ -119,7 +117,7 @@ func main() {
 	record := obs.NewRunRecord("tmcrash")
 	record.Title = "Crash→recover→verify matrix across allocators (durable Table 5 twin)"
 	record.Config = obs.RunConfig{Seed: *seed, Extra: map[string]string{
-		"kind": *kind, "threads": fmt.Sprintf("%d", *threads), "at": fmt.Sprintf("%d", *at),
+		"kind": string(*kind), "threads": fmt.Sprintf("%d", *threads), "at": fmt.Sprintf("%d", *at),
 	}}
 	record.Sweep = cliflags.SweepInfo(cells, stats)
 

@@ -27,16 +27,14 @@ import (
 	_ "repro/internal/alloc/tcmalloc"
 
 	"repro/cmd/internal/cliflags"
-	"repro/internal/heapscope"
+	"repro/internal/core"
 	"repro/internal/intset"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/stm"
 )
 
 func main() {
 	var (
-		kind      = flag.String("kind", "linkedlist", "structure: linkedlist, hashset, rbtree")
 		name      = flag.String("alloc", "glibc", "allocator: glibc hoard tbb tcmalloc")
 		threads   = flag.Int("threads", 8, "logical threads (1..8)")
 		updates   = flag.Int("updates", 60, "update percentage (0, 20, 60)")
@@ -53,6 +51,7 @@ func main() {
 		seedAlias = flag.Bool("seed-alias", false, "plant a choreographed ORT stripe-aliasing pair in the measurement phase (forensics demo; needs -threads >= 2)")
 		ortBits   = flag.Uint("ort-bits", 0, "log2 of the ORT entry count (0 = default; -seed-alias defaults it to 12)")
 	)
+	kind := cliflags.Kind(flag.CommandLine)
 	w := cliflags.Add(flag.CommandLine)
 	flag.Parse()
 	if *hytm {
@@ -85,7 +84,7 @@ func main() {
 	case "ctl":
 		d = stm.CTL
 	default:
-		fmt.Fprintf(os.Stderr, "unknown design %q\n", *design)
+		fmt.Fprintf(os.Stderr, "unknown design %q (allowed: etl-wb, etl-wt, ctl)\n", *design)
 		os.Exit(2)
 	}
 	session, err := w.Session()
@@ -94,7 +93,7 @@ func main() {
 		os.Exit(1)
 	}
 	cfg := intset.Config{
-		Kind:         intset.Kind(*kind),
+		Kind:         *kind,
 		Allocator:    *name,
 		Threads:      *threads,
 		InitialSize:  *initial,
@@ -106,7 +105,7 @@ func main() {
 		CacheTx:      *cacheTx,
 		Pool:         w.Spec.Pool,
 		Seed:         *seed,
-		Policy:       w.Spec.Policy(),
+		Policy:       w.Spec.Policy,
 		SeedUAF:      *seedUAF,
 		SeedRace:     *seedRace,
 		SeedAlias:    *seedAlias,
@@ -125,9 +124,9 @@ func main() {
 	if *seedAlias || *ortBits != 0 {
 		key += fmt.Sprintf("/sa%v-ob%d", *seedAlias, *ortBits)
 	}
-	cell, err := w.RunCell(session, "intset/"+mode, key, cfg, *seed, func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
+	cell, err := w.RunCell(session, "intset/"+mode, key, cfg, *seed, func(in core.Instruments) (any, error) {
 		c := cfg
-		c.Obs, c.Prof, c.Heap = rec, pp, hc
+		c.Instruments = in
 		if *hytm {
 			return intset.RunHyTM(c)
 		}
@@ -143,7 +142,7 @@ func main() {
 	record.Config = obs.RunConfig{
 		Seed: *seed,
 		Extra: map[string]string{
-			"kind": *kind, "alloc": *name,
+			"kind": string(*kind), "alloc": *name,
 			"threads": fmt.Sprintf("%d", *threads),
 			"updates": fmt.Sprintf("%d", *updates),
 			"design":  *design,

@@ -35,11 +35,11 @@ import (
 
 	"repro/cmd/internal/cliflags"
 	"repro/internal/alloc"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/heapscope"
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/stm"
 	"repro/internal/sweep"
 	"repro/internal/vtime"
@@ -62,10 +62,17 @@ func main() {
 		threads = flag.Int("threads", 8, "allocating threads")
 		blocks  = flag.Int("blocks", 512, "blocks per thread")
 		shift   = flag.Uint("shift", 5, "ORT shift amount")
-		mode    = flag.String("mode", "parallel", "parallel (contended, via the virtual-time engine) or solo")
 		jsonOut = flag.Bool("json", false, "emit the analysis as a machine-readable run record on stdout")
 		heapGeo = flag.Bool("heap-geometry", false, "emit each allocator's static size-class/superblock geometry as a tmheap/series/v1 artifact on stdout")
 	)
+	mode := "parallel"
+	flag.Func("mode", "parallel (contended, via the virtual-time engine; the default) or solo", func(v string) error {
+		if v != "parallel" && v != "solo" {
+			return fmt.Errorf("unknown mode %q (allowed: parallel, solo)", v)
+		}
+		mode = v
+		return nil
+	})
 	sw := cliflags.AddSweep(flag.CommandLine)
 	flag.Parse()
 
@@ -88,10 +95,10 @@ func main() {
 			Threads:   *threads,
 			Blocks:    *blocks,
 			Shift:     *shift,
-			Parallel:  *mode == "parallel",
+			Parallel:  mode == "parallel",
 		}
-		key := fmt.Sprintf("cli/layout/%s/b%d/t%d/n%d/s%d/%s", name, *size, *threads, *blocks, *shift, *mode)
-		cells = append(cells, session.Spec.Cell(key, p, 0, func(*obs.Recorder, *prof.Profiler, *heapscope.Collector) (any, error) {
+		key := fmt.Sprintf("cli/layout/%s/b%d/t%d/n%d/s%d/%s", name, *size, *threads, *blocks, *shift, mode)
+		cells = append(cells, session.Spec.Cell(key, p, 0, func(core.Instruments) (any, error) {
 			return analyze(p)
 		}))
 	}
@@ -99,7 +106,7 @@ func main() {
 
 	table := obs.Table{
 		Title: fmt.Sprintf("%d threads x %d blocks of %d bytes, ORT shift %d, %s mode",
-			*threads, *blocks, *size, *shift, *mode),
+			*threads, *blocks, *size, *shift, mode),
 		Columns: []string{"allocator", "stripe-shared", "blocks", "cross-thread stripes",
 			"aliased entries", "cross-thread lines", "max/stripe"},
 	}
@@ -134,7 +141,7 @@ func main() {
 			"threads": fmt.Sprintf("%d", *threads),
 			"blocks":  fmt.Sprintf("%d", *blocks),
 			"shift":   fmt.Sprintf("%d", *shift),
-			"mode":    *mode,
+			"mode":    mode,
 		}}
 		record.Sweep = cliflags.SweepInfo(cells, stats)
 		record.Tables = []obs.Table{table}

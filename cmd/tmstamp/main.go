@@ -37,9 +37,8 @@ import (
 	_ "repro/internal/stamp/yada"
 
 	"repro/cmd/internal/cliflags"
-	"repro/internal/heapscope"
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/stamp"
 	"repro/internal/stm"
 	"repro/internal/vtime"
@@ -50,27 +49,31 @@ func main() {
 		app     = flag.String("app", "", "application (required); one of: bayes genome intruder kmeans labyrinth ssca2 vacation yada")
 		alloc   = flag.String("alloc", "glibc", "allocator: glibc hoard tbb tcmalloc")
 		threads = flag.Int("threads", 1, "logical threads (1..8)")
-		scale   = flag.String("scale", "quick", "workload scale: quick or ref")
-		variant = flag.String("variant", "high", "contention variant for kmeans/vacation: high or low")
 		shift   = flag.Uint("shift", 0, "ORT shift amount (0 = default 5)")
 		cacheTx = flag.Bool("cachetx", false, "deprecated alias for -pool cache (paper §6.2 tx-object caching)")
 		profile = flag.Bool("alloc-profile", false, "print the Table 5 allocation profile")
 		seed    = flag.Uint64("seed", 0, "workload seed (0 = default)")
 	)
+	// The scale and variant print as spelled, so -scale full still
+	// reads "full scale".
+	scale, sc := "quick", stamp.Quick
+	flag.Func("scale", "workload scale: quick (default) or ref (alias full)", func(v string) (err error) {
+		scale = v
+		sc, err = stamp.ParseScale(v)
+		return err
+	})
+	variant, va := "high", stamp.HighContention
+	flag.Func("variant", "contention variant for kmeans/vacation: high (default) or low", func(v string) (err error) {
+		variant = v
+		va, err = stamp.ParseVariant(v)
+		return err
+	})
 	w := cliflags.Add(flag.CommandLine)
 	flag.Parse()
 	if *app == "" {
 		flag.Usage()
 		fmt.Fprintln(os.Stderr, "\navailable apps:", stamp.Names())
 		os.Exit(2)
-	}
-	sc := stamp.Quick
-	if *scale == "ref" || *scale == "full" {
-		sc = stamp.Ref
-	}
-	va := stamp.HighContention
-	if *variant == "low" {
-		va = stamp.LowContention
 	}
 	session, err := w.Session()
 	if err != nil {
@@ -88,7 +91,7 @@ func main() {
 		Pool:      w.Spec.Pool,
 		Profile:   *profile,
 		Seed:      *seed,
-		Policy:    w.Spec.Policy(),
+		Policy:    w.Spec.Policy,
 	}
 
 	key := fmt.Sprintf("cli/stamp/%s/%s/t%d/sc%d/v%d/sh%d/c%v/p%v",
@@ -96,9 +99,9 @@ func main() {
 	if w.Spec.Pool != stm.PoolNone {
 		key += "/p" + w.Spec.Pool.String()
 	}
-	cell, err := w.RunCell(session, "stamp/"+*app, key, cfg, *seed, func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
+	cell, err := w.RunCell(session, "stamp/"+*app, key, cfg, *seed, func(in core.Instruments) (any, error) {
 		c := cfg
-		c.Obs, c.Prof, c.Heap = rec, pp, hc
+		c.Instruments = in
 		return stamp.Run(c)
 	})
 	if err != nil {
@@ -113,10 +116,10 @@ func main() {
 
 	switch res.Status {
 	case "", obs.StatusOK:
-		fmt.Printf("%s / %s / %d thread(s) / %s scale — validation OK\n\n", *app, *alloc, *threads, *scale)
+		fmt.Printf("%s / %s / %d thread(s) / %s scale — validation OK\n\n", *app, *alloc, *threads, scale)
 	default:
 		fmt.Printf("%s / %s / %d thread(s) / %s scale — %s: %s\n\n",
-			*app, *alloc, *threads, *scale, res.Status, res.Failure)
+			*app, *alloc, *threads, scale, res.Status, res.Failure)
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "execution time\t%.4f ms (modelled, parallel phase)\n", res.Seconds*1e3)
@@ -168,7 +171,7 @@ func main() {
 	}
 
 	record := cell.Record
-	record.Title = fmt.Sprintf("%s on %s, %d thread(s), %s scale", *app, *alloc, *threads, *scale)
+	record.Title = fmt.Sprintf("%s on %s, %d thread(s), %s scale", *app, *alloc, *threads, scale)
 	record.Status = res.Status
 	record.Failure = res.Failure
 	record.Config = obs.RunConfig{
@@ -177,8 +180,8 @@ func main() {
 			"app":      *app,
 			"alloc":    *alloc,
 			"threads":  fmt.Sprintf("%d", *threads),
-			"scale":    *scale,
-			"variant":  *variant,
+			"scale":    scale,
+			"variant":  variant,
 			"cachetx":  fmt.Sprintf("%v", *cacheTx),
 			"pool":     w.Spec.Pool.String(),
 			"cm":       w.Spec.CM.String(),

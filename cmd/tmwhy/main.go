@@ -38,7 +38,6 @@ import (
 
 func main() {
 	var (
-		kind    = flag.String("kind", "linkedlist", "structure: linkedlist, hashset, rbtree")
 		allocs  = flag.String("allocs", "", "comma-separated allocators to compare (default: all registered)")
 		threads = flag.Int("threads", 8, "logical threads (1..8)")
 		updates = flag.Int("updates", 60, "update percentage")
@@ -48,6 +47,7 @@ func main() {
 		dot     = flag.String("dot", "", "write the conflict graph as graphviz (requires a single allocator)")
 		jsonOut = flag.String("json", "", "write the tmwhy run record as JSON")
 	)
+	kind := cliflags.Kind(flag.CommandLine)
 	flag.Parse()
 
 	names := alloc.Names()
@@ -63,11 +63,11 @@ func main() {
 	}
 
 	// fig4's geometry, so tmwhy dissects the same cell the figures measure.
-	initial, keyRange, ops := harness.IntsetScale(*full, intset.Kind(*kind))
+	initial, keyRange, ops := harness.IntsetScale(*full, *kind)
 	runs := make([]run, 0, len(names))
 	for _, name := range names {
 		res, err := intset.Run(intset.Config{
-			Kind:         intset.Kind(*kind),
+			Kind:         *kind,
 			Allocator:    name,
 			Threads:      *threads,
 			InitialSize:  initial,
@@ -94,7 +94,7 @@ func main() {
 	record.Config = obs.RunConfig{
 		Full: *full, Seed: *seed,
 		Extra: map[string]string{
-			"kind":    *kind,
+			"kind":    string(*kind),
 			"threads": fmt.Sprintf("%d", *threads),
 			"updates": fmt.Sprintf("%d", *updates),
 			"allocs":  strings.Join(names, ","),

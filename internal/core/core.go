@@ -24,10 +24,11 @@
 //
 // NewSystem is also the one world builder of the workload drivers
 // (intset.Run, stamp.Run): it alone parses the fault plan, attaches the
-// durable heap, and builds and attaches every observer a Policy selects
-// — sanitizer, profiler, heap telemetry, race checker, conflict
-// observatory — and Finish alone folds their results into the run's
-// status and info blocks.
+// durable heap, builds and attaches every observer a Policy selects —
+// sanitizer, race checker, conflict observatory — and attaches the
+// Instruments its caller built (recorder, profiler, heap telemetry);
+// Finish alone folds their results into the run's status and info
+// blocks.
 package core
 
 import (
@@ -47,19 +48,21 @@ import (
 	"repro/internal/vtime"
 )
 
-// Policy is one run's robustness policy and observer selection. The
-// workload configs (intset.Config, stamp.Config) embed it, so the
-// fields below are theirs: the un-tagged ones are part of each config's
-// JSON encoding and hence of its cell hash, while the observers are
-// excluded because they never change what a cell computes.
+// Policy is one run's robustness policy and simulated-side observer
+// selection: the knobs NewSystem builds a world from. The workload
+// configs (intset.Config, stamp.Config) embed it, so the fields below
+// are theirs: the un-tagged ones are part of each config's JSON
+// encoding and hence of its cell hash, while the observer switches are
+// excluded because they never change what a cell computes. Adding a
+// simulated-side observer is one field here and its attachment in
+// NewSystem.
 type Policy struct {
-	Obs      *obs.Recorder // event/metric sink; nil disables
-	CM       stm.CM        // contention manager (default CMSuicide)
-	RetryCap uint64        // irrevocable-fallback threshold (0 = default)
-	Fault    string        // fault-plan spec (internal/fault grammar); "" disables
-	Deadline uint64        // virtual-cycle watchdog bound per phase; 0 disables
-	Pmem     bool          // durable heap: redo-logged commits, priced flush/fence
-	Crash    string        // crash-injection clauses (fault grammar); implies Pmem
+	CM       stm.CM // contention manager (default CMSuicide)
+	RetryCap uint64 // irrevocable-fallback threshold (0 = default)
+	Fault    string // fault-plan spec (internal/fault grammar); "" disables
+	Deadline uint64 // virtual-cycle watchdog bound per phase; 0 disables
+	Pmem     bool   // durable heap: redo-logged commits, priced flush/fence
+	Crash    string // crash-injection clauses (fault grammar); implies Pmem
 	// Plan, when non-nil, is a pre-parsed fault plan that replaces
 	// parsing Fault/Crash; each run takes its own clone re-seeded with
 	// the run's seed (harness cells parse the spec once). Excluded from
@@ -77,6 +80,16 @@ type Policy struct {
 	// (internal/conflict): every abort is classified against allocator
 	// provenance and the verdict lands in the Conflict info block.
 	Conflict bool `json:"-"`
+}
+
+// Instruments are the host-side observers a caller builds per cell
+// (harness.Spec.Cell does) and NewSystem attaches; each is nil when
+// unused. Options and the workload configs embed Instruments
+// immediately before Policy, so Obs keeps its place, ahead of CM, in
+// the configs' JSON encoding: a cell's spec is encoded before its
+// instruments exist, so it reads "Obs":null.
+type Instruments struct {
+	Obs *obs.Recorder // event/metric sink; nil disables
 	// Prof, when non-nil, attributes every virtual cycle of the run to
 	// (thread, region-stack, allocator) buckets.
 	Prof *prof.Profiler `json:"-"`
@@ -116,6 +129,7 @@ type Options struct {
 	// DisableCacheModel turns off the cache hierarchy (all accesses
 	// cost an L1 hit); timing fidelity drops, speed rises.
 	DisableCacheModel bool
+	Instruments
 	Policy
 }
 

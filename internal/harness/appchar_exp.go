@@ -18,7 +18,7 @@ func init() {
 			apps := stamp.Names()
 			probes := make([]Handle[StampProbe], len(apps))
 			for pi, app := range apps {
-				probes[pi] = b.StampProbeCell(stampCfg(b.Spec().Full, app, "tbb", 8))
+				probes[pi] = b.StampProbeCell(stampCfg(b.Full(), app, "tbb", 8))
 			}
 			b.Reduce(func() (*Result, error) {
 				t := Table{

@@ -4,11 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/heapscope"
+	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/intset"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/stamp"
 	"repro/internal/stm"
@@ -31,9 +30,10 @@ type Builder struct {
 	fn    func() (*Result, error)
 }
 
-// Spec exposes the validated spec so plans can scale themselves
-// (reps, Full, derived parameters).
-func (b *Builder) Spec() *Spec { return b.spec }
+// Full reports whether the plan runs at paper scale. With Reps, it is
+// all a plan reads of the spec, which every experiment of a session
+// shares.
+func (b *Builder) Full() bool { return b.spec.Full }
 
 // Reps resolves the effective repetition count for this plan.
 func (b *Builder) Reps(quick, full int) int { return b.spec.reps(quick, full) }
@@ -117,7 +117,7 @@ func intsetKey(prefix string, cfg intset.Config, rep int) string {
 // workload parameters stay the experiment's business; the policy is the
 // spec's.
 func (b *Builder) applyIntset(cfg intset.Config) intset.Config {
-	cfg.Policy = b.spec.Policy()
+	cfg.Policy = b.spec.Policy
 	if b.spec.Pool != stm.PoolNone {
 		cfg.Pool = b.spec.Pool
 	}
@@ -129,9 +129,9 @@ func (b *Builder) Intset(cfg intset.Config, rep int) Handle[IntsetCell] {
 	cfg = b.applyIntset(cfg)
 	key := intsetKey("intset", cfg, rep)
 	cfg.Seed = sweep.DeriveSeed(b.spec.seed(), key)
-	return addCell[IntsetCell](b, key, cfg, cfg.Seed, func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
+	return addCell[IntsetCell](b, key, cfg, cfg.Seed, func(in core.Instruments) (any, error) {
 		c := cfg
-		c.Obs, c.Prof, c.Heap = rec, pp, hc
+		c.Instruments = in
 		res, err := intset.Run(c)
 		if err != nil {
 			return nil, err
@@ -223,7 +223,7 @@ func stampKey(cfg stamp.Config, rep int) string {
 }
 
 func (b *Builder) applyStamp(cfg stamp.Config) stamp.Config {
-	cfg.Policy = b.spec.Policy()
+	cfg.Policy = b.spec.Policy
 	if b.spec.Pool != stm.PoolNone {
 		cfg.Pool = b.spec.Pool
 	}
@@ -240,9 +240,9 @@ func (b *Builder) stampCell(cfg stamp.Config, rep int) (stamp.Config, string) {
 // Stamp declares one timed STAMP cell.
 func (b *Builder) Stamp(cfg stamp.Config, rep int) Handle[StampCell] {
 	cfg, key := b.stampCell(cfg, rep)
-	return addCell[StampCell](b, key, cfg, cfg.Seed, func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
+	return addCell[StampCell](b, key, cfg, cfg.Seed, func(in core.Instruments) (any, error) {
 		c := cfg
-		c.Obs, c.Prof, c.Heap = rec, pp, hc
+		c.Instruments = in
 		res, err := stamp.Run(c)
 		if err != nil {
 			return nil, err
@@ -273,9 +273,9 @@ func (b *Builder) StampProbeCell(cfg stamp.Config) Handle[StampProbe] {
 	cfg = b.applyStamp(cfg)
 	key := "probe/" + stampKey(cfg, 0)
 	cfg.Seed = sweep.DeriveSeed(b.spec.seed(), key)
-	return addCell[StampProbe](b, key, cfg, cfg.Seed, func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error) {
+	return addCell[StampProbe](b, key, cfg, cfg.Seed, func(in core.Instruments) (any, error) {
 		c := cfg
-		c.Obs, c.Prof, c.Heap = rec, pp, hc
+		c.Instruments = in
 		res, err := stamp.Run(c)
 		if err != nil {
 			return nil, err
@@ -325,7 +325,7 @@ func (b *Builder) Threadtest(cfg threadtest.Config, rep int) Handle[ThreadtestCe
 	key := fmt.Sprintf("threadtest/%s/t%d/b%d/o%d/w%d/r%d",
 		cfg.Allocator, cfg.Threads, cfg.BlockSize, cfg.OpsPerThread, cfg.TouchWords, rep)
 	seed := sweep.DeriveSeed(b.spec.seed(), key)
-	return addCell[ThreadtestCell](b, key, cfg, seed, func(*obs.Recorder, *prof.Profiler, *heapscope.Collector) (any, error) {
+	return addCell[ThreadtestCell](b, key, cfg, seed, func(core.Instruments) (any, error) {
 		res, err := threadtest.Run(cfg)
 		if err != nil {
 			return nil, err
@@ -365,12 +365,11 @@ type HyTMCell struct {
 
 // HyTM declares one hybrid-TM cell.
 func (b *Builder) HyTM(cfg intset.Config, rep int) Handle[HyTMCell] {
-	cfg.Obs = nil
 	key := intsetKey("hytm", cfg, rep)
 	cfg.Seed = sweep.DeriveSeed(b.spec.seed(), key)
-	return addCell[HyTMCell](b, key, cfg, cfg.Seed, func(rec *obs.Recorder, _ *prof.Profiler, _ *heapscope.Collector) (any, error) {
+	return addCell[HyTMCell](b, key, cfg, cfg.Seed, func(in core.Instruments) (any, error) {
 		c := cfg
-		c.Obs = rec
+		c.Obs = in.Obs
 		res, err := intset.RunHyTM(c)
 		if err != nil {
 			return nil, err
@@ -394,7 +393,7 @@ func (b *Builder) Static(fn func() (*Result, error)) Handle[Result] {
 	key := "static/" + b.id
 	spec := staticSpec{ID: b.id, Full: b.spec.Full}
 	seed := sweep.DeriveSeed(b.spec.seed(), key)
-	return addCell[Result](b, key, spec, seed, func(*obs.Recorder, *prof.Profiler, *heapscope.Collector) (any, error) {
+	return addCell[Result](b, key, spec, seed, func(core.Instruments) (any, error) {
 		return fn()
 	})
 }

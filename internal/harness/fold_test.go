@@ -8,9 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/heapscope"
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/sweep"
 )
 
@@ -38,12 +37,12 @@ func TestRunCellsFoldsEachSiblingOnce(t *testing.T) {
 		var cs []sweep.Cell
 		for i, k := range keys {
 			delay := time.Duration(len(keys)-i) * time.Millisecond // later cells finish first
-			cs = append(cs, spec.Cell(k, k, 1, func(rec *obs.Recorder, _ *prof.Profiler, _ *heapscope.Collector) (any, error) {
+			cs = append(cs, spec.Cell(k, k, 1, func(in core.Instruments) (any, error) {
 				time.Sleep(delay)
 				if k == "boom" {
 					return nil, errors.New("injected")
 				}
-				recordCell(rec, i)
+				recordCell(in.Obs, i)
 				return k, nil
 			}))
 		}

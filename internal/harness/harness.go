@@ -75,8 +75,8 @@ type Result struct {
 
 // Experiment regenerates one paper item. Plan declares the
 // experiment's cells against the builder and installs the reducer that
-// folds their payloads into the printable Result; the session (or the
-// legacy Run adapter) executes the cells through the sweep scheduler.
+// folds their payloads into the printable Result; the session executes
+// the cells through the sweep scheduler.
 type Experiment struct {
 	ID    string // "fig1", "tab4", ...
 	Paper string // what it reproduces

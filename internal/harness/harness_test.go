@@ -8,6 +8,12 @@ import (
 
 func intPtr(v int) *int { return &v }
 
+// runExperiment runs one experiment through a one-worker session.
+func runExperiment(id string, spec *Spec) (*Result, error) {
+	runs, _ := (&Session{Spec: spec}).Run([]string{id})
+	return runs[0].Result, runs[0].Err
+}
+
 func TestAllExperimentsRegistered(t *testing.T) {
 	want := []string{
 		"tab1", "tab2", "fig1", "fig2", "fig3",
@@ -36,8 +42,7 @@ func TestIDsOrderedForPresentation(t *testing.T) {
 // results quickly.
 func TestStaticExperiments(t *testing.T) {
 	for _, id := range []string{"tab1", "tab2", "fig2", "fig5"} {
-		e, _ := Get(id)
-		res, err := RunExperiment(e, &Spec{})
+		res, err := runExperiment(id, &Spec{})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -55,8 +60,7 @@ func TestStaticExperiments(t *testing.T) {
 }
 
 func TestTab1MatchesPaperValues(t *testing.T) {
-	e, _ := Get("tab1")
-	res, err := RunExperiment(e, &Spec{})
+	res, err := runExperiment("tab1", &Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +77,7 @@ func TestTab1MatchesPaperValues(t *testing.T) {
 }
 
 func TestFig2TraceShowsAdjacency(t *testing.T) {
-	e, _ := Get("fig2")
-	res, err := RunExperiment(e, &Spec{})
+	res, err := runExperiment("fig2", &Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +173,7 @@ func TestDynamicExperimentsSmoke(t *testing.T) {
 		t.Skip("runs workloads")
 	}
 	for _, id := range []string{"fig1", "fig3", "hytm", "appchar"} {
-		e, ok := Get(id)
-		if !ok {
-			t.Fatalf("%s missing", id)
-		}
-		res, err := RunExperiment(e, &Spec{Reps: intPtr(1)})
+		res, err := runExperiment(id, &Spec{Reps: intPtr(1)})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -200,8 +199,7 @@ func TestHeavyExperimentsSmoke(t *testing.T) {
 		t.Skip("runs many workloads")
 	}
 	for _, id := range []string{"fig4rates", "tab5"} {
-		e, _ := Get(id)
-		res, err := RunExperiment(e, &Spec{Reps: intPtr(1)})
+		res, err := runExperiment(id, &Spec{Reps: intPtr(1)})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

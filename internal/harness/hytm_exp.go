@@ -16,7 +16,7 @@ func init() {
 		ID:    "hytm",
 		Paper: "future work (§7): allocator influence on a best-effort HTM / hybrid TM",
 		Plan: func(b *Builder) error {
-			initial, keyRange, ops := IntsetScale(b.Spec().Full, intset.HashSet)
+			initial, keyRange, ops := IntsetScale(b.Full(), intset.HashSet)
 			reps := b.Reps(1, 3)
 			handles := make([][]Handle[HyTMCell], len(Allocators()))
 			for ai, aname := range Allocators() {

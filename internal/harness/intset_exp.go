@@ -63,7 +63,7 @@ func planFig4Tab3(b *Builder, id string) error {
 		for ni, n := range threads {
 			sweeps[ki][ni] = make([]IntsetSweep, len(Allocators()))
 			for ai, aname := range Allocators() {
-				sweeps[ki][ni][ai] = b.IntsetSweep(intsetCfg(b.Spec().Full, kind, aname, n), reps)
+				sweeps[ki][ni][ai] = b.IntsetSweep(intsetCfg(b.Full(), kind, aname, n), reps)
 			}
 		}
 	}
@@ -132,7 +132,7 @@ func init() {
 			for ni, n := range threads {
 				sweeps[ni] = make([]IntsetSweep, len(Allocators()))
 				for ai, aname := range Allocators() {
-					sweeps[ni][ai] = b.IntsetSweep(intsetCfg(b.Spec().Full, intset.LinkedList, aname, n), reps)
+					sweeps[ni][ai] = b.IntsetSweep(intsetCfg(b.Full(), intset.LinkedList, aname, n), reps)
 				}
 			}
 			b.Reduce(func() (*Result, error) {
@@ -176,7 +176,7 @@ func init() {
 			for ni, n := range threads {
 				sweeps[ni] = make([]pair, len(Allocators()))
 				for ai, aname := range Allocators() {
-					base := intsetCfg(b.Spec().Full, intset.LinkedList, aname, n)
+					base := intsetCfg(b.Full(), intset.LinkedList, aname, n)
 					s5 := base
 					s5.Shift = 5
 					s4 := base

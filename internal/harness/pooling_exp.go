@@ -35,7 +35,7 @@ func init() {
 		Paper: "Pooling sweep: tx-object disciplines (none/cache/pool/batch) across allocators and txn counts",
 		Plan: func(b *Builder) error {
 			reps := b.Reps(1, 3)
-			full := b.Spec().Full
+			full := b.Full()
 			discs := poolDisciplines()
 			threads := 8
 

@@ -16,7 +16,7 @@ func init() {
 		ID:    "fig4rates",
 		Paper: "§4/§5 update-rate sweep: read-only, read-dominated, write-dominated (linked list, 8 threads)",
 		Plan: func(b *Builder) error {
-			initial, keyRange, ops := IntsetScale(b.Spec().Full, intset.LinkedList)
+			initial, keyRange, ops := IntsetScale(b.Full(), intset.LinkedList)
 			reps := b.Reps(1, 3)
 			rates := []int{0, 20, 60}
 			sweeps := make([][]IntsetSweep, len(rates))

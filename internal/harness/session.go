@@ -76,17 +76,15 @@ func (s *Session) Run(ids []string) ([]*ExperimentRun, sweep.Stats) {
 	var cells []sweep.Cell
 	var plans []*planned
 	for i, id := range ids {
-		er := &ExperimentRun{ID: id}
+		er := &ExperimentRun{ID: id, Health: &Health{}}
 		runs[i] = er
-		spec := s.Spec.child()
-		er.Health = spec.Health
 		e, ok := Get(id)
 		if !ok {
 			er.Err = fmt.Errorf("harness: unknown experiment %q", id)
 			continue
 		}
 		er.Experiment = e
-		b := &Builder{id: id, spec: spec}
+		b := &Builder{id: id, spec: s.Spec}
 		if err := planRecovered(e, b); err != nil {
 			er.Err = err
 			continue
@@ -261,11 +259,4 @@ func (s *Session) Record(run *ExperimentRun) *obs.RunRecord {
 	rec.Blocks = run.Blocks
 	rec.Attach(s.Spec.Obs)
 	return rec
-}
-
-// RunExperiment runs a single experiment on one worker with no cache — the
-// spec-level equivalent of the old monolithic Run entry point.
-func RunExperiment(e *Experiment, spec *Spec) (*Result, error) {
-	runs, _ := (&Session{Spec: spec}).Run([]string{e.ID})
-	return runs[0].Result, runs[0].Err
 }

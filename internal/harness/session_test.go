@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
@@ -166,7 +167,7 @@ func TestSessionObservedRunsBypassCache(t *testing.T) {
 // worlds share no fault plan.
 func TestSessionStormFaultParallel(t *testing.T) {
 	one := 1
-	spec := &Spec{Reps: &one, Fault: "storm@20000:24000"}
+	spec := &Spec{Reps: &one, Policy: core.Policy{Fault: "storm@20000:24000"}}
 	s := &Session{Spec: spec, Jobs: 8}
 	runs, stats := s.Run([]string{"tab4"})
 	if runs[0].Err != nil {
@@ -193,13 +194,13 @@ func TestSpecValidate(t *testing.T) {
 	if err := (&Spec{Reps: &bad}).Validate(); err == nil {
 		t.Error("Reps=0 override must be rejected")
 	}
-	if err := (&Spec{CM: 99}).Validate(); err == nil {
+	if err := (&Spec{Policy: core.Policy{CM: 99}}).Validate(); err == nil {
 		t.Error("unknown CM must be rejected")
 	}
-	if err := (&Spec{Fault: "bogus@"}).Validate(); err == nil {
+	if err := (&Spec{Policy: core.Policy{Fault: "bogus@"}}).Validate(); err == nil {
 		t.Error("unparsable fault plan must be rejected")
 	}
-	if err := (&Spec{Fault: "storm@1:2"}).Validate(); err != nil {
+	if err := (&Spec{Policy: core.Policy{Fault: "storm@1:2"}}).Validate(); err != nil {
 		t.Error("valid fault plan must pass:", err)
 	}
 }

@@ -19,21 +19,18 @@ import (
 // integers) with enum and explicit-override fields that validate at
 // construction time instead of deep inside an experiment loop.
 //
-// Reps and Seed are nil for "use the per-experiment default"; the
-// policy knobs are plain values whose zero means the default, as in
-// core.Policy.
+// Reps and Seed are nil for "use the per-experiment default"; the other
+// knobs are plain values whose zero means the default.
 type Spec struct {
 	Full bool    // paper-scale parameters instead of quick ones
 	Reps *int    // repetitions for mean/CI; nil = per-experiment default
 	Seed *uint64 // base seed; nil = the suite default
 
-	CM       stm.CM // contention manager (typed; default CMSuicide)
-	RetryCap uint64 // irrevocable-fallback threshold; 0 = STM default
-	Fault    string // fault-plan spec (internal/fault grammar); "" disables
-	Deadline uint64 // virtual-cycle watchdog bound per workload phase; 0 = none
-
-	Pmem  bool   // durable heap on every workload cell: redo-logged commits, priced flush/fence
-	Crash string // crash-injection clauses (fault crash grammar); "" disables; implies Pmem
+	// Policy holds the robustness knobs and the simulated-side observer
+	// switches, which every workload cell runs under as is. Validate
+	// fills its Plan from Fault and Crash, so each cell's world builder
+	// takes a per-seed clone instead of re-parsing.
+	core.Policy
 
 	// Pool forces a tx-object pooling discipline onto every workload
 	// cell. PoolNone (the default) leaves each experiment's own choice
@@ -41,31 +38,11 @@ type Spec struct {
 	// byte-identical to a spec that predates the field.
 	Pool stm.Pooling
 
-	// plan is the Fault+Crash spec parsed once by Validate; each cell's
-	// world builder takes a per-seed clone instead of re-parsing.
-	plan *fault.Plan
-
 	Obs     *obs.Recorder // observability sink; nil disables
 	Profile bool          // per-cell cycle-attribution profiling
-	Health  *Health       // aggregated run status; nil = one is created per experiment
 
 	Heap        bool   // per-cell allocator-state telemetry (heapscope)
 	HeapCadence uint64 // snapshot interval in virtual cycles; 0 = heapscope.DefaultCadence
-
-	// Race attaches the happens-before race checker (internal/race) to
-	// every workload cell. A pure observer — checked cells compute
-	// byte-identical results.
-	Race bool
-
-	// Conflict attaches the abort-forensics observatory
-	// (internal/conflict) to every workload cell. A pure observer —
-	// observed cells compute byte-identical results.
-	Conflict bool
-
-	// Sanitize attaches the shadow-memory sanitizer to every workload
-	// cell's space. A pure observer unless it fires: a heap-misuse
-	// diagnostic fails the cell.
-	Sanitize bool
 }
 
 // DefaultSeed is the suite's base seed when Spec.Seed is nil.
@@ -83,6 +60,7 @@ func (s *Spec) Validate() error {
 	if s.Reps != nil && *s.Reps < 1 {
 		return fmt.Errorf("harness: reps override must be >= 1, got %d", *s.Reps)
 	}
+	s.Plan = nil
 	if spec := fault.Join(s.Fault, s.Crash); spec != "" {
 		plan, err := fault.Parse(spec, 1)
 		if err != nil {
@@ -91,18 +69,9 @@ func (s *Spec) Validate() error {
 		if s.Crash != "" && !plan.HasCrash() {
 			return fmt.Errorf("harness: crash spec %q contains no crash clause", s.Crash)
 		}
-		s.plan = plan
+		s.Plan = plan
 	}
 	return nil
-}
-
-// Policy is the workload policy every cell runs under: the robustness
-// knobs and the simulated-side observers, which core.NewSystem builds.
-// The host-side observers (recorder, profiler, heap collector) are per
-// cell; see Cell.
-func (s *Spec) Policy() core.Policy {
-	return core.Policy{CM: s.CM, RetryCap: s.RetryCap, Fault: s.Fault, Deadline: s.Deadline,
-		Pmem: s.Pmem, Crash: s.Crash, Plan: s.plan, Sanitize: s.Sanitize, Race: s.Race, Conflict: s.Conflict}
 }
 
 // mustExecute reports whether cells must run instead of replaying from
@@ -112,13 +81,13 @@ func (s *Spec) Policy() core.Policy {
 // actually running, not from a record of an earlier run.
 func (s *Spec) mustExecute() bool {
 	return s.Obs != nil || s.Profile || s.Heap || s.Sanitize || s.Race || s.Conflict ||
-		s.Crash != "" || s.plan.HasCrash()
+		s.Crash != "" || s.Plan.HasCrash()
 }
 
-// CellFunc runs one cell against its private recorder, profiler and
-// heap collector (each nil when the spec does not ask for it) and
-// returns the cell's payload.
-type CellFunc func(rec *obs.Recorder, pp *prof.Profiler, hc *heapscope.Collector) (any, error)
+// CellFunc runs one cell with its private host-side observers — a
+// recorder, a profiler and a heap collector, each nil when the spec
+// does not ask for it — and returns the cell's payload.
+type CellFunc func(core.Instruments) (any, error)
 
 // Harvest is what one executed cell's host-side observers collected:
 // the sweep.Outcome.Harvest of every cell Spec.Cell builds. The sweep
@@ -153,30 +122,28 @@ func (s *Spec) Cell(key string, spec any, seed uint64, run CellFunc) sweep.Cell 
 		Spec: raw,
 		Seed: seed,
 		Run: func() (any, any, error) {
-			rec := parent.Sibling()
-			var pp *prof.Profiler
+			in := core.Instruments{Obs: parent.Sibling()}
 			if profiled {
-				pp = prof.New()
-				pp.SetRecorder(rec)
+				in.Prof = prof.New()
+				in.Prof.SetRecorder(in.Obs)
 			}
-			var hc *heapscope.Collector
 			if watched {
-				hc = heapscope.New(cadence)
+				in.Heap = heapscope.New(cadence)
 			}
-			payload, err := run(rec, pp, hc)
+			payload, err := run(in)
 			if err != nil {
 				return nil, nil, err
 			}
-			if rec == nil && pp == nil && hc == nil {
+			if in == (core.Instruments{}) {
 				return payload, nil, nil
 			}
-			h := &Harvest{rec: rec}
-			if pp != nil {
-				h.Profile = pp.Profile()
+			h := &Harvest{rec: in.Obs}
+			if in.Prof != nil {
+				h.Profile = in.Prof.Profile()
 				h.Profile.Label = key
 			}
-			if hc != nil {
-				h.Heap = hc.Series(key)
+			if in.Heap != nil {
+				h.Heap = in.Heap.Series(key)
 			}
 			return payload, h, nil
 		},
@@ -200,14 +167,4 @@ func (s *Spec) seed() uint64 {
 		return *s.Seed
 	}
 	return DefaultSeed
-}
-
-// child clones the spec for one experiment, giving it a private Health
-// aggregate when the caller did not supply a shared one.
-func (s *Spec) child() *Spec {
-	c := *s
-	if c.Health == nil {
-		c.Health = &Health{}
-	}
-	return &c
 }

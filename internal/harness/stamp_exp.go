@@ -50,7 +50,7 @@ func init() {
 			for pi, app := range apps {
 				sweeps[pi] = make([]StampSweep, len(allocs))
 				for ai, aname := range allocs {
-					sweeps[pi][ai] = b.StampSweep(stampCfg(b.Spec().Full, app, aname, 8), reps)
+					sweeps[pi][ai] = b.StampSweep(stampCfg(b.Full(), app, aname, 8), reps)
 				}
 			}
 			b.Reduce(func() (*Result, error) {
@@ -92,7 +92,7 @@ func init() {
 			apps := stamp.Names()
 			probes := make([]Handle[StampProbe], len(apps))
 			for pi, app := range apps {
-				cfg := stampCfg(b.Spec().Full, app, "tbb", 1)
+				cfg := stampCfg(b.Full(), app, "tbb", 1)
 				cfg.Profile = true
 				probes[pi] = b.StampProbeCell(cfg)
 			}
@@ -156,7 +156,7 @@ func planFig7Tab6(b *Builder, id string) error {
 		for ni, n := range threads {
 			sweeps[pi][ni] = make([]StampSweep, len(Allocators()))
 			for ai, aname := range Allocators() {
-				sweeps[pi][ni][ai] = b.StampSweep(stampCfg(b.Spec().Full, app, aname, n), reps)
+				sweeps[pi][ni][ai] = b.StampSweep(stampCfg(b.Full(), app, aname, n), reps)
 			}
 		}
 	}
@@ -226,7 +226,7 @@ func init() {
 				for ni, n := range threads {
 					sweeps[pi][ni] = make([]StampSweep, len(Allocators()))
 					for ai, aname := range Allocators() {
-						sweeps[pi][ni][ai] = b.StampSweep(stampCfg(b.Spec().Full, app, aname, n), reps)
+						sweeps[pi][ni][ai] = b.StampSweep(stampCfg(b.Full(), app, aname, n), reps)
 					}
 				}
 			}
@@ -286,7 +286,7 @@ func init() {
 			for pi, app := range apps {
 				sweeps[pi] = make([]pair, len(Allocators()))
 				for ai, aname := range Allocators() {
-					off := stampCfg(b.Spec().Full, app, aname, 8)
+					off := stampCfg(b.Full(), app, aname, 8)
 					on := off
 					on.CacheTx = true
 					sweeps[pi][ai] = pair{off: b.StampSweep(off, reps), on: b.StampSweep(on, reps)}

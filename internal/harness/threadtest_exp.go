@@ -15,7 +15,7 @@ func init() {
 		Plan: func(b *Builder) error {
 			sizes := []uint64{16, 64, 128, 256, 512, 2048, 8192}
 			ops := 2000
-			if b.Spec().Full {
+			if b.Full() {
 				ops = 10000
 			}
 			reps := b.Reps(2, 5)

@@ -13,6 +13,7 @@ package intset
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/alloc"
 	"repro/internal/cachesim"
@@ -38,6 +39,18 @@ const (
 
 // Kinds lists the structures in the paper's order.
 func Kinds() []Kind { return []Kind{LinkedList, HashSet, RBTree} }
+
+// ParseKind maps a structure name to its Kind.
+func ParseKind(name string) (Kind, error) {
+	names := make([]string, 0, len(Kinds()))
+	for _, k := range Kinds() {
+		if string(k) == name {
+			return k, nil
+		}
+		names = append(names, string(k))
+	}
+	return "", fmt.Errorf("intset: unknown structure %q (allowed: %s)", name, strings.Join(names, ", "))
+}
 
 // Set is the common transactional set interface the three structures
 // expose.
@@ -73,9 +86,12 @@ type Config struct {
 	Pool        stm.Pooling // tx-object recycling discipline (none/cache/pool/batch)
 	Seed        uint64
 	HashBuckets uint64 // hash set only; paper: 128K
+	// Instruments are the host-side observers the caller builds per
+	// cell; core.Instruments says why they precede Policy.
+	core.Instruments
 	// Policy carries the robustness policy (CM, retry cap, faults,
-	// deadline, durability) and the observers; core.NewSystem builds and
-	// attaches them.
+	// deadline, durability) and the simulated-side observer switches;
+	// core.NewSystem builds and attaches them.
 	core.Policy
 	// SeedUAF plants a use-after-free at the start of the measurement
 	// phase: thread 0 allocates and stores, frees, then reads the stale
@@ -189,7 +205,7 @@ func Run(cfg Config) (res Result, err error) {
 	sys, err := core.NewSystem(core.Options{
 		Allocator: cfg.Allocator, Threads: cfg.Threads, Shift: cfg.Shift,
 		OrtBits: ortBits, Design: cfg.Design, Pool: cfg.Pool, CacheTx: cfg.CacheTx,
-		Seed: cfg.Seed, Policy: cfg.Policy,
+		Seed: cfg.Seed, Instruments: cfg.Instruments, Policy: cfg.Policy,
 	})
 	if err != nil {
 		return Result{}, err

@@ -1,6 +1,7 @@
 package intset
 
 import (
+	"strings"
 	"testing"
 
 	_ "repro/internal/alloc/glibc"
@@ -117,5 +118,28 @@ func TestSingleThreadNoAborts(t *testing.T) {
 	}
 	if res.Tx.Aborts != 0 {
 		t.Errorf("1-thread run aborted %d times", res.Tx.Aborts)
+	}
+}
+
+func TestParseKind(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Kind
+		ok   bool
+	}{
+		{"linkedlist", LinkedList, true},
+		{"hashset", HashSet, true},
+		{"rbtree", RBTree, true},
+		{"bogus", "", false},
+		{"RBTree", "", false},
+		{"", "", false},
+	} {
+		got, err := ParseKind(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseKind(%q) = %q, %v; want %q, ok %v", c.in, got, err, c.want, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "linkedlist, hashset, rbtree") {
+			t.Errorf("ParseKind(%q) error %q names no allowed values", c.in, err)
+		}
 	}
 }

@@ -22,7 +22,7 @@ func benchCfg(rec *obs.Recorder) intset.Config {
 		KeyRange:     192,
 		UpdatePct:    60,
 		OpsPerThread: 40,
-		Policy:       core.Policy{Obs: rec},
+		Instruments:  core.Instruments{Obs: rec},
 	}
 }
 

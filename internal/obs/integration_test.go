@@ -25,7 +25,7 @@ func run(t *testing.T, allocator string) (*obs.Recorder, []byte, []byte, []byte)
 		KeyRange:     256,
 		UpdatePct:    60,
 		OpsPerThread: 60,
-		Policy:       core.Policy{Obs: rec},
+		Instruments:  core.Instruments{Obs: rec},
 	})
 	if err != nil {
 		t.Fatal(err)

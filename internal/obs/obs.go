@@ -258,9 +258,6 @@ func (r *Recorder) Sibling() *Recorder {
 	return New(Config{RingSize: r.ringSize})
 }
 
-// Enabled reports whether the recorder is active (non-nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Metrics returns the metrics registry (nil on a nil recorder).
 func (r *Recorder) Metrics() *Registry {
 	if r == nil {

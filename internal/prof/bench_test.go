@@ -25,7 +25,7 @@ func benchWorkload(p *prof.Profiler) intset.Config {
 		KeyRange:     192,
 		UpdatePct:    60,
 		OpsPerThread: 40,
-		Policy:       core.Policy{Prof: p},
+		Instruments:  core.Instruments{Prof: p},
 	}
 }
 

@@ -34,7 +34,7 @@ func TestGoldenFolded(t *testing.T) {
 		UpdatePct:    60,
 		OpsPerThread: 32,
 		Seed:         42,
-		Policy:       core.Policy{Prof: p},
+		Instruments:  core.Instruments{Prof: p},
 	}
 	if _, err := intset.Run(cfg); err != nil {
 		t.Fatal(err)

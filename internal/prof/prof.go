@@ -108,9 +108,6 @@ type Profiler struct {
 // New builds an enabled Profiler.
 func New() *Profiler { return &Profiler{} }
 
-// Enabled reports whether the profiler is active (non-nil).
-func (p *Profiler) Enabled() bool { return p != nil }
-
 // SetRecorder makes every End also emit the closed region as an
 // obs trace span, so Perfetto renders the phase structure on the
 // per-thread tracks. Nil (the default) keeps the profiler silent.

@@ -227,7 +227,6 @@ type Checker struct {
 	logCommitted []bool     // durable redo log committed for the open transaction
 
 	releases []release
-	relFloor []uint64         // scratch for compaction
 	syncs    map[any][]uint64 // per sync object: join of every released clock
 
 	wordOwner map[mem.Addr]*block

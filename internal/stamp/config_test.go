@@ -51,3 +51,47 @@ func TestBucketBoundaries(t *testing.T) {
 		}
 	}
 }
+
+func TestParseScale(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want stamp.Scale
+		ok   bool
+	}{
+		{"quick", stamp.Quick, true},
+		{"ref", stamp.Ref, true},
+		{"full", stamp.Ref, true},
+		{"rfe", 0, false},
+		{"Ref", 0, false},
+		{"", 0, false},
+	} {
+		got, err := stamp.ParseScale(c.in)
+		if (err == nil) != c.ok || (c.ok && got != c.want) {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v, ok %v", c.in, got, err, c.want, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "quick, ref, full") {
+			t.Errorf("ParseScale(%q) error %q names no allowed values", c.in, err)
+		}
+	}
+}
+
+func TestParseVariant(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want stamp.Variant
+		ok   bool
+	}{
+		{"high", stamp.HighContention, true},
+		{"low", stamp.LowContention, true},
+		{"hi", 0, false},
+		{"", 0, false},
+	} {
+		got, err := stamp.ParseVariant(c.in)
+		if (err == nil) != c.ok || (c.ok && got != c.want) {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v, ok %v", c.in, got, err, c.want, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "high, low") {
+			t.Errorf("ParseVariant(%q) error %q names no allowed values", c.in, err)
+		}
+	}
+}

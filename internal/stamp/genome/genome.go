@@ -50,7 +50,6 @@ type Genome struct {
 	nPref       uint64
 	linkNext    mem.Addr // per unique segment: next segment index + 1
 	linkPrev    mem.Addr // per unique segment: has-predecessor flag
-	uniqueList  []int    // unique pool indices, fixed after phase 1
 
 	phase1Done *vtime.Barrier
 	phase2aEnd *vtime.Barrier

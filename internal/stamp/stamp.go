@@ -35,6 +35,18 @@ const (
 	Ref
 )
 
+// ParseScale maps a command-line spelling to a Scale: "quick", or "ref"
+// and its alias "full".
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "quick":
+		return Quick, nil
+	case "ref", "full":
+		return Ref, nil
+	}
+	return Quick, fmt.Errorf("stamp: unknown scale %q (allowed: quick, ref, full)", name)
+}
+
 // Variant selects between an application's recommended configurations
 // where STAMP defines two (kmeans and vacation); the paper evaluates
 // the high-contention one.
@@ -45,6 +57,18 @@ const (
 	HighContention Variant = iota // the paper's choice (default)
 	LowContention
 )
+
+// ParseVariant maps a command-line spelling to a Variant: "high" or
+// "low" contention.
+func ParseVariant(name string) (Variant, error) {
+	switch name {
+	case "high":
+		return HighContention, nil
+	case "low":
+		return LowContention, nil
+	}
+	return HighContention, fmt.Errorf("stamp: unknown variant %q (allowed: high, low)", name)
+}
 
 // Config parameterizes one application run.
 type Config struct {
@@ -60,9 +84,12 @@ type Config struct {
 	Pool    stm.Pooling // tx-object recycling discipline (none/cache/pool/batch)
 	Seed    uint64
 	Profile bool // collect the Table 5 allocation profile
+	// Instruments are the host-side observers the caller builds per
+	// cell; core.Instruments says why they precede Policy.
+	core.Instruments
 	// Policy carries the robustness policy (CM, retry cap, faults,
-	// deadline, durability) and the observers; core.NewSystem builds and
-	// attaches them.
+	// deadline, durability) and the simulated-side observer switches;
+	// core.NewSystem builds and attaches them.
 	core.Policy
 }
 
@@ -239,7 +266,8 @@ func Run(cfg Config) (res Result, err error) {
 	var pa *profAlloc
 	opts := core.Options{
 		Allocator: cfg.Allocator, Threads: cfg.Threads, Shift: cfg.Shift,
-		Pool: cfg.Pool, CacheTx: cfg.CacheTx, Seed: cfg.Seed, Policy: cfg.Policy,
+		Pool: cfg.Pool, CacheTx: cfg.CacheTx, Seed: cfg.Seed,
+		Instruments: cfg.Instruments, Policy: cfg.Policy,
 	}
 	if cfg.Profile {
 		opts.TxAllocator = func(base alloc.Allocator) alloc.Allocator {

@@ -304,6 +304,28 @@ for f in -race-sim -sanitize; do
     [ "$rc" -eq 2 ] || { echo "tmintset -hytm $f exited $rc, want 2" >&2; exit 1; }
 done
 
+echo "== flag typo gate =="
+# A mistyped name must fail while flags parse (exit 2, naming the
+# allowed values) instead of running a default under the typo's label:
+# the STAMP scale and variant, the intset structure of every binary
+# that takes one, tmintset's STM design and tmlayout's mode.
+for b in tmstamp tmcrash tmwhy tmlayout; do
+    go build -o "$tmpdir/$b" ./cmd/$b
+done
+while read -r b args; do
+    rc=0; "$tmpdir/$b" $args >/dev/null 2>"$tmpdir/typo.txt" || rc=$?
+    [ "$rc" -eq 2 ] || { echo "$b $args exited $rc, want 2" >&2; exit 1; }
+    grep -q 'allowed' "$tmpdir/typo.txt" || { echo "$b $args named no allowed values" >&2; exit 1; }
+done <<'EOF'
+tmstamp -app genome -scale rfe
+tmstamp -app genome -variant hi
+tmintset -kind bogus
+tmintset -design etl
+tmcrash -kind bogus
+tmwhy -kind bogus
+tmlayout -mode paralel
+EOF
+
 echo "== durability crash-matrix gate =="
 # The full crash→recover→verify matrix (4 allocators × 3 commit-phase
 # crash points) must come back with every recovery verdict ok — tmcrash
