@@ -4,9 +4,9 @@
 // the artifact-output group (-trace, -metrics, -json) with its one
 // writer; and the single-cell runner (RunCell).
 // Flag values that name things — contention managers, fault plans,
-// pooling disciplines, intset structures (Kind) — are validated while
-// flags parse, so a typo fails immediately with the allowed names
-// instead of minutes into a sweep.
+// pooling disciplines, intset structures (Kind), allocators (Alloc,
+// Allocs) — are validated while flags parse, so a typo fails
+// immediately with the allowed names instead of minutes into a sweep.
 package cliflags
 
 import (
@@ -16,8 +16,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 
+	"repro/internal/alloc"
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/heapscope"
@@ -117,6 +119,47 @@ func Kind(fs *flag.FlagSet) *intset.Kind {
 		return err
 	})
 	return &k
+}
+
+// Alloc registers -alloc on fs: one allocator, glibc by default,
+// validated while flags parse.
+func Alloc(fs *flag.FlagSet) *string {
+	name := "glibc"
+	fs.Func("alloc", "allocator: "+strings.Join(alloc.Names(), ", ")+" (default glibc)", func(v string) error {
+		name = v
+		return knownAlloc(v)
+	})
+	return &name
+}
+
+// Allocs registers the flag name on fs: a comma-separated list of
+// allocators, or all (the default), validated while flags parse.
+func Allocs(fs *flag.FlagSet, name, usage string) *[]string {
+	names := alloc.Names()
+	fs.Func(name, usage+": comma-separated list of "+strings.Join(alloc.Names(), ", ")+", or all (default all)", func(v string) error {
+		if v == "all" {
+			names = alloc.Names()
+			return nil
+		}
+		names = strings.Split(v, ",")
+		for i, n := range names {
+			names[i] = strings.TrimSpace(n)
+			if err := knownAlloc(names[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return &names
+}
+
+// knownAlloc names the allowed values when name is no registered
+// allocator.
+func knownAlloc(name string) error {
+	if !slices.Contains(alloc.Names(), name) {
+		return fmt.Errorf("unknown allocator %q (allowed: %s)", name, strings.Join(alloc.Names(), ", "))
+	}
+	return nil
 }
 
 // Sweep is the parsed scheduler group.

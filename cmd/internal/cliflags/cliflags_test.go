@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/intset"
@@ -109,6 +111,37 @@ func TestBadValuesFailWhileParsing(t *testing.T) {
 	for _, args := range [][]string{{"-cm", "bogus"}, {"-pool", "bogus"}, {"-crash", "oom%1"}} {
 		if _, _, err := parse(args...); err == nil {
 			t.Errorf("%v parsed without error", args)
+		}
+	}
+}
+
+func TestAllocFlagsNameRegisteredAllocators(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		one  string
+		many []string
+		ok   bool
+	}{
+		{nil, "glibc", alloc.Names(), true},
+		{[]string{"-alloc", "tbb", "-allocs", "hoard, tcmalloc"}, "tbb", []string{"hoard", "tcmalloc"}, true},
+		{[]string{"-allocs", "all"}, "glibc", alloc.Names(), true},
+		{[]string{"-alloc", "bogus"}, "", nil, false},
+		{[]string{"-alloc", "all"}, "", nil, false},
+		{[]string{"-allocs", "glibc,bogus"}, "", nil, false},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		var usage strings.Builder
+		fs.SetOutput(&usage)
+		one, many := Alloc(fs), Allocs(fs, "allocs", "allocators")
+		err := fs.Parse(c.args)
+		if !c.ok {
+			if err == nil || !strings.Contains(usage.String(), "allowed: glibc, hoard, tbb, tcmalloc") {
+				t.Errorf("%v: err %v, output %q; want an error naming the allowed values", c.args, err, usage.String())
+			}
+			continue
+		}
+		if err != nil || *one != c.one || !reflect.DeepEqual(*many, c.many) {
+			t.Errorf("%v: %q, %v, err %v; want %q, %v", c.args, *one, *many, err, c.one, c.many)
 		}
 	}
 }

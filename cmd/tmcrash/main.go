@@ -58,7 +58,6 @@ func (a *agg) ratio() float64 {
 
 func main() {
 	var (
-		allocs  = flag.String("alloc", "all", "allocators to crash (comma list, or all)")
 		threads = flag.Int("threads", 4, "logical threads")
 		initial = flag.Int("initial", 128, "initial set size")
 		ops     = flag.Int("ops", 200, "operations per thread")
@@ -67,18 +66,11 @@ func main() {
 		seed    = flag.Uint64("seed", 0, "workload seed (0 = default)")
 		sanit   = flag.Bool("sanitize", false, "attach the shadow-memory sanitizer to every cell; recovery also checks the shadow map against the journal")
 	)
+	allocs := cliflags.Allocs(flag.CommandLine, "alloc", "allocators to crash")
 	kind := cliflags.Kind(flag.CommandLine)
 	sw := cliflags.AddSweep(flag.CommandLine)
 	outp := cliflags.AddOutput(flag.CommandLine)
 	flag.Parse()
-
-	names := harness.Allocators()
-	if *allocs != "all" {
-		names = nil
-		for _, a := range strings.Split(*allocs, ",") {
-			names = append(names, strings.TrimSpace(a))
-		}
-	}
 
 	rec := outp.NewRecorder()
 	spec := &harness.Spec{Obs: rec}
@@ -87,7 +79,7 @@ func main() {
 	}
 	var ids []cellID
 	var cells []sweep.Cell
-	for _, a := range names {
+	for _, a := range *allocs {
 		for _, ph := range phases {
 			cfg := intset.Config{
 				Kind:         *kind,

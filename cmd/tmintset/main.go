@@ -35,7 +35,6 @@ import (
 
 func main() {
 	var (
-		name      = flag.String("alloc", "glibc", "allocator: glibc hoard tbb tcmalloc")
 		threads   = flag.Int("threads", 8, "logical threads (1..8)")
 		updates   = flag.Int("updates", 60, "update percentage (0, 20, 60)")
 		initial   = flag.Int("initial", 0, "initial set size (0 = paper default 4096)")
@@ -51,6 +50,7 @@ func main() {
 		seedAlias = flag.Bool("seed-alias", false, "plant a choreographed ORT stripe-aliasing pair in the measurement phase (forensics demo; needs -threads >= 2)")
 		ortBits   = flag.Uint("ort-bits", 0, "log2 of the ORT entry count (0 = default; -seed-alias defaults it to 12)")
 	)
+	name := cliflags.Alloc(flag.CommandLine)
 	kind := cliflags.Kind(flag.CommandLine)
 	w := cliflags.Add(flag.CommandLine)
 	flag.Parse()

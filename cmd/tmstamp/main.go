@@ -47,7 +47,6 @@ import (
 func main() {
 	var (
 		app     = flag.String("app", "", "application (required); one of: bayes genome intruder kmeans labyrinth ssca2 vacation yada")
-		alloc   = flag.String("alloc", "glibc", "allocator: glibc hoard tbb tcmalloc")
 		threads = flag.Int("threads", 1, "logical threads (1..8)")
 		shift   = flag.Uint("shift", 0, "ORT shift amount (0 = default 5)")
 		cacheTx = flag.Bool("cachetx", false, "deprecated alias for -pool cache (paper §6.2 tx-object caching)")
@@ -68,6 +67,7 @@ func main() {
 		va, err = stamp.ParseVariant(v)
 		return err
 	})
+	alloc := cliflags.Alloc(flag.CommandLine)
 	w := cliflags.Add(flag.CommandLine)
 	flag.Parse()
 	if *app == "" {

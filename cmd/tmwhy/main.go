@@ -28,7 +28,6 @@ import (
 	_ "repro/internal/alloc/tcmalloc"
 
 	"repro/cmd/internal/cliflags"
-	"repro/internal/alloc"
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -38,7 +37,6 @@ import (
 
 func main() {
 	var (
-		allocs  = flag.String("allocs", "", "comma-separated allocators to compare (default: all registered)")
 		threads = flag.Int("threads", 8, "logical threads (1..8)")
 		updates = flag.Int("updates", 60, "update percentage")
 		full    = flag.Bool("full", false, "paper-scale parameters (slow)")
@@ -47,16 +45,11 @@ func main() {
 		dot     = flag.String("dot", "", "write the conflict graph as graphviz (requires a single allocator)")
 		jsonOut = flag.String("json", "", "write the tmwhy run record as JSON")
 	)
+	allocs := cliflags.Allocs(flag.CommandLine, "allocs", "allocators to compare")
 	kind := cliflags.Kind(flag.CommandLine)
 	flag.Parse()
 
-	names := alloc.Names()
-	if *allocs != "" {
-		names = nil
-		for _, n := range strings.Split(*allocs, ",") {
-			names = append(names, strings.TrimSpace(n))
-		}
-	}
+	names := *allocs
 	if *dot != "" && len(names) != 1 {
 		fmt.Fprintln(os.Stderr, "tmwhy: -dot needs exactly one allocator (use -allocs)")
 		os.Exit(2)

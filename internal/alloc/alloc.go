@@ -350,29 +350,13 @@ func MustNew(name string, space *mem.Space, threads int) Allocator {
 	return a
 }
 
-// Names returns registered allocator names in the paper's order when all
-// four are present, else sorted.
+// Names returns the registered allocator names, sorted: the paper's
+// order, glibc, hoard, tbb, tcmalloc.
 func Names() []string {
-	order := []string{"glibc", "hoard", "tbb", "tcmalloc"}
-	var out []string
-	for _, n := range order {
-		if _, ok := registry[n]; ok {
-			out = append(out, n)
-		}
-	}
-	var rest []string
+	out := make([]string, 0, len(registry))
 	for n := range registry {
-		found := false
-		for _, o := range out {
-			if o == n {
-				found = true
-				break
-			}
-		}
-		if !found {
-			rest = append(rest, n)
-		}
+		out = append(out, n)
 	}
-	sort.Strings(rest)
-	return append(out, rest...)
+	sort.Strings(out)
+	return out
 }

@@ -1,6 +1,6 @@
 // Package conflict implements the abort-forensics observatory: a
 // deterministic pure observer that consumes the STM's transaction
-// events (stm.Observer: labels, stripe acquisitions, aborts, commits)
+// events (stm.Observer: labels, aborts with their killers, commits)
 // and the allocator block lifecycle from the address space
 // (mem.HeapWatcher), and answers the question the aggregate counters
 // cannot — *why did this transaction die, and which allocation
@@ -77,7 +77,6 @@ func (c Class) String() string {
 const (
 	maxExemplars = 32   // bounded reservoir of rendered events
 	maxOffenders = 4096 // bounded repeat-offender address map
-	acquirerPage = 1024 // ORT entries per last-acquirer page
 	lineSize     = 64   // cache-line granularity for the same-line enrichment
 )
 
@@ -115,11 +114,6 @@ type Observatory struct {
 	kinds []string // per-tid current kind label
 	chain []int    // per-tid current abort-cascade depth
 
-	// acquirers holds each ORT entry's last acquirer (a stripe abort's
-	// killer) as tid+1, 0 for never, in pages allocated on first touch:
-	// a run pays only for the stripe ranges it locks.
-	acquirers map[uint64]*[acquirerPage]int32
-
 	blocks    map[mem.Addr]*block // by user base
 	wordOwner map[mem.Addr]*block // word address -> owning block
 
@@ -153,7 +147,6 @@ func New(threads int, shift uint) *Observatory {
 		shift:     shift,
 		kinds:     make([]string, threads),
 		chain:     make([]int, threads),
-		acquirers: make(map[uint64]*[acquirerPage]int32),
 		blocks:    make(map[mem.Addr]*block),
 		wordOwner: make(map[mem.Addr]*block),
 		edges:     make(map[[2]string]*edgeStat),
@@ -178,31 +171,14 @@ func (o *Observatory) kindOf(tid int) string {
 }
 
 // OnTx implements stm.Observer. A label names the thread's transactions,
-// a commit ends its abort cascade, and an acquire records the stripe's
-// last acquirer: an abort attributed to the stripe names it as the
-// killer unless it is the victim. A kill arrives with its killer named.
+// an abort arrives with its killer named by the STM, and a commit ends
+// the thread's abort cascade.
 func (o *Observatory) OnTx(ev stm.Event) {
-	page, i := ev.Stripe/acquirerPage, ev.Stripe%acquirerPage
 	switch ev.Kind {
 	case stm.EvLabel:
 		o.grow(ev.Tid)
 		o.kinds[ev.Tid] = ev.Label
-	case stm.EvAcquire:
-		p := o.acquirers[page]
-		if p == nil {
-			p = new([acquirerPage]int32)
-			o.acquirers[page] = p
-		}
-		p[i] = int32(ev.Tid) + 1
 	case stm.EvAbort:
-		// obs.NoStripe is never acquired, so an unattributed abort keeps
-		// the killer it arrived with.
-		if p := o.acquirers[page]; p != nil && p[i] != 0 {
-			ev.Killer = int(p[i]) - 1
-		}
-		if ev.Killer == ev.Tid {
-			ev.Killer = stm.NoKiller
-		}
 		o.abort(ev)
 	case stm.EvCommit:
 		o.grow(ev.Tid)
@@ -277,8 +253,8 @@ func (o *Observatory) Classify(ev stm.Event) (class Class, sameLine, crossBlock 
 	return ClassFalse, sameLine, vb != ob
 }
 
-// abort consumes one abort event whose killer is attributed: the
-// victim is ev.Tid, the killer ev.Killer.
+// abort consumes one abort event: the victim is ev.Tid, the killer
+// ev.Killer.
 func (o *Observatory) abort(ev stm.Event) {
 	o.grow(ev.Tid)
 	if ev.Killer >= 0 {

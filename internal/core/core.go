@@ -224,14 +224,17 @@ func NewSystem(opts Options) (*System, error) {
 		s.Cache = cachesim.New(cachesim.DefaultCores)
 	}
 	engineCfg := vtime.Config{Cache: s.Cache, Obs: opts.Obs, Deadline: opts.Deadline}
-	// The STM and the conflict observatory must agree on the lock map:
-	// a zero Shift means the STM's default.
-	shift := opts.Shift
+	// The STM, the conflict observatory and heap telemetry must agree on
+	// the lock map: a zero Shift or OrtBits means the STM's default.
+	shift, ortBits := opts.Shift, opts.OrtBits
 	if shift == 0 {
 		shift = stm.DefaultShift
 	}
+	if ortBits == 0 {
+		ortBits = stm.DefaultOrtBits
+	}
 	stmCfg := stm.Config{
-		OrtBits:   opts.OrtBits,
+		OrtBits:   ortBits,
 		Shift:     shift,
 		Design:    opts.Design,
 		Allocator: allocator,
@@ -247,7 +250,7 @@ func NewSystem(opts Options) (*System, error) {
 		engineCfg.Prof = opts.Prof
 	}
 	if s.heap != nil {
-		s.heap.Attach(allocator)
+		s.heap.Attach(allocator, shift, 1<<ortBits)
 		s.heap.SetRecorder(opts.Obs)
 		engineCfg.Heap = s.heap
 		watchers = append(watchers, s.heap)

@@ -12,6 +12,7 @@ import (
 	_ "repro/internal/alloc/tcmalloc"
 
 	"repro/internal/fault"
+	"repro/internal/heapscope"
 	"repro/internal/mem"
 	"repro/internal/stm"
 	"repro/internal/vtime"
@@ -100,6 +101,46 @@ func TestTransactionalMallocThroughSystem(t *testing.T) {
 	}
 	if st := sys.Allocator.Stats(); st.Mallocs < 100 {
 		t.Errorf("allocator saw %d mallocs", st.Mallocs)
+	}
+}
+
+// TestHeapStripesFollowTheLockMap builds worlds at three lock-map
+// geometries with heap telemetry on and allocates 48-byte blocks, which
+// share 32-byte stripes but not 16-byte ones and alias on a small table.
+// The collector's stripe occupancy must count them through the world's
+// own lock map (the STM's OrtIndex), not the default one.
+func TestHeapStripesFollowTheLockMap(t *testing.T) {
+	for _, g := range []struct{ shift, ortBits uint }{{0, 0}, {4, 0}, {5, 6}} {
+		heap := heapscope.New(0)
+		sys := MustNewSystem(Options{Allocator: "tcmalloc", Shift: g.shift, OrtBits: g.ortBits,
+			Instruments: Instruments{Heap: heap}})
+		shift := g.shift
+		if shift == 0 {
+			shift = stm.DefaultShift
+		}
+		blocks := map[uint64]uint64{} // ORT entry -> live blocks on it
+		sys.Seq(func(th *vtime.Thread) {
+			for i := 0; i < 64; i++ {
+				a := sys.Allocator.Malloc(th, 48)
+				end := a + mem.Addr(sys.Allocator.BlockSize(th, a)) - 1
+				for k := uint64(a) >> shift; k <= uint64(end)>>shift; k++ {
+					blocks[sys.STM.OrtIndex(mem.Addr(k<<shift))]++
+				}
+			}
+		})
+		var wantMax uint64
+		wantHist := make([]uint64, 4)
+		for _, n := range blocks {
+			wantMax = max(wantMax, n)
+			wantHist[min(n, 4)-1]++
+		}
+		heap.Finish(sys.Engine.MaxClock())
+		samples := heap.Series("").Samples
+		got := samples[len(samples)-1]
+		if got.MaxStripe != wantMax || !reflect.DeepEqual(got.StripeHist, wantHist) {
+			t.Errorf("shift %d, ort bits %d: max stripe %d, hist %v; the lock map gives %d, %v",
+				g.shift, g.ortBits, got.MaxStripe, got.StripeHist, wantMax, wantHist)
+		}
 	}
 }
 

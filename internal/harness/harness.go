@@ -15,6 +15,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"repro/internal/alloc"
 	"repro/internal/obs"
 )
 
@@ -160,8 +161,9 @@ func Print(w io.Writer, r *Result) {
 	fmt.Fprintln(w)
 }
 
-// Allocators lists the allocator names in the paper's order.
-func Allocators() []string { return []string{"glibc", "hoard", "tbb", "tcmalloc"} }
+// Allocators lists the registered allocator names in the paper's
+// order (alloc.Names).
+func Allocators() []string { return alloc.Names() }
 
 // DisplayName maps an allocator name to the paper's capitalization.
 func DisplayName(a string) string {

@@ -4,7 +4,6 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/stm"
 )
 
 // lineShift is the cache-line granularity of the sharing map (64-byte
@@ -71,15 +70,13 @@ type Collector struct {
 }
 
 // New builds a collector snapshotting every cadence virtual cycles
-// (0 selects DefaultCadence). The ORT geometry defaults to the STM's.
+// (0 selects DefaultCadence).
 func New(cadence uint64) *Collector {
 	if cadence == 0 {
 		cadence = DefaultCadence
 	}
 	return &Collector{
 		cadence: cadence,
-		shift:   stm.DefaultShift,
-		ortSize: 1 << stm.DefaultOrtBits,
 		blocks:  make(map[mem.Addr]*block),
 		lines:   make(map[uint64]*line),
 		stripes: make(map[uint64]uint32),
@@ -89,12 +86,15 @@ func New(cadence uint64) *Collector {
 	}
 }
 
-// Attach wires the collector to one allocator: the class table and
-// static geometry are read once. The collector also needs the space's
-// block lifecycle: watch it on the space (mem.Space.Watch) before any
-// simulated thread allocates.
-func (c *Collector) Attach(a alloc.Allocator) {
+// Attach wires the collector to one allocator and the STM's lock map
+// (stm.Config's effective Shift and 1<<OrtBits entries), which stripe
+// occupancy counts against: the class table and static geometry are
+// read once. The collector also needs the space's block lifecycle:
+// watch it on the space (mem.Space.Watch) before any simulated thread
+// allocates.
+func (c *Collector) Attach(a alloc.Allocator, shift uint, ortSize uint64) {
 	c.heap = a
+	c.shift, c.ortSize = shift, ortSize
 	c.name = a.Name()
 	if st, ok := alloc.InspectHeap(a); ok {
 		for _, cl := range st.Classes {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/mem"
+	"repro/internal/stm"
 	"repro/internal/vtime"
 )
 
@@ -29,7 +30,7 @@ func (f *fakeHeap) InspectHeap() alloc.HeapState             { return f.st }
 func attach(t *testing.T, st alloc.HeapState, cadence uint64) *Collector {
 	t.Helper()
 	c := New(cadence)
-	c.Attach(&fakeHeap{st: st})
+	c.Attach(&fakeHeap{st: st}, stm.DefaultShift, 1<<stm.DefaultOrtBits)
 	return c
 }
 

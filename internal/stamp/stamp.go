@@ -204,29 +204,15 @@ func Register(name string, f Factory) {
 	registry[name] = f
 }
 
-// Names returns registered application names in the paper's order.
+// Names returns the registered application names, sorted: the paper's
+// order.
 func Names() []string {
-	order := []string{"bayes", "genome", "intruder", "kmeans", "labyrinth", "ssca2", "vacation", "yada"}
-	var out []string
-	for _, n := range order {
-		if _, ok := registry[n]; ok {
-			out = append(out, n)
-		}
-	}
-	var rest []string
+	out := make([]string, 0, len(registry))
 	for n := range registry {
-		seen := false
-		for _, o := range out {
-			if o == n {
-				seen = true
-			}
-		}
-		if !seen {
-			rest = append(rest, n)
-		}
+		out = append(out, n)
 	}
-	sort.Strings(rest)
-	return append(out, rest...)
+	sort.Strings(out)
+	return out
 }
 
 // New instantiates the named application.

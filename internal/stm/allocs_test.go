@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/alloc"
@@ -32,6 +33,20 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() { s.Atomic(th, body) }); avg > 0 {
 		t.Errorf("steady-state begin/load/store/commit allocates %.1f objects/tx, want 0", avg)
+	}
+}
+
+// TestNewAllocBudget bounds the host heap one STM costs to build: the
+// record of each ORT entry's last acquisition is paged in on first
+// acquire, so a default 2^20-entry table starts as a page directory.
+func TestNewAllocBudget(t *testing.T) {
+	space := mem.NewSpace()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	New(space, Config{})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("stm.New allocated %d bytes, want at most 64 KiB", got)
 	}
 }
 
@@ -71,7 +86,6 @@ func TestSteadyStateAllocBudgetObserved(t *testing.T) {
 	want[EvBegin] = 1
 	want[EvLoad] = 16
 	want[EvStore] = 16
-	want[EvAcquire] = 4 // 128 bytes over 32-byte stripes
 	want[EvPublish] = 1
 	want[EvCommit] = 1
 	if got != want {

@@ -1,6 +1,9 @@
 package stm
 
-import "repro/internal/mem"
+import (
+	"repro/internal/mem"
+	"repro/internal/obs"
+)
 
 // Transaction-event stream: the race checker (internal/race) and the
 // conflict observatory (internal/conflict) watch the same transaction
@@ -18,11 +21,10 @@ type EventKind uint8
 // Event kinds, with the fields each sets besides the context every
 // event carries (Tid, Snapshot, Label).
 const (
-	EvBegin   EventKind = iota // an attempt began at Snapshot
-	EvExtend                   // the read set validated and Snapshot advanced
-	EvLoad                     // a speculative Load of Addr
-	EvStore                    // a speculative Store to Addr
-	EvAcquire                  // ORT entry Stripe locked for Addr
+	EvBegin  EventKind = iota // an attempt began at Snapshot
+	EvExtend                  // the read set validated and Snapshot advanced
+	EvLoad                    // a speculative Load of Addr
+	EvStore                   // a speculative Store to Addr
 	// EvPublish: the commit published Version, the release point a later
 	// attempt whose snapshot covers it acquires at EvBegin or EvExtend; 0
 	// for a read-only commit. It flushes the attempt's loads and stores
@@ -60,17 +62,19 @@ type Event struct {
 	Tid      int
 	Snapshot uint64
 	Label    string
-	// Addr is the loaded, stored, acquired or freed address; for EvAbort
-	// the address the victim was accessing. Stripe is the acquired ORT
-	// entry, or the one an abort is attributed to (obs.NoStripe when
-	// none is; Addr and Owner are then zero).
+	// Addr is the loaded, stored or freed address; for EvAbort the
+	// address the victim was accessing. Stripe is the ORT entry an abort
+	// is attributed to (obs.NoStripe when none is; Addr and Owner are
+	// then zero).
 	Addr    mem.Addr
 	Stripe  uint64
 	Version uint64 // EvPublish: the published commit version
 	// EvAbort: why the attempt died, the address that last acquired
-	// Stripe, the rival that killed the victim (AbortKilled; NoKiller
-	// otherwise), the 1-based attempt number within its Atomic, and the
-	// virtual cycles from begin to abort on the victim's clock.
+	// Stripe, the thread that killed the victim (Stripe's last acquirer,
+	// or the aggressive rival of an AbortKilled; NoKiller when there is
+	// none or it is the victim), the 1-based attempt number within its
+	// Atomic, and the virtual cycles from begin to abort on the victim's
+	// clock.
 	Reason  AbortReason
 	Owner   mem.Addr
 	Killer  int
@@ -108,12 +112,6 @@ func (tx *Tx) note(k EventKind, a mem.Addr) {
 	}
 }
 
-func (tx *Tx) noteAcquire(idx uint64, a mem.Addr) {
-	if len(tx.stm.observers) != 0 {
-		tx.emit(EvAcquire, a, idx, 0)
-	}
-}
-
 func (tx *Tx) notePublish(ver uint64) {
 	if len(tx.stm.observers) != 0 {
 		tx.emit(EvPublish, 0, 0, ver)
@@ -122,18 +120,27 @@ func (tx *Tx) notePublish(ver uint64) {
 
 // noteAbort reports an abort attributed to ORT entry idx (obs.NoStripe
 // for none): a is the victim's address, owner the entry's last
-// acquirer's. Naming a stripe abort's killer is the observer's job; the
-// STM names only an aggressive rival's kill.
+// acquirer's.
 func (tx *Tx) noteAbort(reason AbortReason, idx uint64, a, owner mem.Addr) {
 	if len(tx.stm.observers) != 0 {
 		tx.emitAbort(reason, idx, a, owner)
 	}
 }
 
+// emitAbort names the killer as the abort is reported, after the
+// rollback: a stripe abort's is the entry's last acquirer then (the
+// rollback ticks, so rivals may have acquired it meanwhile), a kill's
+// the aggressive rival that flagged it.
 func (tx *Tx) emitAbort(reason AbortReason, idx uint64, a, owner mem.Addr) {
 	killer := NoKiller
-	if reason == AbortKilled {
+	switch {
+	case idx != obs.NoStripe:
+		killer = int(tx.stm.lastAcquired(idx).tid) - 1 // NoKiller if never acquired
+	case reason == AbortKilled:
 		killer = int(tx.killedBy)
+	}
+	if killer == tx.th.ID() {
+		killer = NoKiller
 	}
 	tx.stm.emit(Event{Kind: EvAbort, Tid: tx.th.ID(), Snapshot: uint64(tx.snapshot), Label: tx.kind,
 		Reason: reason, Stripe: idx, Addr: a, Owner: owner,

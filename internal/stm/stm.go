@@ -245,9 +245,11 @@ type STM struct {
 	observers []Observer // transaction-event stream, in attach order (observe.go)
 	fallback  vtime.Lock // serializes irrevocable fallback transactions
 
-	// lockAddrs[i] records which address acquired ORT entry i, for
-	// false-conflict classification (diagnostic only).
-	lockAddrs []mem.Addr
+	// acquired records each ORT entry's last acquisition, for
+	// false-conflict classification and a stripe abort's killer
+	// (diagnostic only), in pages allocated on first acquire: a run
+	// pays only for the stripe ranges it locks.
+	acquired []*[acquiredPage]acquisition
 
 	txs map[int]*Tx
 
@@ -262,6 +264,16 @@ type STM struct {
 	quarantine []quarRec
 	reclaiming bool      // reclaim in progress; bars reentry across yields
 	relScratch []quarRec // reclaim's releasable-block scratch, reused across calls
+}
+
+// acquiredPage is the number of ORT entries per page of STM.acquired.
+const acquiredPage = 1024
+
+// acquisition is an ORT entry's last acquisition: the address it was
+// locked for and the locking thread's id plus one (zero: never locked).
+type acquisition struct {
+	addr mem.Addr
+	tid  int32
 }
 
 // quarRec is one block awaiting safe reclamation.
@@ -316,7 +328,7 @@ func New(space *mem.Space, cfg Config) *STM {
 		retryCap:  cfg.RetryCap,
 		fault:     cfg.Fault,
 		durable:   cfg.Durable,
-		lockAddrs: make([]mem.Addr, size),
+		acquired:  make([]*[acquiredPage]acquisition, (size+acquiredPage-1)/acquiredPage),
 		txs:       make(map[int]*Tx),
 	}
 	if s.retryCap == 0 {
@@ -333,6 +345,25 @@ func (s *STM) OrtIndex(a mem.Addr) uint64 {
 
 // ortAddr returns the simulated address of ORT entry i.
 func (s *STM) ortAddr(i uint64) mem.Addr { return s.ortBase + mem.Addr(i*8) }
+
+// lastAcquired returns ORT entry i's last acquisition (zero if it was
+// never acquired).
+func (s *STM) lastAcquired(i uint64) acquisition {
+	if p := s.acquired[i/acquiredPage]; p != nil {
+		return p[i%acquiredPage]
+	}
+	return acquisition{}
+}
+
+// setAcquired records that thread tid locked ORT entry i for address a.
+func (s *STM) setAcquired(i uint64, a mem.Addr, tid int) {
+	p := s.acquired[i/acquiredPage]
+	if p == nil {
+		p = new([acquiredPage]acquisition)
+		s.acquired[i/acquiredPage] = p
+	}
+	p[i%acquiredPage] = acquisition{addr: a, tid: int32(tid) + 1}
+}
 
 // Pooling returns the transaction-object recycling discipline.
 func (s *STM) Pooling() Pooling { return s.pooling }
@@ -637,7 +668,7 @@ func (tx *Tx) begin() {
 // aliasing — the allocator-placement effect under study).
 func (tx *Tx) abort(reason AbortReason, idx uint64, a mem.Addr) {
 	s := tx.stm
-	owner := s.lockAddrs[idx]
+	owner := s.lastAcquired(idx).addr
 	falseConflict := owner != a
 	if falseConflict {
 		tx.stats.FalseAborts++
@@ -890,8 +921,7 @@ func (tx *Tx) acquire(idx uint64, a mem.Addr) {
 		if tx.th.CAS(ortA, w, lockWord(tx.th.ID())) {
 			tx.lockedSet.put(idx, int32(len(tx.locked)))
 			tx.locked = append(tx.locked, lockRec{idx: idx, prev: w})
-			s.lockAddrs[idx] = a
-			tx.noteAcquire(idx, a)
+			s.setAcquired(idx, a, tx.th.ID())
 			break
 		}
 	}

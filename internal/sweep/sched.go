@@ -48,6 +48,10 @@ func (s Stats) Speedup() float64 {
 	return float64(s.CPU) / float64(s.Wall)
 }
 
+// ranCells reports whether any cell ran (executed or failed). A sweep
+// that ran none shows no speedup: its CPU time measures no cell.
+func (s Stats) ranCells() bool { return s.Executed+s.Errors > 0 }
+
 // String is the one-line summary the binaries print on stderr. A failed
 // cache write does not fail the run, so it is named here or nowhere.
 func (s Stats) String() string {
@@ -55,8 +59,12 @@ func (s Stats) String() string {
 	if s.CacheErr > 0 {
 		writes = fmt.Sprintf(", %d cache writes failed", s.CacheErr)
 	}
-	return fmt.Sprintf("%d cells (%d unique): %d executed, %d cached, %d failed%s; jobs=%d wall=%v speedup=%.2fx",
-		s.Cells, s.Unique, s.Executed, s.Cached, s.Errors, writes, s.Jobs, s.Wall.Round(time.Millisecond), s.Speedup())
+	speedup := ""
+	if s.ranCells() {
+		speedup = fmt.Sprintf(" speedup=%.2fx", s.Speedup())
+	}
+	return fmt.Sprintf("%d cells (%d unique): %d executed, %d cached, %d failed%s; jobs=%d wall=%v%s",
+		s.Cells, s.Unique, s.Executed, s.Cached, s.Errors, writes, s.Jobs, s.Wall.Round(time.Millisecond), speedup)
 }
 
 // WritePrometheus renders the scheduler stats as their own metric
@@ -78,7 +86,9 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 	p("# TYPE sweep_pool_jobs gauge\nsweep_pool_jobs %d\n", s.Jobs)
 	p("# TYPE sweep_wall_seconds gauge\nsweep_wall_seconds %g\n", s.Wall.Seconds())
 	p("# TYPE sweep_cell_wall_seconds gauge\nsweep_cell_wall_seconds %g\n", s.CellWall.Seconds())
-	p("# TYPE sweep_speedup_ratio gauge\nsweep_speedup_ratio %g\n", s.Speedup())
+	if s.ranCells() {
+		p("# TYPE sweep_speedup_ratio gauge\nsweep_speedup_ratio %g\n", s.Speedup())
+	}
 	return err
 }
 

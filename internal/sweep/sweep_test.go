@@ -388,6 +388,18 @@ func TestStatsOutput(t *testing.T) {
 	if got, want := s.String(), "6 cells (4 unique): 0 executed, 3 cached, 1 failed; jobs=2 wall=1.5s speedup=2.00x"; got != want {
 		t.Errorf("summary %q\nwant    %q", got, want)
 	}
+	// A sweep that ran no cell (tmrepro -run of no experiment, or one
+	// served wholly from a cache) shows no speedup.
+	for _, s := range []Stats{{Jobs: 2, Wall: time.Millisecond, CPU: time.Millisecond},
+		{Cells: 3, Unique: 3, Cached: 3, Jobs: 2, Wall: time.Second, CPU: time.Second}} {
+		var m strings.Builder
+		if err := s.WritePrometheus(&m); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.String() + m.String(); strings.Contains(got, "speedup") {
+			t.Errorf("a sweep that ran no cell shows a speedup:\n%s", got)
+		}
+	}
 	var b strings.Builder
 	if err := s.WritePrometheus(&b); err != nil {
 		t.Fatal(err)

@@ -154,8 +154,9 @@ echo "== alloc-budget gate =="
 # footprint, the obs emitters and prof.Begin/End pin at zero
 # steady-state host allocs, and the flagship workload stays within its
 # 1,000 allocs/run budget (down from 9,271 before pooling). Building a
-# world stays cheap too: cachesim.New within 20 allocs, and a vtime Run
-# within 13 per simulated thread (one coroutine each). mem's word
+# world stays cheap too: cachesim.New within 20 allocs, stm.New within
+# 64 KiB, and a vtime Run within 13 per simulated thread (one coroutine
+# each). mem's word
 # accesses and a Map+Unmap pair allocate nothing, and a page's first
 # store allocates the page alone.
 go test -count=1 -run 'AllocBudget|SteadyStateAlloc' \
@@ -308,7 +309,8 @@ echo "== flag typo gate =="
 # A mistyped name must fail while flags parse (exit 2, naming the
 # allowed values) instead of running a default under the typo's label:
 # the STAMP scale and variant, the intset structure of every binary
-# that takes one, tmintset's STM design and tmlayout's mode.
+# that takes one, tmintset's STM design, tmlayout's mode and every
+# allocator flag.
 for b in tmstamp tmcrash tmwhy tmlayout; do
     go build -o "$tmpdir/$b" ./cmd/$b
 done
@@ -324,6 +326,10 @@ tmintset -design etl
 tmcrash -kind bogus
 tmwhy -kind bogus
 tmlayout -mode paralel
+tmintset -alloc bogus
+tmstamp -app kmeans -alloc bogus
+tmwhy -allocs bogus
+tmcrash -alloc bogus -jobs 1
 EOF
 
 echo "== durability crash-matrix gate =="
