@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/alloc"
+	"repro/internal/cachesim"
 	"repro/internal/intset"
 	"repro/internal/mem"
 	"repro/internal/stm"
@@ -95,7 +96,8 @@ func BenchmarkAblationQuantum(b *testing.B) {
 
 // BenchmarkAblationCacheModel quantifies what the cache hierarchy model
 // costs the host and contributes to the modelled time, on an identical
-// workload with the model on and off.
+// workload with the model on and off (an engine without a hierarchy
+// prices every access as flat memory).
 func BenchmarkAblationCacheModel(b *testing.B) {
 	for _, enabled := range []bool{true, false} {
 		name := "on"
@@ -105,21 +107,27 @@ func BenchmarkAblationCacheModel(b *testing.B) {
 		b.Run("cache="+name, func(b *testing.B) {
 			var cycles float64
 			for i := 0; i < b.N; i++ {
-				sys := core.MustNewSystem(core.Options{
-					Allocator: "tbb", Threads: 8, DisableCacheModel: !enabled,
-				})
+				space := mem.NewSpace()
+				var cfg vtime.Config
+				if enabled {
+					cfg.Cache = cachesim.New(cachesim.DefaultCores)
+				}
+				e := vtime.NewEngine(space, 8, cfg)
+				s := stm.New(space, stm.Config{Allocator: alloc.MustNew("tbb", space, 8)})
 				var list *txstruct.List
-				sys.Seq(func(th *vtime.Thread) {
-					sys.Atomic(th, func(tx *stm.Tx) { list = txstruct.NewList(tx) })
-				})
-				sys.ResetClocks()
-				sys.Run(func(th *vtime.Thread) {
-					for j := 0; j < 150; j++ {
-						key := int64(th.ID()*1000 + j)
-						sys.Atomic(th, func(tx *stm.Tx) { list.Insert(tx, key) })
+				e.Run(func(th *vtime.Thread) {
+					if th.ID() == 0 {
+						s.Atomic(th, func(tx *stm.Tx) { list = txstruct.NewList(tx) })
 					}
 				})
-				cycles = float64(sys.Engine.MaxClock())
+				e.ResetClocks()
+				e.Run(func(th *vtime.Thread) {
+					for j := 0; j < 150; j++ {
+						key := int64(th.ID()*1000 + j)
+						s.Atomic(th, func(tx *stm.Tx) { list.Insert(tx, key) })
+					}
+				})
+				cycles = float64(e.MaxClock())
 			}
 			b.ReportMetric(cycles, "vcycles")
 		})

@@ -3,6 +3,7 @@ package cliflags
 import (
 	"flag"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -12,8 +13,10 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/heapscope"
 	"repro/internal/intset"
 	"repro/internal/obs"
+	"repro/internal/prof"
 	"repro/internal/stm"
 )
 
@@ -199,6 +202,36 @@ func TestRunCellRecordsOnce(t *testing.T) {
 	}
 	if err := cell.Write(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestArtifactsCreateTheirDirectory checks that -profile and -heap,
+// like the output flags, create a missing directory instead of failing
+// once the run is over.
+func TestArtifactsCreateTheirDirectory(t *testing.T) {
+	dir := t.TempDir()
+	profile := filepath.Join(dir, "a", "b", "p.json")
+	heap := filepath.Join(dir, "c", "d", "h.json")
+	w, _, err := parse("-profile", profile, "-heap", heap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteProfile(&prof.Profile{Schema: prof.Schema, Label: "p"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteHeap(heapscope.NewSet("h")); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if pf, err := prof.ReadJSON(f); err != nil || pf.Label != "p" {
+		t.Errorf("profile read back as %+v, %v", pf, err)
+	}
+	if set, err := heapscope.ReadFile(heap); err != nil || set.Label != "h" {
+		t.Errorf("heap series read back as %+v, %v", set, err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"repro/internal/core"
@@ -83,22 +82,14 @@ func (w *Workload) WriteProfile(pf *prof.Profile) error {
 	if w.profilePath == "" {
 		return nil
 	}
-	f, err := os.Create(w.profilePath)
-	if err != nil {
-		return err
-	}
+	write := pf.WriteJSON
 	switch {
 	case strings.HasSuffix(w.profilePath, ".folded"):
-		err = pf.WriteFolded(f)
+		write = pf.WriteFolded
 	case strings.HasSuffix(w.profilePath, ".pb.gz"):
-		err = pf.WritePprof(f)
-	default:
-		err = pf.WriteJSON(f)
+		write = pf.WritePprof
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := WriteTo(w.profilePath, write); err != nil {
 		return fmt.Errorf("write profile %s: %w", w.profilePath, err)
 	}
 	return nil
@@ -109,7 +100,7 @@ func (w *Workload) WriteHeap(set *heapscope.Set) error {
 	if w.heapPath == "" {
 		return nil
 	}
-	if err := set.WriteFile(w.heapPath); err != nil {
+	if err := WriteTo(w.heapPath, set.WriteJSON); err != nil {
 		return fmt.Errorf("write heap series %s: %w", w.heapPath, err)
 	}
 	return nil

@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"text/tabwriter"
 
@@ -45,8 +46,15 @@ import (
 )
 
 func main() {
+	var app string
+	flag.Func("app", "application (required): "+strings.Join(stamp.Names(), ", "), func(v string) error {
+		if !slices.Contains(stamp.Names(), v) {
+			return fmt.Errorf("unknown app %q (allowed: %s)", v, strings.Join(stamp.Names(), ", "))
+		}
+		app = v
+		return nil
+	})
 	var (
-		app     = flag.String("app", "", "application (required); one of: bayes genome intruder kmeans labyrinth ssca2 vacation yada")
 		threads = flag.Int("threads", 1, "logical threads (1..8)")
 		shift   = flag.Uint("shift", 0, "ORT shift amount (0 = default 5)")
 		cacheTx = flag.Bool("cachetx", false, "deprecated alias for -pool cache (paper §6.2 tx-object caching)")
@@ -70,9 +78,8 @@ func main() {
 	alloc := cliflags.Alloc(flag.CommandLine)
 	w := cliflags.Add(flag.CommandLine)
 	flag.Parse()
-	if *app == "" {
+	if app == "" {
 		flag.Usage()
-		fmt.Fprintln(os.Stderr, "\navailable apps:", stamp.Names())
 		os.Exit(2)
 	}
 	session, err := w.Session()
@@ -81,7 +88,7 @@ func main() {
 		os.Exit(1)
 	}
 	cfg := stamp.Config{
-		App:       *app,
+		App:       app,
 		Allocator: *alloc,
 		Threads:   *threads,
 		Scale:     sc,
@@ -95,11 +102,11 @@ func main() {
 	}
 
 	key := fmt.Sprintf("cli/stamp/%s/%s/t%d/sc%d/v%d/sh%d/c%v/p%v",
-		*app, *alloc, *threads, sc, va, *shift, *cacheTx, *profile)
+		app, *alloc, *threads, sc, va, *shift, *cacheTx, *profile)
 	if w.Spec.Pool != stm.PoolNone {
 		key += "/p" + w.Spec.Pool.String()
 	}
-	cell, err := w.RunCell(session, "stamp/"+*app, key, cfg, *seed, func(in core.Instruments) (any, error) {
+	cell, err := w.RunCell(session, "stamp/"+app, key, cfg, *seed, func(in core.Instruments) (any, error) {
 		c := cfg
 		c.Instruments = in
 		return stamp.Run(c)
@@ -116,10 +123,10 @@ func main() {
 
 	switch res.Status {
 	case "", obs.StatusOK:
-		fmt.Printf("%s / %s / %d thread(s) / %s scale — validation OK\n\n", *app, *alloc, *threads, scale)
+		fmt.Printf("%s / %s / %d thread(s) / %s scale — validation OK\n\n", app, *alloc, *threads, scale)
 	default:
 		fmt.Printf("%s / %s / %d thread(s) / %s scale — %s: %s\n\n",
-			*app, *alloc, *threads, scale, res.Status, res.Failure)
+			app, *alloc, *threads, scale, res.Status, res.Failure)
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "execution time\t%.4f ms (modelled, parallel phase)\n", res.Seconds*1e3)
@@ -171,13 +178,13 @@ func main() {
 	}
 
 	record := cell.Record
-	record.Title = fmt.Sprintf("%s on %s, %d thread(s), %s scale", *app, *alloc, *threads, scale)
+	record.Title = fmt.Sprintf("%s on %s, %d thread(s), %s scale", app, *alloc, *threads, scale)
 	record.Status = res.Status
 	record.Failure = res.Failure
 	record.Config = obs.RunConfig{
 		Seed: *seed,
 		Extra: map[string]string{
-			"app":      *app,
+			"app":      app,
 			"alloc":    *alloc,
 			"threads":  fmt.Sprintf("%d", *threads),
 			"scale":    scale,

@@ -1,10 +1,10 @@
 // Package conflict implements the abort-forensics observatory: a
 // deterministic pure observer that consumes the STM's transaction
-// events (stm.Observer: labels, aborts with their killers, commits)
-// and the allocator block lifecycle from the address space
-// (mem.HeapWatcher), and answers the question the aggregate counters
-// cannot — *why did this transaction die, and which allocation
-// decision is to blame?*
+// events (stm.Observer: aborts with their killers, commits) and the
+// allocator block lifecycle from the address space (mem.HeapWatcher),
+// reads each thread's transaction label from the STM, and answers the
+// question the aggregate counters cannot — *why did this transaction
+// die, and which allocation decision is to blame?*
 //
 // Every abort is classified against allocator provenance into one of
 // four placement classes (plus a residue):
@@ -109,10 +109,9 @@ type siteStat struct {
 // Observatory consumes transaction events and block lifecycle events.
 // It implements stm.Observer and mem.HeapWatcher.
 type Observatory struct {
-	shift uint // placement key = addr >> shift (the STM's Shift)
-
-	kinds []string // per-tid current kind label
-	chain []int    // per-tid current abort-cascade depth
+	shift uint                 // placement key = addr >> shift (the STM's Shift)
+	kind  func(tid int) string // thread tid's current label ("" if unlabeled)
+	chain []int                // per-tid current abort-cascade depth
 
 	blocks    map[mem.Addr]*block // by user base
 	wordOwner map[mem.Addr]*block // word address -> owning block
@@ -137,15 +136,16 @@ type Observatory struct {
 }
 
 // New returns an observatory for an STM whose lock map discards shift
-// low address bits (stm.Config.Shift). threads sizes the per-thread tables;
-// they grow on demand if a larger tid appears.
-func New(threads int, shift uint) *Observatory {
+// low address bits ((*stm.STM).LockMap) and whose threads' labels kind
+// returns ((*stm.STM).Kind). threads sizes the per-thread table; it
+// grows on demand if a larger tid appears.
+func New(threads int, shift uint, kind func(tid int) string) *Observatory {
 	if threads < 1 {
 		threads = 1
 	}
 	return &Observatory{
 		shift:     shift,
-		kinds:     make([]string, threads),
+		kind:      kind,
 		chain:     make([]int, threads),
 		blocks:    make(map[mem.Addr]*block),
 		wordOwner: make(map[mem.Addr]*block),
@@ -157,27 +157,22 @@ func New(threads int, shift uint) *Observatory {
 }
 
 func (o *Observatory) grow(tid int) {
-	for tid >= len(o.kinds) {
-		o.kinds = append(o.kinds, "")
+	for tid >= len(o.chain) {
 		o.chain = append(o.chain, 0)
 	}
 }
 
 func (o *Observatory) kindOf(tid int) string {
-	if tid < 0 || tid >= len(o.kinds) || o.kinds[tid] == "" {
-		return unlabeled
+	if k := o.kind(tid); k != "" {
+		return k
 	}
-	return o.kinds[tid]
+	return unlabeled
 }
 
-// OnTx implements stm.Observer. A label names the thread's transactions,
-// an abort arrives with its killer named by the STM, and a commit ends
-// the thread's abort cascade.
+// OnTx implements stm.Observer. An abort arrives with its killer named
+// by the STM, and a commit ends the thread's abort cascade.
 func (o *Observatory) OnTx(ev stm.Event) {
 	switch ev.Kind {
-	case stm.EvLabel:
-		o.grow(ev.Tid)
-		o.kinds[ev.Tid] = ev.Label
 	case stm.EvAbort:
 		o.abort(ev)
 	case stm.EvCommit:

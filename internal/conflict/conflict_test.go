@@ -18,7 +18,6 @@ func ev(victim, owner mem.Addr) stm.Event {
 		Kind:    stm.EvAbort,
 		Tid:     1,
 		Killer:  0,
-		Label:   "insert",
 		Attempt: 1,
 		Reason:  stm.AbortLockedByOther,
 		Stripe:  42,
@@ -28,10 +27,11 @@ func ev(victim, owner mem.Addr) stm.Event {
 	}
 }
 
-// label sets tid's workload label through the event stream.
-func label(o *Observatory, tid int, kind string) {
-	o.OnTx(stm.Event{Kind: stm.EvLabel, Tid: tid, Label: kind})
-}
+// labels stands in for the STM's per-thread labels: its kind method is
+// what New takes in place of (*stm.STM).Kind.
+type labels map[int]string
+
+func (l labels) kind(tid int) string { return l[tid] }
 
 // TestClassifyPlacementClasses pins each taxonomy class from
 // hand-built address pairs over the two allocator geometries the
@@ -55,9 +55,7 @@ func TestClassifyPlacementClasses(t *testing.T) {
 	// now hold free-list metadata.
 	const freed = mem.Addr(0x30000040)
 
-	o := New(2, shift)
-	label(o, 0, "remove")
-	label(o, 1, "insert")
+	o := New(2, shift, labels{0: "remove", 1: "insert"}.kind)
 	o.OnHeapAlloc("glibc", glibcA, 16, 16, 0, 1)
 	o.OnHeapAlloc("glibc", glibcB, 16, 16, 0, 2)
 	o.OnHeapAlloc("tcmalloc", tcA, 16, 16, 1, 3)
@@ -146,10 +144,7 @@ func TestClassifyPlacementClasses(t *testing.T) {
 // the flat Info block agree with it.
 func TestObservatoryAggregates(t *testing.T) {
 	const shift = 5
-	o := New(3, shift)
-	label(o, 0, "remove")
-	label(o, 1, "insert")
-	label(o, 2, "contains")
+	o := New(3, shift, labels{0: "remove", 1: "insert", 2: "contains"}.kind)
 	base := mem.Addr(0x10000010)
 	o.OnHeapAlloc("glibc", base, 16, 16, 1, 1) // site: insert
 
@@ -158,7 +153,7 @@ func TestObservatoryAggregates(t *testing.T) {
 	e1 := ev(base, base+8) // victim t1, killer t0
 	o.OnTx(e1)
 	e2 := stm.Event{
-		Kind: stm.EvAbort, Tid: 2, Killer: 1, Label: "contains", Attempt: 3,
+		Kind: stm.EvAbort, Tid: 2, Killer: 1, Attempt: 3,
 		Reason: stm.AbortLockedByOther, Stripe: 42,
 		Addr: base + 8, Owner: base, Wasted: 50,
 	}
@@ -219,9 +214,7 @@ func TestObservatoryAggregates(t *testing.T) {
 
 // TestWriteDot smoke-tests the graphviz export shape.
 func TestWriteDot(t *testing.T) {
-	o := New(2, 5)
-	label(o, 0, "remove")
-	label(o, 1, "insert")
+	o := New(2, 5, labels{0: "remove", 1: "insert"}.kind)
 	base := mem.Addr(0x10000010)
 	o.OnHeapAlloc("glibc", base, 16, 16, 0, 1)
 	o.OnTx(ev(base, base+8))
@@ -242,7 +235,7 @@ func TestWriteDot(t *testing.T) {
 // acquirer (internal/stm's test of the same name pins how), and the
 // observatory keeps no acquisition record of its own.
 func TestStripeKillerIsLastAcquirer(t *testing.T) {
-	o := New(3, 5)
+	o := New(3, 5, labels{}.kind)
 	abort := func(killer int, stripe uint64) {
 		o.OnTx(stm.Event{Kind: stm.EvAbort, Tid: 1, Killer: killer, Reason: stm.AbortLockedByOther,
 			Stripe: stripe, Addr: 0x1008, Owner: 0x1000, Attempt: 1})

@@ -126,9 +126,6 @@ type Options struct {
 	// transactional allocations from (stamp's Table 5 allocation
 	// profile); the System's Allocator stays the unwrapped model.
 	TxAllocator func(alloc.Allocator) alloc.Allocator
-	// DisableCacheModel turns off the cache hierarchy (all accesses
-	// cost an L1 hit); timing fidelity drops, speed rises.
-	DisableCacheModel bool
 	Instruments
 	Policy
 }
@@ -137,7 +134,7 @@ type Options struct {
 type System struct {
 	Space     *mem.Space
 	Engine    *vtime.Engine
-	Cache     *cachesim.Hierarchy // nil when DisableCacheModel
+	Cache     *cachesim.Hierarchy
 	Allocator alloc.Allocator
 	STM       *stm.STM
 	Threads   int
@@ -165,8 +162,8 @@ type Report struct {
 var testWatch func(*mem.Space)
 
 // NewSystem builds a System: the space, the allocator, the fault plan
-// and durable heap the policy asks for, the cache model, every selected
-// observer, the engine and the STM. Block watchers reach the space, and
+// and durable heap the policy asks for, the cache model, the engine, the
+// STM and every selected observer. Block watchers reach the space, and
 // transaction observers the STM, in a fixed order — sanitizer shadow
 // map, heap telemetry, durable heap, race checker, conflict observatory
 // — so an observer that unwinds a thread mid-notification (a crash at
@@ -220,22 +217,22 @@ func NewSystem(opts Options) (*System, error) {
 		hooks.Journal = s.durable
 	}
 	alloc.Attach(allocator, hooks)
-	if !opts.DisableCacheModel {
-		s.Cache = cachesim.New(cachesim.DefaultCores)
-	}
+	s.Cache = cachesim.New(cachesim.DefaultCores)
 	engineCfg := vtime.Config{Cache: s.Cache, Obs: opts.Obs, Deadline: opts.Deadline}
-	// The STM, the conflict observatory and heap telemetry must agree on
-	// the lock map: a zero Shift or OrtBits means the STM's default.
-	shift, ortBits := opts.Shift, opts.OrtBits
-	if shift == 0 {
-		shift = stm.DefaultShift
+	if opts.Prof != nil {
+		engineCfg.Prof = opts.Prof
 	}
-	if ortBits == 0 {
-		ortBits = stm.DefaultOrtBits
+	if s.heap != nil {
+		engineCfg.Heap = s.heap
 	}
+	if opts.Race {
+		s.checker = race.New(opts.Threads)
+		engineCfg.Race = s.checker
+	}
+	s.Engine = vtime.NewEngine(space, opts.Threads, engineCfg)
 	stmCfg := stm.Config{
-		OrtBits:   ortBits,
-		Shift:     shift,
+		OrtBits:   opts.OrtBits,
+		Shift:     opts.Shift,
 		Design:    opts.Design,
 		Allocator: allocator,
 		Pooling:   opts.Pool,
@@ -244,51 +241,39 @@ func NewSystem(opts Options) (*System, error) {
 		RetryCap:  opts.RetryCap,
 		Prof:      opts.Prof,
 	}
-	var watchers []mem.HeapWatcher
-	var txObservers []stm.Observer
-	if opts.Prof != nil {
-		engineCfg.Prof = opts.Prof
-	}
-	if s.heap != nil {
-		s.heap.Attach(allocator, shift, 1<<ortBits)
-		s.heap.SetRecorder(opts.Obs)
-		engineCfg.Heap = s.heap
-		watchers = append(watchers, s.heap)
-	}
 	if s.durable != nil {
+		s.durable.SetStopper(s.Engine)
 		stmCfg.Durable = s.durable
-		watchers = append(watchers, s.durable)
-	}
-	if opts.Race {
-		s.checker = race.New(opts.Threads)
-		engineCfg.Race = s.checker
-		watchers = append(watchers, s.checker)
-		txObservers = append(txObservers, s.checker)
-	}
-	if opts.Conflict {
-		s.conflict = conflict.New(opts.Threads, shift)
-		watchers = append(watchers, s.conflict)
-		txObservers = append(txObservers, s.conflict)
-	}
-	for _, w := range watchers {
-		space.Watch(w)
-	}
-	if testWatch != nil {
-		testWatch(space)
 	}
 	if s.Plan != nil {
 		stmCfg.Fault = s.Plan
-	}
-	s.Engine = vtime.NewEngine(space, opts.Threads, engineCfg)
-	if s.durable != nil {
-		s.durable.SetStopper(s.Engine)
 	}
 	if opts.TxAllocator != nil {
 		stmCfg.Allocator = opts.TxAllocator(allocator)
 	}
 	s.STM = stm.New(space, stmCfg)
-	for _, o := range txObservers {
-		s.STM.Observe(o)
+	// Heap telemetry and the conflict observatory take the lock map, and
+	// the observatory each thread's label, from the STM itself.
+	shift, entries := s.STM.LockMap()
+	if s.heap != nil {
+		s.heap.Attach(allocator, shift, entries)
+		s.heap.SetRecorder(opts.Obs)
+		space.Watch(s.heap)
+	}
+	if s.durable != nil {
+		space.Watch(s.durable)
+	}
+	if s.checker != nil {
+		space.Watch(s.checker)
+		s.STM.Observe(s.checker)
+	}
+	if opts.Conflict {
+		s.conflict = conflict.New(opts.Threads, shift, s.STM.Kind)
+		space.Watch(s.conflict)
+		s.STM.Observe(s.conflict)
+	}
+	if testWatch != nil {
+		testWatch(space)
 	}
 	return s, nil
 }
@@ -324,16 +309,13 @@ func (s *System) Atomic(th *vtime.Thread, fn func(tx *stm.Tx)) {
 
 // Report collects the current statistics.
 func (s *System) Report() Report {
-	r := Report{
+	return Report{
 		Cycles:  s.Engine.MaxClock(),
 		Seconds: vtime.Seconds(s.Engine.MaxClock()),
 		Tx:      s.STM.Stats(),
 		Alloc:   s.Allocator.Stats(),
+		Cache:   s.Cache.TotalStats(),
 	}
-	if s.Cache != nil {
-		r.Cache = s.Cache.TotalStats()
-	}
-	return r
 }
 
 // ResetClocks starts a timed phase in isolation: the durable heap

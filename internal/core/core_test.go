@@ -64,20 +64,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-func TestDisableCacheModel(t *testing.T) {
-	sys := MustNewSystem(Options{Allocator: "tbb", Threads: 2, DisableCacheModel: true})
-	if sys.Cache != nil {
-		t.Fatal("cache model present despite DisableCacheModel")
-	}
-	a := sys.Space.MustMap(4096, 0)
-	sys.Run(func(th *vtime.Thread) {
-		sys.Atomic(th, func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
-	})
-	if sys.Space.Load(a) != 2 {
-		t.Error("system unusable without cache model")
-	}
-}
-
 func TestTransactionalMallocThroughSystem(t *testing.T) {
 	sys := MustNewSystem(Options{Allocator: "tcmalloc", Threads: 2})
 	head := sys.Space.MustMap(4096, 0)

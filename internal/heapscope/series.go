@@ -149,19 +149,6 @@ func (s *Set) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteFile writes the artifact to path.
-func (s *Set) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // ReadJSON deserializes a tmheap/series/v1 artifact, rejecting unknown
 // schemas rather than silently misreading them.
 func ReadJSON(r io.Reader) (*Set, error) {

@@ -6,14 +6,10 @@ import (
 	"io"
 )
 
-// Run-record schema identifiers. V2 added SchemaVersion and the Sweep
-// provenance section (cell-set hash, cached-vs-executed counts, host
-// pool width); everything in v1 is still present and means the same, so
-// v1 files decode losslessly (see DecodeRunRecords).
-const (
-	RunRecordSchemaV1 = "tmrepro/run-record/v1"
-	RunRecordSchema   = "tmrepro/run-record/v2"
-)
+// RunRecordSchema identifies the run-record format: v2 carries
+// SchemaVersion and the Sweep provenance section (cell-set hash,
+// cached-vs-executed counts, host pool width).
+const RunRecordSchema = "tmrepro/run-record/v2"
 
 // Table is the serialization form of one result table; harness.Table
 // is this type.
@@ -350,7 +346,7 @@ func (r *ConflictInfo) Merge(o *ConflictInfo) *ConflictInfo {
 // byte-for-byte.
 type RunRecord struct {
 	Schema        string       `json:"schema"`
-	SchemaVersion int          `json:"schema_version,omitempty"` // 0/absent means 1 (v1 files predate it)
+	SchemaVersion int          `json:"schema_version,omitempty"` // 2; absent reads as 2
 	Experiment    string       `json:"experiment"`
 	Title         string       `json:"title,omitempty"`
 	Status        string       `json:"status,omitempty"`  // "" is StatusOK (pre-robustness records)
@@ -408,11 +404,9 @@ func WriteRunRecords(w io.Writer, recs []*RunRecord) error {
 	return enc.Encode(recs)
 }
 
-// DecodeRunRecords reads what WriteRunRecords (or any older tool)
-// wrote: a single record object or an array of them, in either the v1
-// or v2 schema. v1 records come back with SchemaVersion normalized to 1
-// so consumers can switch on the version without string comparisons;
-// unknown schemas are an error rather than a silent misread.
+// DecodeRunRecords reads what WriteRunRecords wrote: a single v2 record
+// object or an array of them, with SchemaVersion normalized to 2. Any
+// other schema is an error rather than a silent misread.
 func DecodeRunRecords(r io.Reader) ([]*RunRecord, error) {
 	dec := json.NewDecoder(r)
 	var raw json.RawMessage
@@ -432,14 +426,10 @@ func DecodeRunRecords(r io.Reader) ([]*RunRecord, error) {
 		recs = []*RunRecord{&rec}
 	}
 	for _, rec := range recs {
-		switch {
-		case rec.Schema == RunRecordSchemaV1 && rec.SchemaVersion <= 1:
-			rec.SchemaVersion = 1
-		case rec.Schema == RunRecordSchema && (rec.SchemaVersion == 0 || rec.SchemaVersion == 2):
-			rec.SchemaVersion = 2
-		default:
+		if rec.Schema != RunRecordSchema || (rec.SchemaVersion != 0 && rec.SchemaVersion != 2) {
 			return nil, fmt.Errorf("obs: unknown run-record schema %q (version %d)", rec.Schema, rec.SchemaVersion)
 		}
+		rec.SchemaVersion = 2
 	}
 	return recs, nil
 }

@@ -5,33 +5,13 @@ import (
 	"testing"
 )
 
-const v1Fixture = `{
-  "schema": "tmrepro/run-record/v1",
+const v2Fixture = `{
+  "schema": "tmrepro/run-record/v2",
+  "schema_version": 2,
   "experiment": "fig4",
-  "title": "legacy record",
   "config": {"full": false, "seed": 633319},
   "tables": [{"columns": ["a"], "rows": [["1"]]}]
 }`
-
-func TestDecodeRunRecordsV1(t *testing.T) {
-	recs, err := DecodeRunRecords(strings.NewReader(v1Fixture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("decoded %d records, want 1", len(recs))
-	}
-	r := recs[0]
-	if r.Schema != RunRecordSchemaV1 || r.SchemaVersion != 1 {
-		t.Errorf("v1 record normalized to schema %q version %d", r.Schema, r.SchemaVersion)
-	}
-	if r.Experiment != "fig4" || r.Config.Seed != 633319 {
-		t.Errorf("v1 fields lost: %+v", r)
-	}
-	if r.Sweep != nil {
-		t.Error("v1 records predate sweep provenance; decoder must not invent it")
-	}
-}
 
 func TestDecodeRunRecordsV2(t *testing.T) {
 	rec := NewRunRecord("tab4")
@@ -54,19 +34,20 @@ func TestDecodeRunRecordsV2(t *testing.T) {
 }
 
 func TestDecodeRunRecordsArray(t *testing.T) {
-	recs, err := DecodeRunRecords(strings.NewReader("[" + v1Fixture + "," + v1Fixture + "]"))
+	recs, err := DecodeRunRecords(strings.NewReader("[" + v2Fixture + "," + v2Fixture + "]"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[1].SchemaVersion != 1 {
-		t.Fatalf("array decode = %d records (last version %d), want 2 v1 records",
-			len(recs), recs[len(recs)-1].SchemaVersion)
+	if len(recs) != 2 || recs[1].SchemaVersion != 2 || recs[1].Config.Seed != 633319 {
+		t.Fatalf("array decode = %d records (last %+v), want 2 v2 records", len(recs), recs[len(recs)-1])
 	}
 }
 
 func TestDecodeRunRecordsUnknownSchema(t *testing.T) {
-	in := strings.Replace(v1Fixture, "run-record/v1", "run-record/v9", 1)
-	if _, err := DecodeRunRecords(strings.NewReader(in)); err == nil {
-		t.Fatal("unknown schema must be an error, not a silent pass-through")
+	for _, old := range []string{"run-record/v2", `"schema_version": 2`} {
+		in := strings.Replace(v2Fixture, old, strings.Replace(old, "2", "1", 1), 1)
+		if _, err := DecodeRunRecords(strings.NewReader(in)); err == nil {
+			t.Errorf("%s changed to version 1 decoded; want an error, not a silent pass-through", old)
+		}
 	}
 }

@@ -312,8 +312,10 @@ func (c *Checker) acquire(tid int, snapshot uint64) {
 // strictly increasing and folding entries no live snapshot can reach.
 func (c *Checker) publish(ver uint64, vcommit []uint64) {
 	if n := len(c.releases); n > 0 && c.releases[n-1].ver >= ver {
-		// Sharded clocks can publish non-monotone versions; folding
-		// into the newest entry only coarsens (adds real edges).
+		// A committer ticks between its clock bump and its EvPublish
+		// (validation, write-back, lock release), so a later version
+		// can publish first; folding into the newest entry only
+		// coarsens (adds real edges).
 		join(c.releases[n-1].cum, vcommit)
 		return
 	}

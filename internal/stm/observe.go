@@ -1,9 +1,6 @@
 package stm
 
-import (
-	"repro/internal/mem"
-	"repro/internal/obs"
-)
+import "repro/internal/mem"
 
 // Transaction-event stream: the race checker (internal/race) and the
 // conflict observatory (internal/conflict) watch the same transaction
@@ -19,7 +16,7 @@ import (
 type EventKind uint8
 
 // Event kinds, with the fields each sets besides the context every
-// event carries (Tid, Snapshot, Label).
+// event carries (Tid, Snapshot).
 const (
 	EvBegin  EventKind = iota // an attempt began at Snapshot
 	EvExtend                  // the read set validated and Snapshot advanced
@@ -35,7 +32,6 @@ const (
 	// Stripe, Addr, Owner, Killer, Attempt and Wasted.
 	EvAbort
 	EvCommit        // the commit finished, ending any abort chain rooted at the thread
-	EvLabel         // SetKind set Label
 	EvFreeCommitted // the block at Addr entered quarantine or a pool's recycle list; its watchers' free note follows
 	// EvQuarantineRelease: thread Tid is about to hand quarantined blocks
 	// back to the allocator, every active snapshot having passed their
@@ -57,11 +53,10 @@ const NoKiller = -1
 // no observer can change what the next one sees.
 type Event struct {
 	Kind EventKind
-	// Context: the thread, the transaction's snapshot version and its
-	// workload label (SetKind; "" if unlabeled).
+	// Context: the thread and the transaction's snapshot version. The
+	// thread's workload label is (*STM).Kind.
 	Tid      int
 	Snapshot uint64
-	Label    string
 	// Addr is the loaded, stored or freed address; for EvAbort the
 	// address the victim was accessing. Stripe is the ORT entry an abort
 	// is attributed to (obs.NoStripe when none is; Addr and Owner are
@@ -69,12 +64,12 @@ type Event struct {
 	Addr    mem.Addr
 	Stripe  uint64
 	Version uint64 // EvPublish: the published commit version
-	// EvAbort: why the attempt died, the address that last acquired
-	// Stripe, the thread that killed the victim (Stripe's last acquirer,
-	// or the aggressive rival of an AbortKilled; NoKiller when there is
-	// none or it is the victim), the 1-based attempt number within its
-	// Atomic, and the virtual cycles from begin to abort on the victim's
-	// clock.
+	// EvAbort: why the attempt died, the address and the thread of
+	// Stripe's last acquisition before the rollback (Owner and Killer;
+	// an AbortKilled's Killer is the aggressive rival that flagged it,
+	// and Killer is NoKiller when there is none or it is the victim), the
+	// 1-based attempt number within its Atomic, and the virtual cycles
+	// from begin to abort on the victim's clock.
 	Reason  AbortReason
 	Owner   mem.Addr
 	Killer  int
@@ -101,7 +96,7 @@ func (s *STM) emit(ev Event) {
 
 // emit builds a k event with the transaction's context and fans it out.
 func (tx *Tx) emit(k EventKind, a mem.Addr, stripe, ver uint64) {
-	tx.stm.emit(Event{Kind: k, Tid: tx.th.ID(), Snapshot: uint64(tx.snapshot), Label: tx.kind,
+	tx.stm.emit(Event{Kind: k, Tid: tx.th.ID(), Snapshot: uint64(tx.snapshot),
 		Addr: a, Stripe: stripe, Version: ver})
 }
 
@@ -119,31 +114,27 @@ func (tx *Tx) notePublish(ver uint64) {
 }
 
 // noteAbort reports an abort attributed to ORT entry idx (obs.NoStripe
-// for none): a is the victim's address, owner the entry's last
-// acquirer's.
-func (tx *Tx) noteAbort(reason AbortReason, idx uint64, a, owner mem.Addr) {
+// for none): a is the victim's address, last the entry's last
+// acquisition as read before the rollback (zero for none).
+func (tx *Tx) noteAbort(reason AbortReason, idx uint64, a mem.Addr, last acquisition) {
 	if len(tx.stm.observers) != 0 {
-		tx.emitAbort(reason, idx, a, owner)
+		tx.emitAbort(reason, idx, a, last)
 	}
 }
 
-// emitAbort names the killer as the abort is reported, after the
-// rollback: a stripe abort's is the entry's last acquirer then (the
-// rollback ticks, so rivals may have acquired it meanwhile), a kill's
-// the aggressive rival that flagged it.
-func (tx *Tx) emitAbort(reason AbortReason, idx uint64, a, owner mem.Addr) {
-	killer := NoKiller
-	switch {
-	case idx != obs.NoStripe:
-		killer = int(tx.stm.lastAcquired(idx).tid) - 1 // NoKiller if never acquired
-	case reason == AbortKilled:
+// emitAbort names the killer from the same acquisition as the owner: a
+// stripe abort's is that acquisition's thread, a kill's the aggressive
+// rival that flagged it.
+func (tx *Tx) emitAbort(reason AbortReason, idx uint64, a mem.Addr, last acquisition) {
+	killer := int(last.tid) - 1 // NoKiller if never acquired
+	if reason == AbortKilled {
 		killer = int(tx.killedBy)
 	}
 	if killer == tx.th.ID() {
 		killer = NoKiller
 	}
-	tx.stm.emit(Event{Kind: EvAbort, Tid: tx.th.ID(), Snapshot: uint64(tx.snapshot), Label: tx.kind,
-		Reason: reason, Stripe: idx, Addr: a, Owner: owner,
+	tx.stm.emit(Event{Kind: EvAbort, Tid: tx.th.ID(), Snapshot: uint64(tx.snapshot),
+		Reason: reason, Stripe: idx, Addr: a, Owner: last.addr,
 		Killer: killer, Attempt: tx.attempt, Wasted: tx.th.Clock() - tx.beginClock})
 }
 
@@ -153,7 +144,13 @@ func (tx *Tx) emitAbort(reason AbortReason, idx uint64, a, owner mem.Addr) {
 // and victim transactions are reported by kind — and allocator blame:
 // blocks allocated while the label is in force carry it as their
 // allocation site.
-func (tx *Tx) SetKind(kind string) {
-	tx.kind = kind
-	tx.note(EvLabel, 0)
+func (tx *Tx) SetKind(kind string) { tx.kind = kind }
+
+// Kind returns thread tid's label: its descriptor's last SetKind, or ""
+// when it has none.
+func (s *STM) Kind(tid int) string {
+	if tx := s.txs[tid]; tx != nil {
+		return tx.kind
+	}
+	return ""
 }

@@ -343,6 +343,11 @@ func (s *STM) OrtIndex(a mem.Addr) uint64 {
 	return (uint64(a) >> s.shift) % s.ortSize
 }
 
+// LockMap returns the ORT mapping's shift and entry count, the
+// defaults filled in: the lock map heap telemetry and the conflict
+// observatory must share.
+func (s *STM) LockMap() (shift uint, entries uint64) { return s.shift, s.ortSize }
+
 // ortAddr returns the simulated address of ORT entry i.
 func (s *STM) ortAddr(i uint64) mem.Addr { return s.ortBase + mem.Addr(i*8) }
 
@@ -499,7 +504,7 @@ func (s *STM) Atomic(th *vtime.Thread, fn func(tx *Tx)) {
 			if storm {
 				// Abort-storm kill: roll back (nothing is locked yet)
 				// and fall through to the retry bookkeeping.
-				tx.abandon(AbortKilled)
+				tx.abandon(AbortKilled, obs.NoStripe, 0)
 			}
 		}
 		if tx.active && tx.tryRun(fn) {
@@ -551,7 +556,7 @@ func (tx *Tx) tryRun(fn func(tx *Tx)) (committed bool) {
 			// propagates.
 			if _, isFault := r.(mem.Fault); isFault && tx.active &&
 				!tx.irrevocable && !tx.validate() {
-				tx.abandon(AbortValidation)
+				tx.abandon(AbortValidation, obs.NoStripe, 0)
 				committed = false
 				return
 			}
@@ -618,10 +623,11 @@ type Tx struct {
 	ctlReqs []ctlReq
 	ctlSeen u64Table
 
-	// Forensics state carried on events (observe.go): the workload
-	// label and the 1-based attempt number of the current Atomic (reset
-	// on commit). Maintained unconditionally — two scalar updates — so
-	// the observed and unobserved paths run the same code.
+	// Forensics state (observe.go): the workload label, which
+	// (*STM).Kind reads, and the 1-based attempt number of the current
+	// Atomic (reset on commit), which EvAbort carries. Maintained
+	// unconditionally — two scalar updates — so the observed and
+	// unobserved paths run the same code.
 	kind    string
 	attempt uint64
 
@@ -661,43 +667,41 @@ func (tx *Tx) begin() {
 	tx.note(EvBegin, 0)
 }
 
-// abort rolls the transaction back and unwinds fn via panic. idx is
-// the ORT entry whose conflict killed the attempt and a the address
-// this transaction was accessing; the conflict is false when the entry
-// was last acquired for a *different* address (stripe sharing or
-// aliasing — the allocator-placement effect under study).
+// abort rolls the transaction back, reports the conflict on ORT entry
+// idx at address a (abandon) and unwinds fn via panic.
 func (tx *Tx) abort(reason AbortReason, idx uint64, a mem.Addr) {
-	s := tx.stm
-	owner := s.lastAcquired(idx).addr
-	falseConflict := owner != a
-	if falseConflict {
-		tx.stats.FalseAborts++
-	}
-	tx.rollback(reason)
-	if s.rec != nil {
-		s.rec.TxAbort(tx.th.ID(), tx.beginClock, tx.th.Clock(), reason.String(),
-			idx, falseConflict, uint64(owner)>>s.shift, uint64(a)>>s.shift)
-	}
-	tx.noteAbort(reason, idx, a, owner)
+	tx.abandon(reason, idx, a)
 	panic(abortSignal{reason})
 }
 
 // abortNoStripe aborts without a single attributable ORT entry
 // (explicit restarts, OOM, kills) and unwinds fn via panic.
-func (tx *Tx) abortNoStripe(reason AbortReason) {
-	tx.abandon(reason)
-	panic(abortSignal{reason})
-}
+func (tx *Tx) abortNoStripe(reason AbortReason) { tx.abort(reason, obs.NoStripe, 0) }
 
-// abandon rolls the transaction back and reports an abort with no
-// attributable ORT entry to the recorder and the observers.
-func (tx *Tx) abandon(reason AbortReason) {
-	tx.rollback(reason)
-	if s := tx.stm; s.rec != nil {
-		s.rec.TxAbort(tx.th.ID(), tx.beginClock, tx.th.Clock(), reason.String(),
-			obs.NoStripe, false, 0, 0)
+// abandon rolls the transaction back and reports the abort to the
+// statistics, the recorder and the observers. idx is the ORT entry
+// whose conflict killed the attempt (obs.NoStripe for none) and a the
+// address this transaction was accessing. The entry's last acquisition
+// is read once, before the rollback, whose ticks let rivals acquire the
+// entry: it names both the owner address and the killer, and the
+// conflict is false when it was for a *different* address (stripe
+// sharing or aliasing — the allocator-placement effect under study).
+func (tx *Tx) abandon(reason AbortReason, idx uint64, a mem.Addr) {
+	s := tx.stm
+	var last acquisition
+	falseConflict := false
+	if idx != obs.NoStripe {
+		last = s.lastAcquired(idx)
+		if falseConflict = last.addr != a; falseConflict {
+			tx.stats.FalseAborts++
+		}
 	}
-	tx.noteAbort(reason, obs.NoStripe, 0, 0)
+	tx.rollback(reason)
+	if s.rec != nil {
+		s.rec.TxAbort(tx.th.ID(), tx.beginClock, tx.th.Clock(), reason.String(),
+			idx, falseConflict, uint64(last.addr)>>s.shift, uint64(a)>>s.shift)
+	}
+	tx.noteAbort(reason, idx, a, last)
 }
 
 // rollback releases locks, undoes transactional allocations and drops
@@ -962,7 +966,7 @@ func (tx *Tx) commit() bool {
 	next := s.clockBump(tx.th)
 	if next > tx.snapshot+1 {
 		if !tx.validate() {
-			tx.abandon(AbortValidation)
+			tx.abandon(AbortValidation, obs.NoStripe, 0)
 			return false
 		}
 	}

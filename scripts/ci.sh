@@ -308,9 +308,9 @@ done
 echo "== flag typo gate =="
 # A mistyped name must fail while flags parse (exit 2, naming the
 # allowed values) instead of running a default under the typo's label:
-# the STAMP scale and variant, the intset structure of every binary
-# that takes one, tmintset's STM design, tmlayout's mode and every
-# allocator flag.
+# the STAMP app, scale and variant, the intset structure of every
+# binary that takes one, tmintset's STM design, tmlayout's mode and
+# every allocator flag.
 for b in tmstamp tmcrash tmwhy tmlayout; do
     go build -o "$tmpdir/$b" ./cmd/$b
 done
@@ -319,6 +319,7 @@ while read -r b args; do
     [ "$rc" -eq 2 ] || { echo "$b $args exited $rc, want 2" >&2; exit 1; }
     grep -q 'allowed' "$tmpdir/typo.txt" || { echo "$b $args named no allowed values" >&2; exit 1; }
 done <<'EOF'
+tmstamp -app bogus
 tmstamp -app genome -scale rfe
 tmstamp -app genome -variant hi
 tmintset -kind bogus
