@@ -5,8 +5,9 @@
 // writer; and the single-cell runner (RunCell).
 // Flag values that name things — contention managers, fault plans,
 // pooling disciplines, intset structures (Kind), allocators (Alloc,
-// Allocs) — are validated while flags parse, so a typo fails
-// immediately with the allowed names instead of minutes into a sweep.
+// Allocs) — and the thread count (Threads) are validated while flags
+// parse, so a typo fails immediately with the allowed values instead
+// of minutes into a sweep.
 package cliflags
 
 import (
@@ -17,9 +18,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/alloc"
+	"repro/internal/cachesim"
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/heapscope"
@@ -130,6 +133,20 @@ func Alloc(fs *flag.FlagSet) *string {
 		return knownAlloc(v)
 	})
 	return &name
+}
+
+// Threads registers -threads on fs: the logical threads of a core
+// world, def by default, validated while flags parse against the
+// 1..cachesim.DefaultCores that core.NewSystem accepts.
+func Threads(fs *flag.FlagSet, def int) *int {
+	n := def
+	fs.Func("threads", fmt.Sprintf("logical threads: 1..%d (default %d)", cachesim.DefaultCores, def), func(v string) (err error) {
+		if n, err = strconv.Atoi(v); err != nil || n < 1 || n > cachesim.DefaultCores {
+			return fmt.Errorf("bad thread count %q (allowed: 1..%d)", v, cachesim.DefaultCores)
+		}
+		return nil
+	})
+	return &n
 }
 
 // Allocs registers the flag name on fs: a comma-separated list of

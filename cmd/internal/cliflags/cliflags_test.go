@@ -73,14 +73,9 @@ func TestFlagsLandInTheSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := w.Spec.Policy
-	if p.Plan == nil || !p.Plan.HasCrash() {
-		t.Fatalf("policy carries no parsed crash plan: %+v", p.Plan)
-	}
-	p.Plan = nil
 	want := core.Policy{CM: stm.CMKarma, RetryCap: 32, Fault: "oom%1", Deadline: 5000000000,
 		Pmem: true, Crash: "crash@9", Sanitize: true, Race: true, Conflict: true}
-	if !reflect.DeepEqual(p, want) {
+	if p := w.Spec.Policy; p != want {
 		t.Fatalf("policy = %+v\nwant     %+v", p, want)
 	}
 	s := w.Spec
@@ -145,6 +140,43 @@ func TestAllocFlagsNameRegisteredAllocators(t *testing.T) {
 		}
 		if err != nil || *one != c.one || !reflect.DeepEqual(*many, c.many) {
 			t.Errorf("%v: %q, %v, err %v; want %q, %v", c.args, *one, *many, err, c.one, c.many)
+		}
+	}
+}
+
+// TestThreadsFlagAcceptsWhatCoreBuilds checks that -threads takes
+// exactly the 1..cachesim.DefaultCores threads core.NewSystem builds a
+// world for, and names that range when it refuses a value.
+func TestThreadsFlagAcceptsWhatCoreBuilds(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want int
+		ok   bool
+	}{
+		{nil, 4, true},
+		{[]string{"-threads", "1"}, 1, true},
+		{[]string{"-threads", "8"}, 8, true},
+		{[]string{"-threads", "0"}, 0, false},
+		{[]string{"-threads", "9"}, 0, false},
+		{[]string{"-threads", "-1"}, 0, false},
+		{[]string{"-threads", "two"}, 0, false},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		var usage strings.Builder
+		fs.SetOutput(&usage)
+		n := Threads(fs, 4)
+		err := fs.Parse(c.args)
+		if !c.ok {
+			if err == nil || !strings.Contains(usage.String(), "allowed: 1..8") {
+				t.Errorf("%v: err %v, output %q; want an error naming 1..8", c.args, err, usage.String())
+			}
+			continue
+		}
+		if err != nil || *n != c.want {
+			t.Errorf("%v: %d, err %v; want %d", c.args, *n, err, c.want)
+		}
+		if _, err := core.NewSystem(core.Options{Threads: *n}); err != nil {
+			t.Errorf("%v: core.NewSystem refused an accepted count: %v", c.args, err)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func (a *agg) ratio() float64 {
 
 func main() {
 	var (
-		threads = flag.Int("threads", 4, "logical threads")
+		threads = cliflags.Threads(flag.CommandLine, 4)
 		initial = flag.Int("initial", 128, "initial set size")
 		ops     = flag.Int("ops", 200, "operations per thread")
 		updates = flag.Int("updates", 60, "update percentage")

@@ -35,7 +35,7 @@ import (
 
 func main() {
 	var (
-		threads   = flag.Int("threads", 8, "logical threads (1..8)")
+		threads   = cliflags.Threads(flag.CommandLine, 8)
 		updates   = flag.Int("updates", 60, "update percentage (0, 20, 60)")
 		initial   = flag.Int("initial", 0, "initial set size (0 = paper default 4096)")
 		keys      = flag.Int("range", 0, "key range (0 = 2x initial)")

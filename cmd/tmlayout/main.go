@@ -180,10 +180,7 @@ func writeGeometry(threads int) error {
 		if err != nil {
 			return err
 		}
-		st, ok := alloc.InspectHeap(a)
-		if !ok {
-			continue
-		}
+		st := a.InspectHeap()
 		sr := &heapscope.Series{
 			Label:     "geometry/" + name,
 			Allocator: name,

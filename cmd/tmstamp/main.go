@@ -55,7 +55,7 @@ func main() {
 		return nil
 	})
 	var (
-		threads = flag.Int("threads", 1, "logical threads (1..8)")
+		threads = cliflags.Threads(flag.CommandLine, 1)
 		shift   = flag.Uint("shift", 0, "ORT shift amount (0 = default 5)")
 		cacheTx = flag.Bool("cachetx", false, "deprecated alias for -pool cache (paper §6.2 tx-object caching)")
 		profile = flag.Bool("alloc-profile", false, "print the Table 5 allocation profile")

@@ -37,7 +37,7 @@ import (
 
 func main() {
 	var (
-		threads = flag.Int("threads", 8, "logical threads (1..8)")
+		threads = cliflags.Threads(flag.CommandLine, 8)
 		updates = flag.Int("updates", 60, "update percentage")
 		full    = flag.Bool("full", false, "paper-scale parameters (slow)")
 		seed    = flag.Uint64("seed", 0, "workload seed")

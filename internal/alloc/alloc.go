@@ -52,6 +52,14 @@ type Allocator interface {
 	Stats() Stats
 	// Describe returns the allocator's Table 1 self-description.
 	Describe() Description
+	// InspectHeap reports the allocator's internal state; the heapscope
+	// collector snapshots through it on its virtual-cycle cadence.
+	InspectHeap() HeapState
+	// RecoverHeap verifies and repairs the allocator's durable metadata
+	// after a crash. It relies only on st and compile-time layout
+	// constants — never on the instance's host-side maps, which did not
+	// survive the crash — and prices its scan/repair traffic on th.
+	RecoverHeap(th *vtime.Thread, st *RecoverState) RecoverReport
 }
 
 // Factory constructs an allocator model over a space for a maximum
@@ -169,23 +177,6 @@ func (h *HeapState) FreeBlocks() uint64 {
 		n += c.Free + c.Cached
 	}
 	return n
-}
-
-// HeapInspector is implemented by allocators that can report their
-// internal state as a HeapState. All four models implement it; the
-// heapscope collector snapshots through this interface on its
-// virtual-cycle cadence.
-type HeapInspector interface {
-	InspectHeap() HeapState
-}
-
-// InspectHeap snapshots a's internals if the allocator supports
-// inspection.
-func InspectHeap(a Allocator) (HeapState, bool) {
-	if hi, ok := a.(HeapInspector); ok {
-		return hi.InspectHeap(), true
-	}
-	return HeapState{}, false
 }
 
 // CountingMutex is a virtual-time mutex that records acquisitions and

@@ -31,8 +31,10 @@ type Model interface {
 	BlockSize(th *vtime.Thread, addr mem.Addr) uint64
 	// Describe returns the allocator's Table 1 self-description.
 	Describe() Description
-	HeapInspector
-	Recoverer
+	// InspectHeap and RecoverHeap are the Allocator methods of the same
+	// names; the front end passes both straight through.
+	InspectHeap() HeapState
+	RecoverHeap(th *vtime.Thread, st *RecoverState) RecoverReport
 }
 
 // Injector decides, per allocation, whether to inject a fault.

@@ -296,7 +296,7 @@ func (g *Glibc) BlockSize(th *vtime.Thread, addr mem.Addr) uint64 {
 // ArenaCount returns how many arenas exist (contention creates them).
 func (g *Glibc) ArenaCount() int { return len(g.arenas) }
 
-// InspectHeap implements alloc.HeapInspector. Bins are dynamic (keyed by
+// InspectHeap implements alloc.Model. Bins are dynamic (keyed by
 // chunk size), so the class rows are the union of all arenas' bin sizes
 // in sorted order; Reserved counts the full 64 MiB of every arena plus
 // direct maps — the address-space footprint the paper's blowup story is

@@ -15,7 +15,7 @@ import (
 // word from journaled truth and relinks every freed chunk into a
 // canonical exact-fit bin.
 
-// RecoverHeap implements alloc.Recoverer. It consults only the passed
+// RecoverHeap implements alloc.Model. It consults only the passed
 // state plus layout constants: journaled "arena" records locate the
 // arenas (a live block outside every arena is a direct mapping), the
 // block journal supplies base/usable for every chunk.

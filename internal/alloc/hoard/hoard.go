@@ -464,7 +464,7 @@ func (h *Hoard) BlockSize(_ *vtime.Thread, addr mem.Addr) uint64 {
 	panic(fmt.Sprintf("hoard: BlockSize of unknown address %#x", uint64(addr)))
 }
 
-// InspectHeap implements alloc.HeapInspector. Per class, Free counts
+// InspectHeap implements alloc.Model. Per class, Free counts
 // idle blocks inside class-assigned superblocks (capacity − used,
 // covering both free-list entries and never-carved bump space) and
 // Cached the blocks parked in per-thread local caches; superblock

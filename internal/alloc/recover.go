@@ -96,24 +96,6 @@ type RecoverReport struct {
 	NodeOffset uint64
 }
 
-// Recoverer is implemented by allocators that can verify and repair
-// their durable metadata after a crash. RecoverHeap must rely only on
-// the passed state and compile-time layout constants — never on the
-// instance's host-side maps, which did not survive the crash — and
-// prices its scan/repair traffic on th. All four models implement it.
-type Recoverer interface {
-	RecoverHeap(th *vtime.Thread, st *RecoverState) RecoverReport
-}
-
-// RecoverHeap runs a's metadata repair pass if the allocator supports
-// recovery, reporting whether it does.
-func RecoverHeap(a Allocator, th *vtime.Thread, st *RecoverState) (RecoverReport, bool) {
-	if r, ok := a.(Recoverer); ok {
-		return r.RecoverHeap(th, st), true
-	}
-	return RecoverReport{}, false
-}
-
 // RebuildChain rewrites the free-list link words of one logical free
 // list into a canonical chain: blocks sorted ascending, each block's
 // word 0 pointing at the next, the last at 0, head the lowest address

@@ -71,8 +71,9 @@ func (s *Superblocks) BigReserved() uint64 {
 	return n
 }
 
-// RecoverHeap implements Recoverer: one canonical chain per superblock,
-// the aligned region containing each freed block.
+// RecoverHeap is the Model.RecoverHeap of the models that embed
+// Superblocks: one canonical chain per superblock, the aligned region
+// containing each freed block.
 func (s *Superblocks) RecoverHeap(th *vtime.Thread, st *RecoverState) RecoverReport {
 	return RebuildFreeLists(th, st, 0, func(b RecordedBlock) (uint64, bool) {
 		return uint64(b.Base &^ s.mask), true

@@ -350,7 +350,7 @@ func (t *TBB) BlockSize(_ *vtime.Thread, addr mem.Addr) uint64 {
 	panic(fmt.Sprintf("tbb: BlockSize of unknown address %#x", uint64(addr)))
 }
 
-// InspectHeap implements alloc.HeapInspector. Per class, Cached counts
+// InspectHeap implements alloc.Model. Per class, Cached counts
 // blocks on synchronization-free private lists plus never-carved bump
 // space (the owner-only fast path) and Free blocks on the spinlocked
 // public lists; retired superblocks on the global spare list count as

@@ -15,7 +15,7 @@ import (
 // caches and the central lists is gone with the crash; recovery merges
 // every freed block into one canonical central chain per size class.
 
-// RecoverHeap implements alloc.Recoverer. A freed block resolves to its
+// RecoverHeap implements alloc.Model. A freed block resolves to its
 // size class through the journaled span covering it; freed large blocks
 // never appear (their free unmaps the span).
 func (t *TCMalloc) RecoverHeap(th *vtime.Thread, st *alloc.RecoverState) alloc.RecoverReport {

@@ -344,7 +344,7 @@ func (t *TCMalloc) BlockSize(_ *vtime.Thread, addr mem.Addr) uint64 {
 	return t.classes.Size(sp.class)
 }
 
-// InspectHeap implements alloc.HeapInspector. Per class, Cached counts
+// InspectHeap implements alloc.Model. Per class, Cached counts
 // blocks idle in thread caches and Free blocks on the central list —
 // the thread-cache vs central-list byte balance. Spans are registered
 // per page in the page map, so reserved bytes dedup span pointers; the

@@ -63,11 +63,6 @@ type Policy struct {
 	Deadline uint64 // virtual-cycle watchdog bound per phase; 0 disables
 	Pmem     bool   // durable heap: redo-logged commits, priced flush/fence
 	Crash    string // crash-injection clauses (fault grammar); implies Pmem
-	// Plan, when non-nil, is a pre-parsed fault plan that replaces
-	// parsing Fault/Crash; each run takes its own clone re-seeded with
-	// the run's seed (harness cells parse the spec once). Excluded from
-	// spec hashing: the strings above already identify the plan.
-	Plan *fault.Plan `json:"-"`
 	// Sanitize attaches the shadow-memory sanitizer (mem.Shadow) to the
 	// run's space: a transactional access to a freed block, a redzone
 	// or a wild address, or a double free, fails the run.
@@ -196,23 +191,20 @@ func NewSystem(opts Options) (*System, error) {
 		Space:     space,
 		Allocator: allocator,
 		Threads:   opts.Threads,
-		Plan:      opts.Plan.CloneSeeded(opts.Seed),
 		heap:      opts.Heap,
-	}
-	if spec := fault.Join(opts.Fault, opts.Crash); s.Plan == nil && spec != "" {
-		if s.Plan, err = fault.Parse(spec, opts.Seed); err != nil {
-			return nil, err
-		}
 	}
 	// Interface-typed hooks, here and below, are set only when present:
 	// a typed nil pointer would read as attached.
 	hooks := alloc.Hooks{Rec: opts.Obs, Prof: opts.Prof}
-	if s.Plan != nil {
+	if spec := fault.Join(opts.Fault, opts.Crash); spec != "" {
+		if s.Plan, err = fault.Parse(spec, opts.Seed); err != nil {
+			return nil, err
+		}
 		s.Plan.SetObserver(opts.Obs)
 		s.Plan.ApplyQuota(space)
 		hooks.Inj = s.Plan
 	}
-	if opts.Pmem || opts.Crash != "" || (s.Plan != nil && s.Plan.HasCrash()) {
+	if opts.Pmem || opts.Crash != "" || s.Plan.HasCrash() {
 		s.durable = pmem.Attach(space, s.Plan)
 		hooks.Journal = s.durable
 	}

@@ -132,18 +132,18 @@ func TestHeapStripesFollowTheLockMap(t *testing.T) {
 
 // TestWorldsShareNothing runs one world per allocator twice, one after
 // another and then all four at once on their own goroutines, from one
-// parsed fault template with every observer on. A world's space, fault
-// plan and observers belong to the goroutine that runs it, so the runs
-// must agree, and under -race any state two worlds share is reported.
+// fault spec with every observer on. A world's space, fault plan and
+// observers belong to the goroutine that runs it, so the runs must
+// agree, and under -race any state two worlds share is reported.
 func TestWorldsShareNothing(t *testing.T) {
-	template := fault.MustParse("oom%1,lat%2:200,storm@20000:24000", 1)
 	type result struct {
 		report Report
 		faults fault.Stats
 	}
 	run := func(allocator string) result {
 		sys := MustNewSystem(Options{Allocator: allocator, Threads: 4, Policy: Policy{
-			Plan: template, RetryCap: 64, Sanitize: true, Race: true, Conflict: true, Pmem: true,
+			Fault: "oom%1,lat%2:200,storm@20000:24000", RetryCap: 64,
+			Sanitize: true, Race: true, Conflict: true, Pmem: true,
 		}})
 		if sys.Space.Sanitizer() == nil {
 			t.Errorf("%s: Sanitize attached no shadow map", allocator)

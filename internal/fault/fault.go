@@ -36,9 +36,9 @@
 // -pmem/-crash CLI flags); they are consulted at pmem checkpoints via
 // Plan.Crash and at most one fires per plan.
 //
-// A Plan is stateful (it counts Mallocs and checkpoints); use
-// CloneSeeded to run the same parsed spec again — or call Reset — so
-// repetitions stay identical.
+// A Plan is stateful (it counts Mallocs and checkpoints), so every run
+// parses its own: two parses of one spec with one seed make the same
+// decisions.
 package fault
 
 import (
@@ -85,12 +85,9 @@ type crashPhase struct {
 
 // Plan is a parsed, seeded fault plan. It implements alloc.Injector
 // (structurally — this package does not import alloc) and the stm
-// layer's fault hooks. A running plan has one owner, the goroutine that
-// runs its world; a parsed template shared across worlds is only read,
-// by CloneSeeded, which gives each world its own copy.
+// layer's fault hooks. A plan has one owner, the goroutine that runs
+// its world: each world parses its own.
 type Plan struct {
-	seed uint64
-
 	oomAt    []window
 	oomPct   uint64 // percent 0..100
 	latAt    []window
@@ -123,10 +120,9 @@ type Stats struct {
 // Parse builds a Plan from a spec string and a seed. An empty spec
 // yields a plan that never fires (but still counts Mallocs).
 func Parse(spec string, seed uint64) (*Plan, error) {
-	p := &Plan{seed: seed}
-	p.Reset()
-	if strings.TrimSpace(spec) == "" {
-		return p, nil
+	p := &Plan{rng: seed ^ 0x9e3779b97f4a7c15}
+	if p.rng == 0 {
+		p.rng = 0x9e3779b97f4a7c15
 	}
 	for _, clause := range strings.Split(spec, ",") {
 		clause = strings.TrimSpace(clause)
@@ -361,56 +357,6 @@ func parseWindow(s string) (window, error) {
 	return w, nil
 }
 
-// Reset rewinds the plan's counters and PRNG to their post-Parse state,
-// making the next run identical to the first.
-func (p *Plan) Reset() {
-	p.rng = p.seed ^ 0x9e3779b97f4a7c15
-	if p.rng == 0 {
-		p.rng = 0x9e3779b97f4a7c15
-	}
-	p.mallocN = 0
-	p.stats = Stats{}
-	for i := range p.stalls {
-		p.stalls[i].fired = false
-	}
-	p.crashed = false
-	for i := range p.crashes {
-		p.crashes[i].seen = 0
-	}
-	for i := range p.phases {
-		p.phases[i].seen = 0
-	}
-}
-
-// CloneSeeded returns an independent plan with the same parsed clauses,
-// rewound to its post-Parse state and seeded with seed. It replaces
-// re-parsing the spec string when the same plan drives several runs
-// (harness cells): the clone carries no shared state, so
-// concurrent cells cannot perturb each other's fault schedules, and the
-// harness derives one seed per cell so probabilistic clauses
-// decorrelate across cells while each cell stays reproducible.
-func (p *Plan) CloneSeeded(seed uint64) *Plan {
-	if p == nil {
-		return nil
-	}
-	q := &Plan{
-		seed:     seed,
-		oomAt:    append([]window(nil), p.oomAt...),
-		oomPct:   p.oomPct,
-		latAt:    append([]window(nil), p.latAt...),
-		latPct:   p.latPct,
-		latency:  p.latency,
-		stalls:   append([]stall(nil), p.stalls...),
-		storms:   append([]window(nil), p.storms...),
-		quota:    p.quota,
-		crashes:  append([]crashAt(nil), p.crashes...),
-		crashPct: p.crashPct,
-		phases:   append([]crashPhase(nil), p.phases...),
-	}
-	q.Reset()
-	return q
-}
-
 // Join concatenates spec fragments into one comma-separated spec,
 // skipping empty fragments (the -fault and -crash flags merge through
 // it, since crash clauses share the plan grammar).
@@ -426,14 +372,6 @@ func Join(specs ...string) string {
 
 // SetObserver streams delivered faults into r (nil disables).
 func (p *Plan) SetObserver(r *obs.Recorder) { p.rec = r }
-
-// Empty reports whether the plan can never fire.
-func (p *Plan) Empty() bool {
-	return p == nil || (len(p.oomAt) == 0 && p.oomPct == 0 &&
-		len(p.latAt) == 0 && p.latPct == 0 &&
-		len(p.stalls) == 0 && len(p.storms) == 0 && p.quota == 0 &&
-		!p.HasCrash())
-}
 
 // HasCrash reports whether the plan contains any crash clause. Crash
 // clauses require a durable memory (pmem) to deliver their checkpoints;

@@ -32,11 +32,14 @@ func TestParseEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Empty() {
-		t.Error("empty spec is not Empty()")
-	}
 	if fail, delay := p.MallocFault(0, 64); fail || delay != 0 {
-		t.Error("empty plan fired")
+		t.Error("empty plan fired a malloc fault")
+	}
+	if stall, storm := p.TxBegin(0, 1000); stall != 0 || storm {
+		t.Error("empty plan fired at a transaction begin")
+	}
+	if p.HasCrash() || p.Crash(0, 1000, "commit") || p.Quota() != 0 {
+		t.Error("empty plan crashes or caps the space")
 	}
 }
 
@@ -112,7 +115,7 @@ func TestStorm(t *testing.T) {
 }
 
 // TestDeterminism checks that probabilistic plans replay identically
-// for the same seed, differ across seeds, and rewind with Reset.
+// for the same seed and differ across seeds.
 func TestDeterminism(t *testing.T) {
 	run := func(p *Plan) []bool {
 		out := make([]bool, 200)
@@ -147,10 +150,40 @@ func TestDeterminism(t *testing.T) {
 	if fired < 20 || fired > 60 {
 		t.Errorf("oom%%20 fired %d/200 times, want roughly 40", fired)
 	}
-	p := MustParse("oom%20", 42)
-	d := run(p)
-	p.Reset()
-	if !same(d, run(p)) {
-		t.Error("Reset did not rewind the plan")
-	}
+}
+
+// FuzzParse checks the grammar on arbitrary specs: Parse never panics,
+// and two parses of an accepted spec with one seed make the same
+// decisions over a fixed script of MallocFault, TxBegin and Crash
+// calls, which is what lets every world parse its own plan. A plan
+// with no crash clause never crashes. The seed corpus in
+// testdata/fuzz/FuzzParse holds every clause form of the package doc
+// and a few malformed specs.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+		a, err := Parse(spec, seed)
+		if err != nil {
+			return
+		}
+		b := MustParse(spec, seed)
+		phases := []string{"commit", "apply", "malloc", "flush"}
+		for i := 0; i < 256; i++ {
+			tid, clock := i%4, uint64(i)*512
+			failA, delayA := a.MallocFault(tid, uint64(16)<<(i%7))
+			failB, delayB := b.MallocFault(tid, uint64(16)<<(i%7))
+			stallA, stormA := a.TxBegin(tid, clock)
+			stallB, stormB := b.TxBegin(tid, clock)
+			crashA, crashB := a.Crash(tid, clock, phases[i%4]), b.Crash(tid, clock, phases[i%4])
+			if failA != failB || delayA != delayB || stallA != stallB || stormA != stormB || crashA != crashB {
+				t.Fatalf("%q seed %d, call %d: two parses decided (%v %d %d %v %v) and (%v %d %d %v %v)",
+					spec, seed, i, failA, delayA, stallA, stormA, crashA, failB, delayB, stallB, stormB, crashB)
+			}
+			if crashA && !a.HasCrash() {
+				t.Fatalf("%q seed %d crashed at call %d without a crash clause", spec, seed, i)
+			}
+		}
+		if a.Stats() != b.Stats() {
+			t.Fatalf("%q seed %d: stats %+v and %+v", spec, seed, a.Stats(), b.Stats())
+		}
+	})
 }

@@ -27,9 +27,7 @@ type Spec struct {
 	Seed *uint64 // base seed; nil = the suite default
 
 	// Policy holds the robustness knobs and the simulated-side observer
-	// switches, which every workload cell runs under as is. Validate
-	// fills its Plan from Fault and Crash, so each cell's world builder
-	// takes a per-seed clone instead of re-parsing.
+	// switches, which every workload cell runs under as is.
 	core.Policy
 
 	// Pool forces a tx-object pooling discipline onto every workload
@@ -60,16 +58,12 @@ func (s *Spec) Validate() error {
 	if s.Reps != nil && *s.Reps < 1 {
 		return fmt.Errorf("harness: reps override must be >= 1, got %d", *s.Reps)
 	}
-	s.Plan = nil
-	if spec := fault.Join(s.Fault, s.Crash); spec != "" {
-		plan, err := fault.Parse(spec, 1)
-		if err != nil {
-			return fmt.Errorf("harness: invalid fault plan: %w", err)
-		}
-		if s.Crash != "" && !plan.HasCrash() {
-			return fmt.Errorf("harness: crash spec %q contains no crash clause", s.Crash)
-		}
-		s.Plan = plan
+	plan, err := fault.Parse(fault.Join(s.Fault, s.Crash), 1)
+	if err != nil {
+		return fmt.Errorf("harness: invalid fault plan: %w", err)
+	}
+	if s.Crash != "" && !plan.HasCrash() {
+		return fmt.Errorf("harness: crash spec %q contains no crash clause", s.Crash)
 	}
 	return nil
 }
@@ -80,8 +74,9 @@ func (s *Spec) Validate() error {
 // sanitizer diagnostics — and a crash verdict must come from recovery
 // actually running, not from a record of an earlier run.
 func (s *Spec) mustExecute() bool {
+	faults, _ := fault.Parse(s.Fault, 1)
 	return s.Obs != nil || s.Profile || s.Heap || s.Sanitize || s.Race || s.Conflict ||
-		s.Crash != "" || s.Plan.HasCrash()
+		s.Crash != "" || faults.HasCrash()
 }
 
 // CellFunc runs one cell with its private host-side observers — a

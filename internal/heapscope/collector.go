@@ -96,15 +96,14 @@ func (c *Collector) Attach(a alloc.Allocator, shift uint, ortSize uint64) {
 	c.heap = a
 	c.shift, c.ortSize = shift, ortSize
 	c.name = a.Name()
-	if st, ok := alloc.InspectHeap(a); ok {
-		for _, cl := range st.Classes {
-			c.classes = append(c.classes, cl.Size)
-		}
-		c.geom = &Geometry{
-			SuperblockBytes: st.SuperblockBytes,
-			MinBlock:        st.MinBlock,
-			MaxBlock:        st.MaxBlock,
-		}
+	st := a.InspectHeap()
+	for _, cl := range st.Classes {
+		c.classes = append(c.classes, cl.Size)
+	}
+	c.geom = &Geometry{
+		SuperblockBytes: st.SuperblockBytes,
+		MinBlock:        st.MinBlock,
+		MaxBlock:        st.MaxBlock,
 	}
 }
 
@@ -288,34 +287,33 @@ func (c *Collector) snapshot(cyc uint64) {
 	if c.liveBytes > 0 {
 		s.InternalFrag = float64(c.liveBytes-c.reqBytes) / float64(c.liveBytes)
 	}
-	if st, ok := alloc.InspectHeap(c.heap); ok {
-		s.ReservedBytes = st.Reserved
-		s.CacheBytes = st.CacheBytes
-		s.CentralBytes = st.CentralBytes
-		s.FreeBytes = st.CacheBytes + st.CentralBytes
-		s.FreeBlocks = st.FreeBlocks()
-		s.Superblocks = st.Superblocks
-		s.EmptySuperblocks = st.EmptySuperblocks
-		s.Migrations = st.Migrations
-		s.Arenas = st.Arenas
-		if st.SBCapacity > 0 {
-			s.Occupancy = float64(st.SBUsedBlocks) / float64(st.SBCapacity)
+	st := c.heap.InspectHeap()
+	s.ReservedBytes = st.Reserved
+	s.CacheBytes = st.CacheBytes
+	s.CentralBytes = st.CentralBytes
+	s.FreeBytes = st.CacheBytes + st.CentralBytes
+	s.FreeBlocks = st.FreeBlocks()
+	s.Superblocks = st.Superblocks
+	s.EmptySuperblocks = st.EmptySuperblocks
+	s.Migrations = st.Migrations
+	s.Arenas = st.Arenas
+	if st.SBCapacity > 0 {
+		s.Occupancy = float64(st.SBUsedBlocks) / float64(st.SBCapacity)
+	}
+	if st.Reserved > 0 && st.Reserved >= c.liveBytes {
+		s.ExternalFrag = float64(st.Reserved-c.liveBytes) / float64(st.Reserved)
+	}
+	if c.liveBytes > 0 && st.Reserved > 0 {
+		s.Blowup = float64(st.Reserved) / float64(c.liveBytes)
+	}
+	if len(c.classes) > 0 {
+		depth := make(map[uint64]uint64, len(st.Classes))
+		for _, cl := range st.Classes {
+			depth[cl.Size] = cl.Free + cl.Cached
 		}
-		if st.Reserved > 0 && st.Reserved >= c.liveBytes {
-			s.ExternalFrag = float64(st.Reserved-c.liveBytes) / float64(st.Reserved)
-		}
-		if c.liveBytes > 0 && st.Reserved > 0 {
-			s.Blowup = float64(st.Reserved) / float64(c.liveBytes)
-		}
-		if len(c.classes) > 0 {
-			depth := make(map[uint64]uint64, len(st.Classes))
-			for _, cl := range st.Classes {
-				depth[cl.Size] = cl.Free + cl.Cached
-			}
-			s.FreeDepths = make([]uint64, len(c.classes))
-			for i, sz := range c.classes {
-				s.FreeDepths[i] = depth[sz]
-			}
+		s.FreeDepths = make([]uint64, len(c.classes))
+		for i, sz := range c.classes {
+			s.FreeDepths[i] = depth[sz]
 		}
 	}
 	for i := len(c.occHist) - 1; i > 0; i-- {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/vtime"
 )
 
-// fakeHeap is a hand-constructed HeapInspector: every snapshot sees
+// fakeHeap is a hand-constructed allocator: every snapshot sees
 // exactly the state the test planted, so the fragmentation and blowup
 // arithmetic is checked against paper definitions, not another
 // implementation.
@@ -26,6 +26,9 @@ func (f *fakeHeap) BlockSize(*vtime.Thread, mem.Addr) uint64 { return 0 }
 func (f *fakeHeap) Stats() alloc.Stats                       { return alloc.Stats{} }
 func (f *fakeHeap) Describe() alloc.Description              { return alloc.Description{} }
 func (f *fakeHeap) InspectHeap() alloc.HeapState             { return f.st }
+func (f *fakeHeap) RecoverHeap(*vtime.Thread, *alloc.RecoverState) alloc.RecoverReport {
+	return alloc.RecoverReport{}
+}
 
 func attach(t *testing.T, st alloc.HeapState, cadence uint64) *Collector {
 	t.Helper()

@@ -15,7 +15,7 @@
 //
 // Everything here is a pure observer. The collector is driven from the
 // vtime scheduler loop (never from a simulated thread), reads only the
-// allocators' Go-side metadata through alloc.HeapInspector, and keeps
+// allocators' Go-side metadata through their InspectHeap, and keeps
 // its own shadow of the block lifecycle via mem.HeapWatcher — so a run
 // with telemetry enabled is byte-identical to one without, and the
 // emitted series is byte-identical at any sweep pool width.

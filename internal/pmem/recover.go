@@ -42,8 +42,7 @@ func (p *Pmem) Info() *obs.RecoveryInfo {
 // returned RecoveryInfo carries the verdict: "failed" when a durability
 // invariant broke (lost committed writes, resurrected blocks),
 // "degraded" when metadata repair left caveats (open chains, shadow
-// disagreement, or an allocator without a recovery pass), "ok"
-// otherwise.
+// disagreement), "ok" otherwise.
 func (p *Pmem) Recover(th *vtime.Thread, a alloc.Allocator) *obs.RecoveryInfo {
 	info := p.Info()
 	if !p.crashed {
@@ -78,7 +77,7 @@ func (p *Pmem) Recover(th *vtime.Thread, a alloc.Allocator) *obs.RecoveryInfo {
 		}
 	}
 
-	rep, hasRecover := alloc.RecoverHeap(a, th, st)
+	rep := a.RecoverHeap(th, st)
 	info.TornMeta = rep.TornMeta
 	info.MetaWords = rep.MetaWords
 	info.FreeBlocks = rep.FreeBlocks
@@ -121,7 +120,7 @@ func (p *Pmem) Recover(th *vtime.Thread, a alloc.Allocator) *obs.RecoveryInfo {
 	switch {
 	case info.LostWrites > 0 || info.Resurrected > 0:
 		info.Verdict = obs.StatusFailed
-	case info.ChainBreaks > 0 || info.ShadowBad > 0 || !hasRecover:
+	case info.ChainBreaks > 0 || info.ShadowBad > 0:
 		info.Verdict = obs.StatusDegraded
 	default:
 		info.Verdict = obs.StatusOK

@@ -78,10 +78,8 @@ func ParseCM(name string) (CM, error) {
 const (
 	// DefaultRetryCap is the consecutive-abort count at which a
 	// transaction climbs down to the irrevocable fallback. Zero in
-	// Config selects it; NoRetryCap disables the ladder.
+	// Config selects it.
 	DefaultRetryCap = 1024
-	// NoRetryCap disables the irrevocable fallback entirely.
-	NoRetryCap = ^uint64(0)
 
 	// backoffBase/backoffMaxShift bound the exponential backoff window:
 	// the r-th consecutive abort waits up to base<<min(r,maxShift)

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/mem"
@@ -58,12 +59,12 @@ func TestLadderEngagesAtRetryCap(t *testing.T) {
 	}
 }
 
-// TestNoRetryCapDisablesLadder checks that NoRetryCap really removes
+// TestMaxRetryCapDisablesLadder checks that a cap of 2^64-1 removes
 // the fallback: the transaction retries as often as the workload
 // demands and never turns irrevocable.
-func TestNoRetryCapDisablesLadder(t *testing.T) {
+func TestMaxRetryCapDisablesLadder(t *testing.T) {
 	space, _ := newWorld(1)
-	s := New(space, Config{RetryCap: NoRetryCap})
+	s := New(space, Config{RetryCap: math.MaxUint64})
 	th := vtime.Solo(space, 0, nil)
 	attempts := 0
 	s.Atomic(th, func(tx *Tx) {
@@ -77,7 +78,7 @@ func TestNoRetryCapDisablesLadder(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.Irrevocables != 0 {
-		t.Errorf("Irrevocables = %d, want 0 with NoRetryCap", st.Irrevocables)
+		t.Errorf("Irrevocables = %d, want 0 with the maximum cap", st.Irrevocables)
 	}
 	if st.MaxConsecAborts != 50 {
 		t.Errorf("MaxConsecAborts = %d, want 50", st.MaxConsecAborts)
@@ -123,7 +124,7 @@ func TestForcedLivelockSuicideVsLadder(t *testing.T) {
 	const bound = 64
 	const deadline = 4_000_000
 
-	s, e := duel(t, CMSuicide, NoRetryCap, deadline)
+	s, e := duel(t, CMSuicide, math.MaxUint64, deadline)
 	if !e.DeadlineExceeded() {
 		t.Fatal("suicide without a retry cap completed the duel; the livelock workload is not adversarial enough")
 	}

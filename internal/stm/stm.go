@@ -98,8 +98,8 @@ type Config struct {
 	CM CM
 	// RetryCap is the consecutive-abort count at which a transaction
 	// falls back to irrevocable execution under the global fallback
-	// lock. Zero selects DefaultRetryCap; NoRetryCap disables the
-	// ladder.
+	// lock. Zero selects DefaultRetryCap; a cap of 2^64-1 is never
+	// reached, so it turns the ladder off.
 	RetryCap uint64
 	// Fault, when non-nil, is consulted at every transaction begin for
 	// injected stalls and abort storms (internal/fault.Plan implements
@@ -517,7 +517,7 @@ func (s *STM) Atomic(th *vtime.Thread, fn func(tx *Tx)) {
 			tx.stats.MaxRetries = retries
 		}
 		tx.noteOutcome(retries, false)
-		if s.retryCap != NoRetryCap && retries >= s.retryCap {
+		if retries >= s.retryCap {
 			s.runIrrevocable(tx, fn, retries)
 			tx.noteOutcome(retries, true)
 			s.reclaim(th)

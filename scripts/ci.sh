@@ -6,7 +6,7 @@
 # Steps: formatting, vet, build, the full test suite (and the hostbench
 # module's, which has its own go.mod), a -race pass that checks each
 # simulated world has one owner, a -race pass over the sweep scheduler,
-# and the CLI gates.
+# a short fuzz of the fault grammar, and the CLI gates.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -45,8 +45,9 @@ echo "== go test -race (one owner per world) =="
 # fault plan and observers belong to the one goroutine that runs it,
 # its simulated threads being coroutines there. This pass is the check
 # of that: core's TestWorldsShareNothing runs four worlds at once from
-# one parsed fault template with every observer and the sanitizer on,
-# and vtime's coroutine hand-offs must order every access.
+# one fault spec, each parsing its own plan, with every observer and
+# the sanitizer on, and vtime's coroutine hand-offs must order every
+# access.
 go test -race ./internal/obs ./internal/mem ./internal/sim ./internal/cachesim ./internal/stm \
     ./internal/core ./internal/fault ./internal/vtime
 
@@ -59,6 +60,14 @@ echo "== go test -race (sweep scheduler) =="
 # test, which needs no simulation.
 go test -race ./internal/sweep
 go test -race -run '^TestRunCellsFoldsEachSiblingOnce$' ./internal/harness
+
+echo "== fault grammar fuzz =="
+# Parse must never panic, and two parses of one spec with one seed must
+# make the same decisions: every world parses its own plan, so that is
+# what makes a faulted cell reproducible. The committed seed corpus
+# (internal/fault/testdata/fuzz/FuzzParse) runs first, then 10 s of
+# new inputs.
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/fault
 
 echo "== fault-injection smoke =="
 # Every STAMP app must survive an injected-OOM plan with the graceful-
@@ -158,10 +167,11 @@ echo "== alloc-budget gate =="
 # 64 KiB, and a vtime Run within 13 per simulated thread (one coroutine
 # each). mem's word
 # accesses and a Map+Unmap pair allocate nothing, and a page's first
-# store allocates the page alone.
+# store allocates the page alone. A warmed-up malloc/free pair
+# allocates nothing in any allocator model, at one size or a mix.
 go test -count=1 -run 'AllocBudget|SteadyStateAlloc' \
     ./internal/stm ./internal/cachesim ./internal/obs ./internal/prof ./internal/vtime \
-    ./internal/mem
+    ./internal/mem ./internal/alloc
 
 echo "== profiler toolchain gate =="
 # tmprof must read a profile artifact back, and a profile diffed against
@@ -309,8 +319,9 @@ echo "== flag typo gate =="
 # A mistyped name must fail while flags parse (exit 2, naming the
 # allowed values) instead of running a default under the typo's label:
 # the STAMP app, scale and variant, the intset structure of every
-# binary that takes one, tmintset's STM design, tmlayout's mode and
-# every allocator flag.
+# binary that takes one, tmintset's STM design, tmlayout's mode, every
+# allocator flag, and the thread count of every binary that builds its
+# worlds through core.NewSystem (1..8).
 for b in tmstamp tmcrash tmwhy tmlayout; do
     go build -o "$tmpdir/$b" ./cmd/$b
 done
@@ -331,6 +342,10 @@ tmintset -alloc bogus
 tmstamp -app kmeans -alloc bogus
 tmwhy -allocs bogus
 tmcrash -alloc bogus -jobs 1
+tmintset -threads 9
+tmstamp -app kmeans -threads 0
+tmcrash -threads 9 -jobs 1
+tmwhy -threads 0
 EOF
 
 echo "== durability crash-matrix gate =="
