@@ -105,6 +105,23 @@ func TestZeroRetryCapIsTheDefault(t *testing.T) {
 	}
 }
 
+// TestPoolNoneIsNoOverride checks that -pool none is the flag's zero
+// value: it gives the spec no -pool flag gives, so every cell key,
+// derived seed and run record stays as it is without the flag.
+func TestPoolNoneIsNoOverride(t *testing.T) {
+	plain, _, err := parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	none, _, err := parse("-pool", "none")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(none.Spec, plain.Spec) {
+		t.Fatalf("-pool none spec = %+v\nno -pool spec  = %+v", none.Spec, plain.Spec)
+	}
+}
+
 func TestBadValuesFailWhileParsing(t *testing.T) {
 	for _, args := range [][]string{{"-cm", "bogus"}, {"-pool", "bogus"}, {"-crash", "oom%1"}} {
 		if _, _, err := parse(args...); err == nil {

@@ -28,6 +28,7 @@ import (
 
 	"repro/cmd/internal/cliflags"
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/intset"
 	"repro/internal/obs"
 	"repro/internal/stm"
@@ -116,14 +117,8 @@ func main() {
 	if *hytm {
 		mode = "hytm"
 	}
-	key := fmt.Sprintf("cli/intset/%s/%s/%s/t%d/u%d/%s",
-		mode, *kind, *name, *threads, *updates, *design)
-	if w.Spec.Pool != stm.PoolNone {
-		key += "/p" + w.Spec.Pool.String()
-	}
-	if *seedAlias || *ortBits != 0 {
-		key += fmt.Sprintf("/sa%v-ob%d", *seedAlias, *ortBits)
-	}
+	key := fmt.Sprintf("cli/intset/%s/%s/%s/t%d/u%d/%s%s%s",
+		mode, *kind, *name, *threads, *updates, *design, harness.PoolTag(w.Spec.Pool), harness.AliasTag(cfg))
 	cell, err := w.RunCell(session, "intset/"+mode, key, cfg, *seed, func(in core.Instruments) (any, error) {
 		c := cfg
 		c.Instruments = in

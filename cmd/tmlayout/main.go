@@ -180,21 +180,7 @@ func writeGeometry(threads int) error {
 		if err != nil {
 			return err
 		}
-		st := a.InspectHeap()
-		sr := &heapscope.Series{
-			Label:     "geometry/" + name,
-			Allocator: name,
-			Samples:   []heapscope.Sample{},
-			Geometry: &heapscope.Geometry{
-				SuperblockBytes: st.SuperblockBytes,
-				MinBlock:        st.MinBlock,
-				MaxBlock:        st.MaxBlock,
-			},
-		}
-		for _, cl := range st.Classes {
-			sr.Classes = append(sr.Classes, cl.Size)
-		}
-		set.Add(sr)
+		set.Add(heapscope.Static("geometry/"+name, a))
 	}
 	return set.WriteJSON(os.Stdout)
 }

@@ -39,6 +39,7 @@ import (
 
 	"repro/cmd/internal/cliflags"
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/stamp"
 	"repro/internal/stm"
@@ -101,11 +102,8 @@ func main() {
 		Policy:    w.Spec.Policy,
 	}
 
-	key := fmt.Sprintf("cli/stamp/%s/%s/t%d/sc%d/v%d/sh%d/c%v/p%v",
-		app, *alloc, *threads, sc, va, *shift, *cacheTx, *profile)
-	if w.Spec.Pool != stm.PoolNone {
-		key += "/p" + w.Spec.Pool.String()
-	}
+	key := fmt.Sprintf("cli/stamp/%s/%s/t%d/sc%d/v%d/sh%d/c%v/p%v%s",
+		app, *alloc, *threads, sc, va, *shift, *cacheTx, *profile, harness.PoolTag(w.Spec.Pool))
 	cell, err := w.RunCell(session, "stamp/"+app, key, cfg, *seed, func(in core.Instruments) (any, error) {
 		c := cfg
 		c.Instruments = in

@@ -117,10 +117,6 @@ type Options struct {
 	CacheTx bool
 	// Seed seeds the run's fault plan.
 	Seed uint64
-	// TxAllocator, when non-nil, wraps the allocator the STM serves
-	// transactional allocations from (stamp's Table 5 allocation
-	// profile); the System's Allocator stays the unwrapped model.
-	TxAllocator func(alloc.Allocator) alloc.Allocator
 	Instruments
 	Policy
 }
@@ -239,9 +235,6 @@ func NewSystem(opts Options) (*System, error) {
 	}
 	if s.Plan != nil {
 		stmCfg.Fault = s.Plan
-	}
-	if opts.TxAllocator != nil {
-		stmCfg.Allocator = opts.TxAllocator(allocator)
 	}
 	s.STM = stm.New(space, stmCfg)
 	// Heap telemetry and the conflict observatory take the lock map, and

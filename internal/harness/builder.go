@@ -74,6 +74,36 @@ func addCell[T any](b *Builder, key string, spec any, seed uint64, run CellFunc)
 	return Handle[T]{b: b, idx: len(b.cells) - 1}
 }
 
+// Sweep is the repetitions of one configuration, in rep order.
+type Sweep[T any] []Handle[T]
+
+// repeat declares reps repetitions through cell, which declares rep r.
+func repeat[T any](reps int, cell func(r int) Handle[T]) Sweep[T] {
+	s := make(Sweep[T], reps)
+	for r := range s {
+		s[r] = cell(r)
+	}
+	return s
+}
+
+// Cells decodes all repetition payloads (Reduce-time only).
+func (s Sweep[T]) Cells() []T {
+	out := make([]T, len(s))
+	for i, h := range s {
+		out[i] = h.Get()
+	}
+	return out
+}
+
+// Summary summarizes measure over the repetitions (Reduce-time only).
+func (s Sweep[T]) Summary(measure func(T) float64) sim.Summary {
+	var xs []float64
+	for _, h := range s {
+		xs = append(xs, measure(h.Get()))
+	}
+	return sim.Summarize(xs)
+}
+
 // ---- intset cells ----
 
 // IntsetCell is the payload of one synthetic-benchmark run.
@@ -86,20 +116,23 @@ type IntsetCell struct {
 	CellHealth
 }
 
-// poolTag names a non-default pooling discipline in a cell key. The
+// intsetThr is the throughput measure of an intset Sweep's Summary.
+func intsetThr(c IntsetCell) float64 { return c.Throughput }
+
+// PoolTag names a non-default pooling discipline in a cell key. The
 // PoolNone baseline contributes nothing, so legacy keys — and the seeds
 // DeriveSeed mints from them — are byte-identical to pre-pooling runs.
-func poolTag(p stm.Pooling) string {
+func PoolTag(p stm.Pooling) string {
 	if p == stm.PoolNone {
 		return ""
 	}
 	return "/p" + p.String()
 }
 
-// aliasTag names the stripe-alias demo knobs in a cell key. The
+// AliasTag names the stripe-alias demo knobs in a cell key. The
 // defaults contribute nothing, so legacy keys — and the seeds
 // DeriveSeed mints from them — are byte-identical to pre-demo runs.
-func aliasTag(cfg intset.Config) string {
+func AliasTag(cfg intset.Config) string {
 	if !cfg.SeedAlias && cfg.OrtBits == 0 {
 		return ""
 	}
@@ -110,7 +143,7 @@ func intsetKey(prefix string, cfg intset.Config, rep int) string {
 	return fmt.Sprintf("%s/%s/%s/t%d/u%d/i%d/k%d/o%d/s%d/d%d/h%d/c%v%s%s/r%d",
 		prefix, cfg.Kind, cfg.Allocator, cfg.Threads, cfg.UpdatePct, cfg.InitialSize,
 		cfg.KeyRange, cfg.OpsPerThread, cfg.Shift, cfg.Design, cfg.HashBuckets, cfg.CacheTx,
-		poolTag(cfg.Pool), aliasTag(cfg), rep)
+		PoolTag(cfg.Pool), AliasTag(cfg), rep)
 }
 
 // applyIntset threads the spec's policy into a workload config. The
@@ -148,51 +181,8 @@ func (b *Builder) Intset(cfg intset.Config, rep int) Handle[IntsetCell] {
 }
 
 // IntsetSweep declares reps repetitions of one configuration.
-func (b *Builder) IntsetSweep(cfg intset.Config, reps int) IntsetSweep {
-	s := IntsetSweep{hs: make([]Handle[IntsetCell], reps)}
-	for r := 0; r < reps; r++ {
-		s.hs[r] = b.Intset(cfg, r)
-	}
-	return s
-}
-
-// IntsetSweep summarizes the repetitions of one intset configuration.
-type IntsetSweep struct{ hs []Handle[IntsetCell] }
-
-// Cells decodes all repetition payloads (Reduce-time only).
-func (s IntsetSweep) Cells() []IntsetCell {
-	out := make([]IntsetCell, len(s.hs))
-	for i, h := range s.hs {
-		out[i] = h.Get()
-	}
-	return out
-}
-
-// Thr summarizes throughput over the repetitions.
-func (s IntsetSweep) Thr() sim.Summary {
-	var xs []float64
-	for _, c := range s.Cells() {
-		xs = append(xs, c.Throughput)
-	}
-	return sim.Summarize(xs)
-}
-
-// Abort summarizes the abort rate over the repetitions.
-func (s IntsetSweep) Abort() sim.Summary {
-	var xs []float64
-	for _, c := range s.Cells() {
-		xs = append(xs, c.AbortRate)
-	}
-	return sim.Summarize(xs)
-}
-
-// L1 summarizes the L1 miss ratio over the repetitions.
-func (s IntsetSweep) L1() sim.Summary {
-	var xs []float64
-	for _, c := range s.Cells() {
-		xs = append(xs, c.L1Miss)
-	}
-	return sim.Summarize(xs)
+func (b *Builder) IntsetSweep(cfg intset.Config, reps int) Sweep[IntsetCell] {
+	return repeat(reps, func(r int) Handle[IntsetCell] { return b.Intset(cfg, r) })
 }
 
 // ---- stamp cells ----
@@ -203,6 +193,9 @@ type StampCell struct {
 	obs.Blocks
 	CellHealth
 }
+
+// stampMs is the execution-time measure of a STAMP Sweep's Summary.
+func stampMs(c StampCell) float64 { return c.Ms }
 
 // StampProbe is the payload of one instrumented STAMP run (application
 // characterization and allocation profile). Its blocks carry the race
@@ -219,7 +212,7 @@ type StampProbe struct {
 func stampKey(cfg stamp.Config, rep int) string {
 	return fmt.Sprintf("stamp/%s/%s/t%d/sc%d/v%d/s%d/c%v%s/p%v/r%d",
 		cfg.App, cfg.Allocator, cfg.Threads, cfg.Scale, cfg.Variant, cfg.Shift,
-		cfg.CacheTx, poolTag(cfg.Pool), cfg.Profile, rep)
+		cfg.CacheTx, PoolTag(cfg.Pool), cfg.Profile, rep)
 }
 
 func (b *Builder) applyStamp(cfg stamp.Config) stamp.Config {
@@ -256,12 +249,8 @@ func (b *Builder) Stamp(cfg stamp.Config, rep int) Handle[StampCell] {
 }
 
 // StampSweep declares reps repetitions of one configuration.
-func (b *Builder) StampSweep(cfg stamp.Config, reps int) StampSweep {
-	s := StampSweep{hs: make([]Handle[StampCell], reps)}
-	for r := 0; r < reps; r++ {
-		s.hs[r] = b.Stamp(cfg, r)
-	}
-	return s
+func (b *Builder) StampSweep(cfg stamp.Config, reps int) Sweep[StampCell] {
+	return repeat(reps, func(r int) Handle[StampCell] { return b.Stamp(cfg, r) })
 }
 
 // StampProbeCell declares one instrumented STAMP cell. Its key carries
@@ -290,27 +279,6 @@ func (b *Builder) StampProbeCell(cfg stamp.Config) Handle[StampProbe] {
 	})
 }
 
-// StampSweep summarizes the repetitions of one STAMP configuration.
-type StampSweep struct{ hs []Handle[StampCell] }
-
-// Cells decodes all repetition payloads (Reduce-time only).
-func (s StampSweep) Cells() []StampCell {
-	out := make([]StampCell, len(s.hs))
-	for i, h := range s.hs {
-		out[i] = h.Get()
-	}
-	return out
-}
-
-// Ms summarizes the execution time (modelled ms) over the repetitions.
-func (s StampSweep) Ms() sim.Summary {
-	var xs []float64
-	for _, c := range s.Cells() {
-		xs = append(xs, c.Ms)
-	}
-	return sim.Summarize(xs)
-}
-
 // ---- threadtest cells ----
 
 // ThreadtestCell is the payload of one allocator-microbenchmark run.
@@ -335,24 +303,8 @@ func (b *Builder) Threadtest(cfg threadtest.Config, rep int) Handle[ThreadtestCe
 }
 
 // ThreadtestSweep declares reps repetitions of one configuration.
-func (b *Builder) ThreadtestSweep(cfg threadtest.Config, reps int) ThreadtestSweep {
-	s := ThreadtestSweep{hs: make([]Handle[ThreadtestCell], reps)}
-	for r := 0; r < reps; r++ {
-		s.hs[r] = b.Threadtest(cfg, r)
-	}
-	return s
-}
-
-// ThreadtestSweep summarizes the repetitions of one configuration.
-type ThreadtestSweep struct{ hs []Handle[ThreadtestCell] }
-
-// Thr summarizes throughput over the repetitions.
-func (s ThreadtestSweep) Thr() sim.Summary {
-	var xs []float64
-	for _, h := range s.hs {
-		xs = append(xs, h.Get().Throughput)
-	}
-	return sim.Summarize(xs)
+func (b *Builder) ThreadtestSweep(cfg threadtest.Config, reps int) Sweep[ThreadtestCell] {
+	return repeat(reps, func(r int) Handle[ThreadtestCell] { return b.Threadtest(cfg, r) })
 }
 
 // ---- HyTM cells ----

@@ -18,20 +18,18 @@ func init() {
 		Plan: func(b *Builder) error {
 			initial, keyRange, ops := IntsetScale(b.Full(), intset.HashSet)
 			reps := b.Reps(1, 3)
-			handles := make([][]Handle[HyTMCell], len(Allocators()))
+			sweeps := make([]Sweep[HyTMCell], len(Allocators()))
 			for ai, aname := range Allocators() {
-				handles[ai] = make([]Handle[HyTMCell], reps)
-				for r := 0; r < reps; r++ {
-					handles[ai][r] = b.HyTM(intset.Config{
-						Kind:         intset.HashSet,
-						Allocator:    aname,
-						Threads:      8,
-						InitialSize:  initial,
-						KeyRange:     keyRange,
-						UpdatePct:    60,
-						OpsPerThread: ops,
-					}, r)
+				cfg := intset.Config{
+					Kind:         intset.HashSet,
+					Allocator:    aname,
+					Threads:      8,
+					InitialSize:  initial,
+					KeyRange:     keyRange,
+					UpdatePct:    60,
+					OpsPerThread: ops,
 				}
+				sweeps[ai] = repeat(reps, func(r int) Handle[HyTMCell] { return b.HyTM(cfg, r) })
 			}
 			b.Reduce(func() (*Result, error) {
 				t := Table{
@@ -46,12 +44,11 @@ func init() {
 				for ai, aname := range Allocators() {
 					var thr float64
 					var agg HyTMCell
-					for _, h := range handles[ai] {
-						c := h.Get()
+					for _, c := range sweeps[ai].Cells() {
 						thr += c.Throughput
 						agg = c
 					}
-					thr /= float64(len(handles[ai]))
+					thr /= float64(len(sweeps[ai]))
 					st := agg.HTM
 					t.Rows = append(t.Rows, []string{
 						DisplayName(aname),

@@ -57,11 +57,11 @@ func planFig4Tab3(b *Builder, id string) error {
 	reps := b.Reps(2, 5)
 	kinds := intset.Kinds()
 	threads := intsetThreads()
-	sweeps := make([][][]IntsetSweep, len(kinds))
+	sweeps := make([][][]Sweep[IntsetCell], len(kinds))
 	for ki, kind := range kinds {
-		sweeps[ki] = make([][]IntsetSweep, len(threads))
+		sweeps[ki] = make([][]Sweep[IntsetCell], len(threads))
 		for ni, n := range threads {
-			sweeps[ki][ni] = make([]IntsetSweep, len(Allocators()))
+			sweeps[ki][ni] = make([]Sweep[IntsetCell], len(Allocators()))
 			for ai, aname := range Allocators() {
 				sweeps[ki][ni][ai] = b.IntsetSweep(intsetCfg(b.Full(), kind, aname, n), reps)
 			}
@@ -89,7 +89,7 @@ func planFig4Tab3(b *Builder, id string) error {
 			for ni, n := range threads {
 				row := []string{fmt.Sprintf("%d", n)}
 				for ai := range Allocators() {
-					thr := sweeps[ki][ni][ai].Thr()
+					thr := sweeps[ki][ni][ai].Summary(intsetThr)
 					row = append(row, fmt.Sprintf("%.3g", thr.Mean))
 					series[ai].X = append(series[ai].X, float64(n))
 					series[ai].Y = append(series[ai].Y, thr.Mean)
@@ -128,9 +128,9 @@ func init() {
 		Plan: func(b *Builder) error {
 			reps := b.Reps(1, 3)
 			threads := intsetThreads()
-			sweeps := make([][]IntsetSweep, len(threads))
+			sweeps := make([][]Sweep[IntsetCell], len(threads))
 			for ni, n := range threads {
-				sweeps[ni] = make([]IntsetSweep, len(Allocators()))
+				sweeps[ni] = make([]Sweep[IntsetCell], len(Allocators()))
 				for ai, aname := range Allocators() {
 					sweeps[ni][ai] = b.IntsetSweep(intsetCfg(b.Full(), intset.LinkedList, aname, n), reps)
 				}
@@ -143,7 +143,9 @@ func init() {
 				for ni, n := range threads {
 					row := []string{fmt.Sprintf("%d", n)}
 					for ai := range Allocators() {
-						abort, l1 := sweeps[ni][ai].Abort(), sweeps[ni][ai].L1()
+						s := sweeps[ni][ai]
+						abort := s.Summary(func(c IntsetCell) float64 { return c.AbortRate })
+						l1 := s.Summary(func(c IntsetCell) float64 { return c.L1Miss })
 						row = append(row, fmt.Sprintf("%04.1f%%", abort.Mean*100), fmt.Sprintf("%.1f%%", l1.Mean*100))
 					}
 					t.Rows = append(t.Rows, row)
@@ -171,7 +173,7 @@ func init() {
 		Plan: func(b *Builder) error {
 			reps := b.Reps(1, 3)
 			threads := intsetThreads()
-			type pair struct{ s5, s4 IntsetSweep }
+			type pair struct{ s5, s4 Sweep[IntsetCell] }
 			sweeps := make([][]pair, len(threads))
 			for ni, n := range threads {
 				sweeps[ni] = make([]pair, len(Allocators()))
@@ -196,7 +198,7 @@ func init() {
 				for ni, n := range threads {
 					row := []string{fmt.Sprintf("%d", n)}
 					for ai := range Allocators() {
-						t5, t4 := sweeps[ni][ai].s5.Thr(), sweeps[ni][ai].s4.Thr()
+						t5, t4 := sweeps[ni][ai].s5.Summary(intsetThr), sweeps[ni][ai].s4.Summary(intsetThr)
 						rel := t4.Mean/t5.Mean - 1
 						row = append(row, fmt.Sprintf("%+.3f", rel))
 						series[ai].X = append(series[ai].X, float64(n))

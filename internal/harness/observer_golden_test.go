@@ -11,7 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stamp"
 	"repro/internal/stm"
-	"repro/internal/vtime"
 )
 
 // observedCell is what one golden cell pins: the race block, the
@@ -49,32 +48,17 @@ func intsetObserved(cfg intset.Config) func(t *testing.T, race, conflict bool) o
 	}
 }
 
-// vacationObserved runs vacation on hoard at 4 threads, quick scale,
-// through stamp.Run's phases (set-up, timed parallel phase, validation)
-// on a core.System, so the observatory's full report is in reach:
-// stamp.Result carries only the flat blocks.
+// vacationObserved runs vacation on hoard at 4 threads, quick scale.
 func vacationObserved(t *testing.T, race, conflict bool) observedCell {
-	const threads, seed = 4, 0x57a3b
-	app, err := stamp.New("vacation")
+	res, err := stamp.Run(stamp.Config{App: "vacation", Allocator: "hoard", Threads: 4, Scale: stamp.Quick,
+		Policy: core.Policy{Race: race, Conflict: conflict}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := core.MustNewSystem(core.Options{Allocator: "hoard", Threads: threads, Seed: seed,
-		Policy: core.Policy{Race: race, Conflict: conflict}})
-	w := &stamp.World{Space: sys.Space, Engine: sys.Engine, STM: sys.STM, Allocator: sys.Allocator,
-		Threads: threads, Scale: stamp.Quick, Seed: seed}
-	app.Setup(w)
-	sys.ResetClocks()
-	sys.Engine.Run(func(th *vtime.Thread) { app.Parallel(w, th) })
-	sys.EndPhase()
-	if err := app.Validate(w); err != nil {
-		t.Fatal(err)
+	if res.Status != obs.StatusOK {
+		t.Fatalf("%s: %s", res.Status, res.Failure)
 	}
-	status, failure, b := sys.Finish(obs.StatusOK, "")
-	if status != obs.StatusOK {
-		t.Fatalf("%s: %s", status, failure)
-	}
-	return observed(t, b, sys.ConflictReport())
+	return observed(t, res.Blocks, res.ConflictReport)
 }
 
 // TestObserverBlocksGolden pins what the race checker and the conflict

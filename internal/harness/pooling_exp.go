@@ -40,9 +40,9 @@ func init() {
 			threads := 8
 
 			// Part 1: discipline x allocator at the fig4 operating point.
-			grid := make([][]IntsetSweep, len(discs))
+			grid := make([][]Sweep[IntsetCell], len(discs))
 			for di, d := range discs {
-				grid[di] = make([]IntsetSweep, len(Allocators()))
+				grid[di] = make([]Sweep[IntsetCell], len(Allocators()))
 				for ai, aname := range Allocators() {
 					cfg := intsetCfg(full, intset.HashSet, aname, threads)
 					cfg.Pool = d
@@ -53,9 +53,9 @@ func init() {
 			// Part 2: discipline x total transactions on the default
 			// allocator.
 			totals := poolTxnTotals(full)
-			scale := make([][]IntsetSweep, len(discs))
+			scale := make([][]Sweep[IntsetCell], len(discs))
 			for di, d := range discs {
-				scale[di] = make([]IntsetSweep, len(totals))
+				scale[di] = make([]Sweep[IntsetCell], len(totals))
 				for ti, total := range totals {
 					cfg := intsetCfg(full, intset.HashSet, "glibc", threads)
 					cfg.Pool = d
@@ -79,7 +79,7 @@ func init() {
 					row := []string{d.String()}
 					var hits, gets uint64
 					for ai := range Allocators() {
-						row = append(row, fmt.Sprintf("%.3g", grid[di][ai].Thr().Mean))
+						row = append(row, fmt.Sprintf("%.3g", grid[di][ai].Summary(intsetThr).Mean))
 						for _, c := range grid[di][ai].Cells() {
 							if c.Pool != nil {
 								hits += c.Pool.Hits
@@ -108,7 +108,7 @@ func init() {
 				for ti, total := range totals {
 					row := []string{fmt.Sprintf("%d", total)}
 					for di := range discs {
-						thr := scale[di][ti].Thr()
+						thr := scale[di][ti].Summary(intsetThr)
 						row = append(row, fmt.Sprintf("%.3g", thr.Mean))
 						series[di].X = append(series[di].X, float64(total))
 						series[di].Y = append(series[di].Y, thr.Mean)

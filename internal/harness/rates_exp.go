@@ -19,9 +19,9 @@ func init() {
 			initial, keyRange, ops := IntsetScale(b.Full(), intset.LinkedList)
 			reps := b.Reps(1, 3)
 			rates := []int{0, 20, 60}
-			sweeps := make([][]IntsetSweep, len(rates))
+			sweeps := make([][]Sweep[IntsetCell], len(rates))
 			for ri, rate := range rates {
-				sweeps[ri] = make([]IntsetSweep, len(Allocators()))
+				sweeps[ri] = make([]Sweep[IntsetCell], len(Allocators()))
 				for ai, aname := range Allocators() {
 					sweeps[ri][ai] = b.IntsetSweep(intset.Config{
 						Kind:         intset.LinkedList,

@@ -46,9 +46,9 @@ func init() {
 			reps := b.Reps(2, 5)
 			apps := []string{"intruder", "yada"}
 			allocs := []string{"glibc", "hoard"}
-			sweeps := make([][]StampSweep, len(apps))
+			sweeps := make([][]Sweep[StampCell], len(apps))
 			for pi, app := range apps {
-				sweeps[pi] = make([]StampSweep, len(allocs))
+				sweeps[pi] = make([]Sweep[StampCell], len(allocs))
 				for ai, aname := range allocs {
 					sweeps[pi][ai] = b.StampSweep(stampCfg(b.Full(), app, aname, 8), reps)
 				}
@@ -59,7 +59,7 @@ func init() {
 					var means [2]float64
 					row := []string{app}
 					for ai := range allocs {
-						s := sweeps[pi][ai].Ms()
+						s := sweeps[pi][ai].Summary(stampMs)
 						means[ai] = s.Mean
 						row = append(row, fmt.Sprintf("%.3g ± %.2g", s.Mean, s.CI95))
 					}
@@ -150,11 +150,11 @@ func planFig7Tab6(b *Builder, id string) error {
 	reps := b.Reps(2, 5)
 	apps := figApps()
 	threads := stampThreads()
-	sweeps := make([][][]StampSweep, len(apps))
+	sweeps := make([][][]Sweep[StampCell], len(apps))
 	for pi, app := range apps {
-		sweeps[pi] = make([][]StampSweep, len(threads))
+		sweeps[pi] = make([][]Sweep[StampCell], len(threads))
 		for ni, n := range threads {
-			sweeps[pi][ni] = make([]StampSweep, len(Allocators()))
+			sweeps[pi][ni] = make([]Sweep[StampCell], len(Allocators()))
 			for ai, aname := range Allocators() {
 				sweeps[pi][ni][ai] = b.StampSweep(stampCfg(b.Full(), app, aname, n), reps)
 			}
@@ -181,7 +181,7 @@ func planFig7Tab6(b *Builder, id string) error {
 			for ni, n := range threads {
 				row := []string{fmt.Sprintf("%d", n)}
 				for ai := range Allocators() {
-					s := sweeps[pi][ni][ai].Ms()
+					s := sweeps[pi][ni][ai].Summary(stampMs)
 					row = append(row, fmt.Sprintf("%.3g", s.Mean))
 					series[ai].X = append(series[ai].X, float64(n))
 					series[ai].Y = append(series[ai].Y, s.Mean)
@@ -220,11 +220,11 @@ func init() {
 			reps := b.Reps(2, 5)
 			apps := []string{"genome", "yada"}
 			threads := stampThreads()
-			sweeps := make([][][]StampSweep, len(apps))
+			sweeps := make([][][]Sweep[StampCell], len(apps))
 			for pi, app := range apps {
-				sweeps[pi] = make([][]StampSweep, len(threads))
+				sweeps[pi] = make([][]Sweep[StampCell], len(threads))
 				for ni, n := range threads {
-					sweeps[pi][ni] = make([]StampSweep, len(Allocators()))
+					sweeps[pi][ni] = make([]Sweep[StampCell], len(Allocators()))
 					for ai, aname := range Allocators() {
 						sweeps[pi][ni][ai] = b.StampSweep(stampCfg(b.Full(), app, aname, n), reps)
 					}
@@ -246,7 +246,7 @@ func init() {
 					for ni, n := range threads {
 						row := []string{fmt.Sprintf("%d", n)}
 						for ai := range Allocators() {
-							s := sweeps[pi][ni][ai].Ms()
+							s := sweeps[pi][ni][ai].Summary(stampMs)
 							if n == 1 {
 								base[ai] = s.Mean
 							}
@@ -281,7 +281,7 @@ func init() {
 		Plan: func(b *Builder) error {
 			reps := b.Reps(2, 5)
 			apps := []string{"genome", "intruder", "vacation", "yada"}
-			type pair struct{ off, on StampSweep }
+			type pair struct{ off, on Sweep[StampCell] }
 			sweeps := make([][]pair, len(apps))
 			for pi, app := range apps {
 				sweeps[pi] = make([]pair, len(Allocators()))
@@ -300,7 +300,7 @@ func init() {
 				for pi, app := range apps {
 					row := []string{app}
 					for ai := range Allocators() {
-						off, on := sweeps[pi][ai].off.Ms(), sweeps[pi][ai].on.Ms()
+						off, on := sweeps[pi][ai].off.Summary(stampMs), sweeps[pi][ai].on.Summary(stampMs)
 						gain := (off.Mean - on.Mean) / off.Mean * 100
 						row = append(row, fmt.Sprintf("%+.2f%%", gain))
 					}

@@ -19,9 +19,9 @@ func init() {
 				ops = 10000
 			}
 			reps := b.Reps(2, 5)
-			sweeps := make([][]ThreadtestSweep, len(sizes))
+			sweeps := make([][]Sweep[ThreadtestCell], len(sizes))
 			for si, size := range sizes {
-				sweeps[si] = make([]ThreadtestSweep, len(Allocators()))
+				sweeps[si] = make([]Sweep[ThreadtestCell], len(Allocators()))
 				for ai, aname := range Allocators() {
 					sweeps[si][ai] = b.ThreadtestSweep(threadtest.Config{
 						Allocator:    aname,
@@ -44,7 +44,7 @@ func init() {
 				for si, size := range sizes {
 					row := []string{fmt.Sprintf("%d", size)}
 					for ai := range Allocators() {
-						s := sweeps[si][ai].Thr()
+						s := sweeps[si][ai].Summary(func(c ThreadtestCell) float64 { return c.Throughput })
 						s.Mean /= 1e6
 						s.CI95 /= 1e6
 						row = append(row, fmt.Sprintf("%.2f", s.Mean))

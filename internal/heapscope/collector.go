@@ -95,16 +95,29 @@ func New(cadence uint64) *Collector {
 func (c *Collector) Attach(a alloc.Allocator, shift uint, ortSize uint64) {
 	c.heap = a
 	c.shift, c.ortSize = shift, ortSize
-	c.name = a.Name()
+	st := Static("", a)
+	c.name, c.classes, c.geom = st.Allocator, st.Classes, st.Geometry
+}
+
+// Static is a's static layout as a series without samples: its
+// size-class table and superblock geometry, the part of every Series
+// that Attach reads once (tmlayout -heap-geometry emits these alone).
+func Static(label string, a alloc.Allocator) *Series {
 	st := a.InspectHeap()
+	sr := &Series{
+		Label:     label,
+		Allocator: a.Name(),
+		Samples:   []Sample{},
+		Geometry: &Geometry{
+			SuperblockBytes: st.SuperblockBytes,
+			MinBlock:        st.MinBlock,
+			MaxBlock:        st.MaxBlock,
+		},
+	}
 	for _, cl := range st.Classes {
-		c.classes = append(c.classes, cl.Size)
+		sr.Classes = append(sr.Classes, cl.Size)
 	}
-	c.geom = &Geometry{
-		SuperblockBytes: st.SuperblockBytes,
-		MinBlock:        st.MinBlock,
-		MaxBlock:        st.MaxBlock,
-	}
+	return sr
 }
 
 // SetRecorder attaches the obs recorder that receives Prometheus gauges

@@ -1,10 +1,8 @@
 package stamp
 
 import (
-	"repro/internal/alloc"
 	"repro/internal/mem"
 	"repro/internal/stm"
-	"repro/internal/vtime"
 )
 
 // Region classifies where an allocation was issued, as in the paper's
@@ -55,64 +53,60 @@ func Bucket(size uint64) int {
 	return len(SizeClassBuckets)
 }
 
-// profAlloc wraps the system allocator and attributes each operation to
-// a region. The engine serializes execution, so plain counters suffice.
-type profAlloc struct {
-	alloc.Allocator
+// profiler is the Table 5 profile as a block watcher: stamp.Run
+// attaches it to the world's space when Config.Profile is set, after
+// every observer core.NewSystem attaches. A malloc counts its request
+// size in the region that issued it. A free counts once, at the first
+// note of a live block: a free noted inside a transaction is the STM's
+// commit-time note of a deferred free (or a rollback's), and counts as
+// tx whatever the phase, so the quarantine's later release of the block
+// finds it dead. Under a pooling discipline an in-transaction note is a
+// pool park the allocator never saw: it counts nothing and the block
+// stays live. The engine serializes execution, so plain counters
+// suffice.
+type profiler struct {
 	stm      *stm.STM
-	parallel bool
+	parallel bool // the timed phase is running
+	live     map[mem.Addr]struct{}
 	p        Profile
-	// quarantined holds blocks already counted as tx frees via
-	// NoteTxFree; their allocator-level Free arrives later from the
-	// STM's quarantine release and must not be counted again.
-	quarantined map[mem.Addr]struct{}
 }
 
-func newProfAlloc(base alloc.Allocator) *profAlloc {
-	return &profAlloc{Allocator: base}
-}
-
-func (pa *profAlloc) region(th *vtime.Thread) Region {
-	if !pa.parallel {
+// region is where thread tid issued an operation: seq outside the timed
+// phase, inside it tx or par.
+func (pr *profiler) region(tid int) Region {
+	if !pr.parallel {
 		return RegionSeq
 	}
-	if pa.stm != nil && pa.stm.InTx(th.ID()) {
+	if pr.stm.InTx(tid) {
 		return RegionTx
 	}
 	return RegionPar
 }
 
-// Malloc implements alloc.Allocator.
-func (pa *profAlloc) Malloc(th *vtime.Thread, size uint64) mem.Addr {
-	r := pa.region(th)
-	pa.p.Mallocs[r]++
-	pa.p.Bytes[r] += size
-	pa.p.Counts[r][Bucket(size)]++
-	return pa.Allocator.Malloc(th, size)
+// OnHeapAlloc implements mem.HeapWatcher.
+func (pr *profiler) OnHeapAlloc(_ string, base mem.Addr, req, _ uint64, tid int, _ uint64) {
+	r := pr.region(tid)
+	pr.p.Mallocs[r]++
+	pr.p.Bytes[r] += req
+	pr.p.Counts[r][Bucket(req)]++
+	pr.live[base] = struct{}{}
 }
 
-// Free implements alloc.Allocator.
-func (pa *profAlloc) Free(th *vtime.Thread, addr mem.Addr) {
-	if _, ok := pa.quarantined[addr]; ok {
-		delete(pa.quarantined, addr)
-	} else {
-		pa.p.Frees[pa.region(th)]++
+// OnHeapFree implements mem.HeapWatcher.
+func (pr *profiler) OnHeapFree(base mem.Addr, tid int, _ uint64) {
+	if _, ok := pr.live[base]; !ok {
+		return
 	}
-	pa.Allocator.Free(th, addr)
-}
-
-// NoteTxFree implements stm.TxFreeNoter: a transactionally issued free
-// is attributed to the tx region when it commits, not when the
-// quarantine eventually releases the block.
-func (pa *profAlloc) NoteTxFree(addr mem.Addr) {
-	pa.p.Frees[RegionTx]++
-	if pa.quarantined == nil {
-		pa.quarantined = map[mem.Addr]struct{}{}
+	r := RegionTx
+	if !pr.stm.InTx(tid) {
+		r = pr.region(tid)
+	} else if pr.stm.Pooling() != stm.PoolNone {
+		return
 	}
-	pa.quarantined[addr] = struct{}{}
+	delete(pr.live, base)
+	pr.p.Frees[r]++
 }
 
-func (pa *profAlloc) profile() *Profile {
-	p := pa.p
-	return &p
-}
+// OnHeapReuse implements mem.HeapWatcher: a pool hit is neither a
+// malloc nor a free.
+func (pr *profiler) OnHeapReuse(mem.Addr, int, uint64) {}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/cachesim"
+	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -110,6 +111,9 @@ type Result struct {
 	// tx-pool traffic, the race checker's verdict and the conflict
 	// observatory's summary, each nil when not in use.
 	obs.Blocks
+	// ConflictReport is the conflict observatory's full graph, blame
+	// table and exemplar reservoir; nil when it was not attached.
+	ConflictReport *conflict.Report `json:"conflict_report,omitempty"`
 }
 
 // World is the environment an application runs in.
@@ -117,13 +121,12 @@ type World struct {
 	Space     *mem.Space
 	Engine    *vtime.Engine
 	STM       *stm.STM
-	Allocator alloc.Allocator // profiling wrapper when Profile is set
+	Allocator alloc.Allocator // the world's allocator model, which its STM also serves from
 	Threads   int
 	Scale     Scale
 	Variant   Variant
 	Seed      uint64
 	Prof      *prof.Profiler // cycle-attribution profiler; nil disables
-	prof      *profAlloc
 }
 
 // mallocRetries and mallocRetryWait bound how long a non-transactional
@@ -249,21 +252,18 @@ func Run(cfg Config) (res Result, err error) {
 			err = nil
 		}
 	}()
-	var pa *profAlloc
-	opts := core.Options{
+	sys, err := core.NewSystem(core.Options{
 		Allocator: cfg.Allocator, Threads: cfg.Threads, Shift: cfg.Shift,
 		Pool: cfg.Pool, CacheTx: cfg.CacheTx, Seed: cfg.Seed,
 		Instruments: cfg.Instruments, Policy: cfg.Policy,
-	}
-	if cfg.Profile {
-		opts.TxAllocator = func(base alloc.Allocator) alloc.Allocator {
-			pa = newProfAlloc(base)
-			return pa
-		}
-	}
-	sys, err := core.NewSystem(opts)
+	})
 	if err != nil {
 		return Result{}, err
+	}
+	var pr *profiler
+	if cfg.Profile {
+		pr = &profiler{stm: sys.STM, live: map[mem.Addr]struct{}{}}
+		sys.Space.Watch(pr)
 	}
 	engine := sys.Engine
 	cfg.Obs.BeginPhase(fmt.Sprintf("stamp/%s/%s/t%d", cfg.App, cfg.Allocator, cfg.Threads))
@@ -278,11 +278,6 @@ func Run(cfg Config) (res Result, err error) {
 		Variant:   cfg.Variant,
 		Seed:      cfg.Seed,
 		Prof:      cfg.Prof,
-	}
-	if pa != nil {
-		pa.stm = sys.STM
-		w.prof = pa
-		w.Allocator = pa
 	}
 
 	app.Setup(w)
@@ -299,14 +294,14 @@ func Run(cfg Config) (res Result, err error) {
 	sys.ResetClocks()
 	txBase := w.STM.Stats()
 	cacheBase := sys.Cache.TotalStats()
-	if w.prof != nil {
-		w.prof.parallel = true
+	if pr != nil {
+		pr.parallel = true
 	}
 	if !engine.Stopped() {
 		engine.Run(func(th *vtime.Thread) { app.Parallel(w, th) })
 	}
-	if w.prof != nil {
-		w.prof.parallel = false
+	if pr != nil {
+		pr.parallel = false
 	}
 	cycles := sys.EndPhase()
 	txAfter := w.STM.Stats()
@@ -342,9 +337,11 @@ func Run(cfg Config) (res Result, err error) {
 		Status:     status,
 		Failure:    failure,
 	}
-	if w.prof != nil {
-		res.Profile = w.prof.profile()
+	if pr != nil {
+		p := pr.p // a copy: Finish's crash recovery notes frees to pr
+		res.Profile = &p
 	}
 	res.Status, res.Failure, res.Blocks = sys.Finish(res.Status, res.Failure)
+	res.ConflictReport = sys.ConflictReport()
 	return res, nil
 }

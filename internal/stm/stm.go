@@ -283,15 +283,6 @@ type quarRec struct {
 	ver  int64 // clock value at which the free committed
 }
 
-// TxFreeNoter is implemented by wrapping allocators (e.g. the stamp
-// profiler) that attribute frees to the region that issued them: the
-// quarantine delays the allocator-level Free past the transaction, so
-// the STM announces a transactional free at commit time and the
-// wrapper must not count the later release a second time.
-type TxFreeNoter interface {
-	NoteTxFree(addr mem.Addr)
-}
-
 // New builds an STM over space.
 func New(space *mem.Space, cfg Config) *STM {
 	if cfg.Durable != nil {
@@ -797,9 +788,11 @@ func (tx *Tx) Load(a mem.Addr) uint64 {
 // deliberately read on a block which may have been freed — even
 // recycled — since the handle was captured (yada's stale-queue-entry
 // filter is the canonical user). The read is identical to Load in
-// every protocol and timing respect; only the sanitizer's
-// use-after-free classification is waived, because the caller's epoch
-// check subsumes it. Wild-address and redzone diagnostics still fire.
+// every protocol and timing respect, with two waivers, both because
+// the caller's epoch check subsumes them: the sanitizer's
+// use-after-free classification (wild-address and redzone diagnostics
+// still fire), and the EvLoad event, so the race checker and every
+// other Observer never see a guard read.
 func (tx *Tx) LoadGuard(a mem.Addr) uint64 {
 	tx.checkKilled()
 	tx.stats.LoadsTotal++
@@ -1077,9 +1070,6 @@ func (tx *Tx) finishCommit() {
 			}
 			tx.note(EvFreeCommitted, rec.addr)
 			tx.sanMarkFreed(rec.addr)
-			if n, ok := tx.stm.allocator.(TxFreeNoter); ok {
-				n.NoteTxFree(rec.addr)
-			}
 			tx.stm.quarantine = append(tx.stm.quarantine,
 				quarRec{addr: rec.addr, size: rec.size, ver: ver})
 		}

@@ -136,27 +136,6 @@ for f in $got; do
     }
 done
 
-echo "== tx-pooling byte-identity gate =="
-# Turning the pooling axis off explicitly (-pool none) must be
-# byte-for-byte the same as never mentioning it, at every pool width:
-# the discipline default is "no override", so cell keys, derived seeds
-# and run records may not move. The j1 artifacts above are the plain
-# baseline.
-go run ./cmd/tmrepro -run fig1 -jobs 1 -pool none -out "$tmpdir/pn1" >"$tmpdir/pn1.txt"
-go run ./cmd/tmrepro -run fig1 -jobs 4 -pool none -out "$tmpdir/pn4" >"$tmpdir/pn4.txt"
-go run ./cmd/tmrepro -run fig1 -jobs 8 -pool none -out "$tmpdir/pn8" >"$tmpdir/pn8.txt"
-cmp "$tmpdir/j1.txt" "$tmpdir/pn1.txt" || {
-    echo "tmrepro stdout differs with -pool none" >&2
-    exit 1
-}
-for j in 1 4 8; do
-    sed 's/"jobs": *[0-9]*/"jobs": 0/' "$tmpdir/pn$j/BENCH_fig1.json" >"$tmpdir/pn$j.norm"
-    cmp "$tmpdir/j1.norm" "$tmpdir/pn$j.norm" || {
-        echo "run records differ between plain and -pool none at -jobs $j" >&2
-        exit 1
-    }
-done
-
 echo "== alloc-budget gate =="
 # The PR 8 zero-alloc contract, re-run explicitly and uncached: the STM
 # begin/load/store/commit path, cachesim's Access over a touched
